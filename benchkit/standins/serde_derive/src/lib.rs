@@ -1,0 +1,14 @@
+//! Stand-in for `serde_derive`: both derives expand to nothing and accept
+//! `#[serde(..)]` helper attributes.
+
+use proc_macro::TokenStream;
+
+#[proc_macro_derive(Serialize, attributes(serde))]
+pub fn derive_serialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
+
+#[proc_macro_derive(Deserialize, attributes(serde))]
+pub fn derive_deserialize(_input: TokenStream) -> TokenStream {
+    TokenStream::new()
+}
