@@ -68,12 +68,14 @@ impl DeliveryConstraint {
         percentile_ms <= self.max_ms
     }
 
-    /// The 1-based rank `n^T = ceil(ratio/100 × total)` of the percentile
-    /// entry within a sorted list of `total` delivery times (Eq. 5).
+    /// The 1-based rank `n^T = ceil(ratio × total / 100)` of the percentile
+    /// entry within a sorted list of `total` delivery times (Eq. 5) — the
+    /// same [`multipub_obs::quantile::ceiling_rank`] the simulator's reports
+    /// and the live histograms use.
     ///
     /// Returns 0 when `total` is 0 (no messages → trivially feasible).
     pub fn rank(self, total: u64) -> u64 {
-        (self.ratio_percent / 100.0 * total as f64).ceil() as u64
+        multipub_obs::quantile::ceiling_rank(self.ratio_percent, total)
     }
 }
 
@@ -113,6 +115,9 @@ mod tests {
         assert_eq!(c.rank(0), 0);
         let full = DeliveryConstraint::new(100.0, 100.0).unwrap();
         assert_eq!(full.rank(7), 7);
+        // Regression: `ratio / 100 × total` ranked these one too high.
+        assert_eq!(DeliveryConstraint::new(7.0, 100.0).unwrap().rank(100), 7);
+        assert_eq!(DeliveryConstraint::new(55.0, 100.0).unwrap().rank(100), 55);
     }
 
     #[test]

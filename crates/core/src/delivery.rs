@@ -1,5 +1,9 @@
-//! Delivery-time equations (paper Eq. 1–2) and the delivery-time
-//! percentile `D̃_C` (Eq. 5–6).
+//! Closest serving region `R^S`/`R^P` (§III.C), the delivery-time
+//! equations (paper Eq. 1–2) and the delivery-time percentile `D̃_C`
+//! (Eq. 5–6). Each is defined here once: the evaluator, the mitigation
+//! scan, the cost model and the simulator's routing tables all call
+//! [`closest_region`], and every model delivery time is computed by
+//! [`direct_delivery_ms`] or [`routed_delivery_ms`].
 //!
 //! For a publication from publisher `P` to subscriber `S`:
 //!
@@ -58,6 +62,7 @@ pub fn closest_region(latencies: &[f64], assignment: AssignmentVector) -> Region
 
 /// Direct delivery time (Eq. 1): publisher → subscriber's region →
 /// subscriber.
+#[inline]
 pub fn direct_delivery_ms(
     publisher_latencies: &[f64],
     subscriber_latencies: &[f64],
@@ -69,6 +74,7 @@ pub fn direct_delivery_ms(
 /// Routed delivery time (Eq. 2): publisher → its own region → subscriber's
 /// region → subscriber. When `publisher_region == subscriber_region` the
 /// inter-region hop is zero and this reduces to Eq. 1.
+#[inline]
 pub fn routed_delivery_ms(
     publisher_latencies: &[f64],
     subscriber_latencies: &[f64],

@@ -1,16 +1,19 @@
 //! Evaluation of one configuration against a topic workload: the
 //! delivery-time percentile `D̃_C` and the bandwidth cost `Z_C`.
 //!
-//! [`TopicEvaluator`] precomputes, once per solve, a latency-sorted region
-//! preference list for every client (design decision **D2** in DESIGN.md),
-//! so that "closest serving region" becomes a scan of the preference list
-//! against the assignment bitmask instead of an argmin per configuration.
+//! [`TopicEvaluator`] checks the region dimensions once per solve and then
+//! evaluates configurations with no per-configuration allocation: each
+//! client's serving region is [`crate::delivery::closest_region`], each
+//! pair's delivery time is Eq. 1 or Eq. 2 from [`crate::delivery`], and the
+//! samples are reduced by [`weighted_percentile`].
 
-// lint:allow-file(indexing) hot-path kernel evaluated thousands of times per solve: every slice access is bounded by the region-count equality checks in `TopicEvaluator::new` and by `preference_list` covering exactly 0..n_regions
+// lint:allow-file(indexing) hot-path kernel evaluated thousands of times per solve: every slice access is bounded by the region-count equality checks in `TopicEvaluator::new`
 
-use crate::assignment::{AssignmentVector, Configuration, DeliveryMode};
+use crate::assignment::{Configuration, DeliveryMode};
 use crate::constraint::DeliveryConstraint;
-use crate::delivery::{weighted_percentile, WeightedSample};
+use crate::delivery::{
+    closest_region, direct_delivery_ms, routed_delivery_ms, weighted_percentile, WeightedSample,
+};
 use crate::error::Error;
 use crate::ids::RegionId;
 use crate::latency::InterRegionMatrix;
@@ -92,15 +95,11 @@ pub struct TopicEvaluator<'a> {
     regions: &'a RegionSet,
     inter: &'a InterRegionMatrix,
     workload: &'a TopicWorkload,
-    /// Latency-sorted region indices per publisher.
-    pub_prefs: Vec<Vec<u8>>,
-    /// Latency-sorted region indices per subscriber.
-    sub_prefs: Vec<Vec<u8>>,
     total_deliveries: u64,
 }
 
 impl<'a> TopicEvaluator<'a> {
-    /// Builds an evaluator, precomputing per-client region preference lists.
+    /// Builds an evaluator over one workload snapshot.
     ///
     /// # Errors
     ///
@@ -119,16 +118,10 @@ impl<'a> TopicEvaluator<'a> {
         if workload.n_regions() != n {
             return Err(Error::LatencyDimension { expected: n, got: workload.n_regions() });
         }
-        let pub_prefs =
-            workload.publishers().iter().map(|p| preference_list(p.latencies())).collect();
-        let sub_prefs =
-            workload.subscribers().iter().map(|s| preference_list(s.latencies())).collect();
         Ok(TopicEvaluator {
             regions,
             inter,
             workload,
-            pub_prefs,
-            sub_prefs,
             total_deliveries: workload.total_deliveries(),
         })
     }
@@ -178,8 +171,8 @@ impl<'a> TopicEvaluator<'a> {
         scratch.sub_regions.clear();
         scratch.sub_counts.clear();
         scratch.sub_counts.resize(self.regions.len(), 0);
-        for (sub, prefs) in subs.iter().zip(&self.sub_prefs) {
-            let region = closest_in_prefs(prefs, assignment);
+        for sub in subs {
+            let region = closest_region(sub.latencies(), assignment);
             scratch.sub_regions.push(region);
             scratch.sub_counts[region.index()] += sub.weight();
         }
@@ -190,11 +183,12 @@ impl<'a> TopicEvaluator<'a> {
         let mut total_bytes = 0u64;
         let mut forwarding_cost = 0.0f64;
         let extra_hops = assignment.count().saturating_sub(1) as f64;
-        for (publisher, prefs) in pubs.iter().zip(&self.pub_prefs) {
+        for publisher in pubs {
             let batch = publisher.batch();
             total_bytes += batch.total_bytes();
+            let pub_lat = publisher.latencies();
             let pub_home = match configuration.mode() {
-                DeliveryMode::Routed => Some(closest_in_prefs(prefs, assignment)),
+                DeliveryMode::Routed => Some(closest_region(pub_lat, assignment)),
                 DeliveryMode::Direct => None,
             };
             if let Some(home) = pub_home {
@@ -204,15 +198,11 @@ impl<'a> TopicEvaluator<'a> {
             if batch.count() == 0 {
                 continue;
             }
-            let pub_lat = publisher.latencies();
             for (sub, &sub_region) in subs.iter().zip(scratch.sub_regions.iter()) {
-                let sub_lat = sub.latencies()[sub_region.index()];
                 let time_ms = match pub_home {
-                    // Eq. 1: direct delivery.
-                    None => pub_lat[sub_region.index()] + sub_lat,
-                    // Eq. 2: routed delivery via the publisher's region.
+                    None => direct_delivery_ms(pub_lat, sub.latencies(), sub_region),
                     Some(home) => {
-                        pub_lat[home.index()] + self.inter.latency(home, sub_region) + sub_lat
+                        routed_delivery_ms(pub_lat, sub.latencies(), home, sub_region, self.inter)
                     }
                 };
                 scratch
@@ -229,65 +219,12 @@ impl<'a> TopicEvaluator<'a> {
 
         ConfigEvaluation { configuration, percentile_ms, cost_dollars }
     }
-
-    /// The delivery time a specific subscriber entry would observe for the
-    /// *worst* publisher under `configuration` — used by the §IV.D
-    /// mitigation scan to decide whether a client's needs can be met.
-    ///
-    /// Returns `None` when the workload has no publishers with traffic.
-    pub fn worst_delivery_for_subscriber(
-        &self,
-        subscriber_index: usize,
-        configuration: Configuration,
-    ) -> Option<f64> {
-        let assignment = configuration.assignment();
-        let sub = &self.workload.subscribers()[subscriber_index];
-        let sub_region = closest_in_prefs(&self.sub_prefs[subscriber_index], assignment);
-        let sub_lat = sub.latencies()[sub_region.index()];
-        let mut worst: Option<f64> = None;
-        for (publisher, prefs) in self.workload.publishers().iter().zip(&self.pub_prefs) {
-            if publisher.batch().count() == 0 {
-                continue;
-            }
-            let time = match configuration.mode() {
-                DeliveryMode::Direct => publisher.latencies()[sub_region.index()] + sub_lat,
-                DeliveryMode::Routed => {
-                    let home = closest_in_prefs(prefs, assignment);
-                    publisher.latencies()[home.index()]
-                        + self.inter.latency(home, sub_region)
-                        + sub_lat
-                }
-            };
-            worst = Some(worst.map_or(time, |w: f64| w.max(time)));
-        }
-        worst
-    }
-}
-
-/// Region indices sorted by increasing latency (ties by index), the
-/// preference list of design decision D2.
-pub(crate) fn preference_list(latencies: &[f64]) -> Vec<u8> {
-    let mut order: Vec<u8> = (0..latencies.len() as u8).collect();
-    order.sort_by(|&a, &b| latencies[a as usize].total_cmp(&latencies[b as usize]).then(a.cmp(&b)));
-    order
-}
-
-/// First region of a preference list that is present in the assignment.
-pub(crate) fn closest_in_prefs(prefs: &[u8], assignment: AssignmentVector) -> RegionId {
-    for &idx in prefs {
-        let region = RegionId(idx);
-        if assignment.contains(region) {
-            return region;
-        }
-    }
-    // lint:allow(panic) AssignmentVector rejects empty masks and out-of-range bits at construction, and prefs lists every region index, so the scan always hits
-    unreachable!("assignment vectors are non-empty and within the region count")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::closest_region;
+    use crate::assignment::AssignmentVector;
     use crate::ids::ClientId;
     use crate::region::Region;
     use crate::workload::{MessageBatch, Publisher, Subscriber};
@@ -327,23 +264,6 @@ mod tests {
         w.add_subscriber(Subscriber::with_weight(ClientId(4), vec![88.0, 77.0, 6.0], 2).unwrap())
             .unwrap();
         w
-    }
-
-    #[test]
-    fn preference_list_sorted_by_latency() {
-        assert_eq!(preference_list(&[30.0, 10.0, 20.0]), vec![1, 2, 0]);
-        // Ties broken by index.
-        assert_eq!(preference_list(&[5.0, 5.0]), vec![0, 1]);
-    }
-
-    #[test]
-    fn closest_in_prefs_matches_argmin() {
-        let lats = [33.0, 11.0, 22.0];
-        let prefs = preference_list(&lats);
-        for mask in 1u32..8 {
-            let a = AssignmentVector::from_mask(mask, 3).unwrap();
-            assert_eq!(closest_in_prefs(&prefs, a), closest_region(&lats, a), "mask {mask}");
-        }
     }
 
     #[test]
@@ -432,17 +352,6 @@ mod tests {
             let b = eval.evaluate_into(config, &constraint, &mut scratch);
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn worst_delivery_for_subscriber_direct() {
-        let r = regions3();
-        let inter = inter3();
-        let w = workload3();
-        let eval = TopicEvaluator::new(&r, &inter, &w).unwrap();
-        let config = Configuration::new(AssignmentVector::all(3).unwrap(), DeliveryMode::Direct);
-        // S4 (index 2) is served by R2; worst publisher is P0 at 100+6.
-        assert_eq!(eval.worst_delivery_for_subscriber(2, config), Some(106.0));
     }
 
     #[test]

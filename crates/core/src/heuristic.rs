@@ -21,7 +21,7 @@ use crate::constraint::DeliveryConstraint;
 use crate::error::Error;
 use crate::evaluate::{ConfigEvaluation, EvalScratch, TopicEvaluator};
 use crate::latency::InterRegionMatrix;
-use crate::optimizer::Solution;
+use crate::optimizer::{preferred, Solution, TieBreaking};
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
 use serde::{Deserialize, Serialize};
@@ -42,24 +42,35 @@ impl Default for HeuristicOptions {
     }
 }
 
-/// Ranks candidates: feasible-and-cheap first; among infeasible ones,
-/// fastest first (mirrors the exact solver's §IV.B rules).
-fn candidate_key(eval: &ConfigEvaluation, constraint: &DeliveryConstraint) -> (u8, f64, f64, u32) {
-    if eval.is_feasible(constraint) {
-        (0, eval.cost_dollars(), eval.percentile_ms(), eval.region_count())
-    } else {
-        (1, eval.percentile_ms(), eval.cost_dollars(), eval.region_count())
+/// Keeps the `width` most [`preferred`] candidates, best first. The
+/// preference is not a total order, so the beam is taken by successive
+/// minimum scans (first of equals wins) rather than by sorting.
+fn keep_best(
+    candidates: &mut Vec<ConfigEvaluation>,
+    width: usize,
+    better: impl Fn(&ConfigEvaluation, &ConfigEvaluation) -> bool,
+) {
+    let width = width.min(candidates.len());
+    for slot in 0..width {
+        let mut best = slot;
+        for index in slot + 1..candidates.len() {
+            // lint:allow(indexing) `index` and `best` both range below `candidates.len()`
+            if better(&candidates[index], &candidates[best]) {
+                best = index;
+            }
+        }
+        // lint:allow(indexing) `slot <= best < candidates.len()`
+        candidates[slot..=best].rotate_right(1);
     }
-}
-
-fn better(a: &ConfigEvaluation, b: &ConfigEvaluation, constraint: &DeliveryConstraint) -> bool {
-    candidate_key(a, constraint) < candidate_key(b, constraint)
+    candidates.truncate(width);
 }
 
 /// Beam-search heuristic solve.
 ///
-/// Returns a [`Solution`] shaped exactly like the exact solver's, with
-/// `configurations_considered` counting heuristic evaluations.
+/// Candidates are ranked by the exact solver's §IV.B preference (default
+/// [`TieBreaking`]). Returns a [`Solution`] shaped exactly like the exact
+/// solver's, with `configurations_considered` counting heuristic
+/// evaluations.
 ///
 /// # Errors
 ///
@@ -75,6 +86,9 @@ pub fn solve_heuristic(
     let evaluator = TopicEvaluator::new(regions, inter, workload)?;
     let beam_width = options.beam_width.max(1);
     let max_rounds = options.max_rounds.unwrap_or(regions.len());
+    let better = |a: &ConfigEvaluation, b: &ConfigEvaluation| {
+        preferred(a, b, constraint, TieBreaking::default())
+    };
     let mut scratch = EvalScratch::default();
     let mut considered = 0u64;
 
@@ -83,17 +97,10 @@ pub fn solve_heuristic(
     for region in regions.ids() {
         let assignment = AssignmentVector::single(region, regions.len())?;
         let config = Configuration::new(assignment, DeliveryMode::Direct);
-        let eval = evaluator.evaluate_into(config, constraint, &mut scratch);
+        beam.push(evaluator.evaluate_into(config, constraint, &mut scratch));
         considered += 1;
-        beam.push(eval);
     }
-    beam.sort_by(|a, b| {
-        candidate_key(a, constraint)
-            .partial_cmp(&candidate_key(b, constraint))
-            // lint:allow(panic) candidate keys are sums of finite latencies and costs, so partial_cmp never sees NaN
-            .expect("finite keys")
-    });
-    beam.truncate(beam_width);
+    keep_best(&mut beam, beam_width, better);
     // lint:allow(indexing) the beam is seeded with one candidate per region and the region set is non-empty
     let mut incumbent = beam[0];
 
@@ -107,33 +114,24 @@ pub fn solve_heuristic(
                 let grown = seed.configuration().assignment().with(region);
                 for mode in [DeliveryMode::Direct, DeliveryMode::Routed] {
                     let config = Configuration::new(grown, mode);
-                    let eval = evaluator.evaluate_into(config, constraint, &mut scratch);
+                    // Two seeds one region apart grow into the same superset.
+                    if expansions.iter().any(|e| e.configuration() == config) {
+                        continue;
+                    }
+                    expansions.push(evaluator.evaluate_into(config, constraint, &mut scratch));
                     considered += 1;
-                    expansions.push(eval);
                 }
             }
         }
-        if expansions.is_empty() {
-            break;
+        keep_best(&mut expansions, beam_width, better);
+        match expansions.first() {
+            Some(best) if better(best, &incumbent) => incumbent = *best,
+            _ => break, // no expansion beats the incumbent: stop climbing
         }
-        expansions.sort_by(|a, b| {
-            candidate_key(a, constraint)
-                .partial_cmp(&candidate_key(b, constraint))
-                // lint:allow(panic) candidate keys are sums of finite latencies and costs, so partial_cmp never sees NaN
-                .expect("finite keys")
-        });
-        expansions.dedup_by_key(|e| e.configuration());
-        expansions.truncate(beam_width);
-        // lint:allow(indexing) the `expansions.is_empty()` break above guarantees at least one entry
-        if !better(&expansions[0], &incumbent, constraint) {
-            break; // no expansion beats the incumbent: stop climbing
-        }
-        // lint:allow(indexing) the `expansions.is_empty()` break above guarantees at least one entry
-        incumbent = expansions[0];
         beam = expansions;
     }
 
-    Ok(Solution::from_parts(incumbent, incumbent.is_feasible(constraint), considered))
+    Ok(Solution::new(incumbent, constraint, considered))
 }
 
 #[cfg(test)]

@@ -7,11 +7,16 @@
 //! checks whether force-adding a region to the topic's assignment would
 //! meet — or significantly improve — their delivery times. Forced regions
 //! are tracked and retracted once no straggler needs them anymore.
+//!
+//! A straggler's delivery times are the model's own: serving regions from
+//! [`closest_region`] and Eq. 1–2 from [`crate::delivery`], exactly what the
+//! evaluator feeds the percentile.
 
 // lint:allow-file(indexing) mitigation scan shares the evaluator's invariants: subscriber indices are enumerated from the workload itself and region ids are bounded by the dimension checks at `TopicEvaluator::new`
 
-use crate::assignment::Configuration;
+use crate::assignment::{Configuration, DeliveryMode};
 use crate::constraint::DeliveryConstraint;
+use crate::delivery::{closest_region, direct_delivery_ms, routed_delivery_ms};
 use crate::evaluate::TopicEvaluator;
 use crate::ids::RegionId;
 use serde::{Deserialize, Serialize};
@@ -62,25 +67,21 @@ fn best_delivery_for_subscriber(
     subscriber_index: usize,
     configuration: Configuration,
 ) -> Option<f64> {
-    use crate::assignment::DeliveryMode;
-    use crate::delivery::closest_region;
     let workload = evaluator.workload();
-    let sub = &workload.subscribers()[subscriber_index];
+    let sub_lat = workload.subscribers()[subscriber_index].latencies();
     let assignment = configuration.assignment();
-    let sub_region = closest_region(sub.latencies(), assignment);
-    let sub_lat = sub.latencies()[sub_region.index()];
+    let sub_region = closest_region(sub_lat, assignment);
     let mut best: Option<f64> = None;
     for publisher in workload.publishers() {
         if publisher.batch().count() == 0 {
             continue;
         }
+        let pub_lat = publisher.latencies();
         let time = match configuration.mode() {
-            DeliveryMode::Direct => publisher.latencies()[sub_region.index()] + sub_lat,
+            DeliveryMode::Direct => direct_delivery_ms(pub_lat, sub_lat, sub_region),
             DeliveryMode::Routed => {
-                let home = closest_region(publisher.latencies(), assignment);
-                publisher.latencies()[home.index()]
-                    + evaluator.inter().latency(home, sub_region)
-                    + sub_lat
+                let home = closest_region(pub_lat, assignment);
+                routed_delivery_ms(pub_lat, sub_lat, home, sub_region, evaluator.inter())
             }
         };
         best = Some(best.map_or(time, |b: f64| b.min(time)));
@@ -209,8 +210,7 @@ pub fn retract_unneeded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assignment::{AssignmentVector, DeliveryMode};
-    use crate::constraint::DeliveryConstraint;
+    use crate::assignment::AssignmentVector;
     use crate::ids::ClientId;
     use crate::latency::InterRegionMatrix;
     use crate::region::{Region, RegionSet};

@@ -14,6 +14,11 @@
 //! 3. if *no* configuration is feasible, the one with the lowest
 //!    delivery-time percentile irrespective of cost.
 //!
+//! That rule is written once, as the private `select` scan over a stream of
+//! evaluations: [`Optimizer::solve`] feeds it lazily, [`SweepSolver`] from
+//! its cache, and [`crate::heuristic`] ranks its beam by the same pairwise
+//! preference.
+//!
 //! Topics are independent (§IV.C), so [`solve_topics`] solves many topics
 //! in parallel with scoped threads.
 
@@ -37,14 +42,18 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Assembles a solution from its parts — used by the alternative
-    /// solvers ([`crate::heuristic`]) so they can return the same shape.
-    pub(crate) fn from_parts(
+    /// The solution that picks `evaluation` under `constraint` — shared
+    /// with [`crate::heuristic`] so every solver returns the same shape.
+    pub(crate) fn new(
         evaluation: ConfigEvaluation,
-        feasible: bool,
+        constraint: &DeliveryConstraint,
         configurations_considered: u64,
     ) -> Self {
-        Solution { evaluation, feasible, configurations_considered }
+        Solution {
+            feasible: evaluation.is_feasible(constraint),
+            evaluation,
+            configurations_considered,
+        }
     }
 
     /// The selected configuration.
@@ -133,6 +142,54 @@ fn better_infeasible(a: &ConfigEvaluation, b: &ConfigEvaluation) -> bool {
         == std::cmp::Ordering::Less
 }
 
+/// The §IV.B rule as a pairwise preference: a feasible configuration beats
+/// an infeasible one, two feasible ones compare by [`better_feasible`], two
+/// infeasible ones by [`better_infeasible`].
+///
+/// The tolerance band makes this **not** a total order (`a ≈ b ≈ c` does not
+/// imply `a ≈ c`), so it must never be handed to a sort: rank by scanning
+/// for the minimum, as [`select`] does.
+pub(crate) fn preferred(
+    a: &ConfigEvaluation,
+    b: &ConfigEvaluation,
+    constraint: &DeliveryConstraint,
+    tie: TieBreaking,
+) -> bool {
+    match (a.is_feasible(constraint), b.is_feasible(constraint)) {
+        (true, true) => better_feasible(a, b, tie),
+        (false, false) => better_infeasible(a, b),
+        (a_feasible, _) => a_feasible,
+    }
+}
+
+/// The first evaluation of the stream that no later one is `better` than.
+fn first_best(
+    evaluations: impl Iterator<Item = ConfigEvaluation>,
+    better: impl Fn(&ConfigEvaluation, &ConfigEvaluation) -> bool,
+) -> Option<ConfigEvaluation> {
+    evaluations.reduce(|best, eval| if better(&eval, &best) { eval } else { best })
+}
+
+/// The §IV.B pick, written once: the first evaluation of the stream that no
+/// later one is [`preferred`] to — the cheapest feasible configuration
+/// (ties per `tie`), or the fastest one when nothing is feasible.
+///
+/// Every exact solver is this scan over a different stream:
+/// [`Optimizer::solve`] evaluates lazily, [`SweepSolver::solve_at`] replays
+/// its cache.
+fn select(
+    evaluations: impl Iterator<Item = ConfigEvaluation>,
+    constraint: &DeliveryConstraint,
+    tie: TieBreaking,
+) -> Solution {
+    let mut considered = 0u64;
+    let best = first_best(evaluations.inspect(|_| considered += 1), |a, b| {
+        preferred(a, b, constraint, tie)
+    });
+    // lint:allow(panic) AssignmentVector is non-empty by construction, so every enumeration yields at least one configuration
+    Solution::new(best.expect("at least one configuration exists"), constraint, considered)
+}
+
 /// Brute-force optimal configuration search for a single topic.
 ///
 /// See the crate-level docs for a complete example.
@@ -205,71 +262,54 @@ impl<'a> Optimizer<'a> {
         self.policy
     }
 
+    /// Lazily evaluates `configurations` in order, reusing one scratch buffer.
+    fn evaluations<'s>(
+        &'s self,
+        configurations: impl Iterator<Item = Configuration> + 's,
+        constraint: &'s DeliveryConstraint,
+    ) -> impl Iterator<Item = ConfigEvaluation> + 's {
+        let mut scratch = EvalScratch::default();
+        configurations
+            .map(move |config| self.evaluator.evaluate_into(config, constraint, &mut scratch))
+    }
+
+    /// Every configuration the allowed regions and the mode policy admit.
+    fn all_evaluations<'s>(
+        &'s self,
+        constraint: &'s DeliveryConstraint,
+    ) -> impl Iterator<Item = ConfigEvaluation> + 's {
+        self.evaluations(enumerate_configurations(self.allowed, self.policy), constraint)
+    }
+
     /// Runs the exhaustive search and returns the optimal solution under
     /// the paper's selection rules.
     pub fn solve(&self, constraint: &DeliveryConstraint) -> Solution {
         let _solve_timer = multipub_obs::timer!(multipub_obs::metrics::CORE_SOLVE_MS);
         multipub_obs::counter!(multipub_obs::metrics::CORE_SOLVES_TOTAL).inc();
-        let mut scratch = EvalScratch::default();
-        let mut best_feasible: Option<ConfigEvaluation> = None;
-        let mut best_any: Option<ConfigEvaluation> = None;
-        let mut considered = 0u64;
-
-        for config in enumerate_configurations(self.allowed, self.policy) {
-            let eval = self.evaluator.evaluate_into(config, constraint, &mut scratch);
-            considered += 1;
-            if eval.is_feasible(constraint)
-                && best_feasible
-                    .as_ref()
-                    .is_none_or(|b| better_feasible(&eval, b, self.tie_breaking))
-            {
-                best_feasible = Some(eval);
-            }
-            if best_any.as_ref().is_none_or(|b| better_infeasible(&eval, b)) {
-                best_any = Some(eval);
-            }
-        }
-
-        multipub_obs::counter!(multipub_obs::metrics::CORE_CONFIGS_EVALUATED_TOTAL).add(considered);
-        match best_feasible {
-            Some(evaluation) => {
-                Solution { evaluation, feasible: true, configurations_considered: considered }
-            }
-            None => Solution {
-                // lint:allow(panic) AssignmentVector is non-empty by construction, so the enumeration yields at least one configuration
-                evaluation: best_any.expect("at least one configuration exists"),
-                feasible: false,
-                configurations_considered: considered,
-            },
-        }
+        let solution = select(self.all_evaluations(constraint), constraint, self.tie_breaking);
+        multipub_obs::counter!(multipub_obs::metrics::CORE_CONFIGS_EVALUATED_TOTAL)
+            .add(solution.configurations_considered);
+        solution
     }
 
     /// The *One Region* baseline (paper §II-B1): the cheapest single region
-    /// (ties broken by delivery-time percentile), **ignoring** the
-    /// constraint when picking. The returned feasibility still records
-    /// whether the pick happens to meet the constraint.
+    /// (ties broken per [`TieBreaking`]), **ignoring** the constraint when
+    /// picking. The returned feasibility still records whether the pick
+    /// happens to meet the constraint.
     pub fn solve_one_region(&self, constraint: &DeliveryConstraint) -> Solution {
-        let mut scratch = EvalScratch::default();
-        let mut best: Option<ConfigEvaluation> = None;
-        let mut considered = 0u64;
-        for region in self.allowed.iter() {
-            let assignment = AssignmentVector::single(region, self.evaluator.regions().len())
+        let n_regions = self.evaluator.regions().len();
+        let singles = self.allowed.iter().map(move |region| {
+            let assignment = AssignmentVector::single(region, n_regions)
                 // lint:allow(panic) every region iterated out of `allowed` was bounds-checked against the same region count when `allowed` was built
                 .expect("allowed regions are in bounds");
-            let config = Configuration::new(assignment, DeliveryMode::Direct);
-            let eval = self.evaluator.evaluate_into(config, constraint, &mut scratch);
-            considered += 1;
-            if best.as_ref().is_none_or(|b| better_feasible(&eval, b, self.tie_breaking)) {
-                best = Some(eval);
-            }
-        }
-        // lint:allow(panic) AssignmentVector is non-empty by construction, so the loop above ran at least once
-        let evaluation = best.expect("allowed region set is non-empty");
-        Solution {
-            feasible: evaluation.is_feasible(constraint),
-            evaluation,
-            configurations_considered: considered,
-        }
+            Configuration::new(assignment, DeliveryMode::Direct)
+        });
+        let evaluation = first_best(self.evaluations(singles, constraint), |a, b| {
+            better_feasible(a, b, self.tie_breaking)
+        })
+        // lint:allow(panic) AssignmentVector is non-empty by construction, so there is at least one single-region configuration
+        .expect("allowed region set is non-empty");
+        Solution::new(evaluation, constraint, u64::from(self.allowed.count()))
     }
 
     /// The *All Regions* baseline (paper §II-B2): every allowed region
@@ -280,12 +320,7 @@ impl<'a> Optimizer<'a> {
         constraint: &DeliveryConstraint,
     ) -> Solution {
         let config = Configuration::new(self.allowed, mode);
-        let evaluation = self.evaluator.evaluate(config, constraint);
-        Solution {
-            feasible: evaluation.is_feasible(constraint),
-            evaluation,
-            configurations_considered: 1,
-        }
+        Solution::new(self.evaluator.evaluate(config, constraint), constraint, 1)
     }
 }
 
@@ -356,18 +391,13 @@ impl SweepSolver {
         policy: ModePolicy,
         allowed: Option<AssignmentVector>,
     ) -> Result<Self, Error> {
-        workload.ensure_non_empty()?;
-        let evaluator = TopicEvaluator::new(regions, inter, workload)?;
+        let mut optimizer = Optimizer::new(regions, inter, workload)?.with_policy(policy);
+        if let Some(mask) = allowed {
+            optimizer = optimizer.with_allowed_regions(mask);
+        }
         // The percentile depends on the ratio only; any finite bound works.
         let probe = DeliveryConstraint::new(ratio_percent, 1.0)?;
-        let allowed = match allowed {
-            Some(mask) => mask,
-            None => AssignmentVector::all(regions.len())?,
-        };
-        let mut scratch = EvalScratch::default();
-        let evaluations = enumerate_configurations(allowed, policy)
-            .map(|config| evaluator.evaluate_into(config, &probe, &mut scratch))
-            .collect();
+        let evaluations = optimizer.all_evaluations(&probe).collect();
         Ok(SweepSolver { evaluations, ratio_percent, tie_breaking: TieBreaking::default() })
     }
 
@@ -387,8 +417,9 @@ impl SweepSolver {
         self.ratio_percent
     }
 
-    /// Solves for one bound, exactly like [`Optimizer::solve`] with
-    /// `<ratio, max_t_ms>`, but in one linear scan.
+    /// Solves for one bound: the same selection scan as
+    /// [`Optimizer::solve`] with `<ratio, max_t_ms>`, fed from the cached
+    /// evaluations instead of fresh ones.
     ///
     /// # Errors
     ///
@@ -396,28 +427,7 @@ impl SweepSolver {
     /// bound.
     pub fn solve_at(&self, max_t_ms: f64) -> Result<Solution, Error> {
         let constraint = DeliveryConstraint::new(self.ratio_percent, max_t_ms)?;
-        let mut best_feasible: Option<&ConfigEvaluation> = None;
-        let mut best_any: Option<&ConfigEvaluation> = None;
-        for eval in &self.evaluations {
-            if eval.is_feasible(&constraint)
-                && best_feasible.is_none_or(|b| better_feasible(eval, b, self.tie_breaking))
-            {
-                best_feasible = Some(eval);
-            }
-            if best_any.is_none_or(|b| better_infeasible(eval, b)) {
-                best_any = Some(eval);
-            }
-        }
-        let (evaluation, feasible) = match best_feasible {
-            Some(eval) => (*eval, true),
-            // lint:allow(panic) the cached evaluations cover a non-empty AssignmentVector enumeration, so the list is never empty
-            None => (*best_any.expect("at least one configuration exists"), false),
-        };
-        Ok(Solution {
-            evaluation,
-            feasible,
-            configurations_considered: self.evaluations.len() as u64,
-        })
+        Ok(select(self.evaluations.iter().copied(), &constraint, self.tie_breaking))
     }
 }
 
@@ -691,30 +701,216 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sweep_solver_matches_full_solves_point_by_point() {
-        let (regions, inter) = setup();
-        let w = local_expensive_workload();
-        let sweep = SweepSolver::new(&regions, &inter, &w, 95.0).unwrap();
-        assert_eq!(sweep.configurations() as u64, crate::assignment::configuration_count(2));
-        let optimizer = Optimizer::new(&regions, &inter, &w).unwrap();
-        for max_t in [1.0, 15.0, 50.0, 140.0, 200.0, 500.0] {
-            let constraint = DeliveryConstraint::new(95.0, max_t).unwrap();
-            let full = optimizer.solve(&constraint);
-            let fast = sweep.solve_at(max_t).unwrap();
-            assert_eq!(fast.configuration(), full.configuration(), "max_t {max_t}");
-            assert_eq!(fast.is_feasible(), full.is_feasible(), "max_t {max_t}");
-            assert_eq!(
-                fast.evaluation().percentile_ms(),
-                full.evaluation().percentile_ms(),
-                "max_t {max_t}"
-            );
-            assert_eq!(
-                fast.evaluation().cost_dollars(),
-                full.evaluation().cost_dollars(),
-                "max_t {max_t}"
-            );
+    /// SplitMix64, inline so the oracle needs no `rand`.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
         }
+
+        /// Uniform integer in `lo..=hi`.
+        fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next_u64() % (hi - lo + 1)
+        }
+
+        /// Whole-millisecond latency, so sums and percentile ties are exact.
+        fn latency(&mut self, lo: u64, hi: u64) -> f64 {
+            self.range(lo, hi) as f64
+        }
+    }
+
+    /// A random 2–5-region instance. Prices come from three Table I rate
+    /// pairs, so equal-price regions — and with them equal-cost
+    /// configurations that differ by float summation order — are common.
+    fn random_instance(rng: &mut SplitMix64) -> (RegionSet, InterRegionMatrix, TopicWorkload) {
+        const PRICES: [(f64, f64); 3] = [(0.02, 0.09), (0.09, 0.14), (0.16, 0.25)];
+        let n = rng.range(2, 5) as usize;
+        let regions = RegionSet::new(
+            (0..n)
+                .map(|i| {
+                    let (alpha, beta) = PRICES[rng.range(0, 2) as usize];
+                    Region::new(format!("r{i}"), "X", alpha, beta)
+                })
+                .collect(),
+        )
+        .unwrap();
+        let mut rows = vec![vec![0.0; n]; n];
+        for i in 0..n {
+            for j in i + 1..n {
+                rows[i][j] = rng.latency(10, 200);
+                rows[j][i] = rows[i][j];
+            }
+        }
+        let inter = InterRegionMatrix::from_rows(rows).unwrap();
+        let mut workload = TopicWorkload::new(n);
+        let mut next_id = 0u64;
+        let mut client_row = |rng: &mut SplitMix64| -> (ClientId, Vec<f64>) {
+            next_id += 1;
+            (ClientId(next_id), (0..n).map(|_| rng.latency(1, 150)).collect())
+        };
+        for _ in 0..rng.range(1, 3) {
+            let (id, row) = client_row(rng);
+            let batch = MessageBatch::uniform(rng.range(1, 5), rng.range(100, 2000));
+            workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
+        }
+        for _ in 0..rng.range(1, 6) {
+            let (id, row) = client_row(rng);
+            let weight = rng.range(1, 3);
+            workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();
+        }
+        (regions, inter, workload)
+    }
+
+    fn tied(a: f64, b: f64) -> bool {
+        (a - b).abs() <= a.abs().max(b.abs()) * TIE_EPSILON
+    }
+
+    /// Keeps the candidates whose `key` ties with the smallest one.
+    fn keep_lowest(candidates: &mut Vec<ConfigEvaluation>, key: impl Fn(&ConfigEvaluation) -> f64) {
+        let lowest = candidates.iter().map(&key).fold(f64::INFINITY, f64::min);
+        candidates.retain(|c| tied(key(c), lowest));
+    }
+
+    /// §IV.B by brute force, from the rule text: filter the feasible
+    /// configurations, keep the cheapest (within `TIE_EPSILON`), break the
+    /// tie per `tie`; with nothing feasible keep the lowest percentile, then
+    /// cost, then region count. Returns every configuration left standing,
+    /// in enumeration order, and whether they are feasible.
+    fn oracle(
+        evaluations: &[ConfigEvaluation],
+        max_t_ms: f64,
+        tie: TieBreaking,
+    ) -> (Vec<ConfigEvaluation>, bool) {
+        let cost = |c: &ConfigEvaluation| c.cost_dollars();
+        let percentile = |c: &ConfigEvaluation| c.percentile_ms();
+        let region_count = |c: &ConfigEvaluation| f64::from(c.region_count());
+        let mut winners: Vec<ConfigEvaluation> =
+            evaluations.iter().copied().filter(|c| c.percentile_ms() <= max_t_ms).collect();
+        let feasible = !winners.is_empty();
+        if feasible {
+            keep_lowest(&mut winners, cost);
+            match tie {
+                TieBreaking::FewestRegions => {
+                    keep_lowest(&mut winners, region_count);
+                    keep_lowest(&mut winners, percentile);
+                }
+                TieBreaking::LowestPercentile => {
+                    keep_lowest(&mut winners, percentile);
+                    keep_lowest(&mut winners, region_count);
+                }
+            }
+        } else {
+            winners = evaluations.to_vec();
+            keep_lowest(&mut winners, percentile);
+            keep_lowest(&mut winners, cost);
+            keep_lowest(&mut winners, region_count);
+        }
+        (winners, feasible)
+    }
+
+    #[test]
+    fn every_solver_returns_the_brute_force_pick() {
+        let mut rng = SplitMix64(0x4D75_6C74_6950_7562);
+        let mut feasible_points = 0;
+        let mut infeasible_points = 0;
+        let mut cost_ties = 0;
+        // CI also interprets this crate's tests under Miri, ~100× slower.
+        let instances = if cfg!(miri) { 30 } else { 300 };
+        for instance in 0..instances {
+            let (regions, inter, workload) = random_instance(&mut rng);
+            let n = regions.len();
+            let ratio = [50.0, 75.0, 95.0, 100.0][rng.range(0, 3) as usize];
+            let policy = [ModePolicy::Any, ModePolicy::DirectOnly, ModePolicy::RoutedOnly]
+                [rng.range(0, 2) as usize];
+            let probe = DeliveryConstraint::new(ratio, 1.0).unwrap();
+            let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
+            let evaluations: Vec<ConfigEvaluation> =
+                enumerate_configurations(AssignmentVector::all(n).unwrap(), policy)
+                    .map(|config| evaluator.evaluate(config, &probe))
+                    .collect();
+            let mut percentiles: Vec<f64> =
+                evaluations.iter().map(ConfigEvaluation::percentile_ms).collect();
+            percentiles.sort_by(f64::total_cmp);
+            // Below every percentile, at the fastest, at the median, above all.
+            let bounds = [
+                percentiles[0] / 2.0,
+                percentiles[0],
+                percentiles[percentiles.len() / 2],
+                percentiles[percentiles.len() - 1] + 1.0,
+            ];
+            for tie in [TieBreaking::FewestRegions, TieBreaking::LowestPercentile] {
+                let optimizer = Optimizer::new(&regions, &inter, &workload)
+                    .unwrap()
+                    .with_policy(policy)
+                    .with_tie_breaking(tie);
+                let sweep =
+                    SweepSolver::with_options(&regions, &inter, &workload, ratio, policy, None)
+                        .unwrap()
+                        .with_tie_breaking(tie);
+                assert_eq!(sweep.configurations(), evaluations.len());
+                if policy == ModePolicy::Any {
+                    assert_eq!(
+                        sweep.configurations() as u64,
+                        crate::assignment::configuration_count(n as u32)
+                    );
+                }
+                for max_t in bounds {
+                    let context = format!("instance {instance}, {policy:?}, {tie:?}, {max_t} ms");
+                    let constraint = DeliveryConstraint::new(ratio, max_t).unwrap();
+                    let (winners, feasible) = oracle(&evaluations, max_t, tie);
+                    if feasible {
+                        feasible_points += 1;
+                        let cheapest = winners[0].cost_dollars();
+                        let at_cheapest = evaluations
+                            .iter()
+                            .filter(|c| c.percentile_ms() <= max_t)
+                            .filter(|c| tied(c.cost_dollars(), cheapest))
+                            .count();
+                        cost_ties += usize::from(at_cheapest > 1);
+                    } else {
+                        infeasible_points += 1;
+                    }
+
+                    // The scan keeps the first of equals, so the exact
+                    // solvers return the first winner in enumeration order.
+                    let full = optimizer.solve(&constraint);
+                    assert_eq!(full.evaluation(), &winners[0], "{context}");
+                    assert_eq!(full.is_feasible(), feasible, "{context}");
+                    assert_eq!(full.configurations_considered(), evaluations.len() as u64);
+                    assert_eq!(sweep.solve_at(max_t).unwrap(), full, "{context}");
+                    if policy == ModePolicy::Any && tie == TieBreaking::default() {
+                        let problem = TopicProblem { workload: workload.clone(), constraint };
+                        let solved = solve_topics(&regions, &inter, &[problem]).unwrap();
+                        assert_eq!(solved, vec![full], "{context}");
+
+                        // A beam as wide as the lattice reaches the optimum's rank.
+                        let exhaustive =
+                            crate::heuristic::HeuristicOptions { beam_width: 64, max_rounds: None };
+                        let heuristic = crate::heuristic::solve_heuristic(
+                            &regions,
+                            &inter,
+                            &workload,
+                            &constraint,
+                            &exhaustive,
+                        )
+                        .unwrap();
+                        assert!(
+                            winners.iter().any(|w| w == heuristic.evaluation()),
+                            "{context}: heuristic picked {}",
+                            heuristic.configuration()
+                        );
+                    }
+                }
+            }
+        }
+        // The generator must actually exercise each branch of the rule.
+        assert!(feasible_points > instances && infeasible_points > instances);
+        assert!(cost_ties > instances);
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! The paper's Eq. 5 defines the delivery percentile as the value at
 //! the **ceiling rank**: for a population of `n` samples and a ratio
-//! `r` percent, the rank is `ceil(r/100 × n)`, clamped to `[1, n]`.
-//! Both [`percentile_exact`] (over raw samples) and
-//! [`crate::HistogramSnapshot::quantile`] (over bucket counts) use the
-//! same [`ceiling_rank`] so the sim and live paths agree on percentile
-//! semantics.
+//! `r` percent, the rank is `ceil(r × n / 100)`, clamped to `[1, n]`.
+//! [`percentile_exact`] (over raw samples),
+//! [`crate::HistogramSnapshot::quantile`] (over bucket counts) and the
+//! optimizer's `DeliveryConstraint::rank` all use the same
+//! [`ceiling_rank`], so the model, the sim and the live paths agree on
+//! which sample the percentile is.
 
 /// The 1-based ceiling rank of the `ratio_percent`-th percentile in a
 /// population of `count` samples (Eq. 5). Returns 0 when `count` is 0.
@@ -18,7 +19,9 @@ pub fn ceiling_rank(ratio_percent: f64, count: u64) -> u64 {
     if count == 0 {
         return 0;
     }
-    let rank = (ratio_percent / 100.0 * count as f64).ceil();
+    // Multiply first: `r × n` is exact for integer-valued ratios, whereas
+    // `r / 100` is not (7 % of 100 would rank 8th, 55 % of 100 56th).
+    let rank = (ratio_percent * count as f64 / 100.0).ceil();
     // `as u64` saturates: negatives and NaN become 0, huge values u64::MAX.
     (rank as u64).clamp(1, count)
 }
@@ -52,6 +55,18 @@ mod tests {
         assert_eq!(ceiling_rank(250.0, 4), 4);
         assert_eq!(ceiling_rank(f64::NAN, 4), 1);
         assert_eq!(ceiling_rank(95.0, 0), 0);
+    }
+
+    #[test]
+    fn ceiling_rank_is_exact_for_integer_ratios() {
+        // Regression: dividing the ratio by 100 before multiplying gave
+        // 290 off-by-one ranks in this range (7 % × 100 → 8).
+        for ratio in 1u64..=100 {
+            for count in 1u64..=2000 {
+                let expected = (ratio * count + 99) / 100;
+                assert_eq!(ceiling_rank(ratio as f64, count), expected, "{ratio} % of {count}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,80 @@
+#!/usr/bin/env bash
+# Unit tests of the five crates that build in the offline container.
+#
+# `cargo test -p multipub-core` cannot resolve here (empty registry, no root
+# Cargo.lock), but `benchkit` builds `multipub-{sync,obs,core,data,netsim}` and
+# stand-in `serde`/`rand`/`rand_distr` from this checkout. This script builds
+# it into `.bench_build`, then compiles each crate's `src/lib.rs` with bare
+# `rustc --test` against the rlibs that build left behind and runs the five
+# harnesses. Prints one pass/fail line per crate and exits non-zero when any
+# harness fails to compile or any test fails.
+#
+# Usage: scripts/offline-unit-tests.sh [libtest filter/flags...]
+set -uo pipefail
+
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root" || exit 2
+target="${CARGO_TARGET_DIR:-$root/.bench_build}"
+deps="$target/release/deps"
+out="$target/offline-unit-tests"
+
+mkdir -p "$out"
+# Cargo replays the path crates' warnings on every build; show them only
+# when the build fails.
+if ! CARGO_TARGET_DIR="$target" cargo build --release --offline --locked --quiet \
+    --manifest-path benchkit/Cargo.toml 2>"$out/build.log"; then
+    cat "$out/build.log" >&2
+    exit 2
+fi
+
+# --extern flags for the named crates, newest rlib of each.
+externs() {
+    local name lib
+    for name in "$@"; do
+        lib="$(ls -t "$deps"/lib"$name"-*.rlib 2>/dev/null | head -n 1)"
+        if [ -z "$lib" ]; then
+            echo "offline-unit-tests: no rlib for $name under $deps" >&2
+            return 1
+        fi
+        printf -- '--extern %s=%s ' "$name" "$lib"
+    done
+}
+
+status=0
+total_passed=0
+total_failed=0
+
+# run_crate <dir> <extern crate>...
+run_crate() {
+    local crate="$1" flags result passed failed
+    shift
+    flags="$(externs "$@")" || { status=1; return; }
+    # shellcheck disable=SC2086  # $flags is a list of words by construction
+    if ! rustc --edition 2021 --test -C opt-level=1 -C debug-assertions=on --cap-lints allow \
+        --crate-name "multipub_$crate" -L dependency="$deps" $flags \
+        "crates/$crate/src/lib.rs" -o "$out/$crate"; then
+        echo "offline-unit-tests: $crate: does not compile"
+        status=1
+        return
+    fi
+    result="$("$out/$crate" "${test_args[@]}" 2>&1)" || status=1
+    passed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) passed.*/\1/p' <<<"$result" | tail -n 1)"
+    failed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) failed.*/\1/p' <<<"$result" | tail -n 1)"
+    if [ -z "$passed" ] || [ "${failed:-1}" != 0 ]; then
+        echo "$result"
+        status=1
+    fi
+    echo "offline-unit-tests: $crate: ${passed:-0} passed, ${failed:-?} failed"
+    total_passed=$((total_passed + ${passed:-0}))
+    total_failed=$((total_failed + ${failed:-0}))
+}
+
+test_args=("$@")
+run_crate sync
+run_crate obs multipub_sync
+run_crate core multipub_obs serde
+run_crate data multipub_core rand rand_distr serde
+run_crate netsim multipub_core multipub_obs multipub_data rand serde
+
+echo "offline-unit-tests: total: $total_passed passed, $total_failed failed"
+exit "$status"
