@@ -41,11 +41,11 @@ fn reconnect_instants_ms(storm: &ReconnectStorm, population: u64) -> Vec<f64> {
     (0..population)
         .map(|client| {
             let mut backoff = storm_policy().backoff(client);
-            let mut at = storm.start_ms();
+            let mut at = storm.window().start_ms();
             loop {
                 let delay = backoff.next_delay().expect("policy retries forever");
                 at += delay.as_secs_f64() * 1000.0;
-                if at >= storm.end_ms() {
+                if at >= storm.window().end_ms() {
                     return at;
                 }
             }
@@ -68,12 +68,12 @@ fn storm_reconnects_spread_within_the_slo_window() {
     // SLO: full reconvergence within one cap of the window end.
     let last = instants.iter().copied().fold(f64::MIN, f64::max);
     let first = instants.iter().copied().fold(f64::MAX, f64::min);
-    assert!(first >= storm.end_ms(), "nobody reconnects while the region is still down");
+    assert!(first >= storm.window().end_ms(), "nobody reconnects while the region is still down");
     assert!(
-        last <= storm.end_ms() + SCHEDULE_SLO_MS,
+        last <= storm.window().end_ms() + SCHEDULE_SLO_MS,
         "reconvergence SLO violated: last re-dial at {last:.1} ms, \
          SLO window ends at {:.1} ms",
-        storm.end_ms() + SCHEDULE_SLO_MS
+        storm.window().end_ms() + SCHEDULE_SLO_MS
     );
 
     // Thundering-herd check: after a full second of jittered in-window
@@ -82,7 +82,7 @@ fn storm_reconnects_spread_within_the_slo_window() {
     // than half the population.
     let mut buckets = std::collections::HashMap::new();
     for &at in &instants {
-        *buckets.entry(((at - storm.end_ms()) / 5.0) as u64).or_insert(0u64) += 1;
+        *buckets.entry(((at - storm.window().end_ms()) / 5.0) as u64).or_insert(0u64) += 1;
     }
     let peak = buckets.values().copied().max().unwrap();
     assert!(

@@ -27,18 +27,37 @@
 //! copies, and reorder windows stretch deliveries by a seeded uniform
 //! draw that shuffles arrival order. All fault draws come from their own
 //! RNG streams, so a quiet plan reproduces fault-free runs bit for bit.
+//!
+//! **What allocates.** The event handlers read the routing tables, the
+//! latency rows and the fault plan in place, so handling a `Publish`,
+//! `RegionReceive` or `Deliver` event allocates nothing of its own: a
+//! run's allocations are the growth of the event queue and of the delivery
+//! log (one record per delivery, kept for the report), plus one routing
+//! table rebuilt per `Reconfigure` event. Events, lost copies and
+//! deliveries are counted in the engine only; [`Engine::run`] adds them to
+//! the global `multipub_netsim_*` metrics once, after the last event.
 
-// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue, so all slice accesses are in bounds by construction
+// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue, and every configuration is checked against the region count before its routing table is built, so all slice accesses are in bounds by construction
 
 use crate::faults::FaultInjector;
 use crate::jitter::{Jitter, JitterSource};
 use crate::metrics::{DeliveryRecord, SimReport, TrafficLedger};
 use crate::queue::EventQueue;
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, TopicScenario};
 use crate::time::SimTime;
-use multipub_core::assignment::DeliveryMode;
+use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::delivery::closest_region;
 use multipub_core::ids::RegionId;
+use multipub_core::latency::InterRegionMatrix;
+use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
+
+/// One publication on its way: which topic, from whom, emitted when.
+#[derive(Debug, Clone, Copy)]
+struct Message {
+    topic: usize,
+    publisher: usize,
+    published_at: SimTime,
+}
 
 #[derive(Debug)]
 enum Event {
@@ -47,36 +66,31 @@ enum Event {
     /// and client at once.
     Reconfigure {
         topic: usize,
-        configuration: multipub_core::assignment::Configuration,
+        configuration: Configuration,
     },
     Publish {
         topic: usize,
         publisher: usize,
     },
     RegionReceive {
-        topic: usize,
+        message: Message,
         region: RegionId,
-        publisher: usize,
-        published_at: SimTime,
         /// `true` when this copy arrived via inter-region forwarding (or
         /// direct fan-out) and must not be forwarded again.
         deliver_only: bool,
     },
     Deliver {
-        topic: usize,
+        message: Message,
         subscriber: usize,
-        publisher: usize,
-        published_at: SimTime,
     },
 }
 
-/// Per-topic routing tables precomputed from the topic's configuration.
+/// Per-topic routing tables precomputed from a configuration.
 #[derive(Debug)]
 struct TopicRouting {
     serving: Vec<RegionId>,
-    /// Closest serving region per subscriber index.
-    subscriber_region: Vec<RegionId>,
-    /// Subscriber indices grouped by serving region (indexed by region id).
+    /// Subscriber indices grouped by closest serving region (indexed by
+    /// region id).
     local_subscribers: Vec<Vec<usize>>,
     /// Closest serving region per publisher index (routed mode's `R^P`).
     publisher_home: Vec<RegionId>,
@@ -84,34 +98,17 @@ struct TopicRouting {
 }
 
 impl TopicRouting {
-    fn new(scenario: &Scenario, topic_index: usize) -> Self {
-        Self::with_configuration(
-            scenario,
-            topic_index,
-            scenario.topics()[topic_index].configuration(),
-        )
-    }
-
-    fn with_configuration(
-        scenario: &Scenario,
-        topic_index: usize,
-        configuration: multipub_core::assignment::Configuration,
-    ) -> Self {
-        let topic = &scenario.topics()[topic_index];
+    fn new(topic: &TopicScenario, configuration: Configuration, n_regions: usize) -> Self {
         let assignment = configuration.assignment();
-        let n_regions = scenario.regions().len();
-        let serving: Vec<RegionId> = assignment.iter().collect();
-        let subscriber_region: Vec<RegionId> =
-            topic.subscribers().iter().map(|s| closest_region(s.latencies(), assignment)).collect();
         let mut local_subscribers = vec![Vec::new(); n_regions];
-        for (index, region) in subscriber_region.iter().enumerate() {
+        for (index, subscriber) in topic.subscribers().iter().enumerate() {
+            let region = closest_region(subscriber.latencies(), assignment);
             local_subscribers[region.index()].push(index);
         }
         let publisher_home =
             topic.publishers().iter().map(|p| closest_region(p.latencies(), assignment)).collect();
         TopicRouting {
-            serving,
-            subscriber_region,
+            serving: assignment.iter().collect(),
             local_subscribers,
             publisher_home,
             mode: configuration.mode(),
@@ -119,11 +116,26 @@ impl TopicRouting {
     }
 }
 
+/// Panics unless every region `configuration` assigns exists in a
+/// deployment of `n_regions`. An [`AssignmentVector`] is only validated
+/// against the region count it was built with, and a wider one would index
+/// past the latency rows deep inside the event loop.
+fn assert_fits(topic_index: usize, configuration: Configuration, n_regions: usize) {
+    let mask = configuration.assignment().mask();
+    assert!(
+        AssignmentVector::from_mask(mask, n_regions).is_ok(),
+        "topic {topic_index}: configuration mask {mask:#b} assigns a region outside the \
+         {n_regions}-region deployment"
+    );
+}
+
 /// The simulation engine. Construct with a scenario, run once, read the
 /// report. See the crate-level example.
 #[derive(Debug)]
 pub struct Engine {
-    scenario: Scenario,
+    n_regions: usize,
+    topics: Vec<TopicScenario>,
+    inter: InterRegionMatrix,
     routing: Vec<TopicRouting>,
     queue: EventQueue<Event>,
     jitter: JitterSource,
@@ -136,29 +148,34 @@ pub struct Engine {
 
 impl Engine {
     /// Creates an engine for `scenario` with the given jitter model and
-    /// RNG seed (the seed only matters when jitter is enabled).
+    /// RNG seed (the seed only matters when jitter or a sampling fault is
+    /// enabled).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a topic's configuration assigns a region outside the
+    /// scenario's deployment.
     pub fn new(scenario: Scenario, jitter: Jitter, seed: u64) -> Self {
-        let routing =
-            (0..scenario.topics().len()).map(|i| TopicRouting::new(&scenario, i)).collect();
-        let n_regions = scenario.regions().len();
-        let faults = FaultInjector::new(scenario.fault_plan().clone(), seed);
+        let (regions, inter, topics, plan) = scenario.into_parts();
+        let n_regions = regions.len();
+        let mut routing = Vec::with_capacity(topics.len());
+        for (index, topic) in topics.iter().enumerate() {
+            assert_fits(index, topic.configuration(), n_regions);
+            routing.push(TopicRouting::new(topic, topic.configuration(), n_regions));
+        }
         Engine {
-            scenario,
+            n_regions,
+            topics,
+            inter,
             routing,
             queue: EventQueue::new(),
             jitter: JitterSource::new(jitter, seed),
-            faults,
+            faults: FaultInjector::new(plan, seed),
             deliveries: Vec::new(),
             ledger: TrafficLedger::new(n_regions),
             published_count: 0,
             lost_count: 0,
         }
-    }
-
-    /// Records the loss of one in-flight message copy.
-    fn lose_copy(&mut self) {
-        self.lost_count += 1;
-        multipub_obs::counter!(multipub_obs::metrics::NETSIM_LOST_TOTAL).inc();
     }
 
     /// Schedules a configuration change for a topic at a point in
@@ -169,14 +186,16 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `topic_index` is out of bounds or `at_ms` is negative.
+    /// Panics if `topic_index` is out of bounds, `at_ms` is negative, or
+    /// `configuration` assigns a region outside the deployment.
     pub fn schedule_reconfiguration(
         &mut self,
         at_ms: f64,
         topic_index: usize,
-        configuration: multipub_core::assignment::Configuration,
+        configuration: Configuration,
     ) {
-        assert!(topic_index < self.scenario.topics().len(), "topic index out of bounds");
+        assert!(topic_index < self.topics.len(), "topic index out of bounds");
+        assert_fits(topic_index, configuration, self.n_regions);
         self.queue.schedule(
             SimTime::from_ms(at_ms),
             Event::Reconfigure { topic: topic_index, configuration },
@@ -188,7 +207,7 @@ impl Engine {
     /// flight at the deadline still complete, exactly like a real drain.
     pub fn run(mut self, duration_ms: f64) -> SimReport {
         assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
-        for (topic_index, topic) in self.scenario.topics().iter().enumerate() {
+        for (topic_index, topic) in self.topics.iter().enumerate() {
             for (publisher_index, publisher) in topic.publishers().iter().enumerate() {
                 for t in publisher.publish_times_ms(duration_ms) {
                     let at = SimTime::from_ms(t);
@@ -202,137 +221,105 @@ impl Engine {
                 }
             }
         }
+        let mut events = 0u64;
         while let Some((now, event)) = self.queue.pop() {
+            events += 1;
             self.handle(now, event);
         }
-        SimReport::new(
-            self.deliveries,
-            self.ledger,
-            self.published_count,
-            self.lost_count,
-            duration_ms,
-        )
+        // The global metrics see the finished run once; the loop above
+        // touches no shared atomic.
+        multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events);
+        multipub_obs::counter!(NETSIM_LOST_TOTAL).add(self.lost_count);
+        let delivery_ms = multipub_obs::histogram!(NETSIM_DELIVERY_MS);
+        for record in &self.deliveries {
+            delivery_ms.record(record.latency_ms());
+        }
+        let Engine { deliveries, ledger, published_count, lost_count, .. } = self;
+        SimReport::new(deliveries, ledger, published_count, lost_count, duration_ms)
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
-        multipub_obs::counter!(multipub_obs::metrics::NETSIM_EVENTS_TOTAL).inc();
         match event {
             Event::Reconfigure { topic, configuration } => {
-                self.scenario.topics_mut()[topic].set_configuration(configuration);
                 self.routing[topic] =
-                    TopicRouting::with_configuration(&self.scenario, topic, configuration);
+                    TopicRouting::new(&self.topics[topic], configuration, self.n_regions);
             }
             Event::Publish { topic, publisher } => self.on_publish(now, topic, publisher),
-            Event::RegionReceive { topic, region, publisher, published_at, deliver_only } => {
-                self.on_region_receive(now, topic, region, publisher, published_at, deliver_only)
+            Event::RegionReceive { message, region, deliver_only } => {
+                self.on_region_receive(now, message, region, deliver_only)
             }
-            Event::Deliver { topic, subscriber, publisher, published_at } => {
-                let record = DeliveryRecord {
-                    topic_index: topic,
-                    publisher: self.scenario.topics()[topic].publishers()[publisher].client(),
-                    subscriber: self.scenario.topics()[topic].subscribers()[subscriber].client(),
-                    published_at,
+            Event::Deliver { message, subscriber } => {
+                let clients = &self.topics[message.topic];
+                self.deliveries.push(DeliveryRecord {
+                    topic_index: message.topic,
+                    publisher: clients.publishers()[message.publisher].client(),
+                    subscriber: clients.subscribers()[subscriber].client(),
+                    published_at: message.published_at,
                     delivered_at: now,
-                };
-                multipub_obs::histogram!(multipub_obs::metrics::NETSIM_DELIVERY_MS)
-                    .record(record.latency_ms());
-                self.deliveries.push(record);
+                });
             }
         }
     }
 
     fn on_publish(&mut self, now: SimTime, topic: usize, publisher: usize) {
-        self.published_count += 1;
-        let routing = &self.routing[topic];
-        let pub_latencies =
-            self.scenario.topics()[topic].publishers()[publisher].latencies().to_vec();
-        match routing.mode {
-            DeliveryMode::Direct => {
-                // The publisher uploads to every serving region itself;
-                // inbound traffic is free, so nothing is billed here.
-                let targets = routing.serving.clone();
-                for region in targets {
-                    if self.faults.drop_packet() {
-                        self.lose_copy();
-                        continue;
-                    }
-                    let hop = pub_latencies[region.index()] + self.jitter.sample();
-                    self.queue.schedule(
-                        now + hop,
-                        Event::RegionReceive {
-                            topic,
-                            region,
-                            publisher,
-                            published_at: now,
-                            deliver_only: true,
-                        },
-                    );
-                }
-            }
+        let Engine { topics, routing, queue, jitter, faults, published_count, lost_count, .. } =
+            self;
+        *published_count += 1;
+        let routing = &routing[topic];
+        let latencies = topics[topic].publishers()[publisher].latencies();
+        let message = Message { topic, publisher, published_at: now };
+        // Direct: the publisher uploads to every serving region itself.
+        // Routed: only to its closest one, which forwards. Inbound traffic
+        // is free either way, so nothing is billed here.
+        let (targets, deliver_only) = match routing.mode {
+            DeliveryMode::Direct => (routing.serving.as_slice(), true),
             DeliveryMode::Routed => {
-                if self.faults.drop_packet() {
-                    self.lose_copy();
-                    return;
-                }
-                let home = self.routing[topic].publisher_home[publisher];
-                let hop = pub_latencies[home.index()] + self.jitter.sample();
-                self.queue.schedule(
-                    now + hop,
-                    Event::RegionReceive {
-                        topic,
-                        region: home,
-                        publisher,
-                        published_at: now,
-                        deliver_only: false,
-                    },
-                );
+                (std::slice::from_ref(&routing.publisher_home[publisher]), false)
             }
+        };
+        for &region in targets {
+            if faults.drop_packet() {
+                *lost_count += 1;
+                continue;
+            }
+            let hop = latencies[region.index()] + jitter.sample();
+            queue.schedule(now + hop, Event::RegionReceive { message, region, deliver_only });
         }
     }
 
     fn on_region_receive(
         &mut self,
         now: SimTime,
-        topic: usize,
+        message: Message,
         region: RegionId,
-        publisher: usize,
-        published_at: SimTime,
         deliver_only: bool,
     ) {
+        let Engine { topics, inter, routing, queue, jitter, faults, ledger, lost_count, .. } = self;
         // A region inside an outage window has no broker: the arriving
         // copy (and everything it would have produced downstream) dies.
-        if self.faults.region_down(region, now) {
-            self.lose_copy();
+        if faults.plan().region_down(region, now) {
+            *lost_count += 1;
             return;
         }
-
-        let size = self.scenario.topics()[topic].publishers()[publisher].size_bytes();
+        let routing = &routing[message.topic];
+        let clients = &topics[message.topic];
+        let size = clients.publishers()[message.publisher].size_bytes();
 
         // Routed first hop: forward to the other serving regions, billing
         // inter-region egress at this region's α rate. Egress is billed at
         // send time, so copies lost in flight still cost money.
         if !deliver_only {
-            let peers: Vec<RegionId> =
-                self.routing[topic].serving.iter().copied().filter(|&r| r != region).collect();
-            for peer in peers {
-                self.ledger.record_inter_region(region, size);
-                if self.faults.drop_packet() {
-                    self.lose_copy();
+            for &peer in routing.serving.iter().filter(|&&peer| peer != region) {
+                ledger.record_inter_region(region, size);
+                if faults.drop_packet() {
+                    *lost_count += 1;
                     continue;
                 }
-                let hop = self.scenario.inter().latency(region, peer)
-                    + self.faults.extra_link_ms(region, peer, now)
-                    + self.jitter.sample();
-                self.queue.schedule(
-                    now + hop,
-                    Event::RegionReceive {
-                        topic,
-                        region: peer,
-                        publisher,
-                        published_at,
-                        deliver_only: true,
-                    },
-                );
+                let hop = inter.latency(region, peer)
+                    + faults.plan().extra_link_ms(region, peer, now)
+                    + jitter.sample();
+                let forwarded = Event::RegionReceive { message, region: peer, deliver_only: true };
+                queue.schedule(now + hop, forwarded);
             }
         }
 
@@ -341,30 +328,24 @@ impl Engine {
         // window fans each delivery into several copies — an
         // at-least-once redelivery storm — and each copy is billed,
         // lost and delayed independently.
-        let locals = self.routing[topic].local_subscribers[region.index()].clone();
-        let copies = self.faults.plan().duplicate_copies(now);
-        for subscriber in locals {
-            debug_assert_eq!(self.routing[topic].subscriber_region[subscriber], region);
+        let copies = faults.plan().duplicate_copies(now);
+        for &subscriber in &routing.local_subscribers[region.index()] {
+            let client = &clients.subscribers()[subscriber];
             for _ in 0..copies {
-                self.ledger.record_internet(region, size);
-                if self.faults.drop_packet() {
-                    self.lose_copy();
+                ledger.record_internet(region, size);
+                if faults.drop_packet() {
+                    *lost_count += 1;
                     continue;
                 }
-                let latency = self.scenario.topics()[topic].subscribers()[subscriber].latencies()
-                    [region.index()]
-                    + self.jitter.sample()
+                let latency = client.latencies()[region.index()]
+                    + jitter.sample()
                     // An active reorder window stretches this copy by a
                     // seeded uniform draw, shuffling arrival order.
-                    + self.faults.reorder_extra_ms(now);
+                    + faults.reorder_extra_ms(now);
                 // A stalled subscriber queues the delivery until its stall
                 // window ends — the simulated slow consumer.
-                let client = self.scenario.topics()[topic].subscribers()[subscriber].client();
-                let lands_at = self.faults.stall_release(client, now + latency);
-                self.queue.schedule(
-                    lands_at,
-                    Event::Deliver { topic, subscriber, publisher, published_at },
-                );
+                let lands_at = faults.plan().stall_release(client.client(), now + latency);
+                queue.schedule(lands_at, Event::Deliver { message, subscriber });
             }
         }
     }
@@ -567,6 +548,32 @@ mod tests {
             9,
             Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct),
         );
+    }
+
+    /// Valid for a six-region deployment, too wide for the two-region one.
+    fn region_5_only() -> Configuration {
+        Configuration::new(AssignmentVector::single(RegionId(5), 6).unwrap(), DeliveryMode::Direct)
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "topic 0: configuration mask 0b100000 assigns a region outside the 2-region deployment"
+    )]
+    fn engine_rejects_a_configuration_wider_than_the_deployment() {
+        let mut scenario = two_region_scenario(DeliveryMode::Direct);
+        scenario.topics_mut()[0].set_configuration(region_5_only());
+        let _ = Engine::new(scenario, Jitter::disabled(), 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "topic 0: configuration mask 0b100000 assigns a region outside the 2-region deployment"
+    )]
+    fn reconfiguration_rejects_a_configuration_wider_than_the_deployment() {
+        let scenario = two_region_scenario(DeliveryMode::Direct);
+        let mut engine = Engine::new(scenario, Jitter::disabled(), 0);
+        // Rejected when scheduled, not when the event fires mid-run.
+        engine.schedule_reconfiguration(500.0, 0, region_5_only());
     }
 
     #[test]
@@ -865,6 +872,86 @@ mod tests {
         assert_eq!(a, run(), "overload scenario must be reproducible");
         assert!(a.published_count() > 10, "burst must add load");
         assert!(a.delivery_count() > 0);
+    }
+
+    #[test]
+    fn draw_free_fault_shapes_interact_exactly() {
+        // Every fault shape that makes no RNG draw, at once, on the routed
+        // two-region scenario (publisher homed at region 0, ClientId(1) at
+        // region 0, ClientId(2) at region 1), plus a switch to direct
+        // delivery at t = 620. Publications leave at 0, 100, …, 900.
+        use crate::faults::{
+            DuplicateDelivery, FaultPlan, LinkDegradation, PublishBurst, RegionOutage,
+            SubscriberStall,
+        };
+        let plan = FaultPlan::none()
+            .with_outage(RegionOutage::new(RegionId(1), 340.0, 450.0))
+            .with_degradation(LinkDegradation::new(RegionId(0), RegionId(1), 0.0, 250.0, 50.0))
+            .with_stall(SubscriberStall::new(ClientId(2), 300.0, 360.0))
+            .with_burst(PublishBurst::new(3, 100.0, 300.0))
+            .with_duplicate(DuplicateDelivery::new(2, 500.0, 720.0));
+        let scenario = two_region_scenario(DeliveryMode::Routed).with_fault_plan(plan);
+        let mut engine = Engine::new(scenario, Jitter::disabled(), 0);
+        engine.schedule_reconfiguration(
+            620.0,
+            0,
+            Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct),
+        );
+        let report = engine.run(1000.0);
+
+        // (subscriber, published at, delivered at, copies), in delivery order.
+        // Routed until 620: region 0 at t + 5 serves ClientId(1) 4 ms later
+        // and forwards over the 40 ms link, degraded by 50 ms for departures
+        // before 250; region 1 serves ClientId(2) 6 ms after it receives.
+        let expected: [(u64, f64, f64, usize); 18] = [
+            (1, 0.0, 9.0, 1),
+            (2, 0.0, 101.0, 1),   // 5 + 90 + 6
+            (1, 100.0, 109.0, 3), // burst ×3
+            (2, 100.0, 201.0, 3),
+            (1, 200.0, 209.0, 3),
+            (1, 300.0, 309.0, 1), // its forward reaches region 1 at 345: down
+            (2, 200.0, 360.0, 3), // arrives 301, queued behind the stall
+            (1, 400.0, 409.0, 1), // forward reaches region 1 at 445: down
+            (1, 500.0, 509.0, 2), // duplicate window ×2 at region 0 …
+            (2, 500.0, 551.0, 2), // … and at region 1 (5 + 40 + 6)
+            (1, 600.0, 609.0, 2),
+            (2, 600.0, 651.0, 2), // in flight across the reconfiguration
+            (1, 700.0, 709.0, 2), // direct: region 0 at 705, still duplicated
+            (2, 700.0, 766.0, 1), // direct: region 1 at 760 (60 + 6)
+            (1, 800.0, 809.0, 1),
+            (2, 800.0, 866.0, 1),
+            (1, 900.0, 909.0, 1),
+            (2, 900.0, 966.0, 1),
+        ];
+        let expected: Vec<(ClientId, f64, f64)> = expected
+            .iter()
+            .flat_map(|&(s, p, d, copies)| std::iter::repeat_n((ClientId(s), p, d), copies))
+            .collect();
+        let measured: Vec<(ClientId, f64, f64)> = report
+            .deliveries()
+            .iter()
+            .map(|d| (d.subscriber, d.published_at.as_ms(), d.delivered_at.as_ms()))
+            .collect();
+        assert_eq!(measured, expected);
+        assert_eq!(report.published_count(), 14); // 10 + 2 × 2 burst copies
+        assert_eq!(report.delivery_count(), 31);
+        assert_eq!(report.lost_count(), 2);
+        // 11 routed publications forwarded once each; 17 + 14 delivery copies.
+        assert_eq!(report.ledger().inter_region_bytes(RegionId(0)), 11_000);
+        assert_eq!(report.ledger().inter_region_bytes(RegionId(1)), 0);
+        assert_eq!(report.ledger().internet_bytes(RegionId(0)), 17_000);
+        assert_eq!(report.ledger().internet_bytes(RegionId(1)), 14_000);
+    }
+
+    #[test]
+    fn reconnect_storm_is_a_schedule_the_engine_ignores() {
+        let run = |plan: crate::faults::FaultPlan| {
+            let scenario = two_region_scenario(DeliveryMode::Routed).with_fault_plan(plan);
+            Engine::new(scenario, Jitter::uniform(3.0), 9).run(1000.0)
+        };
+        let storm = crate::faults::ReconnectStorm::new(RegionId(0), 0.0, 2000.0);
+        let lossy = crate::faults::FaultPlan::none().with_loss_rate(0.2);
+        assert_eq!(run(lossy.clone().with_reconnect_storm(storm)), run(lossy));
     }
 
     #[test]

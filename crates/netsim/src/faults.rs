@@ -1,36 +1,43 @@
 //! Deterministic fault injection for the discrete-event simulator.
 //!
-//! A [`FaultPlan`] describes *what* goes wrong during a run:
+//! A [`FaultPlan`] describes *what* goes wrong during a run. Every shape
+//! but the loss rate is active over a half-open [`Window`] of simulated
+//! time, so "is this fault active at `t`" has one definition:
 //!
 //! * a uniform per-hop **packet-loss rate**, sampled from a dedicated
 //!   seeded RNG so loss patterns are reproducible and independent of the
 //!   jitter stream;
-//! * **region-outage windows** — while a region is down, every message
-//!   copy arriving at its broker is dropped, exactly as if the process
-//!   had been killed;
-//! * **link-degradation events** — extra one-way latency on a directed
-//!   inter-region link during a time window, modelling WAN brownouts;
-//! * **subscriber stalls** — a subscriber stops reading during a time
-//!   window and its deliveries queue behind the stall, landing at the
+//! * **region-outage windows** ([`RegionOutage`]) — while a region is
+//!   down, every message copy arriving at its broker is dropped, exactly
+//!   as if the process had been killed;
+//! * **link-degradation events** ([`LinkDegradation`]) — extra one-way
+//!   latency on a directed inter-region link, modelling WAN brownouts;
+//! * **subscriber stalls** ([`SubscriberStall`]) — a subscriber stops
+//!   reading and its deliveries queue behind the stall, landing at the
 //!   window's end: the simulated counterpart of the broker's bounded
 //!   outbound queue holding frames for a slow consumer;
-//! * **publish bursts** — every publication emitted inside the window is
-//!   multiplied, modelling a load spike (e.g. a 10× flash crowd) against
-//!   the broker's admission-control layer;
-//! * **duplicate-delivery windows** — every delivery scheduled inside
-//!   the window is fanned out in multiple copies, modelling an
-//!   at-least-once redelivery storm against subscriber-side dedup;
-//! * **reorder windows** — deliveries scheduled inside the window pick
-//!   up an extra seeded uniform delay, shuffling arrival order without
-//!   losing anything;
-//! * **reconnect storms** — one region's whole client population drops
-//!   for a window and mass-reconnects at its end, the thundering herd
-//!   the session layer's jittered backoff must absorb.
+//! * **publish bursts** ([`PublishBurst`]) — every publication emitted
+//!   inside the window is multiplied, modelling a load spike (e.g. a 10×
+//!   flash crowd) against the broker's admission-control layer;
+//! * **duplicate-delivery windows** ([`DuplicateDelivery`]) — every
+//!   delivery scheduled inside the window is fanned out in multiple
+//!   copies, modelling an at-least-once redelivery storm against
+//!   subscriber-side dedup;
+//! * **reorder windows** ([`ReorderWindow`]) — deliveries scheduled
+//!   inside the window pick up an extra seeded uniform delay, shuffling
+//!   arrival order without losing anything;
+//! * **reconnect storms** ([`ReconnectStorm`]) — a *schedule only*: the
+//!   window over which one region's client population is disconnected,
+//!   before it mass-reconnects at the window's end. The engine does not
+//!   act on it; `crates/broker/tests/reconnect_storm.rs` drives the
+//!   session layer's jittered backoff against it.
 //!
-//! The engine consults a [`FaultInjector`] (plan + RNG) at every hop.
-//! With the default quiet plan no RNG draws happen at all, so existing
-//! fault-free runs remain bit-for-bit identical to previous releases.
-//! Reorder delays come from their own RNG stream, so adding a reorder
+//! The engine asks the plan about the draw-free shapes directly and goes
+//! through a [`FaultInjector`] (plan + two `StdRng` streams) for the two
+//! that sample: loss and reorder. With the default quiet plan no RNG
+//! draws happen at all, so a fault-free run is bit for bit what it is
+//! without fault injection. Loss and reorder delays each have their own
+//! stream, both decorrelated from the jitter stream, so adding a reorder
 //! window never changes *which* messages the loss stream drops.
 
 use crate::time::SimTime;
@@ -38,36 +45,39 @@ use multipub_core::ids::{ClientId, RegionId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A scheduled full outage of one region's broker.
+/// A half-open window `[start_ms, end_ms)` of simulated time: when a
+/// fault is active. Every windowed fault shape embeds one, so the bounds
+/// check and the activity test each exist once.
 ///
-/// The window is half-open: the region is down for arrival times `t` with
-/// `start_ms <= t < end_ms`. Message copies *arriving* at the region
-/// inside the window are dropped; copies already past the region are
-/// unaffected (they left before the crash).
+/// ```
+/// use multipub_netsim::faults::Window;
+/// use multipub_netsim::time::SimTime;
+///
+/// let window = Window::new(300.0, 700.0);
+/// assert!(!window.contains(SimTime::from_ms(299.9)));
+/// assert!(window.contains(SimTime::from_ms(300.0)));
+/// assert!(window.contains(SimTime::from_ms(699.9)));
+/// assert!(!window.contains(SimTime::from_ms(700.0)));
+/// assert_eq!((window.start_ms(), window.end_ms()), (300.0, 700.0));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RegionOutage {
-    region: RegionId,
+pub struct Window {
     start_ms: f64,
     end_ms: f64,
 }
 
-impl RegionOutage {
-    /// Creates an outage window for `region` over `[start_ms, end_ms)`.
+impl Window {
+    /// Creates the window `[start_ms, end_ms)`.
     ///
     /// # Panics
     ///
     /// Panics if the bounds are not finite, negative, or out of order.
-    pub fn new(region: RegionId, start_ms: f64, end_ms: f64) -> Self {
+    pub fn new(start_ms: f64, end_ms: f64) -> Self {
         assert!(
             start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "outage window must satisfy 0 <= start < end"
+            "fault window must satisfy 0 <= start < end"
         );
-        RegionOutage { region, start_ms, end_ms }
-    }
-
-    /// The affected region.
-    pub fn region(&self) -> RegionId {
-        self.region
+        Window { start_ms, end_ms }
     }
 
     /// Window start (inclusive), in milliseconds.
@@ -80,22 +90,47 @@ impl RegionOutage {
         self.end_ms
     }
 
-    /// Whether the region is down at simulated time `at`.
+    /// Whether simulated time `at` falls inside the window.
     pub fn contains(&self, at: SimTime) -> bool {
         self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
     }
 }
 
+/// A scheduled full outage of one region's broker.
+///
+/// Message copies *arriving* at the region inside the window are dropped;
+/// copies already past the region are unaffected (they left before the
+/// crash).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionOutage {
+    region: RegionId,
+    window: Window,
+}
+
+impl RegionOutage {
+    /// Creates an outage of `region` over `[start_ms, end_ms)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window bounds are invalid (see [`Window::new`]).
+    pub fn new(region: RegionId, start_ms: f64, end_ms: f64) -> Self {
+        RegionOutage { region, window: Window::new(start_ms, end_ms) }
+    }
+
+    /// The affected region.
+    pub fn region(&self) -> RegionId {
+        self.region
+    }
+}
+
 /// Extra one-way latency on the directed inter-region link `from -> to`
-/// during `[start_ms, end_ms)` — a WAN brownout rather than a hard
-/// failure. The degradation is applied to forwards whose *departure*
-/// time falls inside the window.
+/// — a WAN brownout rather than a hard failure. The degradation is
+/// applied to forwards whose *departure* time falls inside the window.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkDegradation {
     from: RegionId,
     to: RegionId,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
     extra_ms: f64,
 }
 
@@ -105,15 +140,11 @@ impl LinkDegradation {
     ///
     /// # Panics
     ///
-    /// Panics if the window bounds are invalid (see [`RegionOutage::new`])
-    /// or `extra_ms` is not finite and non-negative.
+    /// Panics if the window bounds are invalid (see [`Window::new`]) or
+    /// `extra_ms` is not finite and non-negative.
     pub fn new(from: RegionId, to: RegionId, start_ms: f64, end_ms: f64, extra_ms: f64) -> Self {
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "degradation window must satisfy 0 <= start < end"
-        );
         assert!(extra_ms.is_finite() && extra_ms >= 0.0, "extra latency must be non-negative");
-        LinkDegradation { from, to, start_ms, end_ms, extra_ms }
+        LinkDegradation { from, to, window: Window::new(start_ms, end_ms), extra_ms }
     }
 
     /// Source region of the degraded link.
@@ -130,69 +161,42 @@ impl LinkDegradation {
     pub fn extra_ms(&self) -> f64 {
         self.extra_ms
     }
-
-    /// Whether the degradation is active at simulated time `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
-    }
 }
 
-/// A subscriber that stops reading during `[start_ms, end_ms)` — the
-/// simulated slow consumer. Deliveries whose arrival time falls inside
-/// the window are not lost; they queue behind the stall and land at
-/// `end_ms`, exactly like frames waiting in a bounded outbound queue
-/// until the consumer resumes.
+/// A subscriber that stops reading during the window — the simulated
+/// slow consumer. Deliveries whose arrival time falls inside the window
+/// are not lost; they queue behind the stall and land at its end, exactly
+/// like frames waiting in a bounded outbound queue until the consumer
+/// resumes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SubscriberStall {
     client: ClientId,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
 }
 
 impl SubscriberStall {
-    /// Creates a stall window for `client` over `[start_ms, end_ms)`.
+    /// Creates a stall of `client` over `[start_ms, end_ms)`.
     ///
     /// # Panics
     ///
-    /// Panics if the bounds are not finite, negative, or out of order.
+    /// Panics if the window bounds are invalid (see [`Window::new`]).
     pub fn new(client: ClientId, start_ms: f64, end_ms: f64) -> Self {
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "stall window must satisfy 0 <= start < end"
-        );
-        SubscriberStall { client, start_ms, end_ms }
+        SubscriberStall { client, window: Window::new(start_ms, end_ms) }
     }
 
     /// The stalled subscriber.
     pub fn client(&self) -> ClientId {
         self.client
     }
-
-    /// Window start (inclusive), in milliseconds.
-    pub fn start_ms(&self) -> f64 {
-        self.start_ms
-    }
-
-    /// Window end (exclusive), in milliseconds — when queued deliveries
-    /// drain.
-    pub fn end_ms(&self) -> f64 {
-        self.end_ms
-    }
-
-    /// Whether the subscriber is stalled at simulated time `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
-    }
 }
 
-/// A publish-rate spike: every publication emitted inside
-/// `[start_ms, end_ms)` is multiplied by `multiplier` — a 10× burst
-/// schedules ten copies of each in-window publication.
+/// A publish-rate spike: every publication emitted inside the window is
+/// multiplied by `multiplier` — a 10× burst schedules ten copies of each
+/// in-window publication.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublishBurst {
     multiplier: u64,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
 }
 
 impl PublishBurst {
@@ -201,47 +205,27 @@ impl PublishBurst {
     /// # Panics
     ///
     /// Panics if `multiplier` is zero or the window bounds are invalid
-    /// (see [`RegionOutage::new`]).
+    /// (see [`Window::new`]).
     pub fn new(multiplier: u64, start_ms: f64, end_ms: f64) -> Self {
         assert!(multiplier >= 1, "burst multiplier must be at least 1");
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "burst window must satisfy 0 <= start < end"
-        );
-        PublishBurst { multiplier, start_ms, end_ms }
+        PublishBurst { multiplier, window: Window::new(start_ms, end_ms) }
     }
 
     /// The load multiplier while active.
     pub fn multiplier(&self) -> u64 {
         self.multiplier
     }
-
-    /// Window start (inclusive), in milliseconds.
-    pub fn start_ms(&self) -> f64 {
-        self.start_ms
-    }
-
-    /// Window end (exclusive), in milliseconds.
-    pub fn end_ms(&self) -> f64 {
-        self.end_ms
-    }
-
-    /// Whether the burst is active at simulated time `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
-    }
 }
 
-/// A duplicate-delivery window: every delivery scheduled inside
-/// `[start_ms, end_ms)` is fanned out as `copies` independent copies —
-/// the simulated analogue of an at-least-once redelivery storm (broker
-/// retransmits, mesh double-paths) that subscriber-side dedup must
-/// absorb. Each copy is billed, lost and delayed independently.
+/// A duplicate-delivery window: every delivery scheduled inside it is
+/// fanned out as `copies` independent copies — the simulated analogue of
+/// an at-least-once redelivery storm (broker retransmits, mesh
+/// double-paths) that subscriber-side dedup must absorb. Each copy is
+/// billed, lost and delayed independently.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DuplicateDelivery {
     copies: u64,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
 }
 
 impl DuplicateDelivery {
@@ -251,47 +235,27 @@ impl DuplicateDelivery {
     /// # Panics
     ///
     /// Panics if `copies` is zero or the window bounds are invalid (see
-    /// [`RegionOutage::new`]).
+    /// [`Window::new`]).
     pub fn new(copies: u64, start_ms: f64, end_ms: f64) -> Self {
         assert!(copies >= 1, "duplicate copies must be at least 1");
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "duplicate window must satisfy 0 <= start < end"
-        );
-        DuplicateDelivery { copies, start_ms, end_ms }
+        DuplicateDelivery { copies, window: Window::new(start_ms, end_ms) }
     }
 
     /// Copies per delivery while active.
     pub fn copies(&self) -> u64 {
         self.copies
     }
-
-    /// Window start (inclusive), in milliseconds.
-    pub fn start_ms(&self) -> f64 {
-        self.start_ms
-    }
-
-    /// Window end (exclusive), in milliseconds.
-    pub fn end_ms(&self) -> f64 {
-        self.end_ms
-    }
-
-    /// Whether the window is active at simulated time `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
-    }
 }
 
-/// A reorder window: deliveries scheduled inside `[start_ms, end_ms)`
-/// pick up an extra uniform delay in `[0, span_ms)`, drawn from a
-/// dedicated seeded RNG stream. Arrival *order* is shuffled; nothing is
-/// lost — the simulated counterpart of retransmit-induced reordering
-/// that sequence-number discipline must tolerate.
+/// A reorder window: deliveries scheduled inside it pick up an extra
+/// uniform delay in `[0, span_ms)`, drawn from a dedicated seeded RNG
+/// stream. Arrival *order* is shuffled; nothing is lost — the simulated
+/// counterpart of retransmit-induced reordering that sequence-number
+/// discipline must tolerate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReorderWindow {
     span_ms: f64,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
 }
 
 impl ReorderWindow {
@@ -301,50 +265,33 @@ impl ReorderWindow {
     /// # Panics
     ///
     /// Panics if `span_ms` is not finite and positive, or the window
-    /// bounds are invalid (see [`RegionOutage::new`]).
+    /// bounds are invalid (see [`Window::new`]).
     pub fn new(span_ms: f64, start_ms: f64, end_ms: f64) -> Self {
         assert!(span_ms.is_finite() && span_ms > 0.0, "reorder span must be positive");
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "reorder window must satisfy 0 <= start < end"
-        );
-        ReorderWindow { span_ms, start_ms, end_ms }
+        ReorderWindow { span_ms, window: Window::new(start_ms, end_ms) }
     }
 
     /// Maximum extra delay while active, in milliseconds.
     pub fn span_ms(&self) -> f64 {
         self.span_ms
     }
-
-    /// Window start (inclusive), in milliseconds.
-    pub fn start_ms(&self) -> f64 {
-        self.start_ms
-    }
-
-    /// Window end (exclusive), in milliseconds.
-    pub fn end_ms(&self) -> f64 {
-        self.end_ms
-    }
-
-    /// Whether the window is active at simulated time `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
-    }
 }
 
 /// A reconnect storm: the entire client population of one region is
-/// disconnected over `[start_ms, end_ms)` and *mass-reconnects* at the
-/// window's end — the thundering-herd counterpart of a broker restart
-/// or LB failover. While the window is open the region's clients are
-/// off the wire (publishes and deliveries to them are dropped, exactly
-/// like a per-client outage); at `end_ms` every one of them re-dials at
-/// once, which is what the session layer's decorrelated-jitter backoff
-/// must spread out to meet the reconvergence SLO.
+/// disconnected over the window and *mass-reconnects* at its end — the
+/// thundering-herd counterpart of a broker restart or LB failover, which
+/// the session layer's decorrelated-jitter backoff must spread out to
+/// meet the reconvergence SLO.
+///
+/// This is a **schedule, not simulated behaviour**: the engine never
+/// consults it, so a storm changes no delivery, loss or byte count of a
+/// run. Its consumer is `crates/broker/tests/reconnect_storm.rs`, which
+/// reads the window, the region and [`FaultPlan::clients_stormed`] to
+/// time real reconnect backoff against.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconnectStorm {
     region: RegionId,
-    start_ms: f64,
-    end_ms: f64,
+    window: Window,
 }
 
 impl ReconnectStorm {
@@ -353,13 +300,9 @@ impl ReconnectStorm {
     ///
     /// # Panics
     ///
-    /// Panics if the bounds are not finite, negative, or out of order.
+    /// Panics if the window bounds are invalid (see [`Window::new`]).
     pub fn new(region: RegionId, start_ms: f64, end_ms: f64) -> Self {
-        assert!(
-            start_ms.is_finite() && end_ms.is_finite() && 0.0 <= start_ms && start_ms < end_ms,
-            "storm window must satisfy 0 <= start < end"
-        );
-        ReconnectStorm { region, start_ms, end_ms }
+        ReconnectStorm { region, window: Window::new(start_ms, end_ms) }
     }
 
     /// The region whose client population storms.
@@ -367,21 +310,12 @@ impl ReconnectStorm {
         self.region
     }
 
-    /// Window start (inclusive), in milliseconds — when the clients drop.
-    pub fn start_ms(&self) -> f64 {
-        self.start_ms
-    }
-
-    /// Window end (exclusive), in milliseconds — the mass-reconnect
-    /// instant.
-    pub fn end_ms(&self) -> f64 {
-        self.end_ms
-    }
-
-    /// Whether the region's clients are disconnected at simulated time
-    /// `at`.
-    pub fn contains(&self, at: SimTime) -> bool {
-        self.start_ms <= at.as_ms() && at.as_ms() < self.end_ms
+    /// When the clients are off the wire: they drop at its start and
+    /// mass-reconnect at its end. Public on this shape alone because
+    /// reading the schedule back is a storm's only use; the other shapes
+    /// are asked about through [`FaultPlan`]'s query methods.
+    pub fn window(&self) -> Window {
+        self.window
     }
 }
 
@@ -454,7 +388,8 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a reconnect-storm window.
+    /// Adds a reconnect-storm window (a schedule for callers; see
+    /// [`ReconnectStorm`]).
     pub fn with_reconnect_storm(mut self, storm: ReconnectStorm) -> Self {
         self.storms.push(storm);
         self
@@ -500,27 +435,20 @@ impl FaultPlan {
         &self.storms
     }
 
-    /// `true` when the plan injects no faults at all.
+    /// `true` when the plan schedules nothing at all.
     pub fn is_quiet(&self) -> bool {
-        self.loss_rate == 0.0
-            && self.outages.is_empty()
-            && self.degradations.is_empty()
-            && self.stalls.is_empty()
-            && self.bursts.is_empty()
-            && self.duplicates.is_empty()
-            && self.reorders.is_empty()
-            && self.storms.is_empty()
+        *self == FaultPlan::default()
     }
 
     /// Whether `region`'s client population is storm-disconnected at
     /// time `at`.
     pub fn clients_stormed(&self, region: RegionId, at: SimTime) -> bool {
-        self.storms.iter().any(|s| s.region == region && s.contains(at))
+        self.storms.iter().any(|s| s.region == region && s.window.contains(at))
     }
 
     /// Whether `region` is inside any outage window at time `at`.
     pub fn region_down(&self, region: RegionId, at: SimTime) -> bool {
-        self.outages.iter().any(|o| o.region == region && o.contains(at))
+        self.outages.iter().any(|o| o.region == region && o.window.contains(at))
     }
 
     /// Total extra latency active on the directed link `from -> to` at
@@ -528,7 +456,7 @@ impl FaultPlan {
     pub fn extra_link_ms(&self, from: RegionId, to: RegionId, at: SimTime) -> f64 {
         self.degradations
             .iter()
-            .filter(|d| d.from == from && d.to == to && d.contains(at))
+            .filter(|d| d.from == from && d.to == to && d.window.contains(at))
             .map(|d| d.extra_ms)
             .sum()
     }
@@ -540,8 +468,8 @@ impl FaultPlan {
         let release = self
             .stalls
             .iter()
-            .filter(|s| s.client == client && s.contains(at))
-            .map(|s| s.end_ms)
+            .filter(|s| s.client == client && s.window.contains(at))
+            .map(|s| s.window.end_ms)
             .fold(at.as_ms(), f64::max);
         SimTime::from_ms(release)
     }
@@ -551,7 +479,7 @@ impl FaultPlan {
     pub fn burst_multiplier(&self, at: SimTime) -> u64 {
         self.bursts
             .iter()
-            .filter(|b| b.contains(at))
+            .filter(|b| b.window.contains(at))
             .map(|b| b.multiplier)
             .fold(1u64, u64::saturating_mul)
     }
@@ -561,7 +489,7 @@ impl FaultPlan {
     pub fn duplicate_copies(&self, at: SimTime) -> u64 {
         self.duplicates
             .iter()
-            .filter(|d| d.contains(at))
+            .filter(|d| d.window.contains(at))
             .map(|d| d.copies)
             .fold(1u64, u64::saturating_mul)
     }
@@ -570,32 +498,31 @@ impl FaultPlan {
     /// the sum of all active reorder-window spans, 0 outside every
     /// window.
     pub fn reorder_span_ms(&self, at: SimTime) -> f64 {
-        self.reorders.iter().filter(|r| r.contains(at)).map(|r| r.span_ms).sum()
+        self.reorders.iter().filter(|r| r.window.contains(at)).map(|r| r.span_ms).sum()
     }
 }
 
-/// A [`FaultPlan`] paired with its own seeded RNG for loss sampling.
+/// A [`FaultPlan`] paired with the two seeded RNG streams its sampling
+/// shapes need: one for loss, one for reorder delays.
 ///
-/// Loss draws come from a stream independent of the jitter RNG, so
-/// enabling jitter does not change *which* messages are lost and vice
-/// versa.
+/// Both are independent of the jitter RNG and of each other, so enabling
+/// jitter or adding a reorder window does not change *which* messages
+/// are lost. The draw-free shapes are asked of [`FaultInjector::plan`].
 #[derive(Debug)]
 pub struct FaultInjector {
     plan: FaultPlan,
-    rng: StdRng,
-    /// Dedicated stream for reorder delays, so adding a reorder window
-    /// leaves the loss stream's draw sequence byte-identical.
+    loss_rng: StdRng,
     reorder_rng: StdRng,
 }
 
 impl FaultInjector {
-    /// Creates an injector for `plan`, deriving the loss RNG from `seed`.
+    /// Creates an injector for `plan`, deriving both streams from `seed`.
     pub fn new(plan: FaultPlan, seed: u64) -> Self {
         // Decorrelate from the jitter stream, which is seeded with the raw
         // engine seed.
-        let rng = StdRng::seed_from_u64(seed ^ 0xFA17_7013_u64);
+        let loss_rng = StdRng::seed_from_u64(seed ^ 0xFA17_7013_u64);
         let reorder_rng = StdRng::seed_from_u64(seed ^ 0x2E02_DE21_u64);
-        FaultInjector { plan, rng, reorder_rng }
+        FaultInjector { plan, loss_rng, reorder_rng }
     }
 
     /// The underlying plan.
@@ -603,34 +530,17 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Samples whether the next hop drops its packet. Draws from the RNG
-    /// only when the loss rate is positive, so quiet plans stay
+    /// Samples whether the next hop drops its packet. Draws from the loss
+    /// RNG only when the loss rate is positive, so quiet plans stay
     /// deterministic regardless of seed.
     pub fn drop_packet(&mut self) -> bool {
-        self.plan.loss_rate > 0.0 && self.rng.random::<f64>() < self.plan.loss_rate
-    }
-
-    /// Whether `region` is down at time `at` (see [`FaultPlan::region_down`]).
-    pub fn region_down(&self, region: RegionId, at: SimTime) -> bool {
-        self.plan.region_down(region, at)
-    }
-
-    /// Active extra latency on `from -> to` at `at` (see
-    /// [`FaultPlan::extra_link_ms`]).
-    pub fn extra_link_ms(&self, from: RegionId, to: RegionId, at: SimTime) -> f64 {
-        self.plan.extra_link_ms(from, to, at)
-    }
-
-    /// When a delivery to `client` arriving at `at` lands (see
-    /// [`FaultPlan::stall_release`]).
-    pub fn stall_release(&self, client: ClientId, at: SimTime) -> SimTime {
-        self.plan.stall_release(client, at)
+        self.plan.loss_rate > 0.0 && self.loss_rng.random::<f64>() < self.plan.loss_rate
     }
 
     /// Extra delay for a delivery scheduled at `at`: a uniform draw in
     /// `[0, span)` where `span` is the active reorder-window total.
-    /// Draws from the dedicated reorder RNG only when a window is
-    /// active, so quiet plans make no draws at all.
+    /// Draws from the reorder RNG only when a window is active, so quiet
+    /// plans make no draws at all.
     pub fn reorder_extra_ms(&mut self, at: SimTime) -> f64 {
         let span = self.plan.reorder_span_ms(at);
         if span <= 0.0 {
@@ -657,15 +567,69 @@ mod tests {
     }
 
     #[test]
-    fn outage_window_is_half_open() {
-        let outage = RegionOutage::new(RegionId(1), 300.0, 700.0);
-        let plan = FaultPlan::none().with_outage(outage);
-        assert!(!plan.region_down(RegionId(1), SimTime::from_ms(299.9)));
-        assert!(plan.region_down(RegionId(1), SimTime::from_ms(300.0)));
-        assert!(plan.region_down(RegionId(1), SimTime::from_ms(699.9)));
-        assert!(!plan.region_down(RegionId(1), SimTime::from_ms(700.0)));
-        // Other regions unaffected.
-        assert!(!plan.region_down(RegionId(0), SimTime::from_ms(500.0)));
+    fn window_is_half_open_at_both_ends() {
+        let window = Window::new(300.0, 700.0);
+        assert!(!window.contains(SimTime::from_ms(299.9)));
+        assert!(window.contains(SimTime::from_ms(300.0)));
+        assert!(window.contains(SimTime::from_ms(699.9)));
+        assert!(!window.contains(SimTime::from_ms(700.0)));
+        assert_eq!(Window::new(0.0, 1.0).start_ms(), 0.0, "a window may open at time zero");
+    }
+
+    #[test]
+    fn window_rejects_inverted_negative_and_non_finite_bounds() {
+        for (start_ms, end_ms) in [
+            (700.0, 300.0),
+            (5.0, 5.0),
+            (-1.0, 10.0),
+            (0.0, f64::INFINITY),
+            (f64::NAN, 10.0),
+            (0.0, f64::NAN),
+        ] {
+            let outcome = std::panic::catch_unwind(|| Window::new(start_ms, end_ms));
+            assert!(outcome.is_err(), "[{start_ms}, {end_ms}) accepted");
+        }
+    }
+
+    #[test]
+    fn every_shape_takes_its_bounds_through_window() {
+        // Inverted bounds: each constructor must hit `Window::new`'s assert
+        // (the shape's own argument is valid).
+        let shapes: [fn() -> Window; 7] = [
+            || RegionOutage::new(RegionId(0), 700.0, 300.0).window,
+            || LinkDegradation::new(RegionId(0), RegionId(1), 700.0, 300.0, 1.0).window,
+            || SubscriberStall::new(ClientId(0), 700.0, 300.0).window,
+            || PublishBurst::new(2, 700.0, 300.0).window,
+            || DuplicateDelivery::new(2, 700.0, 300.0).window,
+            || ReorderWindow::new(1.0, 700.0, 300.0).window,
+            || ReconnectStorm::new(RegionId(0), 700.0, 300.0).window,
+        ];
+        for (shape, build) in shapes.into_iter().enumerate() {
+            let panic = std::panic::catch_unwind(build).expect_err("inverted bounds accepted");
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "fault window must satisfy 0 <= start < end", "shape {shape}");
+        }
+        let storm = ReconnectStorm::new(RegionId(1), 300.0, 700.0);
+        assert_eq!(storm.window(), Window::new(300.0, 700.0));
+    }
+
+    #[test]
+    fn outages_and_storms_hit_only_their_own_region() {
+        let storm = ReconnectStorm::new(RegionId(1), 200.0, 600.0);
+        let plan = FaultPlan::none()
+            .with_outage(RegionOutage::new(RegionId(1), 300.0, 700.0))
+            .with_reconnect_storm(storm);
+        assert!(!plan.is_quiet());
+        assert_eq!(plan.storms(), &[storm]);
+        let at = SimTime::from_ms;
+        assert!(plan.region_down(RegionId(1), at(500.0)));
+        assert!(!plan.region_down(RegionId(0), at(500.0)));
+        assert!(!plan.region_down(RegionId(1), at(250.0)), "storm window is not an outage");
+        assert!(plan.clients_stormed(RegionId(1), at(250.0)));
+        assert!(!plan.clients_stormed(RegionId(0), at(250.0)));
+        // The mass reconnect happens at the window's end: clients are back.
+        assert!(!plan.clients_stormed(RegionId(1), at(600.0)));
+        assert!(!plan.clients_stormed(RegionId(1), at(650.0)), "outage window is not a storm");
     }
 
     #[test]
@@ -706,12 +670,6 @@ mod tests {
     #[should_panic(expected = "loss rate must be within [0, 1]")]
     fn loss_rate_out_of_range_rejected() {
         let _ = FaultPlan::none().with_loss_rate(1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "outage window must satisfy")]
-    fn inverted_outage_window_rejected() {
-        let _ = RegionOutage::new(RegionId(0), 700.0, 300.0);
     }
 
     #[test]
@@ -833,32 +791,5 @@ mod tests {
             }
             assert_eq!(a.drop_packet(), b.drop_packet(), "loss draw {i} diverged");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "stall window must satisfy")]
-    fn inverted_stall_window_rejected() {
-        let _ = SubscriberStall::new(ClientId(0), 500.0, 100.0);
-    }
-
-    #[test]
-    fn reconnect_storm_window_is_half_open_and_per_region() {
-        let storm = ReconnectStorm::new(RegionId(1), 200.0, 600.0);
-        let plan = FaultPlan::none().with_reconnect_storm(storm);
-        assert!(!plan.is_quiet());
-        assert_eq!(plan.storms(), &[storm]);
-        assert!(!plan.clients_stormed(RegionId(1), SimTime::from_ms(199.9)));
-        assert!(plan.clients_stormed(RegionId(1), SimTime::from_ms(200.0)));
-        assert!(plan.clients_stormed(RegionId(1), SimTime::from_ms(599.9)));
-        // The mass reconnect happens at end_ms: clients are back.
-        assert!(!plan.clients_stormed(RegionId(1), SimTime::from_ms(600.0)));
-        // Other regions' populations are untouched.
-        assert!(!plan.clients_stormed(RegionId(0), SimTime::from_ms(300.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "storm window must satisfy")]
-    fn inverted_storm_window_rejected() {
-        let _ = ReconnectStorm::new(RegionId(0), 600.0, 200.0);
     }
 }

@@ -17,8 +17,11 @@
 //! * [`time`] — the virtual clock ([`time::SimTime`], milliseconds).
 //! * [`queue`] — the event queue with deterministic FIFO tie-breaking.
 //! * [`jitter`] — optional per-hop latency noise.
-//! * [`faults`] — deterministic fault injection: seeded packet loss,
-//!   region-outage windows and link degradations.
+//! * [`faults`] — deterministic fault injection over half-open
+//!   [`faults::Window`]s: seeded packet loss, region outages, link
+//!   degradations, subscriber stalls, publish bursts, duplicate-delivery
+//!   and reorder windows, plus reconnect-storm schedules the engine
+//!   carries but does not act on.
 //! * [`scenario`] — scenario description: topics, configurations,
 //!   publishers with rates/sizes, subscribers.
 //! * [`engine`] — the event loop.

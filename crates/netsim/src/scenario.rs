@@ -237,8 +237,12 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if the inter-region matrix width differs from the region
-    /// count, or any client latency row has the wrong width or invalid
-    /// entries — scenario construction bugs, not runtime conditions.
+    /// count or any client latency row has the wrong width — scenario
+    /// construction bugs, not runtime conditions. Only widths are checked:
+    /// latency values are taken as given, and so is each topic's
+    /// configuration and anything later swapped in through
+    /// [`Scenario::topics_mut`]; `Engine::new` checks every configuration
+    /// against the region count.
     pub fn new(regions: RegionSet, inter: InterRegionMatrix, topics: Vec<TopicScenario>) -> Self {
         assert_eq!(regions.len(), inter.len(), "inter-region matrix must cover every region");
         for topic in &topics {
@@ -275,7 +279,9 @@ impl Scenario {
         self
     }
 
-    /// Replaces the fault schedule in place.
+    /// Replaces the fault schedule in place. Reconnect storms are carried
+    /// for callers that read the schedule back (see
+    /// [`crate::faults::ReconnectStorm`]); the engine does not act on them.
     ///
     /// # Panics
     ///
@@ -324,6 +330,13 @@ impl Scenario {
     /// between runs).
     pub fn topics_mut(&mut self) -> &mut [TopicScenario] {
         &mut self.topics
+    }
+
+    /// Takes the scenario apart for the engine, which owns each piece once.
+    pub(crate) fn into_parts(
+        self,
+    ) -> (RegionSet, InterRegionMatrix, Vec<TopicScenario>, FaultPlan) {
+        (self.regions, self.inter, self.topics, self.faults)
     }
 }
 

@@ -4,10 +4,11 @@
 # `cargo test -p multipub-core` cannot resolve here (empty registry, no root
 # Cargo.lock), but `benchkit` builds `multipub-{sync,obs,core,data,netsim}` and
 # stand-in `serde`/`rand`/`rand_distr` from this checkout. This script builds
-# it into `.bench_build`, then compiles each crate's `src/lib.rs` with bare
-# `rustc --test` against the rlibs that build left behind and runs the five
-# harnesses. Prints one pass/fail line per crate and exits non-zero when any
-# harness fails to compile or any test fails.
+# it into `.bench_build`, then, against the rlibs that build left behind,
+# compiles each crate's `src/lib.rs` with bare `rustc --test` and runs the
+# harness (unit tests), and runs bare `rustdoc --test` over the same file
+# (doctests). Prints one pass/fail line per crate and pass, a total per pass,
+# and exits non-zero when a harness fails to compile or any test fails.
 #
 # Usage: scripts/offline-unit-tests.sh [libtest filter/flags...]
 set -uo pipefail
@@ -41,12 +42,27 @@ externs() {
 }
 
 status=0
-total_passed=0
-total_failed=0
+declare -A total_passed=([unit]=0 [doc]=0) total_failed=([unit]=0 [doc]=0)
+
+# tally <unit|doc> <crate> <libtest output>: prints the crate's line for that
+# pass (and the output, unless it passed cleanly) and adds to the pass's totals.
+tally() {
+    local pass="$1" crate="$2" result="$3" label="" passed failed
+    [ "$pass" = doc ] && label=" doctests:"
+    passed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) passed.*/\1/p' <<<"$result" | tail -n 1)"
+    failed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) failed.*/\1/p' <<<"$result" | tail -n 1)"
+    if [ -z "$passed" ] || [ "${failed:-1}" != 0 ]; then
+        echo "$result"
+        status=1
+    fi
+    echo "offline-unit-tests: $crate:$label ${passed:-0} passed, ${failed:-?} failed"
+    total_passed[$pass]=$((total_passed[$pass] + ${passed:-0}))
+    total_failed[$pass]=$((total_failed[$pass] + ${failed:-0}))
+}
 
 # run_crate <dir> <extern crate>...
 run_crate() {
-    local crate="$1" flags result passed failed
+    local crate="$1" flags self result
     shift
     flags="$(externs "$@")" || { status=1; return; }
     # shellcheck disable=SC2086  # $flags is a list of words by construction
@@ -58,15 +74,15 @@ run_crate() {
         return
     fi
     result="$("$out/$crate" "${test_args[@]}" 2>&1)" || status=1
-    passed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) passed.*/\1/p' <<<"$result" | tail -n 1)"
-    failed="$(sed -n 's/^test result:.* \([0-9][0-9]*\) failed.*/\1/p' <<<"$result" | tail -n 1)"
-    if [ -z "$passed" ] || [ "${failed:-1}" != 0 ]; then
-        echo "$result"
-        status=1
-    fi
-    echo "offline-unit-tests: $crate: ${passed:-0} passed, ${failed:-?} failed"
-    total_passed=$((total_passed + ${passed:-0}))
-    total_failed=$((total_failed + ${failed:-0}))
+    tally unit "$crate" "$result"
+
+    # Doctests link against the crate's own rlib from the benchkit build.
+    self="$(externs "multipub_$crate")" || { status=1; return; }
+    # shellcheck disable=SC2086
+    result="$(rustdoc --edition 2021 --test --cap-lints allow \
+        --crate-name "multipub_$crate" -L dependency="$deps" $self $flags \
+        "crates/$crate/src/lib.rs" --test-args "${test_args[*]}" 2>&1)" || status=1
+    tally doc "$crate" "$result"
 }
 
 test_args=("$@")
@@ -76,5 +92,6 @@ run_crate core multipub_obs serde
 run_crate data multipub_core rand rand_distr serde
 run_crate netsim multipub_core multipub_obs multipub_data rand serde
 
-echo "offline-unit-tests: total: $total_passed passed, $total_failed failed"
+echo "offline-unit-tests: total: ${total_passed[unit]} passed, ${total_failed[unit]} failed"
+echo "offline-unit-tests: doctests total: ${total_passed[doc]} passed, ${total_failed[doc]} failed"
 exit "$status"
