@@ -1,37 +1,15 @@
 //! # multipub-bench
 //!
-//! Benchmark harness regenerating every table and figure of the paper's
-//! evaluation (§V). Each bench target first **prints** the corresponding
-//! table/series (so `cargo bench` output doubles as the experiment
-//! record), then Criterion-times the computational kernel behind it:
-//!
-//! * `table1` — the EC2 cost table and the cost-model kernels.
-//! * `figure3` — experiment 1 sweep + the full 10-region solve.
-//! * `figure4` — experiment 2 sweep + mode-restricted solves.
-//! * `figure5` — experiment 3 sweeps (Tokyo, São Paulo).
-//! * `figure6` — experiment 4: solver runtime vs clients and vs regions
-//!   (the paper's actual measured quantity).
-//! * `ablations` — design decisions from DESIGN.md: weighted vs
-//!   materialized percentile (D1), pruning/bundling speedups (D5).
-//!
-//! The [`live`] module is different in kind: it drives a **real broker
+//! Live throughput harness: the [`live`] module drives a **real broker
 //! over loopback sockets** through the `bench-pub` / `bench-sub` /
 //! `bench-live` binaries, measuring end-to-end msgs/sec and trip-time
 //! percentiles and emitting `BENCH_throughput.json` (DESIGN.md §11).
+//!
+//! The paper's tables and figures are not here: they are
+//! `multipub_sim::experiments` (`cargo run --release --example
+//! paper_experiments`), and the kernels behind them are timed by the
+//! `benchkit` per-layer probes (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
 
 pub mod live;
-
-use multipub_core::workload::TopicWorkload;
-use multipub_data::ec2;
-use multipub_sim::population::{Population, PopulationSpec};
-
-/// The paper-scale experiment-1 workload: `per_region + per_region`
-/// clients near each of the 10 EC2 regions, 1 msg/s of 1 KiB, observed
-/// for 60 s.
-pub fn uniform_workload(per_region: usize, seed: u64) -> TopicWorkload {
-    let inter = ec2::inter_region_latencies();
-    let spec = PopulationSpec::uniform(10, per_region, per_region, 1.0, 1024);
-    Population::generate(&spec, &inter, seed).workload(60.0)
-}

@@ -1,6 +1,6 @@
 //! Live loopback throughput harness (DESIGN.md §11).
 //!
-//! Unlike the Criterion targets (which time computational kernels), this
+//! Unlike the `benchkit` probes (which time computational kernels), this
 //! module drives a **real broker over real sockets**: raw protocol
 //! publishers and subscribers — the `bench-pub` / `bench-sub` binaries,
 //! patterned on the apiformes MQTT benchmark pair — plus an orchestrator

@@ -83,6 +83,13 @@ impl ModePolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct AssignmentVector(u32);
 
+/// `region`'s bit, or `None` for an id no `u32` mask can hold. A bare
+/// `1u32 << region.0` wraps the shift amount in release builds, which
+/// would make `RegionId(32)` an alias of `RegionId(0)`.
+pub(crate) fn bit(region: RegionId) -> Option<u32> {
+    1u32.checked_shl(u32::from(region.0))
+}
+
 impl AssignmentVector {
     /// Builds an assignment from a raw bitmask.
     ///
@@ -103,14 +110,15 @@ impl AssignmentVector {
     ///
     /// # Errors
     ///
-    /// Same as [`AssignmentVector::from_mask`].
+    /// Same as [`AssignmentVector::from_mask`]; a region id of 32 or above
+    /// is outside every region set.
     pub fn from_regions(
         regions: impl IntoIterator<Item = RegionId>,
         n_regions: usize,
     ) -> Result<Self, Error> {
         let mut mask = 0u32;
         for r in regions {
-            mask |= 1u32 << r.0;
+            mask |= bit(r).ok_or(Error::InvalidAssignment { mask, n_regions })?;
         }
         Self::from_mask(mask, n_regions)
     }
@@ -121,7 +129,7 @@ impl AssignmentVector {
     ///
     /// Returns [`Error::InvalidAssignment`] if the region is out of bounds.
     pub fn single(region: RegionId, n_regions: usize) -> Result<Self, Error> {
-        Self::from_mask(1u32 << region.0, n_regions)
+        Self::from_mask(bit(region).unwrap_or(0), n_regions)
     }
 
     /// The assignment using **all** `n_regions` regions.
@@ -148,7 +156,7 @@ impl AssignmentVector {
 
     /// Whether the given region serves the topic.
     pub fn contains(self, region: RegionId) -> bool {
-        self.0 & (1u32 << region.0) != 0
+        bit(region).is_some_and(|bit| self.0 & bit != 0)
     }
 
     /// Number of serving regions (`N_R` in the paper).
@@ -157,14 +165,24 @@ impl AssignmentVector {
     }
 
     /// Returns a copy with `region`'s bit set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `region` is `RegionId(32)` or above: no assignment can
+    /// hold it, and returning one that lacks it (or aliases another
+    /// region) would misplace the topic silently.
     pub fn with(self, region: RegionId) -> AssignmentVector {
-        AssignmentVector(self.0 | (1u32 << region.0))
+        let Some(bit) = bit(region) else {
+            // lint:allow(panic) callers pass ids of the model's own region set (at most 32); see `# Panics`
+            panic!("region {region} does not fit a 32-region assignment");
+        };
+        AssignmentVector(self.0 | bit)
     }
 
     /// Returns a copy with `region`'s bit cleared, or `None` if that would
     /// leave the assignment empty.
     pub fn without(self, region: RegionId) -> Option<AssignmentVector> {
-        let mask = self.0 & !(1u32 << region.0);
+        let mask = self.0 & !bit(region).unwrap_or(0);
         if mask == 0 {
             None
         } else {
@@ -476,6 +494,27 @@ mod tests {
         assert_eq!(v2.count(), 2);
         assert_eq!(v2.without(RegionId(3)), Some(v));
         assert_eq!(v.without(RegionId(1)), None);
+    }
+
+    #[test]
+    fn regions_no_mask_can_hold_never_alias_a_real_one() {
+        // A bare `1u32 << 32` wraps the shift amount in release builds (R32 ≡ R0).
+        for id in [32, 33, 255] {
+            let region = RegionId(id);
+            assert!(AssignmentVector::single(region, 10).is_err(), "single({region})");
+            assert!(AssignmentVector::single(region, 32).is_err(), "single({region}) of 32");
+            assert!(AssignmentVector::from_regions([region], 10).is_err());
+            assert!(AssignmentVector::from_regions([RegionId(1), region], 10).is_err());
+            let all = AssignmentVector::all(32).unwrap();
+            assert!(!all.contains(region), "contains({region})");
+            assert_eq!(all.without(region), Some(all));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "R32")]
+    fn with_names_the_region_it_cannot_hold() {
+        let _ = AssignmentVector::all(10).unwrap().with(RegionId(32));
     }
 
     #[test]

@@ -135,7 +135,8 @@ impl InterRegionMatrix {
         }
         for id in keep {
             if id.index() >= self.n {
-                return Err(Error::InvalidAssignment { mask: 1 << id.0, n_regions: self.n });
+                let mask = crate::assignment::bit(*id).unwrap_or(0);
+                return Err(Error::InvalidAssignment { mask, n_regions: self.n });
             }
         }
         let m = keep.len();
@@ -220,6 +221,8 @@ mod tests {
     fn restrict_rejects_out_of_bounds() {
         let m = sample();
         assert!(m.restrict(&[RegionId(9)]).is_err());
+        // An id no mask can hold is an error too, not a shift overflow.
+        assert!(m.restrict(&[RegionId(32)]).is_err());
         assert!(m.restrict(&[]).is_err());
     }
 }

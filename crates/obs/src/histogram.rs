@@ -8,12 +8,19 @@
 //! overflow bucket whose representative is the observed maximum.
 //! Recording is a handful of relaxed atomic adds plus a binary search
 //! over 136 bounds, so histograms are safe on broker hot paths.
+//!
+//! The atomics come from `multipub_sync` so loom can model them; two
+//! things stay on `std` under loom too: the `OnceLock` around the
+//! bucket bounds (pure deterministic data, not an interleaving of
+//! interest) and [`HistogramTimer`]'s `Instant` (loom does not model
+//! time).
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use multipub_sync::{Arc, AtomicU64, Ordering};
+
 use crate::quantile::ceiling_rank;
-use crate::sync::{Arc, AtomicU64, Ordering};
 
 /// Number of finite geometric buckets.
 const FINITE_BUCKETS: usize = 136;
@@ -82,12 +89,18 @@ pub fn bucket_lower_bound(index: usize) -> f64 {
     }
 }
 
+/// The largest value one observation contributes to a histogram's sum
+/// and maximum: 2^53 µs ≈ 285 years, far above the last finite bucket
+/// bound (≈ 2^34 µs) and small enough that no single observation can
+/// wrap the `u64` sum — that takes 2 048 of them.
+const MAX_OBSERVATION_MICROS: u64 = 1 << 53;
+
 fn to_micros(value_ms: f64) -> u64 {
     if value_ms <= 0.0 {
         0
     } else {
         // `as` saturates at u64::MAX for huge values.
-        (value_ms * 1000.0).round() as u64
+        ((value_ms * 1000.0).round() as u64).min(MAX_OBSERVATION_MICROS)
     }
 }
 
@@ -111,9 +124,11 @@ impl Histogram {
         }
     }
 
-    /// Records one observation in milliseconds. NaN is ignored.
+    /// Records one observation in milliseconds. NaN and ±∞ are
+    /// ignored; a finite value above 2^53 µs lands in the overflow
+    /// bucket and adds 2^53 µs to the sum.
     pub fn record(&self, value_ms: f64) {
-        if value_ms.is_nan() {
+        if !value_ms.is_finite() {
             return;
         }
         let index = bucket_index(value_ms);
@@ -188,6 +203,17 @@ impl HistogramSnapshot {
     /// [`bucket_upper_bound`].
     pub fn buckets(&self) -> &[u64] {
         &self.buckets
+    }
+
+    /// `(inclusive upper bound in ms, count)` of every non-empty finite
+    /// bucket, in increasing bound order. The overflow bucket — the last
+    /// of [`Self::buckets`] — has no finite bound and is not yielded.
+    pub fn finite_buckets(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
+        bounds()
+            .iter()
+            .zip(&self.buckets)
+            .filter(|(_, count)| **count > 0)
+            .map(|(le, count)| (*le, *count))
     }
 
     /// The ceiling-rank `ratio_percent` quantile, reported as the
@@ -295,6 +321,24 @@ mod tests {
         assert_eq!(snapshot.count(), 2);
         assert!((snapshot.sum_ms() - 3.0).abs() < 1e-9);
         assert!((snapshot.max_ms() - 2.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn non_finite_values_are_ignored_and_huge_ones_cannot_wrap_the_sum() {
+        let histogram = Histogram::new();
+        histogram.record(2.0);
+        histogram.record(f64::INFINITY);
+        histogram.record(f64::NEG_INFINITY);
+        let snapshot = histogram.snapshot();
+        assert_eq!(snapshot.count(), 1);
+        assert_eq!(snapshot.sum_ms(), 2.0);
+        assert_eq!(snapshot.max_ms(), 2.0);
+        // A finite value beyond the ceiling is counted, clamped.
+        histogram.record(1e300);
+        let clamped = histogram.snapshot();
+        assert_eq!(clamped.count(), 2);
+        assert_eq!(clamped.max_ms(), MAX_OBSERVATION_MICROS as f64 / 1000.0);
+        assert!(clamped.sum_ms() > clamped.max_ms());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Observability layer for the MultiPub workspace: metrics, latency
 //! histograms and structured logging, with **zero external
-//! dependencies** (std only).
+//! dependencies** (std and the workspace's own `multipub_sync`).
 //!
 //! MultiPub's controller re-optimizes topics continuously from live
 //! measurements (§III.A4–A5 of the paper); the percentile constraint
@@ -12,9 +12,11 @@
 //! # Metrics
 //!
 //! Metrics are named `multipub_<crate>_<name>` and are registered on
-//! first use. The hot path is a single relaxed atomic operation; the
-//! [`counter!`], [`gauge!`] and [`histogram!`] macros cache the
-//! registry lookup in a per-call-site static:
+//! first use. A name's suffix declares its kind
+//! ([`metrics::kind_of`]). The hot path is a single relaxed atomic
+//! operation; the [`counter!`], [`gauge!`] and [`histogram!`] macros
+//! check the kind at compile time and cache the registry lookup in a
+//! per-call-site static:
 //!
 //! ```
 //! multipub_obs::counter!("multipub_example_requests_total").inc();
@@ -50,7 +52,6 @@ pub mod log;
 pub mod metrics;
 pub mod quantile;
 pub mod registry;
-mod sync;
 pub mod trace;
 
 pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer};
@@ -59,19 +60,46 @@ pub use log::{Level, LogFilter};
 pub use registry::registry;
 pub use registry::{Counter, Gauge, Registry, RegistrySnapshot};
 
+/// The one body behind [`counter!`], [`gauge!`] and [`histogram!`]:
+/// asserts at compile time that the name's suffix declares the kind
+/// being asked for ([`metrics::kind_of`]), then caches the registry
+/// lookup in a per-call-site static.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __metric_handle {
+    ($name:expr, $kind:ident, $method:ident) => {{
+        const _: () = assert!(
+            matches!($crate::metrics::kind_of($name), $crate::metrics::MetricKind::$kind),
+            concat!(
+                "metric name does not end like a ",
+                stringify!($method),
+                " (see multipub_obs::metrics::kind_of)"
+            )
+        );
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::$kind>> =
+            ::std::sync::OnceLock::new();
+        HANDLE.get_or_init(|| $crate::registry().$method($name))
+    }};
+}
+
 /// Returns a `&'static` handle to a named counter on the global
 /// registry, caching the lookup in a per-call-site static.
 ///
 /// ```
 /// multipub_obs::counter!("multipub_example_frames_total").add(3);
 /// ```
+///
+/// The name must be a counter's by [`metrics::kind_of`]; this does not
+/// compile:
+///
+/// ```compile_fail
+/// multipub_obs::counter!("multipub_example_latency_ms").add(3);
+/// ```
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::registry().counter($name))
-    }};
+    ($name:expr) => {
+        $crate::__metric_handle!($name, Counter, counter)
+    };
 }
 
 /// Returns a `&'static` handle to a named gauge on the global
@@ -81,13 +109,18 @@ macro_rules! counter {
 /// multipub_obs::gauge!("multipub_example_connections").add(1);
 /// multipub_obs::gauge!("multipub_example_connections").sub(1);
 /// ```
+///
+/// The name must be a gauge's by [`metrics::kind_of`]; this does not
+/// compile:
+///
+/// ```compile_fail
+/// multipub_obs::gauge!("multipub_example_connections_total").add(1);
+/// ```
 #[macro_export]
 macro_rules! gauge {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Gauge>> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::registry().gauge($name))
-    }};
+    ($name:expr) => {
+        $crate::__metric_handle!($name, Gauge, gauge)
+    };
 }
 
 /// Returns a `&'static` handle to a named histogram on the global
@@ -96,13 +129,18 @@ macro_rules! gauge {
 /// ```
 /// multipub_obs::histogram!("multipub_example_delivery_ms").record(42.0);
 /// ```
+///
+/// The name must be a histogram's by [`metrics::kind_of`]; this does
+/// not compile:
+///
+/// ```compile_fail
+/// multipub_obs::histogram!("multipub_example_deliveries_total").record(42.0);
+/// ```
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr) => {{
-        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
-            ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| $crate::registry().histogram($name))
-    }};
+    ($name:expr) => {
+        $crate::__metric_handle!($name, Histogram, histogram)
+    };
 }
 
 /// Starts an RAII scoped timer against a named histogram on the global
@@ -114,6 +152,12 @@ macro_rules! histogram {
 ///     let _timer = multipub_obs::timer!("multipub_example_round_ms");
 ///     // ... timed work ...
 /// } // recorded here
+/// ```
+///
+/// The name is checked like [`histogram!`]'s:
+///
+/// ```compile_fail
+/// let _timer = multipub_obs::timer!("multipub_example_rounds_total");
 /// ```
 #[macro_export]
 macro_rules! timer {

@@ -1,11 +1,15 @@
-//! The single catalog of every metric name in the workspace.
+//! Every metric name in the workspace, declared once.
 //!
-//! All `counter!`/`gauge!`/`histogram!`/`timer!` call sites must
-//! reference one of these constants — `cargo xtask lint` (pass L4)
-//! rejects raw string literals, names missing from this file, and any
-//! drift between this catalog and the README metrics table. Renaming a
-//! metric therefore touches exactly one string, and dashboards can be
-//! generated from [`CATALOG`].
+//! A metric is one `pub const` here: the constant is its name, the doc
+//! comment its description, and the name's suffix its kind
+//! ([`kind_of`]). The `counter!`/`gauge!`/`histogram!`/`timer!` macros
+//! check the kind at compile time, so a latency recorded through
+//! `counter!` does not build. `cargo xtask lint` (pass L4) checks the
+//! rest over these constants: call sites reference one of them rather
+//! than a string literal, values are unique and shaped
+//! `multipub_<crate>_<name>`, every trace stage has its histogram, and
+//! the README metrics table lists exactly these names. Adding or
+//! renaming a metric therefore touches one constant and its README row.
 
 /// What a metric measures, mirroring the registry's metric kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,16 +22,36 @@ pub enum MetricKind {
     Histogram,
 }
 
-/// One catalog entry: the wire name, its kind and a help string for
-/// exposition.
-#[derive(Debug, Clone, Copy)]
-pub struct MetricDef {
-    /// Prometheus-style metric name (`multipub_<crate>_<name>`).
-    pub name: &'static str,
-    /// Metric kind.
-    pub kind: MetricKind,
-    /// Short human-readable description.
-    pub help: &'static str,
+/// The kind a metric's name declares: `_total` is a counter, a unit
+/// suffix (`_ms`, `_subscribers`) a histogram of that unit, anything
+/// else a gauge.
+pub const fn kind_of(name: &str) -> MetricKind {
+    if ends_with(name, "_total") {
+        MetricKind::Counter
+    } else if ends_with(name, "_ms") || ends_with(name, "_subscribers") {
+        MetricKind::Histogram
+    } else {
+        MetricKind::Gauge
+    }
+}
+
+/// `str::ends_with` for `const fn`, where neither it nor `slice::get`
+/// can be called.
+const fn ends_with(name: &str, suffix: &str) -> bool {
+    let (name, suffix) = (name.as_bytes(), suffix.as_bytes());
+    if name.len() < suffix.len() {
+        return false;
+    }
+    let offset = name.len() - suffix.len();
+    let mut i = 0;
+    while i < suffix.len() {
+        // lint:allow(indexing) `i < suffix.len()` and `offset + i < name.len()` by the length check above
+        if name[offset + i] != suffix[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
 }
 
 // --- core (optimizer) ---------------------------------------------------
@@ -206,404 +230,26 @@ pub const NETSIM_LOST_TOTAL: &str = "multipub_netsim_lost_total";
 /// Simulated end-to-end delivery latency.
 pub const NETSIM_DELIVERY_MS: &str = "multipub_netsim_delivery_ms";
 
-/// Every metric the workspace can emit, with kind and help text.
-///
-/// `cargo xtask lint` enforces that call sites and the README table
-/// stay in sync with this list.
-pub const CATALOG: &[MetricDef] = &[
-    MetricDef { name: CORE_SOLVES_TOTAL, kind: MetricKind::Counter, help: "Optimizer invocations" },
-    MetricDef {
-        name: CORE_SOLVE_MS,
-        kind: MetricKind::Histogram,
-        help: "Wall-time of one solve call",
-    },
-    MetricDef {
-        name: CORE_CONFIGS_EVALUATED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Candidate configurations scored",
-    },
-    MetricDef {
-        name: CORE_REGIONS_PRUNED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Regions removed by the scaling pre-pass",
-    },
-    MetricDef {
-        name: BROKER_FRAMES_ENCODED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames written to the wire",
-    },
-    MetricDef {
-        name: BROKER_FRAMES_DECODED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames parsed off the wire",
-    },
-    MetricDef {
-        name: BROKER_CODEC_ERRORS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames rejected by the codec",
-    },
-    MetricDef {
-        name: BROKER_CONFIG_UPDATES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Assignment updates applied",
-    },
-    MetricDef {
-        name: BROKER_PUBLISHES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publish frames accepted",
-    },
-    MetricDef {
-        name: BROKER_PUBLISH_ROUTED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publishes relayed via the pub-broker",
-    },
-    MetricDef {
-        name: BROKER_PUBLISH_DIRECT_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publishes delivered without a relay hop",
-    },
-    MetricDef {
-        name: BROKER_FORWARDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames forwarded broker-to-broker",
-    },
-    MetricDef {
-        name: BROKER_DELIVERIES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Messages handed to subscribers",
-    },
-    MetricDef {
-        name: BROKER_FANOUT_SUBSCRIBERS,
-        kind: MetricKind::Histogram,
-        help: "Subscribers reached per publish",
-    },
-    MetricDef {
-        name: BROKER_DELIVERY_MS,
-        kind: MetricKind::Histogram,
-        help: "Publish-to-deliver latency",
-    },
-    MetricDef {
-        name: BROKER_CONNECTIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Connections accepted since start",
-    },
-    MetricDef {
-        name: BROKER_CONNECTIONS_ACTIVE,
-        kind: MetricKind::Gauge,
-        help: "Currently connected clients",
-    },
-    MetricDef {
-        name: BROKER_SUBSCRIBES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Subscribe requests handled",
-    },
-    MetricDef {
-        name: BROKER_CONN_REAPED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Connections reaped by the liveness sweep",
-    },
-    MetricDef {
-        name: BROKER_QUEUED_BYTES,
-        kind: MetricKind::Gauge,
-        help: "Bytes queued across outbound connection queues",
-    },
-    MetricDef {
-        name: BROKER_QUEUED_FRAMES,
-        kind: MetricKind::Gauge,
-        help: "Frames queued across outbound connection queues",
-    },
-    MetricDef {
-        name: BROKER_OVERLOADED,
-        kind: MetricKind::Gauge,
-        help: "1 while the broker sheds publishes",
-    },
-    MetricDef {
-        name: BROKER_OVERLOAD_ENTERED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Transitions into the overloaded state",
-    },
-    MetricDef {
-        name: BROKER_SLOW_EVICTIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames evicted from full outbound queues",
-    },
-    MetricDef {
-        name: BROKER_SLOW_DROPS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames dropped at full outbound queues",
-    },
-    MetricDef {
-        name: BROKER_SLOW_DISCONNECTS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Connections severed by the Disconnect policy",
-    },
-    MetricDef {
-        name: BROKER_BUSY_REJECTIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publishes refused with a Busy NACK",
-    },
-    MetricDef {
-        name: BROKER_SHARD_PUBLISHES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publishes routed through the sharded registry",
-    },
-    MetricDef {
-        name: BROKER_FANOUT_BYTES,
-        kind: MetricKind::Gauge,
-        help: "Bytes handed out by the last zero-copy fan-out",
-    },
-    MetricDef {
-        name: BROKER_STAGE_ADMISSION_MS,
-        kind: MetricKind::Histogram,
-        help: "Traced publish-to-admission time",
-    },
-    MetricDef {
-        name: BROKER_STAGE_MATCH_MS,
-        kind: MetricKind::Histogram,
-        help: "Traced shard-match and encode time",
-    },
-    MetricDef {
-        name: BROKER_STAGE_QUEUE_MS,
-        kind: MetricKind::Histogram,
-        help: "Traced outbound-queue residency",
-    },
-    MetricDef {
-        name: BROKER_STAGE_WRITE_MS,
-        kind: MetricKind::Histogram,
-        help: "Traced queue-pop-to-write-start time",
-    },
-    MetricDef {
-        name: BROKER_STAGE_DELIVER_MS,
-        kind: MetricKind::Histogram,
-        help: "Traced write-to-client-receipt time",
-    },
-    MetricDef {
-        name: BROKER_DEDUP_HITS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Duplicate QoS 1 retransmits re-acked",
-    },
-    MetricDef {
-        name: BROKER_RETAINED_REPLAYS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Retained messages replayed on subscribe",
-    },
-    MetricDef {
-        name: BROKER_REDELIVERIES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Unacked deliveries replayed on reconnect",
-    },
-    MetricDef {
-        name: BROKER_UNACKED_DEPTH,
-        kind: MetricKind::Gauge,
-        help: "QoS 1 deliveries awaiting a subscriber ack",
-    },
-    MetricDef {
-        name: BROKER_BRIDGED_FORWARDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Forwards bridged beyond the committed serving set",
-    },
-    MetricDef {
-        name: BROKER_STALE_EPOCH_PUBLISHES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Publishes steered by a superseded epoch",
-    },
-    MetricDef {
-        name: BROKER_STALE_CONFIG_UPDATES_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Config updates rejected for an older epoch",
-    },
-    MetricDef {
-        name: OBS_TRACE_SPANS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Stage spans recorded into the trace ring",
-    },
-    MetricDef {
-        name: CLIENT_RECONNECTS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Successful client reconnects",
-    },
-    MetricDef {
-        name: CLIENT_RECONNECT_MS,
-        kind: MetricKind::Histogram,
-        help: "Disconnect-to-restore time",
-    },
-    MetricDef {
-        name: CLIENT_FRAMES_BUFFERED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Frames buffered while disconnected",
-    },
-    MetricDef {
-        name: CLIENT_FRAMES_DROPPED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Buffered frames evicted on overflow",
-    },
-    MetricDef {
-        name: CLIENT_BUSY_RECEIVED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Busy NACKs received from brokers",
-    },
-    MetricDef {
-        name: CLIENT_RETRANSMITS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "QoS 1 publishes retransmitted awaiting ack",
-    },
-    MetricDef {
-        name: CLIENT_DEDUP_HITS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Duplicate QoS 1 deliveries filtered client-side",
-    },
-    MetricDef {
-        name: CONTROLLER_ROUNDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Re-optimization rounds started",
-    },
-    MetricDef {
-        name: CONTROLLER_ROUND_MS,
-        kind: MetricKind::Histogram,
-        help: "Wall-time of one round",
-    },
-    MetricDef {
-        name: CONTROLLER_DEGRADED_ROUNDS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Rounds run on stale measurements",
-    },
-    MetricDef {
-        name: CONTROLLER_TOPICS_EVALUATED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Topics examined",
-    },
-    MetricDef {
-        name: CONTROLLER_FEASIBLE_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Feasible topic evaluations",
-    },
-    MetricDef {
-        name: CONTROLLER_INFEASIBLE_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Infeasible topic evaluations",
-    },
-    MetricDef {
-        name: CONTROLLER_MITIGATIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Constraint relaxations applied",
-    },
-    MetricDef {
-        name: CONTROLLER_RECONFIGURATIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Reconfigurations pushed to brokers",
-    },
-    MetricDef {
-        name: CONTROLLER_LINK_REDIALS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Broker-link redials",
-    },
-    MetricDef {
-        name: CONTROLLER_REPORTS_DROPPED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Reports discarded on full controller channels",
-    },
-    MetricDef {
-        name: CONTROLLER_CONFIG_DEFERRED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Config installs deferred past a dead broker link",
-    },
-    MetricDef {
-        name: CONTROLLER_HANDOVERS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Make-before-break handovers started",
-    },
-    MetricDef {
-        name: CONTROLLER_HANDOVER_ROLLBACKS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Handovers aborted and rolled back",
-    },
-    MetricDef {
-        name: CONTROLLER_HANDOVER_PREPARE_MS,
-        kind: MetricKind::Histogram,
-        help: "Handover prepare-phase wall-time",
-    },
-    MetricDef {
-        name: CONTROLLER_HANDOVER_COMMIT_MS,
-        kind: MetricKind::Histogram,
-        help: "Handover commit-phase wall-time",
-    },
-    MetricDef {
-        name: SIM_TOPICS_SOLVED_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Topics solved by the spec runner",
-    },
-    MetricDef { name: SIM_SPEC_MS, kind: MetricKind::Histogram, help: "Wall-time of one spec run" },
-    MetricDef {
-        name: SIM_ADAPTIVE_INTERVALS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Adaptive intervals processed",
-    },
-    MetricDef {
-        name: SIM_ADAPTIVE_INTERVAL_MS,
-        kind: MetricKind::Histogram,
-        help: "Wall-time of one adaptive interval",
-    },
-    MetricDef {
-        name: SIM_RECONFIGURATIONS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Adaptive assignment changes",
-    },
-    MetricDef {
-        name: NETSIM_EVENTS_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Simulated events processed",
-    },
-    MetricDef {
-        name: NETSIM_LOST_TOTAL,
-        kind: MetricKind::Counter,
-        help: "Messages dropped by injected faults",
-    },
-    MetricDef {
-        name: NETSIM_DELIVERY_MS,
-        kind: MetricKind::Histogram,
-        help: "Simulated delivery latency",
-    },
-];
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
 
     #[test]
-    fn names_are_unique() {
-        let names: BTreeSet<&str> = CATALOG.iter().map(|m| m.name).collect();
-        assert_eq!(names.len(), CATALOG.len());
-    }
-
-    #[test]
-    fn names_follow_convention() {
-        for def in CATALOG {
-            assert!(def.name.starts_with("multipub_"), "{} must start with multipub_", def.name);
-            assert!(
-                def.name.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-                "{} must be snake_case ascii",
-                def.name
-            );
-            assert!(def.name.split('_').count() >= 3, "{} must name its crate", def.name);
-            assert!(!def.help.is_empty());
-        }
-    }
-
-    #[test]
-    fn counters_end_in_total_and_histograms_in_unit() {
-        for def in CATALOG {
-            match def.kind {
-                MetricKind::Counter => {
-                    assert!(def.name.ends_with("_total"), "counter {} must end in _total", def.name)
-                }
-                MetricKind::Histogram => assert!(
-                    def.name.ends_with("_ms") || def.name.ends_with("_subscribers"),
-                    "histogram {} must carry its unit",
-                    def.name
-                ),
-                MetricKind::Gauge => {}
-            }
-        }
+    fn kind_is_the_suffix() {
+        assert_eq!(kind_of(CORE_SOLVES_TOTAL), MetricKind::Counter);
+        assert_eq!(kind_of(NETSIM_LOST_TOTAL), MetricKind::Counter);
+        assert_eq!(kind_of(CORE_SOLVE_MS), MetricKind::Histogram);
+        assert_eq!(kind_of(BROKER_STAGE_QUEUE_MS), MetricKind::Histogram);
+        assert_eq!(kind_of(BROKER_FANOUT_SUBSCRIBERS), MetricKind::Histogram);
+        assert_eq!(kind_of(BROKER_CONNECTIONS_ACTIVE), MetricKind::Gauge);
+        assert_eq!(kind_of(BROKER_QUEUED_BYTES), MetricKind::Gauge);
+        assert_eq!(kind_of(BROKER_OVERLOADED), MetricKind::Gauge);
+        // Shorter than every suffix, equal to one, and near misses.
+        assert_eq!(kind_of(""), MetricKind::Gauge);
+        assert_eq!(kind_of("ms"), MetricKind::Gauge);
+        assert_eq!(kind_of("_ms"), MetricKind::Histogram);
+        assert_eq!(kind_of("_total"), MetricKind::Counter);
+        assert_eq!(kind_of("multipub_x_totals"), MetricKind::Gauge);
+        assert_eq!(kind_of("multipub_x_total_ms"), MetricKind::Histogram);
     }
 }

@@ -9,8 +9,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::histogram::{Histogram, HistogramSnapshot, BUCKET_COUNT};
-use crate::sync::{Arc, AtomicI64, AtomicU64, Ordering, RwLock};
+use multipub_sync::{Arc, AtomicI64, AtomicU64, Ordering, RwLock};
+
+use crate::histogram::{Histogram, HistogramSnapshot};
 
 /// A monotonically increasing counter.
 #[derive(Debug)]
@@ -127,7 +128,7 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())));
         match entry {
             Metric::Counter(counter) => Arc::clone(counter),
-            // lint:allow(panic) kind mismatch is a bug the metrics catalog tests catch
+            // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
             other => panic!(
                 "metric `{name}` is already registered as a {}, not a counter",
                 kind_name(other)
@@ -150,7 +151,7 @@ impl Registry {
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
         match entry {
             Metric::Gauge(gauge) => Arc::clone(gauge),
-            // lint:allow(panic) kind mismatch is a bug the metrics catalog tests catch
+            // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
             other => panic!(
                 "metric `{name}` is already registered as a {}, not a gauge",
                 kind_name(other)
@@ -173,7 +174,7 @@ impl Registry {
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())));
         match entry {
             Metric::Histogram(histogram) => Arc::clone(histogram),
-            // lint:allow(panic) kind mismatch is a bug the metrics catalog tests catch
+            // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
             other => panic!(
                 "metric `{name}` is already registered as a {}, not a histogram",
                 kind_name(other)
@@ -257,12 +258,9 @@ impl RegistrySnapshot {
         for (name, histogram) in &self.histograms {
             let _ = writeln!(out, "# TYPE {name} histogram");
             let mut cumulative = 0u64;
-            for (index, count) in histogram.buckets().iter().enumerate() {
-                cumulative = cumulative.saturating_add(*count);
-                if *count > 0 && index < BUCKET_COUNT - 1 {
-                    let le = crate::histogram::bucket_upper_bound(index);
-                    let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-                }
+            for (le, count) in histogram.finite_buckets() {
+                cumulative = cumulative.saturating_add(count);
+                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
             }
             let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", histogram.count());
             let _ = writeln!(out, "{name}_sum {}", histogram.sum_ms());
@@ -326,16 +324,11 @@ impl RegistrySnapshot {
                 let _ = write!(out, ",\"{key}\":{}", histogram.quantile(ratio));
             }
             out.push_str(",\"buckets\":[");
-            let mut first_bucket = true;
-            for (index, count) in histogram.buckets().iter().enumerate() {
-                if *count > 0 && index < BUCKET_COUNT - 1 {
-                    if !first_bucket {
-                        out.push(',');
-                    }
-                    first_bucket = false;
-                    let le = crate::histogram::bucket_upper_bound(index);
-                    let _ = write!(out, "[{le},{count}]");
+            for (position, (le, count)) in histogram.finite_buckets().enumerate() {
+                if position > 0 {
+                    out.push(',');
                 }
+                let _ = write!(out, "[{le},{count}]");
             }
             let overflow = histogram.buckets().last().copied().unwrap_or(0);
             let _ = write!(out, "],\"overflow\":{overflow}}}");
@@ -430,6 +423,44 @@ mod tests {
         // Balanced braces and brackets (no string values contain any).
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn both_renderings_describe_the_same_distribution() {
+        use crate::histogram::bucket_upper_bound as le;
+        let registry = Registry::new();
+        let histogram = registry.histogram("multipub_test_pin_ms");
+        // Bucket 0, three mid-range buckets (one hit twice), overflow.
+        for value in [0.001, 1.0, 1.0, 5.0, 250.0, 1e9] {
+            histogram.record(value);
+        }
+        // Bounds are 0.001 ms · 2^(k/4): 1 ms → k = 40, 5 ms → 50, 250 ms → 72.
+        let (b40, b50, b72) = (le(40), le(50), le(72));
+        assert!((b40 - 1.024).abs() < 1e-9 && (b72 - 262.144).abs() < 1e-6);
+        let prometheus = format!(
+            "# TYPE multipub_test_pin_ms histogram\n\
+             multipub_test_pin_ms_bucket{{le=\"0.001\"}} 1\n\
+             multipub_test_pin_ms_bucket{{le=\"{b40}\"}} 3\n\
+             multipub_test_pin_ms_bucket{{le=\"{b50}\"}} 4\n\
+             multipub_test_pin_ms_bucket{{le=\"{b72}\"}} 5\n\
+             multipub_test_pin_ms_bucket{{le=\"+Inf\"}} 6\n\
+             multipub_test_pin_ms_sum 1000000257.001\n\
+             multipub_test_pin_ms_count 6\n\
+             multipub_test_pin_ms{{quantile=\"0.5\"}} {b40}\n\
+             multipub_test_pin_ms{{quantile=\"0.9\"}} 1000000000\n\
+             multipub_test_pin_ms{{quantile=\"0.99\"}} 1000000000\n\
+             multipub_test_pin_ms{{quantile=\"0.999\"}} 1000000000\n"
+        );
+        assert_eq!(registry.render_prometheus(), prometheus);
+        // Same buckets per-bucket instead of cumulative: 1 + 2 + 1 + 1 finite
+        // and 1 overflow add up to the count both renderings report.
+        let json = format!(
+            "{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{\"multipub_test_pin_ms\":{{\
+             \"count\":6,\"sum_ms\":1000000257.001,\"max_ms\":1000000000,\
+             \"p50\":{b40},\"p90\":1000000000,\"p99\":1000000000,\"p999\":1000000000,\
+             \"buckets\":[[0.001,1],[{b40},2],[{b50},1],[{b72},1]],\"overflow\":1}}}}}}"
+        );
+        assert_eq!(registry.render_json(), json);
     }
 
     #[test]

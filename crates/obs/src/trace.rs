@@ -30,14 +30,14 @@
 //!
 //! Like the histogram timer's `Instant`, the wall clock here stays on
 //! `std` in both configurations (loom does not model time); the slot
-//! locks are rank-carrying [`crate::sync::Mutex`]es like every other
+//! locks are rank-carrying [`multipub_sync::Mutex`]es like every other
 //! lock in the workspace (DESIGN.md §14).
 
 // Wall-clock ids and ring cursors stay on `std` atomics in both
 // configurations: `next_trace_id`'s counter lives in a `static`, which
 // loom atomics (non-const constructors) cannot initialize, and these
 // relaxed counters are not an interleaving of interest anyway.
-use crate::sync::Mutex;
+use multipub_sync::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(loom))]
 use std::sync::OnceLock;
@@ -307,19 +307,6 @@ mod tests {
         assert!(json.contains("\"ts\":100"));
         assert!(json.contains("\"args\":{\"trace_id\":\"0x0000000000000007\"}"));
         assert!(json.ends_with("]}"));
-    }
-
-    #[test]
-    fn stage_names_match_metric_catalog() {
-        // Mirrors the xtask L4 stage check: every stage has a per-stage
-        // broker histogram in the catalog.
-        for stage in STAGE_NAMES {
-            let metric = format!("multipub_broker_stage_{stage}_ms");
-            assert!(
-                crate::metrics::CATALOG.iter().any(|def| def.name == metric),
-                "stage `{stage}` has no `{metric}` catalog entry"
-            );
-        }
     }
 
     #[test]

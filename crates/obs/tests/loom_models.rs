@@ -11,7 +11,7 @@
 //! ```
 //!
 //! Each `loom::model` closure is executed once per possible thread
-//! interleaving of the `crate::sync` primitives, exhaustively. The
+//! interleaving of the `multipub_sync` primitives, exhaustively. The
 //! interesting interleavings are:
 //!
 //! * registry registration: the read-then-upgrade-to-write dance in

@@ -7,8 +7,11 @@
 # it into `.bench_build`, then, against the rlibs that build left behind,
 # compiles each crate's `src/lib.rs` with bare `rustc --test` and runs the
 # harness (unit tests), and runs bare `rustdoc --test` over the same file
-# (doctests). Prints one pass/fail line per crate and pass, a total per pass,
-# and exits non-zero when a harness fails to compile or any test fails.
+# (doctests). A last pass builds the dependency-free `xtask` the same way and
+# runs its unit tests, its golden corpus and `xtask lint` over this tree: the
+# crates lean on those lints (L4 is what checks the metric consts). Prints one
+# pass/fail line per crate and pass, a total per pass, and exits non-zero when
+# a harness fails to compile, any test fails or the lint has a finding.
 #
 # Usage: scripts/offline-unit-tests.sh [libtest filter/flags...]
 set -uo pipefail
@@ -42,10 +45,11 @@ externs() {
 }
 
 status=0
-declare -A total_passed=([unit]=0 [doc]=0) total_failed=([unit]=0 [doc]=0)
+declare -A total_passed=([unit]=0 [doc]=0 [xtask]=0) total_failed=([unit]=0 [doc]=0 [xtask]=0)
 
-# tally <unit|doc> <crate> <libtest output>: prints the crate's line for that
-# pass (and the output, unless it passed cleanly) and adds to the pass's totals.
+# tally <unit|doc|xtask> <crate> <libtest output>: prints the crate's line for
+# that pass (and the output, unless it passed cleanly) and adds to the pass's
+# totals.
 tally() {
     local pass="$1" crate="$2" result="$3" label="" passed failed
     [ "$pass" = doc ] && label=" doctests:"
@@ -85,13 +89,38 @@ run_crate() {
     tally doc "$crate" "$result"
 }
 
+# run_xtask: xtask's unit tests, its golden corpus (xtask/tests/golden.rs) and
+# the lint itself, which takes the current directory ($root) for the workspace
+# root when cargo is not the one running it.
+run_xtask() {
+    local lib="$out/libxtask.rlib" result
+    local rustc=(rustc --edition 2021 --cap-lints allow)
+    if ! "${rustc[@]}" --crate-type lib --crate-name xtask xtask/src/lib.rs -o "$lib" \
+        || ! "${rustc[@]}" --test --crate-name xtask xtask/src/lib.rs -o "$out/xtask-unit" \
+        || ! "${rustc[@]}" --test --extern xtask="$lib" xtask/tests/golden.rs \
+            -o "$out/xtask-golden" \
+        || ! "${rustc[@]}" --extern xtask="$lib" xtask/src/main.rs -o "$out/xtask"; then
+        echo "offline-unit-tests: xtask: does not compile"
+        status=1
+        return
+    fi
+    result="$("$out/xtask-unit" "${test_args[@]}" 2>&1)" || status=1
+    tally xtask xtask "$result"
+    result="$("$out/xtask-golden" "${test_args[@]}" 2>&1)" || status=1
+    tally xtask "xtask golden" "$result"
+    # Findings, unused-allow warnings and the summary line, all prefixed.
+    "$out/xtask" lint 2>&1 | sed 's/^/offline-unit-tests: /' || status=1
+}
+
 test_args=("$@")
 run_crate sync
 run_crate obs multipub_sync
 run_crate core multipub_obs serde
 run_crate data multipub_core rand rand_distr serde
 run_crate netsim multipub_core multipub_obs multipub_data rand serde
+run_xtask
 
 echo "offline-unit-tests: total: ${total_passed[unit]} passed, ${total_failed[unit]} failed"
 echo "offline-unit-tests: doctests total: ${total_passed[doc]} passed, ${total_failed[doc]} failed"
+echo "offline-unit-tests: xtask total: ${total_passed[xtask]} passed, ${total_failed[xtask]} failed"
 exit "$status"

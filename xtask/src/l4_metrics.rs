@@ -13,6 +13,10 @@
 //!   directions: no documented-but-gone metric, no shipped-but-
 //!   undocumented metric.
 //!
+//! A metric's *kind* is not checked here: it is the name's suffix
+//! (`multipub_obs::metrics::kind_of`), and the macros assert it at
+//! compile time at every call site.
+//!
 //! `event!` is exempt — its second argument is a log target, not a
 //! metric name.
 
