@@ -15,6 +15,7 @@
 
 use crate::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use crate::delivery::closest_region;
+use crate::ids::RegionId;
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
 
@@ -40,6 +41,38 @@ pub fn fanout_rate_per_byte(regions: &RegionSet, subscriber_counts: &[u64]) -> f
     regions.ids().map(|r| subscriber_counts[r.index()] as f64 * regions.beta_per_byte(r)).sum()
 }
 
+/// Eq. 3–4, written once: the published bytes times the fan-out rate, plus
+/// the routed forwarding term (0.0 under direct delivery).
+///
+/// [`topic_cost_dollars`] and the evaluator's stage 1 — the optimizer's
+/// pruning key — both end here, so the two cannot drift by a rounding.
+pub(crate) fn cost_dollars(
+    regions: &RegionSet,
+    total_bytes: u64,
+    subscriber_counts: &[u64],
+    forwarding_dollars: f64,
+) -> f64 {
+    total_bytes as f64 * fanout_rate_per_byte(regions, subscriber_counts) + forwarding_dollars
+}
+
+/// The forwarding term of Eq. 4 from each publisher's `(Ω, R^P)` — its
+/// published bytes and home region: `Σ_P (N_R − 1) × Ω(P) × α(R^P)`.
+pub(crate) fn forwarding_dollars(
+    regions: &RegionSet,
+    assignment: AssignmentVector,
+    publishers: impl Iterator<Item = (u64, RegionId)>,
+) -> f64 {
+    let extra_hops = assignment.count().saturating_sub(1) as f64;
+    publishers.fold(0.0, |sum, (bytes, home)| {
+        sum + bytes as f64 * extra_hops * regions.alpha_per_byte(home)
+    })
+}
+
+/// `Ω`: the bytes published on the topic in the interval.
+pub(crate) fn total_bytes(workload: &TopicWorkload) -> u64 {
+    workload.publishers().iter().map(|p| p.batch().total_bytes()).sum()
+}
+
 /// `Z_Direct` (Eq. 3): total cost of the fan-out from serving regions to
 /// their local subscribers, over all messages of the interval.
 pub fn direct_cost_dollars(
@@ -47,10 +80,7 @@ pub fn direct_cost_dollars(
     workload: &TopicWorkload,
     assignment: AssignmentVector,
 ) -> f64 {
-    let counts = subscriber_counts(workload, assignment);
-    let rate = fanout_rate_per_byte(regions, &counts);
-    let total_bytes: u64 = workload.publishers().iter().map(|p| p.batch().total_bytes()).sum();
-    total_bytes as f64 * rate
+    topic_cost_dollars(regions, workload, Configuration::new(assignment, DeliveryMode::Direct))
 }
 
 /// The extra forwarding term of Eq. 4:
@@ -62,18 +92,11 @@ pub fn routed_forwarding_cost_dollars(
     workload: &TopicWorkload,
     assignment: AssignmentVector,
 ) -> f64 {
-    let extra_hops = assignment.count().saturating_sub(1) as f64;
-    if extra_hops == 0.0 {
-        return 0.0;
-    }
-    workload
+    let homes = workload
         .publishers()
         .iter()
-        .map(|p| {
-            let home = closest_region(p.latencies(), assignment);
-            p.batch().total_bytes() as f64 * extra_hops * regions.alpha_per_byte(home)
-        })
-        .sum()
+        .map(|p| (p.batch().total_bytes(), closest_region(p.latencies(), assignment)));
+    forwarding_dollars(regions, assignment, homes)
 }
 
 /// Total bandwidth cost `Z_C` in dollars of serving the topic's interval
@@ -110,13 +133,17 @@ pub fn topic_cost_dollars(
     workload: &TopicWorkload,
     configuration: Configuration,
 ) -> f64 {
-    let direct = direct_cost_dollars(regions, workload, configuration.assignment());
-    match configuration.mode() {
-        DeliveryMode::Direct => direct,
-        DeliveryMode::Routed => {
-            direct + routed_forwarding_cost_dollars(regions, workload, configuration.assignment())
-        }
-    }
+    let assignment = configuration.assignment();
+    let forwarding = match configuration.mode() {
+        DeliveryMode::Direct => 0.0,
+        DeliveryMode::Routed => routed_forwarding_cost_dollars(regions, workload, assignment),
+    };
+    cost_dollars(
+        regions,
+        total_bytes(workload),
+        &subscriber_counts(workload, assignment),
+        forwarding,
+    )
 }
 
 #[cfg(test)]

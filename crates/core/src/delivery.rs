@@ -17,8 +17,13 @@
 //! all `N_S × Σ N_M` deliveries of the interval. Instead of materializing
 //! that list (the paper's approach), we compute the same value from the
 //! `N_P × N_S` pair latencies, each weighted by
-//! `N_M^P × weight(S)` — design decision **D1** in DESIGN.md. A
-//! materializing reference implementation is kept for differential testing.
+//! `N_M^P × weight(S)` — design decision **D1** in DESIGN.md — and find it
+//! by weighted *selection* ([`weighted_percentile`], expected linear time),
+//! not by sorting: the rank-th value of a multiset does not depend on how it
+//! was found. The feasibility question `D̃_C ≤ max_T` needs even less — a
+//! count of weight under a threshold, which [`crate::evaluate`] streams
+//! without building the samples at all. A materializing reference
+//! implementation is kept for differential testing.
 
 // lint:allow-file(indexing) Eq. 1-2 hot-path kernel: region indices come from AssignmentVector/closest_region, both bounded by the same region count as every latency vector (checked at TopicEvaluator construction)
 
@@ -97,8 +102,15 @@ pub struct WeightedSample {
     pub weight: u64,
 }
 
+/// At or below this many samples a sort and a scan beat another partition.
+const SELECTION_CUTOFF: usize = 32;
+
 /// The `rank`-th smallest delivery time (1-based) of a weighted sample
 /// multiset — the delivery-time percentile `D̃_C` of Eq. 6.
+///
+/// Found by selection: partition around the median sample, sum the weight
+/// below it, and continue in the one side that holds the rank — expected
+/// `O(n)` against the `O(n log n)` of sorting everything to read one entry.
 ///
 /// `samples` is reordered in place. Returns 0.0 when `rank` is 0 (an empty
 /// interval is trivially feasible) and the overall maximum when `rank`
@@ -107,16 +119,36 @@ pub fn weighted_percentile(samples: &mut [WeightedSample], rank: u64) -> f64 {
     if rank == 0 || samples.is_empty() {
         return 0.0;
     }
-    samples.sort_unstable_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+    let by_time = |a: &WeightedSample, b: &WeightedSample| a.time_ms.total_cmp(&b.time_ms);
+    // The answer is the `rank`-th smallest of `window`; every sample outside
+    // it is already known to sort before (its weight taken off `rank`) or after.
+    let mut window = samples;
+    let mut rank = rank;
+    while window.len() > SELECTION_CUTOFF {
+        let whole = window;
+        let (below, median, above) = whole.select_nth_unstable_by(whole.len() / 2, by_time);
+        let below_weight: u64 = below.iter().map(|sample| sample.weight).sum();
+        if rank <= below_weight {
+            window = below;
+        } else if rank <= below_weight + median.weight {
+            return median.time_ms;
+        } else {
+            // `above` holds at least 16 samples here, so a rank beyond the
+            // total weight ends in the scan below, on the overall maximum.
+            rank -= below_weight + median.weight;
+            window = above;
+        }
+    }
+    window.sort_unstable_by(by_time);
     let mut cumulative = 0u64;
-    for sample in samples.iter() {
+    for sample in window.iter() {
         cumulative += sample.weight;
         if cumulative >= rank {
             return sample.time_ms;
         }
     }
-    // lint:allow(panic) rank <= total weight, so the cumulative scan only falls through when the last sample was reached
-    samples.last().expect("samples non-empty").time_ms
+    // lint:allow(panic) `window` is never empty: `samples` is not, and a partition only narrows to a side that has samples
+    window.last().expect("window non-empty").time_ms
 }
 
 /// Reference implementation of the percentile that materializes every
@@ -145,6 +177,7 @@ pub fn materialized_percentile(samples: &[WeightedSample], rank: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::assignment::AssignmentVector;
+    use crate::testing::SplitMix64;
 
     fn sample_inter() -> InterRegionMatrix {
         InterRegionMatrix::from_rows(vec![
@@ -241,6 +274,81 @@ mod tests {
                 materialized_percentile(&samples, rank),
                 "rank {rank}"
             );
+        }
+    }
+
+    /// The percentile as it was computed before selection: sort everything,
+    /// scan to the rank. Kept as a second oracle next to the materializing one.
+    fn sorted_percentile(samples: &mut [WeightedSample], rank: u64) -> f64 {
+        if rank == 0 || samples.is_empty() {
+            return 0.0;
+        }
+        samples.sort_unstable_by(|a, b| a.time_ms.total_cmp(&b.time_ms));
+        let mut cumulative = 0u64;
+        for sample in samples.iter() {
+            cumulative += sample.weight;
+            if cumulative >= rank {
+                return sample.time_ms;
+            }
+        }
+        samples.last().unwrap().time_ms
+    }
+
+    #[test]
+    fn selection_matches_materialization_and_sorting() {
+        let mut rng = SplitMix64(0x5E1E_C710_4E57_0001);
+        // CI also interprets this crate's tests under Miri, ~100× slower.
+        let (multisets, longest) = if cfg!(miri) { (6, 150) } else { (90, 2000) };
+        let by_time_then_weight = |a: &WeightedSample, b: &WeightedSample| {
+            a.time_ms.total_cmp(&b.time_ms).then(a.weight.cmp(&b.weight))
+        };
+        for multiset in 0..multisets {
+            // A third straddle the selection cut-off, a third are a few
+            // partitions long, a third long; every other one has few distinct
+            // times, so that partitions are full of equal keys.
+            let len = match multiset % 3 {
+                0 => rng.range(1, 80),
+                1 => rng.range(81, 300),
+                _ => rng.range(301, longest.max(301)),
+            };
+            let distinct = if multiset % 2 == 0 { rng.range(1, 40) } else { 4 * len };
+            let samples: Vec<WeightedSample> = (0..len)
+                .map(|_| WeightedSample {
+                    time_ms: rng.range(0, distinct) as f64 * 0.25,
+                    weight: rng.range(1, 50),
+                })
+                .collect();
+            let total: u64 = samples.iter().map(|s| s.weight).sum();
+            let mut original = samples.clone();
+            original.sort_unstable_by(by_time_then_weight);
+
+            let check = |rank: u64, materialize: bool| {
+                let mut selected = samples.clone();
+                let got = weighted_percentile(&mut selected, rank);
+                let context = format!("multiset {multiset}, {len} samples, rank {rank}/{total}");
+                assert_eq!(got, sorted_percentile(&mut samples.clone(), rank), "{context}");
+                if materialize {
+                    assert_eq!(got, materialized_percentile(&samples, rank), "{context}");
+                }
+                // Reordered in place, nothing lost or altered.
+                selected.sort_unstable_by(by_time_then_weight);
+                assert_eq!(selected, original, "{context}");
+            };
+            let quartiles = (1..=3).flat_map(|q| [q * total / 4, q * total / 4 + 1]);
+            [0, 1, total, total + 1]
+                .into_iter()
+                .chain(quartiles)
+                .for_each(|rank| check(rank, true));
+            // Where a partition puts a rank that falls exactly between two
+            // samples is the selection's one delicate spot: try them all.
+            if len <= 300 {
+                let mut cumulative = 0;
+                for sample in &original {
+                    cumulative += sample.weight;
+                    check(cumulative, false);
+                    check(cumulative + 1, false);
+                }
+            }
         }
     }
 }

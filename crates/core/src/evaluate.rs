@@ -2,10 +2,25 @@
 //! delivery-time percentile `D̃_C` and the bandwidth cost `Z_C`.
 //!
 //! [`TopicEvaluator`] checks the region dimensions once per solve and then
-//! evaluates configurations with no per-configuration allocation: each
-//! client's serving region is [`crate::delivery::closest_region`], each
-//! pair's delivery time is Eq. 1 or Eq. 2 from [`crate::delivery`], and the
-//! samples are reduced by [`weighted_percentile`].
+//! evaluates configurations with no per-configuration allocation, in the
+//! stages §IV.B's selection rule consumes them:
+//!
+//! 1. **attribute** — each client's serving region
+//!    ([`crate::delivery::closest_region`]), the per-region subscriber
+//!    weights and from them the Eq. 3–4 cost ([`crate::cost`]):
+//!    `O((N_P + N_S) × N_R)`, no delivery time computed;
+//! 2. (a) **count test** — "is `D̃_C ≤ t`?", answered by streaming Eq. 1–2
+//!    over the attributed pairs and adding up the weight of those within
+//!    `t`, stopping as soon as the rank `n^T` is reached or out of reach: no
+//!    buffer, no order; (b) **exact percentile** — the same pair times
+//!    materialised and reduced by [`weighted_percentile`].
+//!
+//! [`TopicEvaluator::evaluate_into`] is stage 1 followed by stage 2b. The
+//! optimizer instead asks stage by stage, through the crate's `Candidate`
+//! trait: cost and region count decide most comparisons before any delivery
+//! time is looked at. Both halves of stage 2 read a pair's time from the one
+//! `for_each_pair`, so `D̃_C ≤ t` and the count test can never disagree by a
+//! rounding.
 
 // lint:allow-file(indexing) hot-path kernel evaluated thousands of times per solve: every slice access is bounded by the region-count equality checks in `TopicEvaluator::new`
 
@@ -18,8 +33,9 @@ use crate::error::Error;
 use crate::ids::RegionId;
 use crate::latency::InterRegionMatrix;
 use crate::region::RegionSet;
-use crate::workload::TopicWorkload;
+use crate::workload::{Publisher, TopicWorkload};
 use serde::{Deserialize, Serialize};
+use std::cell::{Cell, RefCell, RefMut};
 
 /// The outcome of evaluating one configuration: its delivery-time
 /// percentile and its bandwidth cost for the observation interval.
@@ -57,14 +73,80 @@ impl ConfigEvaluation {
     }
 }
 
+/// What §IV.B's selection rule may ask of a configuration, cheapest answer
+/// first: cost and region count are known up front, the delivery times are
+/// looked at only when a comparison still depends on them.
+///
+/// A cached [`ConfigEvaluation`] answers everything from its fields; a
+/// [`StagedCandidate`] runs stage 2 of the evaluation on demand.
+pub(crate) trait Candidate {
+    /// The configuration in question.
+    fn configuration(&self) -> Configuration;
+
+    /// Its bandwidth cost `Z_C` (Eq. 3–4).
+    fn cost_dollars(&self) -> f64;
+
+    /// Whether `D̃_C ≤ bound_ms` — the Eq. 6 test when `bound_ms` is `max_T`.
+    fn delivers_within(&self, bound_ms: f64) -> bool;
+
+    /// The exact delivery-time percentile `D̃_C`.
+    fn percentile_ms(&self) -> f64;
+
+    /// Whether answering so far took a look at the delivery times.
+    fn examined(&self) -> bool;
+
+    /// Number of serving regions.
+    fn region_count(&self) -> u32 {
+        self.configuration().region_count()
+    }
+
+    /// Everything known about the configuration, exact percentile included.
+    fn evaluation(&self) -> ConfigEvaluation {
+        ConfigEvaluation {
+            configuration: self.configuration(),
+            percentile_ms: self.percentile_ms(),
+            cost_dollars: self.cost_dollars(),
+        }
+    }
+}
+
+impl Candidate for ConfigEvaluation {
+    fn configuration(&self) -> Configuration {
+        self.configuration
+    }
+
+    fn cost_dollars(&self) -> f64 {
+        self.cost_dollars
+    }
+
+    fn delivers_within(&self, bound_ms: f64) -> bool {
+        self.percentile_ms <= bound_ms
+    }
+
+    fn percentile_ms(&self) -> f64 {
+        self.percentile_ms
+    }
+
+    fn examined(&self) -> bool {
+        true
+    }
+}
+
 /// Reusable scratch buffers for [`TopicEvaluator::evaluate_into`], letting
 /// the optimizer evaluate thousands of configurations without
 /// re-allocating.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
-    samples: Vec<WeightedSample>,
+    /// Stage 1: the configuration the three vectors below describe.
+    attributed: Option<Configuration>,
+    /// Stage 1: each subscriber's serving region `R^S`.
     sub_regions: Vec<RegionId>,
+    /// Stage 1: subscriber weight per serving region, `N_S^{R_i}`.
     sub_counts: Vec<u64>,
+    /// Stage 1: each publisher's home region `R^P` (routed), `None` (direct).
+    pub_homes: Vec<Option<RegionId>>,
+    /// Stage 2b: the weighted pair samples.
+    samples: Vec<WeightedSample>,
 }
 
 /// Evaluates configurations for one topic against one workload snapshot.
@@ -95,7 +177,9 @@ pub struct TopicEvaluator<'a> {
     regions: &'a RegionSet,
     inter: &'a InterRegionMatrix,
     workload: &'a TopicWorkload,
+    subscriber_weight: u64,
     total_deliveries: u64,
+    total_bytes: u64,
 }
 
 impl<'a> TopicEvaluator<'a> {
@@ -118,11 +202,14 @@ impl<'a> TopicEvaluator<'a> {
         if workload.n_regions() != n {
             return Err(Error::LatencyDimension { expected: n, got: workload.n_regions() });
         }
+        let subscriber_weight = workload.subscriber_weight();
         Ok(TopicEvaluator {
             regions,
             inter,
             workload,
-            total_deliveries: workload.total_deliveries(),
+            subscriber_weight,
+            total_deliveries: subscriber_weight * workload.total_messages(),
+            total_bytes: crate::cost::total_bytes(workload),
         })
     }
 
@@ -156,68 +243,207 @@ impl<'a> TopicEvaluator<'a> {
         self.evaluate_into(configuration, constraint, &mut scratch)
     }
 
-    /// Evaluates one configuration reusing caller-provided scratch buffers.
+    /// Evaluates one configuration reusing caller-provided scratch buffers:
+    /// stage 1, then the exact percentile.
     pub fn evaluate_into(
         &self,
         configuration: Configuration,
         constraint: &DeliveryConstraint,
         scratch: &mut EvalScratch,
     ) -> ConfigEvaluation {
-        let assignment = configuration.assignment();
-        let subs = self.workload.subscribers();
-        let pubs = self.workload.publishers();
+        let cost_dollars = self.attribute(configuration, scratch);
+        let percentile_ms = self.percentile_ms(constraint.rank(self.total_deliveries), scratch);
+        ConfigEvaluation { configuration, percentile_ms, cost_dollars }
+    }
 
-        // Closest serving region and per-region weights for subscribers.
+    /// Stage 1 of `configuration`, as a [`Candidate`] that runs stage 2 on
+    /// `scratch` if and when the selection rule asks about delivery times.
+    /// `rank` is `n^T` of Eq. 5.
+    pub(crate) fn stage<'s>(
+        &'s self,
+        configuration: Configuration,
+        rank: u64,
+        scratch: &'s RefCell<EvalScratch>,
+    ) -> StagedCandidate<'s, 'a> {
+        let cost_dollars = self.attribute(configuration, &mut scratch.borrow_mut());
+        StagedCandidate {
+            evaluator: self,
+            scratch,
+            configuration,
+            cost_dollars,
+            rank,
+            percentile_ms: Cell::new(None),
+            examined: Cell::new(false),
+        }
+    }
+
+    /// Stage 1: attributes every client to its closest serving region under
+    /// `configuration`, leaves the attribution in `scratch` and returns the
+    /// configuration's cost (Eq. 3–4).
+    fn attribute(&self, configuration: Configuration, scratch: &mut EvalScratch) -> f64 {
+        let assignment = configuration.assignment();
+        let publishers = self.workload.publishers();
+        let subscribers = self.workload.subscribers();
+        scratch.attributed = Some(configuration);
         scratch.sub_regions.clear();
+        scratch.sub_regions.reserve(subscribers.len());
         scratch.sub_counts.clear();
         scratch.sub_counts.resize(self.regions.len(), 0);
-        for sub in subs {
+        for sub in subscribers {
             let region = closest_region(sub.latencies(), assignment);
             scratch.sub_regions.push(region);
             scratch.sub_counts[region.index()] += sub.weight();
         }
+        scratch.pub_homes.clear();
+        scratch.pub_homes.extend(publishers.iter().map(|publisher| match configuration.mode() {
+            DeliveryMode::Routed => Some(closest_region(publisher.latencies(), assignment)),
+            DeliveryMode::Direct => None,
+        }));
+        let homes = publishers.iter().zip(&scratch.pub_homes);
+        let forwarding = crate::cost::forwarding_dollars(
+            self.regions,
+            assignment,
+            homes
+                .filter_map(|(publisher, home)| home.map(|r| (publisher.batch().total_bytes(), r))),
+        );
+        crate::cost::cost_dollars(self.regions, self.total_bytes, &scratch.sub_counts, forwarding)
+    }
 
-        // Delivery-time samples, one per (publisher, subscriber) pair,
-        // weighted by message count × subscriber weight.
-        scratch.samples.clear();
-        let mut total_bytes = 0u64;
-        let mut forwarding_cost = 0.0f64;
-        let extra_hops = assignment.count().saturating_sub(1) as f64;
-        for publisher in pubs {
-            let batch = publisher.batch();
-            total_bytes += batch.total_bytes();
-            let pub_lat = publisher.latencies();
-            let pub_home = match configuration.mode() {
-                DeliveryMode::Routed => Some(closest_region(pub_lat, assignment)),
-                DeliveryMode::Direct => None,
-            };
-            if let Some(home) = pub_home {
-                forwarding_cost +=
-                    batch.total_bytes() as f64 * extra_hops * self.regions.alpha_per_byte(home);
+    /// The publishers that sent anything in the interval, each with its
+    /// attributed home region.
+    fn senders<'s>(
+        &self,
+        pub_homes: &'s [Option<RegionId>],
+    ) -> impl Iterator<Item = (&'a Publisher, Option<RegionId>)> + 's
+    where
+        'a: 's,
+    {
+        let homes = pub_homes.iter().copied();
+        self.workload.publishers().iter().zip(homes).filter(|(p, _)| p.batch().count() > 0)
+    }
+
+    /// Calls `visit(time_ms, weight)` for each subscriber of one publisher:
+    /// the pair's delivery time (Eq. 1 without a home region, Eq. 2 with one)
+    /// and how many deliveries share it, message count × subscriber weight.
+    ///
+    /// The only place stage 2 computes a delivery time.
+    #[inline]
+    fn for_each_pair(
+        &self,
+        publisher: &Publisher,
+        home: Option<RegionId>,
+        sub_regions: &[RegionId],
+        mut visit: impl FnMut(f64, u64),
+    ) {
+        let from = publisher.latencies();
+        let messages = publisher.batch().count();
+        let pairs = self.workload.subscribers().iter().zip(sub_regions);
+        match home {
+            None => pairs.for_each(|(sub, &region)| {
+                visit(direct_delivery_ms(from, sub.latencies(), region), messages * sub.weight())
+            }),
+            Some(home) => pairs.for_each(|(sub, &region)| {
+                let time_ms = routed_delivery_ms(from, sub.latencies(), home, region, self.inter);
+                visit(time_ms, messages * sub.weight())
+            }),
+        }
+    }
+
+    /// Stage 2a: whether the `rank`-th smallest delivery time under the
+    /// attribution in `scratch` is at most `bound_ms` — i.e. whether the
+    /// deliveries within `bound_ms` number at least `rank`. Decides as soon
+    /// as they do, or as soon as those beyond it leave too few.
+    fn delivers_within(&self, bound_ms: f64, rank: u64, scratch: &EvalScratch) -> bool {
+        if rank == 0 {
+            return 0.0 <= bound_ms; // no deliveries: `D̃_C` is 0.0 by convention
+        }
+        let may_miss = self.total_deliveries - rank;
+        let (mut seen, mut within) = (0u64, 0u64);
+        for (publisher, home) in self.senders(&scratch.pub_homes) {
+            self.for_each_pair(publisher, home, &scratch.sub_regions, |time_ms, weight| {
+                within += if time_ms <= bound_ms { weight } else { 0 };
+            });
+            seen += publisher.batch().count() * self.subscriber_weight;
+            if within >= rank {
+                return true;
             }
-            if batch.count() == 0 {
-                continue;
-            }
-            for (sub, &sub_region) in subs.iter().zip(scratch.sub_regions.iter()) {
-                let time_ms = match pub_home {
-                    None => direct_delivery_ms(pub_lat, sub.latencies(), sub_region),
-                    Some(home) => {
-                        routed_delivery_ms(pub_lat, sub.latencies(), home, sub_region, self.inter)
-                    }
-                };
-                scratch
-                    .samples
-                    .push(WeightedSample { time_ms, weight: batch.count() * sub.weight() });
+            if seen - within > may_miss {
+                return false;
             }
         }
+        within >= rank
+    }
 
-        let rank = constraint.rank(self.total_deliveries);
-        let percentile_ms = weighted_percentile(&mut scratch.samples, rank);
+    /// Stage 2b: the `rank`-th smallest delivery time under the attribution
+    /// in `scratch`.
+    fn percentile_ms(&self, rank: u64, scratch: &mut EvalScratch) -> f64 {
+        let EvalScratch { samples, sub_regions, pub_homes, .. } = scratch;
+        samples.clear();
+        samples.reserve(self.workload.publisher_count() * self.workload.subscriber_count());
+        for (publisher, home) in self.senders(pub_homes) {
+            self.for_each_pair(publisher, home, sub_regions, |time_ms, weight| {
+                samples.push(WeightedSample { time_ms, weight });
+            });
+        }
+        weighted_percentile(samples, rank)
+    }
+}
 
-        let fanout_rate = crate::cost::fanout_rate_per_byte(self.regions, &scratch.sub_counts);
-        let cost_dollars = total_bytes as f64 * fanout_rate + forwarding_cost;
+/// A configuration evaluated as far as stage 1, answering the selection
+/// rule's questions about delivery times by running stage 2 when asked.
+///
+/// Candidates staged on one scratch share its attribution buffers; one that
+/// is asked after a later one was staged re-attributes itself first.
+#[derive(Debug)]
+pub(crate) struct StagedCandidate<'s, 'a> {
+    evaluator: &'s TopicEvaluator<'a>,
+    scratch: &'s RefCell<EvalScratch>,
+    configuration: Configuration,
+    cost_dollars: f64,
+    rank: u64,
+    percentile_ms: Cell<Option<f64>>,
+    examined: Cell<bool>,
+}
 
-        ConfigEvaluation { configuration, percentile_ms, cost_dollars }
+impl StagedCandidate<'_, '_> {
+    /// The scratch, holding this candidate's attribution. Only stage 2 asks
+    /// for it, so asking marks the candidate examined.
+    fn attribution(&self) -> RefMut<'_, EvalScratch> {
+        self.examined.set(true);
+        let mut scratch = self.scratch.borrow_mut();
+        if scratch.attributed != Some(self.configuration) {
+            self.evaluator.attribute(self.configuration, &mut scratch);
+        }
+        scratch
+    }
+}
+
+impl Candidate for StagedCandidate<'_, '_> {
+    fn configuration(&self) -> Configuration {
+        self.configuration
+    }
+
+    fn cost_dollars(&self) -> f64 {
+        self.cost_dollars
+    }
+
+    fn delivers_within(&self, bound_ms: f64) -> bool {
+        match self.percentile_ms.get() {
+            Some(percentile_ms) => percentile_ms <= bound_ms,
+            None => self.evaluator.delivers_within(bound_ms, self.rank, &self.attribution()),
+        }
+    }
+
+    fn percentile_ms(&self) -> f64 {
+        self.percentile_ms.get().unwrap_or_else(|| {
+            let percentile_ms = self.evaluator.percentile_ms(self.rank, &mut self.attribution());
+            self.percentile_ms.set(Some(percentile_ms));
+            percentile_ms
+        })
+    }
+
+    fn examined(&self) -> bool {
+        self.examined.get()
     }
 }
 
@@ -227,6 +453,7 @@ mod tests {
     use crate::assignment::AssignmentVector;
     use crate::ids::ClientId;
     use crate::region::Region;
+    use crate::testing::{random_instance, Shape, SplitMix64};
     use crate::workload::{MessageBatch, Publisher, Subscriber};
 
     fn regions3() -> RegionSet {
@@ -326,8 +553,10 @@ mod tests {
                     Configuration::new(AssignmentVector::from_mask(mask, 3).unwrap(), mode);
                 let out = eval.evaluate(config, &constraint);
                 let reference = crate::cost::topic_cost_dollars(&r, &w, config);
-                assert!(
-                    (out.cost_dollars() - reference).abs() < 1e-15,
+                // One Eq. 3–4 kernel behind both: equal to the bit.
+                assert_eq!(
+                    out.cost_dollars().to_bits(),
+                    reference.to_bits(),
                     "mask {mask} mode {mode}: {} vs {reference}",
                     out.cost_dollars()
                 );
@@ -371,5 +600,87 @@ mod tests {
         assert_eq!(out.percentile_ms(), 0.0);
         assert_eq!(out.cost_dollars(), 0.0);
         assert!(out.is_feasible(&constraint));
+        // The count test agrees that nothing was late.
+        let scratch = RefCell::new(EvalScratch::default());
+        assert!(eval.stage(config, 0, &scratch).delivers_within(constraint.max_ms()));
+    }
+
+    /// The neighbouring floats of a non-negative `t`.
+    fn neighbours(t: f64) -> [f64; 2] {
+        let down = if t == 0.0 { -f64::from_bits(1) } else { f64::from_bits(t.to_bits() - 1) };
+        [down, f64::from_bits(t.to_bits() + 1)]
+    }
+
+    /// Stage 2a is `D̃_C ≤ t` — at every delivery time that occurs, one ulp
+    /// to either side of it, and at the ends of the range.
+    #[test]
+    fn count_test_agrees_with_the_percentile_at_every_threshold() {
+        let mut rng = SplitMix64(0xC0_0471_7E57);
+        // CI also interprets this crate's tests under Miri, ~100× slower.
+        let (instances, clients) = if cfg!(miri) { (4, 6) } else { (48, 20) };
+        for instance in 0..instances {
+            let shape = Shape {
+                regions: (2, 8),
+                publishers: clients,
+                subscribers: clients,
+                fractional: instance % 2 == 1,
+            };
+            let (regions, inter, workload) = random_instance(&mut rng, &shape);
+            let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
+            let ratio = [50.0, 75.0, 95.0, 100.0][instance % 4];
+            let constraint = DeliveryConstraint::new(ratio, 1.0).unwrap();
+            let rank = constraint.rank(evaluator.total_deliveries());
+            let mut scratch = EvalScratch::default();
+            for mode in [DeliveryMode::Direct, DeliveryMode::Routed] {
+                let mask = rng.range(1, (1 << regions.len()) - 1) as u32;
+                let assignment = AssignmentVector::from_mask(mask, regions.len()).unwrap();
+                let config = Configuration::new(assignment, mode);
+                let percentile = evaluator.evaluate(config, &constraint).percentile_ms();
+                // Leaves every pair's time in `scratch.samples`.
+                evaluator.evaluate_into(config, &constraint, &mut scratch);
+                let mut thresholds: Vec<f64> = scratch.samples.iter().map(|s| s.time_ms).collect();
+                thresholds.sort_unstable_by(f64::total_cmp);
+                thresholds.dedup();
+                assert!(thresholds.contains(&percentile));
+                let around: Vec<f64> = thresholds.iter().flat_map(|&t| neighbours(t)).collect();
+                for t in thresholds.into_iter().chain(around).chain([0.0, f64::MAX]) {
+                    assert_eq!(
+                        evaluator.delivers_within(t, rank, &scratch),
+                        percentile <= t,
+                        "instance {instance}, {config}, {ratio} %: D̃ = {percentile}, t = {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn staged_candidate_answers_like_the_full_evaluation() {
+        let r = regions3();
+        let inter = inter3();
+        let w = workload3();
+        let eval = TopicEvaluator::new(&r, &inter, &w).unwrap();
+        let constraint = DeliveryConstraint::new(75.0, 100.0).unwrap();
+        let rank = constraint.rank(eval.total_deliveries());
+        let scratch = RefCell::new(EvalScratch::default());
+        let config =
+            |mask, mode| Configuration::new(AssignmentVector::from_mask(mask, 3).unwrap(), mode);
+        let first = eval.stage(config(0b011, DeliveryMode::Routed), rank, &scratch);
+        let second = eval.stage(config(0b100, DeliveryMode::Direct), rank, &scratch);
+        // Cost and region count come with stage 1; no delivery time yet.
+        for staged in [&first, &second] {
+            let full = eval.evaluate(staged.configuration(), &constraint);
+            assert_eq!(staged.cost_dollars().to_bits(), full.cost_dollars().to_bits());
+            assert_eq!(Candidate::region_count(staged), full.region_count());
+            assert!(!staged.examined());
+        }
+        // `first` is asked after `second` took over the scratch: it finds its
+        // own attribution again, and remembers its percentile once computed.
+        let full = eval.evaluate(first.configuration(), &constraint);
+        assert!(first.delivers_within(full.percentile_ms()));
+        assert!(first.examined() && !second.examined());
+        assert_eq!(second.evaluation(), eval.evaluate(second.configuration(), &constraint));
+        assert_eq!(first.evaluation(), full);
+        assert!(!first.delivers_within(full.percentile_ms() - 1.0));
     }
 }

@@ -87,7 +87,7 @@ pub fn solve_heuristic(
     let beam_width = options.beam_width.max(1);
     let max_rounds = options.max_rounds.unwrap_or(regions.len());
     let better = |a: &ConfigEvaluation, b: &ConfigEvaluation| {
-        preferred(a, b, constraint, TieBreaking::default())
+        preferred(a, b, constraint.max_ms(), TieBreaking::default())
     };
     let mut scratch = EvalScratch::default();
     let mut considered = 0u64;

@@ -113,3 +113,103 @@ pub mod prelude {
     pub use crate::region::{Region, RegionSet};
     pub use crate::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
 }
+
+/// Seeded generators for the crate's differential tests. Inline, so the
+/// tests need no `rand` and run wherever this crate alone builds.
+#[cfg(test)]
+pub(crate) mod testing {
+    use crate::ids::ClientId;
+    use crate::latency::InterRegionMatrix;
+    use crate::region::{Region, RegionSet};
+    use crate::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
+
+    /// SplitMix64.
+    pub(crate) struct SplitMix64(pub(crate) u64);
+
+    impl SplitMix64 {
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform integer in `lo..=hi`.
+        pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
+            lo + self.next_u64() % (hi - lo + 1)
+        }
+    }
+
+    /// How large and how awkward [`random_instance`] may make an instance.
+    pub(crate) struct Shape {
+        /// Region count, `lo..=hi`.
+        pub(crate) regions: (u64, u64),
+        /// At most this many publishers that sent something (at least one).
+        pub(crate) publishers: u64,
+        /// At most this many subscriber entries (at least one).
+        pub(crate) subscribers: u64,
+        /// Latencies with a fractional part, so that Eq. 1–2 sums round; whole
+        /// milliseconds otherwise, so that sums and percentile ties are exact.
+        pub(crate) fractional: bool,
+    }
+
+    /// A random instance within `shape`. Prices come from three Table I rate
+    /// pairs, so equal-price regions — and with them equal-cost configurations
+    /// that differ by float summation order — are common; subscribers weigh 1–3;
+    /// one instance in three has an extra publisher that sent nothing.
+    pub(crate) fn random_instance(
+        rng: &mut SplitMix64,
+        shape: &Shape,
+    ) -> (RegionSet, InterRegionMatrix, TopicWorkload) {
+        const PRICES: [(f64, f64); 3] = [(0.02, 0.09), (0.09, 0.14), (0.16, 0.25)];
+        let latency = |rng: &mut SplitMix64, lo: u64, hi: u64| {
+            let whole = rng.range(lo, hi) as f64;
+            if shape.fractional {
+                whole + (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+            } else {
+                whole
+            }
+        };
+        let n = rng.range(shape.regions.0, shape.regions.1) as usize;
+        let regions = RegionSet::new(
+            (0..n)
+                .map(|i| {
+                    let (alpha, beta) = PRICES[rng.range(0, 2) as usize];
+                    Region::new(format!("r{i}"), "X", alpha, beta)
+                })
+                .collect(),
+        )
+        .unwrap();
+        let mut rows = vec![vec![0.0; n]; n];
+        for (i, j) in (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))) {
+            let between = latency(rng, 10, 200);
+            rows[i][j] = between;
+            rows[j][i] = between;
+        }
+        let inter = InterRegionMatrix::from_rows(rows).unwrap();
+        let mut workload = TopicWorkload::new(n);
+        let mut next_id = 0u64;
+        let mut client_row = |rng: &mut SplitMix64| -> (ClientId, Vec<f64>) {
+            next_id += 1;
+            (ClientId(next_id), (0..n).map(|_| latency(rng, 1, 150)).collect())
+        };
+        for _ in 0..rng.range(1, shape.publishers) {
+            let (id, row) = client_row(rng);
+            let batch = MessageBatch::uniform(rng.range(1, 5), rng.range(100, 2000));
+            workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
+        }
+        if rng.range(0, 2) == 0 {
+            let (id, row) = client_row(rng);
+            workload
+                .add_publisher(Publisher::new(id, row, MessageBatch::empty()).unwrap())
+                .unwrap();
+        }
+        for _ in 0..rng.range(1, shape.subscribers) {
+            let (id, row) = client_row(rng);
+            let weight = rng.range(1, 3);
+            workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();
+        }
+        (regions, inter, workload)
+    }
+}

@@ -2,9 +2,7 @@
 //!
 //! For each topic, the controller enumerates every configuration — each
 //! non-empty subset of the allowed regions, with direct and (for
-//! multi-region subsets) routed delivery — evaluates its delivery-time
-//! percentile and bandwidth cost against the last observation interval, and
-//! picks (paper §IV.B):
+//! multi-region subsets) routed delivery — and picks (paper §IV.B):
 //!
 //! 1. among all configurations meeting the delivery constraint, the one
 //!    with the **lowest cost**;
@@ -14,10 +12,19 @@
 //! 3. if *no* configuration is feasible, the one with the lowest
 //!    delivery-time percentile irrespective of cost.
 //!
-//! That rule is written once, as the private `select` scan over a stream of
-//! evaluations: [`Optimizer::solve`] feeds it lazily, [`SweepSolver`] from
-//! its cache, and [`crate::heuristic`] ranks its beam by the same pairwise
-//! preference.
+//! That rule is written once, as the private `select` scan and the pairwise
+//! `preferred` it applies, over *candidates* that know their cost and region
+//! count and look at delivery times only when asked
+//! (`crate::evaluate::Candidate`). The rule asks in order of what an answer
+//! costs: a challenger the incumbent already beats on cost (or, cost-tied,
+//! on region count) is dropped after its attribution; otherwise feasibility
+//! is a count of deliveries within `max_T`, not a percentile; the exact
+//! percentile is computed only for a challenger that ties on every key ahead
+//! of it, and for each new incumbent. [`Optimizer::solve`] feeds the scan
+//! candidates staged on one scratch buffer, [`SweepSolver`] its cached
+//! evaluations, and [`crate::heuristic`] ranks its beam by the same pairwise
+//! preference. The pick is the one evaluating everything in full would make,
+//! bit for bit.
 //!
 //! Topics are independent (§IV.C), so [`solve_topics`] solves many topics
 //! in parallel with scoped threads.
@@ -27,11 +34,13 @@ use crate::assignment::{
 };
 use crate::constraint::DeliveryConstraint;
 use crate::error::Error;
-use crate::evaluate::{ConfigEvaluation, EvalScratch, TopicEvaluator};
+use crate::evaluate::{Candidate, ConfigEvaluation, EvalScratch, TopicEvaluator};
 use crate::latency::InterRegionMatrix;
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::cmp::Ordering;
 
 /// The optimizer's answer for one topic.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -73,7 +82,7 @@ impl Solution {
         self.feasible
     }
 
-    /// How many configurations the solver evaluated.
+    /// How many configurations the solver enumerated.
     pub fn configurations_considered(&self) -> u64 {
         self.configurations_considered
     }
@@ -111,35 +120,62 @@ pub enum TieBreaking {
 const TIE_EPSILON: f64 = 1e-9;
 
 /// Three-way comparison with a relative tolerance band.
-fn approx_cmp(a: f64, b: f64) -> std::cmp::Ordering {
+fn approx_cmp(a: f64, b: f64) -> Ordering {
     let scale = a.abs().max(b.abs());
     if (a - b).abs() <= scale * TIE_EPSILON {
-        std::cmp::Ordering::Equal
+        Ordering::Equal
     } else {
         a.total_cmp(&b)
     }
 }
 
-/// Lexicographic preference for feasible configurations: lowest cost
-/// first, ties broken per [`TieBreaking`].
-fn better_feasible(a: &ConfigEvaluation, b: &ConfigEvaluation, tie: TieBreaking) -> bool {
-    let by_cost = approx_cmp(a.cost_dollars(), b.cost_dollars());
-    let by_percentile = approx_cmp(a.percentile_ms(), b.percentile_ms());
-    let by_regions = a.region_count().cmp(&b.region_count());
-    let order = match tie {
-        TieBreaking::FewestRegions => by_cost.then(by_regions).then(by_percentile),
-        TieBreaking::LowestPercentile => by_cost.then(by_percentile).then(by_regions),
-    };
-    order == std::cmp::Ordering::Less
+/// A bound past the far edge of `value`'s tolerance band: whatever exceeds it
+/// is [`approx_cmp`]-greater than `value`. Twice the band wide, so that no
+/// rounding of the product can pull it inside.
+fn beyond_tie_band(value: f64) -> f64 {
+    value + value.abs() * (2.0 * TIE_EPSILON)
 }
 
-/// Lexicographic preference when nothing is feasible:
+/// Whether `a` beats the *feasible* `b`: it must be feasible as well and come
+/// first by lowest cost, ties broken per [`TieBreaking`].
+///
+/// The keys are asked in order of what they cost to know. Cost and region
+/// count need no delivery time; when they already rank `a` behind, nothing
+/// else is looked at. Otherwise `a` has to deliver within `max_ms` (a count),
+/// and only an `a` tied on every key ahead of the percentile has its
+/// percentile computed.
+fn better_feasible(a: &impl Candidate, b: &impl Candidate, max_ms: f64, tie: TieBreaking) -> bool {
+    let by_cost = approx_cmp(a.cost_dollars(), b.cost_dollars());
+    let by_regions = a.region_count().cmp(&b.region_count());
+    // The lexicographic order is `ahead`, then percentile, then `behind`.
+    let (ahead, behind) = match tie {
+        TieBreaking::FewestRegions => (by_cost.then(by_regions), Ordering::Equal),
+        TieBreaking::LowestPercentile => (by_cost, by_regions),
+    };
+    match ahead {
+        Ordering::Greater => false,
+        Ordering::Less => a.delivers_within(max_ms),
+        Ordering::Equal => {
+            a.delivers_within(max_ms)
+                && approx_cmp(a.percentile_ms(), b.percentile_ms()).then(behind) == Ordering::Less
+        }
+    }
+}
+
+/// Whether `a` beats the *infeasible* `b`: by being feasible, else by
 /// (percentile, cost, region count).
-fn better_infeasible(a: &ConfigEvaluation, b: &ConfigEvaluation) -> bool {
-    approx_cmp(a.percentile_ms(), b.percentile_ms())
-        .then(approx_cmp(a.cost_dollars(), b.cost_dollars()))
-        .then(a.region_count().cmp(&b.region_count()))
-        == std::cmp::Ordering::Less
+///
+/// One count decides most challengers: `b` is infeasible, so a bound past its
+/// tie band lies above `max_ms` too, and an `a` that does not deliver within
+/// it is neither feasible nor as fast as `b`. (A percentile merely tied with
+/// `b`'s can still win on cost or region count, hence the whole band.)
+fn better_infeasible(a: &impl Candidate, b: &impl Candidate, max_ms: f64) -> bool {
+    a.delivers_within(beyond_tie_band(b.percentile_ms()))
+        && (a.percentile_ms() <= max_ms
+            || approx_cmp(a.percentile_ms(), b.percentile_ms())
+                .then(approx_cmp(a.cost_dollars(), b.cost_dollars()))
+                .then(a.region_count().cmp(&b.region_count()))
+                == Ordering::Less)
 }
 
 /// The §IV.B rule as a pairwise preference: a feasible configuration beats
@@ -148,46 +184,80 @@ fn better_infeasible(a: &ConfigEvaluation, b: &ConfigEvaluation) -> bool {
 ///
 /// The tolerance band makes this **not** a total order (`a ≈ b ≈ c` does not
 /// imply `a ≈ c`), so it must never be handed to a sort: rank by scanning
-/// for the minimum, as [`select`] does.
+/// for the minimum, as [`select`] does. `b`'s percentile is read freely —
+/// pass the incumbent, which knows it, as `b`.
 pub(crate) fn preferred(
-    a: &ConfigEvaluation,
-    b: &ConfigEvaluation,
-    constraint: &DeliveryConstraint,
+    a: &impl Candidate,
+    b: &impl Candidate,
+    max_ms: f64,
     tie: TieBreaking,
 ) -> bool {
-    match (a.is_feasible(constraint), b.is_feasible(constraint)) {
-        (true, true) => better_feasible(a, b, tie),
-        (false, false) => better_infeasible(a, b),
-        (a_feasible, _) => a_feasible,
+    if b.delivers_within(max_ms) {
+        better_feasible(a, b, max_ms, tie)
+    } else {
+        better_infeasible(a, b, max_ms)
     }
 }
 
-/// The first evaluation of the stream that no later one is `better` than.
-fn first_best(
-    evaluations: impl Iterator<Item = ConfigEvaluation>,
-    better: impl Fn(&ConfigEvaluation, &ConfigEvaluation) -> bool,
-) -> Option<ConfigEvaluation> {
-    evaluations.reduce(|best, eval| if better(&eval, &best) { eval } else { best })
+/// What a scan went through to find its pick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Effort {
+    /// Candidates in the stream.
+    considered: u64,
+    /// Those whose delivery times were looked at; cost and region count
+    /// alone decided the rest.
+    examined: u64,
 }
 
-/// The §IV.B pick, written once: the first evaluation of the stream that no
-/// later one is [`preferred`] to — the cheapest feasible configuration
-/// (ties per `tie`), or the fastest one when nothing is feasible.
+/// The first candidate of the stream that `admits` lets in and no later one
+/// is [`preferred`] to.
+fn scan<C: Candidate>(
+    candidates: impl Iterator<Item = C>,
+    admits: impl Fn(&C) -> bool,
+    max_ms: f64,
+    tie: TieBreaking,
+) -> (Option<ConfigEvaluation>, Effort) {
+    let mut best = None;
+    let mut effort = Effort { considered: 0, examined: 0 };
+    for candidate in candidates {
+        let wins = match &best {
+            None => admits(&candidate),
+            Some(incumbent) => preferred(&candidate, incumbent, max_ms, tie),
+        };
+        if wins {
+            best = Some(candidate.evaluation());
+        }
+        effort.considered += 1;
+        effort.examined += u64::from(candidate.examined());
+    }
+    (best, effort)
+}
+
+/// The §IV.B pick, written once: the first candidate of the stream that no
+/// later one is [`preferred`] to — the cheapest configuration delivering
+/// within `max_ms` (ties per `tie`), or the fastest one when none does.
+///
+/// Until a feasible candidate turns up there is nothing worth remembering:
+/// the first feasible one displaces whichever infeasible one would have been
+/// the incumbent. So the scan starts at the first feasible candidate, and
+/// only a stream without any is scanned again for its fastest (by then every
+/// candidate has been examined once, which is the effort reported).
 ///
 /// Every exact solver is this scan over a different stream:
-/// [`Optimizer::solve`] evaluates lazily, [`SweepSolver::solve_at`] replays
-/// its cache.
-fn select(
-    evaluations: impl Iterator<Item = ConfigEvaluation>,
-    constraint: &DeliveryConstraint,
+/// [`Optimizer::solve`] stages its candidates, [`SweepSolver::solve_at`]
+/// replays its cache.
+fn select<C: Candidate>(
+    candidates: impl Iterator<Item = C> + Clone,
+    max_ms: f64,
     tie: TieBreaking,
-) -> Solution {
-    let mut considered = 0u64;
-    let best = first_best(evaluations.inspect(|_| considered += 1), |a, b| {
-        preferred(a, b, constraint, tie)
-    });
-    // lint:allow(panic) AssignmentVector is non-empty by construction, so every enumeration yields at least one configuration
-    Solution::new(best.expect("at least one configuration exists"), constraint, considered)
+) -> (ConfigEvaluation, Effort) {
+    let within_bound = |candidate: &C| candidate.delivers_within(max_ms);
+    let (cheapest_feasible, effort) = scan(candidates.clone(), within_bound, max_ms, tie);
+    let best = cheapest_feasible
+        .or_else(|| scan(candidates, |_| true, max_ms, tie).0)
+        // lint:allow(panic) AssignmentVector is non-empty by construction, so every enumeration yields at least one configuration
+        .expect("at least one configuration exists");
+    (best, effort)
 }
 
 /// Brute-force optimal configuration search for a single topic.
@@ -262,23 +332,19 @@ impl<'a> Optimizer<'a> {
         self.policy
     }
 
-    /// Lazily evaluates `configurations` in order, reusing one scratch buffer.
-    fn evaluations<'s>(
-        &'s self,
-        configurations: impl Iterator<Item = Configuration> + 's,
-        constraint: &'s DeliveryConstraint,
-    ) -> impl Iterator<Item = ConfigEvaluation> + 's {
-        let mut scratch = EvalScratch::default();
-        configurations
-            .map(move |config| self.evaluator.evaluate_into(config, constraint, &mut scratch))
-    }
-
-    /// Every configuration the allowed regions and the mode policy admit.
-    fn all_evaluations<'s>(
-        &'s self,
-        constraint: &'s DeliveryConstraint,
-    ) -> impl Iterator<Item = ConfigEvaluation> + 's {
-        self.evaluations(enumerate_configurations(self.allowed, self.policy), constraint)
+    /// [`select`] over `configurations`, each staged on one shared scratch
+    /// buffer: attributed and costed up front, its delivery times looked at
+    /// only if the rule asks. `max_ms` is the bound to select under.
+    fn select_among(
+        &self,
+        configurations: impl Iterator<Item = Configuration> + Clone,
+        constraint: &DeliveryConstraint,
+        max_ms: f64,
+    ) -> (ConfigEvaluation, Effort) {
+        let scratch = RefCell::new(EvalScratch::default());
+        let rank = constraint.rank(self.evaluator.total_deliveries());
+        let staged = configurations.map(|config| self.evaluator.stage(config, rank, &scratch));
+        select(staged, max_ms, self.tie_breaking)
     }
 
     /// Runs the exhaustive search and returns the optimal solution under
@@ -286,16 +352,17 @@ impl<'a> Optimizer<'a> {
     pub fn solve(&self, constraint: &DeliveryConstraint) -> Solution {
         let _solve_timer = multipub_obs::timer!(multipub_obs::metrics::CORE_SOLVE_MS);
         multipub_obs::counter!(multipub_obs::metrics::CORE_SOLVES_TOTAL).inc();
-        let solution = select(self.all_evaluations(constraint), constraint, self.tie_breaking);
+        let configurations = enumerate_configurations(self.allowed, self.policy);
+        let (best, effort) = self.select_among(configurations, constraint, constraint.max_ms());
         multipub_obs::counter!(multipub_obs::metrics::CORE_CONFIGS_EVALUATED_TOTAL)
-            .add(solution.configurations_considered);
-        solution
+            .add(effort.examined);
+        Solution::new(best, constraint, effort.considered)
     }
 
     /// The *One Region* baseline (paper §II-B1): the cheapest single region
     /// (ties broken per [`TieBreaking`]), **ignoring** the constraint when
-    /// picking. The returned feasibility still records whether the pick
-    /// happens to meet the constraint.
+    /// picking — the same selection with no bound. The returned feasibility
+    /// still records whether the pick happens to meet the constraint.
     pub fn solve_one_region(&self, constraint: &DeliveryConstraint) -> Solution {
         let n_regions = self.evaluator.regions().len();
         let singles = self.allowed.iter().map(move |region| {
@@ -304,12 +371,8 @@ impl<'a> Optimizer<'a> {
                 .expect("allowed regions are in bounds");
             Configuration::new(assignment, DeliveryMode::Direct)
         });
-        let evaluation = first_best(self.evaluations(singles, constraint), |a, b| {
-            better_feasible(a, b, self.tie_breaking)
-        })
-        // lint:allow(panic) AssignmentVector is non-empty by construction, so there is at least one single-region configuration
-        .expect("allowed region set is non-empty");
-        Solution::new(evaluation, constraint, u64::from(self.allowed.count()))
+        let (cheapest, effort) = self.select_among(singles, constraint, f64::INFINITY);
+        Solution::new(cheapest, constraint, effort.considered)
     }
 
     /// The *All Regions* baseline (paper §II-B2): every allowed region
@@ -330,9 +393,10 @@ impl<'a> Optimizer<'a> {
 /// does **not** depend on the bound `max_T` — only the feasibility test
 /// `D̃_C ≤ max_T` does (Eq. 6). A sweep over bounds (the x-axis of the
 /// paper's Figures 3–5) therefore needs each configuration evaluated only
-/// once; every sweep point is then a linear scan over the cached
-/// evaluations. This turns an `O(points × 2^N × pairs log pairs)` sweep
-/// into `O(2^N × pairs log pairs + points × 2^N)`.
+/// once; every sweep point is then the same selection scan as
+/// [`Optimizer::solve`]'s over the cached evaluations, for which the count
+/// test is a comparison and the percentile a field. This turns an
+/// `O(points × 2^N × pairs)` sweep into `O(2^N × pairs + points × 2^N)`.
 ///
 /// ```
 /// use multipub_core::prelude::*;
@@ -397,7 +461,12 @@ impl SweepSolver {
         }
         // The percentile depends on the ratio only; any finite bound works.
         let probe = DeliveryConstraint::new(ratio_percent, 1.0)?;
-        let evaluations = optimizer.all_evaluations(&probe).collect();
+        // The cache needs every percentile, so this is the one place the
+        // enumeration is evaluated in full.
+        let mut scratch = EvalScratch::default();
+        let evaluations = enumerate_configurations(optimizer.allowed, optimizer.policy)
+            .map(|config| optimizer.evaluator.evaluate_into(config, &probe, &mut scratch))
+            .collect();
         Ok(SweepSolver { evaluations, ratio_percent, tie_breaking: TieBreaking::default() })
     }
 
@@ -427,7 +496,8 @@ impl SweepSolver {
     /// bound.
     pub fn solve_at(&self, max_t_ms: f64) -> Result<Solution, Error> {
         let constraint = DeliveryConstraint::new(self.ratio_percent, max_t_ms)?;
-        Ok(select(self.evaluations.iter().copied(), &constraint, self.tie_breaking))
+        let (best, effort) = select(self.evaluations.iter().copied(), max_t_ms, self.tie_breaking);
+        Ok(Solution::new(best, &constraint, effort.considered))
     }
 }
 
@@ -497,7 +567,9 @@ mod tests {
     use super::*;
     use crate::ids::{ClientId, RegionId};
     use crate::region::Region;
+    use crate::testing::{random_instance, Shape, SplitMix64};
     use crate::workload::{MessageBatch, Publisher, Subscriber};
+    use std::cell::Cell;
 
     /// Two regions: region 0 cheap, region 1 fast-but-expensive for the
     /// subscriber population.
@@ -701,71 +773,6 @@ mod tests {
         }
     }
 
-    /// SplitMix64, inline so the oracle needs no `rand`.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        /// Uniform integer in `lo..=hi`.
-        fn range(&mut self, lo: u64, hi: u64) -> u64 {
-            lo + self.next_u64() % (hi - lo + 1)
-        }
-
-        /// Whole-millisecond latency, so sums and percentile ties are exact.
-        fn latency(&mut self, lo: u64, hi: u64) -> f64 {
-            self.range(lo, hi) as f64
-        }
-    }
-
-    /// A random 2–5-region instance. Prices come from three Table I rate
-    /// pairs, so equal-price regions — and with them equal-cost
-    /// configurations that differ by float summation order — are common.
-    fn random_instance(rng: &mut SplitMix64) -> (RegionSet, InterRegionMatrix, TopicWorkload) {
-        const PRICES: [(f64, f64); 3] = [(0.02, 0.09), (0.09, 0.14), (0.16, 0.25)];
-        let n = rng.range(2, 5) as usize;
-        let regions = RegionSet::new(
-            (0..n)
-                .map(|i| {
-                    let (alpha, beta) = PRICES[rng.range(0, 2) as usize];
-                    Region::new(format!("r{i}"), "X", alpha, beta)
-                })
-                .collect(),
-        )
-        .unwrap();
-        let mut rows = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            for j in i + 1..n {
-                rows[i][j] = rng.latency(10, 200);
-                rows[j][i] = rows[i][j];
-            }
-        }
-        let inter = InterRegionMatrix::from_rows(rows).unwrap();
-        let mut workload = TopicWorkload::new(n);
-        let mut next_id = 0u64;
-        let mut client_row = |rng: &mut SplitMix64| -> (ClientId, Vec<f64>) {
-            next_id += 1;
-            (ClientId(next_id), (0..n).map(|_| rng.latency(1, 150)).collect())
-        };
-        for _ in 0..rng.range(1, 3) {
-            let (id, row) = client_row(rng);
-            let batch = MessageBatch::uniform(rng.range(1, 5), rng.range(100, 2000));
-            workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
-        }
-        for _ in 0..rng.range(1, 6) {
-            let (id, row) = client_row(rng);
-            let weight = rng.range(1, 3);
-            workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();
-        }
-        (regions, inter, workload)
-    }
-
     fn tied(a: f64, b: f64) -> bool {
         (a - b).abs() <= a.abs().max(b.abs()) * TIE_EPSILON
     }
@@ -813,26 +820,61 @@ mod tests {
         (winners, feasible)
     }
 
+    /// The selection scan as it was before candidates could answer lazily:
+    /// every configuration evaluated in full, then one pass keeping whichever
+    /// of incumbent and challenger is [`preferred`].
+    fn eager_select(
+        evaluations: impl Iterator<Item = ConfigEvaluation>,
+        max_ms: f64,
+        tie: TieBreaking,
+    ) -> ConfigEvaluation {
+        evaluations
+            .reduce(|best, eval| if preferred(&eval, &best, max_ms, tie) { eval } else { best })
+            .unwrap()
+    }
+
     #[test]
     fn every_solver_returns_the_brute_force_pick() {
         let mut rng = SplitMix64(0x4D75_6C74_6950_7562);
         let mut feasible_points = 0;
         let mut infeasible_points = 0;
         let mut cost_ties = 0;
+        let mut large_fallbacks = 0;
+        let mut large_ties_across_region_counts = 0;
         // CI also interprets this crate's tests under Miri, ~100× slower.
-        let instances = if cfg!(miri) { 30 } else { 300 };
+        let (instances, most_regions) = if cfg!(miri) { (30, 6) } else { (300, 8) };
         for instance in 0..instances {
-            let (regions, inter, workload) = random_instance(&mut rng);
+            // One instance in six is large: up to 8 regions and 12 × 12
+            // clients, so the count test's early exits, cost ties across
+            // region counts and the fallback see more than a handful of pairs.
+            let large = instance % 6 == 5;
+            let shape = if large {
+                Shape {
+                    regions: (2, most_regions),
+                    publishers: 12,
+                    subscribers: 12,
+                    fractional: false,
+                }
+            } else {
+                Shape { regions: (2, 5), publishers: 3, subscribers: 6, fractional: false }
+            };
+            let (regions, inter, workload) = random_instance(&mut rng, &shape);
             let n = regions.len();
             let ratio = [50.0, 75.0, 95.0, 100.0][rng.range(0, 3) as usize];
             let policy = [ModePolicy::Any, ModePolicy::DirectOnly, ModePolicy::RoutedOnly]
                 [rng.range(0, 2) as usize];
+            // One instance in three searches a random subset of its regions.
+            let all = AssignmentVector::all(n).unwrap();
+            let allowed = if instance % 3 == 1 {
+                AssignmentVector::from_mask(rng.range(1, (1 << n) - 1) as u32, n).unwrap()
+            } else {
+                all
+            };
             let probe = DeliveryConstraint::new(ratio, 1.0).unwrap();
             let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
-            let evaluations: Vec<ConfigEvaluation> =
-                enumerate_configurations(AssignmentVector::all(n).unwrap(), policy)
-                    .map(|config| evaluator.evaluate(config, &probe))
-                    .collect();
+            let evaluations: Vec<ConfigEvaluation> = enumerate_configurations(allowed, policy)
+                .map(|config| evaluator.evaluate(config, &probe))
+                .collect();
             let mut percentiles: Vec<f64> =
                 evaluations.iter().map(ConfigEvaluation::percentile_ms).collect();
             percentiles.sort_by(f64::total_cmp);
@@ -847,47 +889,94 @@ mod tests {
                 let optimizer = Optimizer::new(&regions, &inter, &workload)
                     .unwrap()
                     .with_policy(policy)
+                    .with_allowed_regions(allowed)
                     .with_tie_breaking(tie);
-                let sweep =
-                    SweepSolver::with_options(&regions, &inter, &workload, ratio, policy, None)
-                        .unwrap()
-                        .with_tie_breaking(tie);
+                let sweep = SweepSolver::with_options(
+                    &regions,
+                    &inter,
+                    &workload,
+                    ratio,
+                    policy,
+                    Some(allowed),
+                )
+                .unwrap()
+                .with_tie_breaking(tie);
                 assert_eq!(sweep.configurations(), evaluations.len());
                 if policy == ModePolicy::Any {
                     assert_eq!(
                         sweep.configurations() as u64,
-                        crate::assignment::configuration_count(n as u32)
+                        crate::assignment::configuration_count(allowed.count())
                     );
                 }
                 for max_t in bounds {
-                    let context = format!("instance {instance}, {policy:?}, {tie:?}, {max_t} ms");
+                    let context = format!(
+                        "instance {instance}, {allowed}, {policy:?}, {tie:?}, {ratio} % in {max_t} ms"
+                    );
                     let constraint = DeliveryConstraint::new(ratio, max_t).unwrap();
                     let (winners, feasible) = oracle(&evaluations, max_t, tie);
                     if feasible {
                         feasible_points += 1;
                         let cheapest = winners[0].cost_dollars();
-                        let at_cheapest = evaluations
+                        let at_cheapest: Vec<&ConfigEvaluation> = evaluations
                             .iter()
                             .filter(|c| c.percentile_ms() <= max_t)
                             .filter(|c| tied(c.cost_dollars(), cheapest))
-                            .count();
-                        cost_ties += usize::from(at_cheapest > 1);
+                            .collect();
+                        cost_ties += usize::from(at_cheapest.len() > 1);
+                        let fewest = at_cheapest.iter().map(|c| c.region_count()).min();
+                        let most = at_cheapest.iter().map(|c| c.region_count()).max();
+                        large_ties_across_region_counts += usize::from(large && fewest != most);
                     } else {
                         infeasible_points += 1;
                     }
 
                     // The scan keeps the first of equals, so the exact
-                    // solvers return the first winner in enumeration order.
+                    // solvers return the first winner in enumeration order:
+                    // same configuration, cost and percentile to the bit,
+                    // feasibility and enumeration count.
+                    let expected = Solution::new(winners[0], &constraint, evaluations.len() as u64);
+                    assert_eq!(expected.is_feasible(), feasible, "{context}");
                     let full = optimizer.solve(&constraint);
-                    assert_eq!(full.evaluation(), &winners[0], "{context}");
-                    assert_eq!(full.is_feasible(), feasible, "{context}");
-                    assert_eq!(full.configurations_considered(), evaluations.len() as u64);
-                    assert_eq!(sweep.solve_at(max_t).unwrap(), full, "{context}");
-                    if policy == ModePolicy::Any && tie == TieBreaking::default() {
-                        let problem = TopicProblem { workload: workload.clone(), constraint };
-                        let solved = solve_topics(&regions, &inter, &[problem]).unwrap();
-                        assert_eq!(solved, vec![full], "{context}");
+                    assert_eq!(full, expected, "{context}");
+                    assert_eq!(sweep.solve_at(max_t).unwrap(), expected, "{context}");
+                    let eager = eager_select(evaluations.iter().copied(), max_t, tie);
+                    assert_eq!(eager, winners[0], "{context}");
 
+                    // Nothing feasible: the first pass count-tested every
+                    // configuration before the fallback scan ran.
+                    let (_, effort) = optimizer.select_among(
+                        enumerate_configurations(allowed, policy),
+                        &constraint,
+                        max_t,
+                    );
+                    assert!(effort.examined <= effort.considered, "{context}");
+                    if !feasible {
+                        assert_eq!(effort.examined, effort.considered, "{context}");
+                        large_fallbacks += usize::from(large);
+                    }
+
+                    // One Region: the cheapest single, whatever the bound.
+                    let singles = enumerate_configurations(allowed, ModePolicy::DirectOnly)
+                        .filter(|config| config.region_count() == 1)
+                        .map(|config| evaluator.evaluate(config, &probe));
+                    let cheapest_single = eager_select(singles, f64::INFINITY, tie);
+                    assert_eq!(
+                        optimizer.solve_one_region(&constraint),
+                        Solution::new(cheapest_single, &constraint, u64::from(allowed.count())),
+                        "{context}"
+                    );
+
+                    // `solve_topics` and the heuristic search every region
+                    // under the default rule: comparable only where the
+                    // solvers above did too.
+                    if policy != ModePolicy::Any || tie != TieBreaking::default() || allowed != all
+                    {
+                        continue;
+                    }
+                    let problem = TopicProblem { workload: workload.clone(), constraint };
+                    let solved = solve_topics(&regions, &inter, &[problem]).unwrap();
+                    assert_eq!(solved, vec![expected], "{context}");
+                    if !large {
                         // A beam as wide as the lattice reaches the optimum's rank.
                         let exhaustive =
                             crate::heuristic::HeuristicOptions { beam_width: 64, max_rounds: None };
@@ -911,6 +1000,187 @@ mod tests {
         // The generator must actually exercise each branch of the rule.
         assert!(feasible_points > instances && infeasible_points > instances);
         assert!(cost_ties > instances);
+        assert!(large_fallbacks > 0 && large_ties_across_region_counts > 0);
+    }
+
+    /// A cached evaluation that records what the selection rule asks of it.
+    struct Asked<'c> {
+        evaluation: ConfigEvaluation,
+        count_tests: &'c Cell<u64>,
+        percentiles: &'c Cell<u64>,
+    }
+
+    impl Candidate for Asked<'_> {
+        fn configuration(&self) -> Configuration {
+            self.evaluation.configuration()
+        }
+
+        fn cost_dollars(&self) -> f64 {
+            self.evaluation.cost_dollars()
+        }
+
+        fn delivers_within(&self, bound_ms: f64) -> bool {
+            self.count_tests.set(self.count_tests.get() + 1);
+            self.evaluation.delivers_within(bound_ms)
+        }
+
+        fn percentile_ms(&self) -> f64 {
+            self.percentiles.set(self.percentiles.get() + 1);
+            self.evaluation.percentile_ms()
+        }
+
+        fn examined(&self) -> bool {
+            true
+        }
+    }
+
+    /// [`select`] over `evaluations`, and how many count tests and how many
+    /// percentiles it asked the challengers for.
+    fn select_asking(
+        evaluations: &[ConfigEvaluation],
+        max_ms: f64,
+        tie: TieBreaking,
+    ) -> (ConfigEvaluation, u64, u64) {
+        let (count_tests, percentiles) = (Cell::new(0), Cell::new(0));
+        let asked = evaluations.iter().map(|&evaluation| Asked {
+            evaluation,
+            count_tests: &count_tests,
+            percentiles: &percentiles,
+        });
+        let (picked, effort) = select(asked, max_ms, tie);
+        assert_eq!(effort.considered, evaluations.len() as u64);
+        (picked, count_tests.get(), percentiles.get())
+    }
+
+    /// Three regions at one price, one publisher a millisecond from each, and
+    /// three subscribers placed so that every configuration of the direct-only
+    /// enumeration `{0} {1} {0,1} {2} {0,2} {1,2} {0,1,2}` is strictly faster
+    /// (at 100 %) than the one before: 101 96 81 71 61 51 41 ms.
+    fn ever_faster() -> (RegionSet, InterRegionMatrix, TopicWorkload) {
+        let regions =
+            RegionSet::new((0..3).map(|i| Region::new(format!("r{i}"), "X", 0.0, 0.09)).collect())
+                .unwrap();
+        let inter = InterRegionMatrix::zeros(3).unwrap();
+        let mut w = TopicWorkload::new(3);
+        w.add_publisher(
+            Publisher::new(ClientId(0), vec![1.0; 3], MessageBatch::uniform(4, 500)).unwrap(),
+        )
+        .unwrap();
+        for (i, row) in
+            [[60.0, 40.0, 70.0], [30.0, 95.0, 50.0], [100.0, 80.0, 35.0]].into_iter().enumerate()
+        {
+            w.add_subscriber(Subscriber::new(ClientId(1 + i as u64), row.to_vec()).unwrap())
+                .unwrap();
+        }
+        (regions, inter, w)
+    }
+
+    /// The order the rule likes least: every configuration ties on cost and
+    /// each is faster than all before it, so under `LowestPercentile` every
+    /// challenger must be count-tested, have its percentile computed and take
+    /// over — and with an impossible bound the fallback does the same again.
+    #[test]
+    fn ever_improving_percentiles_reach_the_last_stage_every_time() {
+        let (regions, inter, workload) = ever_faster();
+        let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
+        let probe = DeliveryConstraint::new(100.0, 1.0).unwrap();
+        let all = AssignmentVector::all(3).unwrap();
+        let evaluations: Vec<ConfigEvaluation> =
+            enumerate_configurations(all, ModePolicy::DirectOnly)
+                .map(|config| evaluator.evaluate(config, &probe))
+                .collect();
+        let percentiles: Vec<f64> =
+            evaluations.iter().map(ConfigEvaluation::percentile_ms).collect();
+        assert_eq!(percentiles, [101.0, 96.0, 81.0, 71.0, 61.0, 51.0, 41.0]);
+        assert!(evaluations.iter().all(|e| e.cost_dollars() == evaluations[0].cost_dollars()));
+
+        let tie = TieBreaking::LowestPercentile;
+        let optimizer = Optimizer::new(&regions, &inter, &workload)
+            .unwrap()
+            .with_policy(ModePolicy::DirectOnly)
+            .with_tie_breaking(tie);
+        for (max_t, feasible) in [(500.0, true), (5.0, false)] {
+            let constraint = DeliveryConstraint::new(100.0, max_t).unwrap();
+            let eager = eager_select(evaluations.iter().copied(), max_t, tie);
+            assert_eq!(eager, evaluations[6]);
+            assert_eq!(optimizer.solve(&constraint), Solution::new(eager, &constraint, 7));
+            assert_eq!(optimizer.solve(&constraint).is_feasible(), feasible);
+            let (picked, count_tests, percentiles) = select_asking(&evaluations, max_t, tie);
+            assert_eq!(picked, eager);
+            // Feasible: each challenger is count-tested, compared by its
+            // percentile and read in full as the new incumbent. Infeasible:
+            // seven failed count tests first, then the same over again.
+            assert_eq!(count_tests, if feasible { 7 } else { 7 + 6 });
+            assert!(percentiles >= 7, "every configuration's percentile is needed");
+        }
+    }
+
+    /// All prices equal: under `LowestPercentile` every configuration ties on
+    /// cost with whatever the incumbent is, so every one reaches the
+    /// percentile; under `FewestRegions` the region count prunes.
+    #[test]
+    fn equal_prices_send_every_configuration_to_the_percentile() {
+        let mut rng = SplitMix64(0xE9_0A11_7135);
+        let shape = Shape { regions: (6, 6), publishers: 12, subscribers: 12, fractional: true };
+        let (_, inter, workload) = random_instance(&mut rng, &shape);
+        let regions =
+            RegionSet::new((0..6).map(|i| Region::new(format!("r{i}"), "X", 0.0, 0.09)).collect())
+                .unwrap();
+        let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
+        let probe = DeliveryConstraint::new(95.0, 1.0).unwrap();
+        let all = AssignmentVector::all(6).unwrap();
+        let evaluations: Vec<ConfigEvaluation> = enumerate_configurations(all, ModePolicy::Any)
+            .map(|config| evaluator.evaluate(config, &probe))
+            .collect();
+        let enumerated = evaluations.len() as u64;
+        let slowest = evaluations.iter().map(|e| e.percentile_ms()).fold(0.0, f64::max);
+        let constraint = DeliveryConstraint::new(95.0, slowest + 1.0).unwrap();
+        let max_t = constraint.max_ms();
+        let solver =
+            |tie| Optimizer::new(&regions, &inter, &workload).unwrap().with_tie_breaking(tie);
+
+        let tie = TieBreaking::LowestPercentile;
+        let eager = eager_select(evaluations.iter().copied(), max_t, tie);
+        assert_eq!(solver(tie).solve(&constraint), Solution::new(eager, &constraint, enumerated));
+        let (picked, count_tests, percentiles) = select_asking(&evaluations, max_t, tie);
+        assert_eq!(picked, eager);
+        assert_eq!(count_tests, enumerated);
+        assert!(percentiles >= enumerated);
+        let configurations = || enumerate_configurations(all, ModePolicy::Any);
+        let (_, effort) = solver(tie).select_among(configurations(), &constraint, max_t);
+        assert_eq!(effort, Effort { considered: enumerated, examined: enumerated });
+
+        // Same instance, default tie-breaking: after the first single region
+        // only the five other singles tie on cost *and* region count.
+        let tie = TieBreaking::FewestRegions;
+        let eager = eager_select(evaluations.iter().copied(), max_t, tie);
+        assert_eq!(solver(tie).solve(&constraint), Solution::new(eager, &constraint, enumerated));
+        let (_, effort) = solver(tie).select_among(configurations(), &constraint, max_t);
+        assert_eq!(effort, Effort { considered: enumerated, examined: 6 });
+    }
+
+    /// What `multipub_core_configs_evaluated_total` adds per solve.
+    #[test]
+    fn examined_count_is_what_cost_and_region_count_could_not_decide() {
+        let (regions, inter) = setup();
+        let w = local_expensive_workload();
+        let opt = Optimizer::new(&regions, &inter, &w).unwrap();
+        let all = || enumerate_configurations(AssignmentVector::all(2).unwrap(), ModePolicy::Any);
+        // Loose bound: the cheap region comes first and is feasible; the
+        // pricey one, and both together in either mode, cost more.
+        let loose = DeliveryConstraint::new(95.0, 200.0).unwrap();
+        let (_, effort) = opt.select_among(all(), &loose, loose.max_ms());
+        assert_eq!(effort, Effort { considered: 4, examined: 1 });
+        // Tight bound: the cheap region fails its count test, the pricey one
+        // passes; both together still serve everyone from the pricey one, so
+        // they tie on cost with more regions (direct) or cost more (routed).
+        let tight = DeliveryConstraint::new(95.0, 20.0).unwrap();
+        let (_, effort) = opt.select_among(all(), &tight, tight.max_ms());
+        assert_eq!(effort, Effort { considered: 4, examined: 2 });
+        // Impossible bound: everything is count-tested, once.
+        let impossible = DeliveryConstraint::new(95.0, 1.0).unwrap();
+        let (_, effort) = opt.select_among(all(), &impossible, impossible.max_ms());
+        assert_eq!(effort, Effort { considered: 4, examined: 4 });
     }
 
     #[test]

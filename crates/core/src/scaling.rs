@@ -1,9 +1,10 @@
 //! Heuristics for extra-large settings (paper §V.F): region pruning and
 //! proportional client bundling.
 //!
-//! The solver is exponential in the number of regions and (via the
-//! percentile sort) log-linear in the number of publisher×subscriber
-//! pairs. The paper suggests two mitigations, both implemented here:
+//! The solver is exponential in the number of regions and linear in the
+//! number of publisher×subscriber pairs (feasibility is a count over them,
+//! the percentile a selection — no sort). The paper suggests two
+//! mitigations, both implemented here:
 //!
 //! * **Pruning** removes expensive regions that are home to few or no
 //!   clients from the search space, shrinking the exponent.

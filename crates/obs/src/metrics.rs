@@ -60,7 +60,9 @@ const fn ends_with(name: &str, suffix: &str) -> bool {
 pub const CORE_SOLVES_TOTAL: &str = "multipub_core_solves_total";
 /// Wall-time of one `Optimizer::solve` call.
 pub const CORE_SOLVE_MS: &str = "multipub_core_solve_ms";
-/// Candidate configurations scored by the exhaustive solver.
+/// Configurations whose delivery times the exhaustive solver had to examine
+/// (count test or percentile); the rest of each enumeration was decided by
+/// cost and region count alone.
 pub const CORE_CONFIGS_EVALUATED_TOTAL: &str = "multipub_core_configs_evaluated_total";
 /// Regions removed by the scaling pre-pass before solving.
 pub const CORE_REGIONS_PRUNED_TOTAL: &str = "multipub_core_regions_pruned_total";
