@@ -21,8 +21,16 @@
 //! by weighted *selection* ([`weighted_percentile`], expected linear time),
 //! not by sorting: the rank-th value of a multiset does not depend on how it
 //! was found. The feasibility question `D̃_C ≤ max_T` needs even less — a
-//! count of weight under a threshold, which [`crate::evaluate`] streams
-//! without building the samples at all. A materializing reference
+//! count of weight under a threshold, which [`crate::evaluate`] takes without
+//! building the samples at all: streaming over the pairs of a small topic,
+//! and on a large one without even visiting most of them. Both equations are
+//! a publisher term plus a subscriber term once the regions are fixed, and
+//! floating-point addition is monotone, so over per-region sorted latency
+//! columns the pairs within a threshold form a staircase that two pointers
+//! trace in `P + S` steps — each step evaluating the functions below on the
+//! pair at hand. There the percentile, too, is found by counting: a bisection
+//! on the value narrows to a window of few pairs, and only those are
+//! materialised for [`weighted_percentile`]. A materializing reference
 //! implementation is kept for differential testing.
 
 // lint:allow-file(indexing) Eq. 1-2 hot-path kernel: region indices come from AssignmentVector/closest_region, both bounded by the same region count as every latency vector (checked at TopicEvaluator construction)

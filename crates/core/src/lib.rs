@@ -145,10 +145,10 @@ pub(crate) mod testing {
     pub(crate) struct Shape {
         /// Region count, `lo..=hi`.
         pub(crate) regions: (u64, u64),
-        /// At most this many publishers that sent something (at least one).
-        pub(crate) publishers: u64,
-        /// At most this many subscriber entries (at least one).
-        pub(crate) subscribers: u64,
+        /// Publishers that sent something, `lo..=hi` with `lo ≥ 1`.
+        pub(crate) publishers: (u64, u64),
+        /// Subscriber entries, `lo..=hi` with `lo ≥ 1`.
+        pub(crate) subscribers: (u64, u64),
         /// Latencies with a fractional part, so that Eq. 1–2 sums round; whole
         /// milliseconds otherwise, so that sums and percentile ties are exact.
         pub(crate) fractional: bool,
@@ -194,7 +194,7 @@ pub(crate) mod testing {
             next_id += 1;
             (ClientId(next_id), (0..n).map(|_| latency(rng, 1, 150)).collect())
         };
-        for _ in 0..rng.range(1, shape.publishers) {
+        for _ in 0..rng.range(shape.publishers.0, shape.publishers.1) {
             let (id, row) = client_row(rng);
             let batch = MessageBatch::uniform(rng.range(1, 5), rng.range(100, 2000));
             workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
@@ -205,7 +205,7 @@ pub(crate) mod testing {
                 .add_publisher(Publisher::new(id, row, MessageBatch::empty()).unwrap())
                 .unwrap();
         }
-        for _ in 0..rng.range(1, shape.subscribers) {
+        for _ in 0..rng.range(shape.subscribers.0, shape.subscribers.1) {
             let (id, row) = client_row(rng);
             let weight = rng.range(1, 3);
             workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();

@@ -20,7 +20,9 @@
 //! on region count) is dropped after its attribution; otherwise feasibility
 //! is a count of deliveries within `max_T`, not a percentile; the exact
 //! percentile is computed only for a challenger that ties on every key ahead
-//! of it, and for each new incumbent. [`Optimizer::solve`] feeds the scan
+//! of it, and for each new incumbent. (How a count and a percentile are
+//! taken — streamed over all pairs, or swept over sorted columns on a large
+//! topic — is [`crate::evaluate`]'s business; the answers are the same bits.) [`Optimizer::solve`] feeds the scan
 //! candidates staged on one scratch buffer, [`SweepSolver`] its cached
 //! evaluations, and [`crate::heuristic`] ranks its beam by the same pairwise
 //! preference. The pick is the one evaluating everything in full would make,
@@ -841,28 +843,48 @@ mod tests {
         let mut cost_ties = 0;
         let mut large_fallbacks = 0;
         let mut large_ties_across_region_counts = 0;
+        let mut crowded_swept = 0;
+        let mut crowded_topics_solved = 0;
         // CI also interprets this crate's tests under Miri, ~100× slower.
         let (instances, most_regions) = if cfg!(miri) { (30, 6) } else { (300, 8) };
-        for instance in 0..instances {
+        let (crowd, crowded_regions) = if cfg!(miri) { ((16, 18), 3) } else { ((24, 40), 5) };
+        let crowded_instances = if cfg!(miri) { 2 } else { 24 };
+        for instance in 0..instances + crowded_instances {
             // One instance in six is large: up to 8 regions and 12 × 12
             // clients, so the count test's early exits, cost ties across
             // region counts and the fallback see more than a handful of pairs.
-            let large = instance % 6 == 5;
-            let shape = if large {
+            // The last ones are crowded: few regions and enough clients that
+            // stage 2 sweeps their narrower candidates, while the oracle below
+            // is fed by the streaming kernel alone.
+            let crowded = instance >= instances;
+            let large = instance % 6 == 5 && !crowded;
+            let shape = if crowded {
+                Shape {
+                    regions: (2, crowded_regions),
+                    publishers: crowd,
+                    subscribers: crowd,
+                    fractional: instance % 2 == 1,
+                }
+            } else if large {
                 Shape {
                     regions: (2, most_regions),
-                    publishers: 12,
-                    subscribers: 12,
+                    publishers: (1, 12),
+                    subscribers: (1, 12),
                     fractional: false,
                 }
             } else {
-                Shape { regions: (2, 5), publishers: 3, subscribers: 6, fractional: false }
+                Shape {
+                    regions: (2, 5),
+                    publishers: (1, 3),
+                    subscribers: (1, 6),
+                    fractional: false,
+                }
             };
             let (regions, inter, workload) = random_instance(&mut rng, &shape);
             let n = regions.len();
             let ratio = [50.0, 75.0, 95.0, 100.0][rng.range(0, 3) as usize];
             let policy = [ModePolicy::Any, ModePolicy::DirectOnly, ModePolicy::RoutedOnly]
-                [rng.range(0, 2) as usize];
+                [if crowded { 0 } else { rng.range(0, 2) as usize }];
             // One instance in three searches a random subset of its regions.
             let all = AssignmentVector::all(n).unwrap();
             let allowed = if instance % 3 == 1 {
@@ -873,7 +895,7 @@ mod tests {
             let probe = DeliveryConstraint::new(ratio, 1.0).unwrap();
             let evaluator = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
             let evaluations: Vec<ConfigEvaluation> = enumerate_configurations(allowed, policy)
-                .map(|config| evaluator.evaluate(config, &probe))
+                .map(|config| evaluator.evaluate_streamed(config, &probe))
                 .collect();
             let mut percentiles: Vec<f64> =
                 evaluations.iter().map(ConfigEvaluation::percentile_ms).collect();
@@ -953,12 +975,15 @@ mod tests {
                     if !feasible {
                         assert_eq!(effort.examined, effort.considered, "{context}");
                         large_fallbacks += usize::from(large);
+                        // Every candidate was asked: the crowded ones swept.
+                        assert_eq!(optimizer.evaluator().has_columns(), crowded, "{context}");
+                        crowded_swept += usize::from(crowded);
                     }
 
                     // One Region: the cheapest single, whatever the bound.
                     let singles = enumerate_configurations(allowed, ModePolicy::DirectOnly)
                         .filter(|config| config.region_count() == 1)
-                        .map(|config| evaluator.evaluate(config, &probe));
+                        .map(|config| evaluator.evaluate_streamed(config, &probe));
                     let cheapest_single = eager_select(singles, f64::INFINITY, tie);
                     assert_eq!(
                         optimizer.solve_one_region(&constraint),
@@ -976,7 +1001,8 @@ mod tests {
                     let problem = TopicProblem { workload: workload.clone(), constraint };
                     let solved = solve_topics(&regions, &inter, &[problem]).unwrap();
                     assert_eq!(solved, vec![expected], "{context}");
-                    if !large {
+                    crowded_topics_solved += usize::from(crowded);
+                    if !large && !crowded {
                         // A beam as wide as the lattice reaches the optimum's rank.
                         let exhaustive =
                             crate::heuristic::HeuristicOptions { beam_width: 64, max_rounds: None };
@@ -1001,6 +1027,7 @@ mod tests {
         assert!(feasible_points > instances && infeasible_points > instances);
         assert!(cost_ties > instances);
         assert!(large_fallbacks > 0 && large_ties_across_region_counts > 0);
+        assert!(crowded_swept > 0 && crowded_topics_solved > 0);
     }
 
     /// A cached evaluation that records what the selection rule asks of it.
@@ -1121,7 +1148,8 @@ mod tests {
     #[test]
     fn equal_prices_send_every_configuration_to_the_percentile() {
         let mut rng = SplitMix64(0xE9_0A11_7135);
-        let shape = Shape { regions: (6, 6), publishers: 12, subscribers: 12, fractional: true };
+        let shape =
+            Shape { regions: (6, 6), publishers: (1, 12), subscribers: (1, 12), fractional: true };
         let (_, inter, workload) = random_instance(&mut rng, &shape);
         let regions =
             RegionSet::new((0..6).map(|i| Region::new(format!("r{i}"), "X", 0.0, 0.09)).collect())
