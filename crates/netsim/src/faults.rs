@@ -463,15 +463,25 @@ impl FaultPlan {
 
     /// When a delivery arriving at `client` at time `at` actually lands:
     /// inside a stall window it queues until the window's end (the latest
-    /// end among overlapping stalls), otherwise it lands immediately.
+    /// end among overlapping stalls), otherwise it lands immediately. A
+    /// release that falls inside a later stall of the same client queues
+    /// again, so the landing time is outside every one of its windows.
     pub fn stall_release(&self, client: ClientId, at: SimTime) -> SimTime {
-        let release = self
-            .stalls
-            .iter()
-            .filter(|s| s.client == client && s.window.contains(at))
-            .map(|s| s.window.end_ms)
-            .fold(at.as_ms(), f64::max);
-        SimTime::from_ms(release)
+        let mut lands = at;
+        // Each round moves to a strictly later window end (`contains` is
+        // half-open), and there are finitely many windows.
+        loop {
+            let release = self
+                .stalls
+                .iter()
+                .filter(|s| s.client == client && s.window.contains(lands))
+                .map(|s| s.window.end_ms)
+                .fold(lands.as_ms(), f64::max);
+            if release == lands.as_ms() {
+                return lands;
+            }
+            lands = SimTime::from_ms(release);
+        }
     }
 
     /// How many copies of a publication emitted at `at` are scheduled:
@@ -698,7 +708,28 @@ mod tests {
             .with_stall(SubscriberStall::new(ClientId(7), 100.0, 400.0))
             .with_stall(SubscriberStall::new(ClientId(7), 200.0, 600.0));
         assert_eq!(plan.stall_release(ClientId(7), SimTime::from_ms(250.0)).as_ms(), 600.0);
-        assert_eq!(plan.stall_release(ClientId(7), SimTime::from_ms(150.0)).as_ms(), 400.0);
+        // Released from the first window at 400, inside the second: queues on.
+        assert_eq!(plan.stall_release(ClientId(7), SimTime::from_ms(150.0)).as_ms(), 600.0);
+        assert_eq!(plan.stall_release(ClientId(7), SimTime::from_ms(600.0)).as_ms(), 600.0);
+    }
+
+    #[test]
+    fn chained_stalls_release_after_the_last_window() {
+        // Regression: only the windows containing the arrival were looked
+        // at, so an arrival at 100 was released at 400 — inside [300, 800).
+        let plan = FaultPlan::none()
+            .with_stall(SubscriberStall::new(ClientId(7), 0.0, 400.0))
+            .with_stall(SubscriberStall::new(ClientId(7), 300.0, 800.0))
+            .with_stall(SubscriberStall::new(ClientId(7), 800.0, 900.0))
+            .with_stall(SubscriberStall::new(ClientId(7), 950.0, 1000.0))
+            .with_stall(SubscriberStall::new(ClientId(8), 900.0, 2000.0));
+        let release = |ms| plan.stall_release(ClientId(7), SimTime::from_ms(ms)).as_ms();
+        // [0, 400) → [300, 800) → [800, 900): back to back counts as chained.
+        assert_eq!(release(100.0), 900.0);
+        assert_eq!(release(350.0), 900.0);
+        assert_eq!(release(900.0), 900.0);
+        assert_eq!(release(920.0), 920.0); // the gap before [950, 1000)
+        assert_eq!(release(960.0), 1000.0);
     }
 
     #[test]

@@ -24,9 +24,11 @@
 //!   carries but does not act on.
 //! * [`scenario`] — scenario description: topics, configurations,
 //!   publishers with rates/sizes, subscribers.
-//! * [`engine`] — the event loop.
+//! * [`engine`] — the event loop over publications and broker arrivals,
+//!   and the delivery log the brokers write into, which settles itself in
+//!   delivery-time order as the clock passes.
 //! * [`metrics`] — delivery records, the per-region traffic ledger and the
-//!   final [`metrics::SimReport`].
+//!   final [`metrics::SimReport`] with its ordered log.
 //!
 //! ## Example
 //!
@@ -53,6 +55,10 @@
 //! assert_eq!(report.delivery_count(), 10);
 //! // 5 + 40 + 5 = 50 ms on every delivery.
 //! assert_eq!(report.percentile_ms(99.0), 50.0);
+//! // The finished run is added to the global metrics once: an event per
+//! // publication, per broker arrival (home, then forwarded) and per delivery.
+//! let events = multipub_obs::registry().counter(multipub_obs::metrics::NETSIM_EVENTS_TOTAL);
+//! assert_eq!(events.get(), 10 + 20 + 10);
 //! # Ok(())
 //! # }
 //! ```

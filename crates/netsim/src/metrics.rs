@@ -97,7 +97,8 @@ impl SimReport {
         SimReport { deliveries, ledger, published_count, lost_count, duration_ms }
     }
 
-    /// All delivery records, in delivery-time order of occurrence.
+    /// All delivery records, by ascending delivery time; deliveries landing
+    /// at the same instant are in the order the brokers sent them.
     pub fn deliveries(&self) -> &[DeliveryRecord] {
         &self.deliveries
     }

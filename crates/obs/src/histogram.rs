@@ -7,7 +7,9 @@
 //! The finite bounds span 1 µs to ≈4.7 h; larger values fall into an
 //! overflow bucket whose representative is the observed maximum.
 //! Recording is a handful of relaxed atomic adds plus a binary search
-//! over 136 bounds, so histograms are safe on broker hot paths.
+//! over 136 bounds, so histograms are safe on broker hot paths; a caller
+//! holding many values at once flushes them through
+//! [`Histogram::record_all`], which pays the atomics once per batch.
 //!
 //! The atomics come from `multipub_sync` so loom can model them; two
 //! things stay on `std` under loom too: the `OnceLock` around the
@@ -139,6 +141,35 @@ impl Histogram {
         let micros = to_micros(value_ms);
         self.sum_micros.fetch_add(micros, Ordering::Relaxed);
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
+    }
+
+    /// Records every observation of `values_ms` as [`Histogram::record`]
+    /// would one by one — same buckets, same micro rounding, NaN and ±∞
+    /// ignored, the same 2^53 µs clamp — but accumulates in locals and
+    /// publishes once: one atomic add per touched bucket and one each for
+    /// count, sum and maximum. For a finished run's worth of latencies,
+    /// where four atomics per value would be most of the cost.
+    pub fn record_all(&self, values_ms: impl IntoIterator<Item = f64>) {
+        let mut buckets = [0u64; BUCKET_COUNT];
+        let (mut count, mut sum_micros, mut max_micros) = (0u64, 0u64, 0u64);
+        for value_ms in values_ms.into_iter().filter(|value_ms| value_ms.is_finite()) {
+            if let Some(bucket) = buckets.get_mut(bucket_index(value_ms)) {
+                *bucket += 1;
+            }
+            count += 1;
+            let micros = to_micros(value_ms);
+            // The shared sum wraps (`fetch_add`), so the local one does too.
+            sum_micros = sum_micros.wrapping_add(micros);
+            max_micros = max_micros.max(micros);
+        }
+        for (shared, local) in self.buckets.iter().zip(buckets) {
+            if local > 0 {
+                shared.fetch_add(local, Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum_micros.fetch_add(sum_micros, Ordering::Relaxed);
+        self.max_micros.fetch_max(max_micros, Ordering::Relaxed);
     }
 
     /// Number of recorded observations.
@@ -339,6 +370,48 @@ mod tests {
         assert_eq!(clamped.count(), 2);
         assert_eq!(clamped.max_ms(), MAX_OBSERVATION_MICROS as f64 / 1000.0);
         assert!(clamped.sum_ms() > clamped.max_ms());
+    }
+
+    #[test]
+    fn record_all_snapshots_like_a_record_loop() {
+        let mut next = crate::xorshift(0x2545_F491_4F6C_DD1D);
+        let last_finite = bucket_upper_bound(FINITE_BUCKETS - 1);
+        let edge_cases = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            0.0004,         // sub-µs: rounds to 0 µs
+            0.0005,         // rounds to 1 µs
+            FIRST_BOUND_MS, // on the first bound
+            last_finite,
+            last_finite * 1.5, // overflow bucket
+            9.1e12,            // past 2^53 µs: clamped
+            1e300,
+        ];
+        for len in [0usize, 1, 7, 1000] {
+            let values: Vec<f64> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => edge_cases[(next() % edge_cases.len() as u64) as usize],
+                    // Log-uniform over every finite bucket and a little beyond.
+                    _ => 1e-4 * 2f64.powf((next() % 4000) as f64 / 100.0),
+                })
+                .collect();
+            let (one_by_one, batched) = (Histogram::new(), Histogram::new());
+            // Something recorded beforehand: the batch adds, it does not overwrite.
+            one_by_one.record(12.0);
+            batched.record(12.0);
+            values.iter().for_each(|&value| one_by_one.record(value));
+            batched.record_all(values.iter().copied());
+            assert_eq!(batched.snapshot(), one_by_one.snapshot(), "{len} values");
+        }
+        // Enough clamped observations to wrap the sum: both wrap alike.
+        let (one_by_one, batched) = (Histogram::new(), Histogram::new());
+        (0..2049).for_each(|_| one_by_one.record(1e300));
+        batched.record_all(std::iter::repeat_n(1e300, 2049));
+        assert_eq!(batched.snapshot(), one_by_one.snapshot());
     }
 
     #[test]

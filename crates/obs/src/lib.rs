@@ -54,6 +54,19 @@ pub mod quantile;
 pub mod registry;
 pub mod trace;
 
+/// A seeded xorshift64 stream for the crate's own randomized tests (`obs`
+/// depends on no generator).
+#[cfg(test)]
+pub(crate) fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    }
+}
+
 pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer};
 pub use log::{Level, LogFilter};
 #[cfg(not(loom))]

@@ -26,17 +26,18 @@ pub fn ceiling_rank(ratio_percent: f64, count: u64) -> u64 {
     (rank as u64).clamp(1, count)
 }
 
-/// Exact ceiling-rank percentile over raw samples; sorts `values` in
-/// place (total order, so NaN samples sort last). Returns 0.0 for an
-/// empty slice.
+/// Exact ceiling-rank percentile over raw samples: the sample a full
+/// sort would leave at the rank (total order, so NaN samples rank last),
+/// found by selection. Reorders `values` — the ranked sample ends at
+/// index `rank - 1` with nothing greater before it — but does not sort
+/// them. Returns 0.0 for an empty slice.
 pub fn percentile_exact(values: &mut [f64], ratio_percent: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    values.sort_unstable_by(f64::total_cmp);
     let rank = ceiling_rank(ratio_percent, values.len() as u64) as usize;
-    // lint:allow(indexing) ceiling_rank returns 1..=len for the non-empty slice checked above
-    values[rank - 1]
+    // `ceiling_rank` returns 1..=len for the non-empty slice checked above.
+    *values.select_nth_unstable_by(rank - 1, f64::total_cmp).1
 }
 
 #[cfg(test)]
@@ -79,10 +80,38 @@ mod tests {
     }
 
     #[test]
-    fn percentile_exact_sorts_unsorted_input() {
+    fn percentile_exact_selects_from_unsorted_input() {
         let mut values = [40.0, 10.0, 30.0, 20.0];
         assert_eq!(percentile_exact(&mut values, 50.0), 20.0);
-        assert_eq!(values, [10.0, 20.0, 30.0, 40.0]);
+        // Partitioned around the rank, not necessarily sorted.
+        assert_eq!(values[1], 20.0);
+        assert_eq!(values[0], 10.0);
+    }
+
+    #[test]
+    fn percentile_exact_is_the_sorted_rank_under_the_total_order() {
+        // Seeded samples with duplicates, signed zeros, infinities and NaNs:
+        // at every rank the selection returns what a full sort leaves there.
+        let mut next = crate::xorshift(0x9E37_79B9_7F4A_7C15);
+        for len in [1usize, 2, 3, 10, 257] {
+            let samples: Vec<f64> = (0..len)
+                .map(|_| match next() % 16 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    4 => 0.0,
+                    _ => (next() % 50) as f64 / 4.0 - 3.0,
+                })
+                .collect();
+            let mut sorted = samples.clone();
+            sorted.sort_unstable_by(f64::total_cmp);
+            for ratio in [0.0, 1.0, 33.3, 50.0, 75.0, 99.0, 100.0] {
+                let rank = ceiling_rank(ratio, len as u64) as usize;
+                let picked = percentile_exact(&mut samples.clone(), ratio);
+                assert_eq!(picked.to_bits(), sorted[rank - 1].to_bits(), "{ratio} % of {len}");
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,9 @@
 # pass/fail line per crate and pass, a total per pass, and exits non-zero when
 # a harness fails to compile, any test fails or the lint has a finding.
 #
-# Totals as of the sorted-column kernels (ISSUE 21): 271 unit tests (core 132,
-# among them the stream = sweep equivalence tests), 35 doctests, xtask 84 + 9.
+# Totals as of the self-ordering delivery log (ISSUE 23): 278 unit tests (core
+# 132, among them the stream = sweep equivalence tests; netsim 79, among them
+# the log = heap ones), 35 doctests, xtask 84 + 9.
 #
 # Usage: scripts/offline-unit-tests.sh [libtest filter/flags...]
 set -uo pipefail
