@@ -413,7 +413,7 @@ pub enum Frame {
 
 /// Every tag byte the wire protocol declares, in ascending order.
 ///
-/// This is the protocol's tag catalog: `cargo xtask lint` (pass L3)
+/// This is the protocol's tag catalog: the lint (`xtask`, pass L3)
 /// cross-checks it against [`Frame::tag`] and the codec's encode/decode
 /// arms, and the codec property tests drive the decoder with each entry
 /// to prove no declared tag can panic it.

@@ -2,7 +2,7 @@
 //! [`multipub_sync`].
 //!
 //! Every lock in this crate is a rank-carrying [`multipub_sync::Mutex`]
-//! (DESIGN.md §14): `cargo xtask lint` pass L6 checks the declared
+//! (DESIGN.md §14): the lint's pass L6 (`xtask`) checks the declared
 //! `// lock:rank(name, N)` order statically, and debug builds with
 //! `MULTIPUB_LOCK_WITNESS=1` enforce it at runtime. The backend is
 //! `std::sync` with poison recovery, so a panicked holder never wedges

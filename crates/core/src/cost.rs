@@ -141,6 +141,7 @@ mod tests {
     use super::*;
     use crate::ids::ClientId;
     use crate::region::Region;
+    use crate::testing::{random_instance, Shape, SplitMix64};
     use crate::workload::{MessageBatch, Publisher, Subscriber};
 
     fn regions() -> RegionSet {
@@ -217,6 +218,19 @@ mod tests {
             let d = topic_cost_dollars(&r, &w, Configuration::new(a, DeliveryMode::Direct));
             let rt = topic_cost_dollars(&r, &w, Configuration::new(a, DeliveryMode::Routed));
             assert!(rt >= d);
+        }
+        // And on seeded random instances, over every assignment.
+        let mut rng = SplitMix64(0xC057_D12E);
+        let shape =
+            Shape { regions: (2, 5), publishers: (1, 4), subscribers: (1, 6), fractional: true };
+        for instance in 0..64 {
+            let (r, _, w) = random_instance(&mut rng, &shape);
+            for mask in 1..1u32 << r.len() {
+                let a = AssignmentVector::from_mask(mask, r.len()).unwrap();
+                let d = topic_cost_dollars(&r, &w, Configuration::new(a, DeliveryMode::Direct));
+                let rt = topic_cost_dollars(&r, &w, Configuration::new(a, DeliveryMode::Routed));
+                assert!(rt >= d, "instance {instance}, {a}: routed ${rt} below direct ${d}");
+            }
         }
     }
 

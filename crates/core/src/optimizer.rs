@@ -834,6 +834,7 @@ mod tests {
             if policy == ModePolicy::Any {
                 assert_eq!(evaluations.len() as u64, configuration_count(allowed.count()));
             }
+            let mut feasible_cost = f64::INFINITY;
             for max_t in bounds {
                 let context =
                     format!("instance {instance}, {allowed}, {policy:?}, {ratio} % in {max_t} ms");
@@ -863,6 +864,13 @@ mod tests {
                 assert_eq!(expected.is_feasible(), feasible, "{context}");
                 let full = optimizer.solve(&constraint);
                 assert_eq!(full, expected, "{context}");
+                // The bounds ascend, so the feasible picks' cost never rises.
+                if feasible {
+                    let cost = full.evaluation().cost_dollars();
+                    let rose = cost > feasible_cost && !tied(cost, feasible_cost);
+                    assert!(!rose, "{context}: ${cost} after ${feasible_cost}");
+                    feasible_cost = cost;
+                }
                 if let Some(sweep) = &sweep {
                     assert_eq!(sweep.solve_at(max_t).unwrap(), expected, "{context}");
                 }

@@ -174,6 +174,7 @@ mod tests {
     use super::*;
     use crate::ids::ClientId;
     use crate::region::Region;
+    use crate::testing::{random_instance, Shape, SplitMix64};
     use crate::workload::{MessageBatch, Publisher};
 
     fn regions3() -> RegionSet {
@@ -259,6 +260,24 @@ mod tests {
             wl.publishers().iter().map(|p| p.batch().total_bytes()).sum()
         };
         assert_eq!(bytes(&bundled), bytes(&w));
+
+        // And on seeded random workloads and ε values from 0 to 20 ms.
+        let mut rng = SplitMix64(0xB0D1_E5ED);
+        let shape =
+            Shape { regions: (2, 3), publishers: (1, 12), subscribers: (1, 40), fractional: true };
+        let mut merged = 0;
+        for instance in 0..64 {
+            let (_, _, w) = random_instance(&mut rng, &shape);
+            let epsilon_ms = rng.range(0, 40) as f64 / 2.0;
+            let bundled = bundle_clients(&w, &BundleOptions { epsilon_ms });
+            let context = format!("instance {instance}, ε = {epsilon_ms} ms");
+            assert_eq!(bundled.subscriber_weight(), w.subscriber_weight(), "{context}");
+            assert_eq!(bundled.total_messages(), w.total_messages(), "{context}");
+            assert_eq!(bundled.total_deliveries(), w.total_deliveries(), "{context}");
+            assert_eq!(bytes(&bundled), bytes(&w), "{context}");
+            merged += usize::from(bundled.subscriber_count() < w.subscriber_count());
+        }
+        assert!(merged > 0);
     }
 
     #[test]

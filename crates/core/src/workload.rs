@@ -125,7 +125,11 @@ impl Subscriber {
     ///
     /// Returns [`Error::ZeroWeight`] when `weight == 0` and
     /// [`Error::InvalidLatency`] for invalid latency entries.
-    pub fn with_weight(id: ClientId, latencies: Vec<f64>, weight: u64) -> Result<Self, Error> {
+    pub(crate) fn with_weight(
+        id: ClientId,
+        latencies: Vec<f64>,
+        weight: u64,
+    ) -> Result<Self, Error> {
         if weight == 0 {
             return Err(Error::ZeroWeight);
         }

@@ -191,7 +191,7 @@ mod tests {
             for j in 0..10u8 {
                 if i != j {
                     let l = m.latency(RegionId(i), RegionId(j));
-                    assert!(l >= 10.0 && l <= 170.0, "L^R[{i}][{j}] = {l}");
+                    assert!((10.0..=170.0).contains(&l), "L^R[{i}][{j}] = {l}");
                 }
             }
         }

@@ -1,15 +1,15 @@
-//! Prints one line per fixed scenario with everything a `SimReport` holds,
-//! the ordered delivery log folded into an FNV-1a digest — the check that a
-//! change to the engine leaves reports bit for bit what they were.
+//! One line per fixed scenario with everything a `SimReport` holds, the
+//! ordered delivery log folded into an FNV-1a digest, diffed against
+//! `report_digests.txt` — the check that a change to the engine leaves
+//! reports bit for bit what they were. A changed `log=` digest with equal
+//! counts means deliveries moved in time or changed order.
 //!
-//! `scripts/report-digests.sh` runs this (`cargo run --release -p
-//! multipub-netsim --example report_digest`) and diffs the output against
-//! `scripts/report-digests.txt`, which is blessed on a parent commit. The scenarios are King populations from `multipub-data`
-//! over the first six EC2 regions; between them they cover both delivery
-//! modes, every fault shape alone, all of them at once under jitter with a
-//! mid-run reconfiguration, and a many-small-topics population with whole-
-//! millisecond latencies whose deliveries tie heavily. No scenario stalls one
-//! subscriber twice.
+//! The scenarios are King populations from `multipub-data` over the first
+//! six EC2 regions; between them they cover both delivery modes, every
+//! fault shape alone, all of them at once under jitter with a mid-run
+//! reconfiguration, and a many-small-topics population with whole-
+//! millisecond latencies whose deliveries tie heavily. No scenario stalls
+//! one subscriber twice.
 
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::ids::{ClientId, RegionId, TopicId};
@@ -82,7 +82,10 @@ fn routed(_topic: usize) -> Configuration {
 /// set cycling through all six regions, three of them and one.
 fn mixed(t: usize) -> Configuration {
     let mask = [0b11_1111, 0b01_0101, 0b00_1000][t % 3];
-    configuration(mask, if t % 2 == 0 { DeliveryMode::Direct } else { DeliveryMode::Routed })
+    configuration(
+        mask,
+        if t.is_multiple_of(2) { DeliveryMode::Direct } else { DeliveryMode::Routed },
+    )
 }
 
 fn scenario(population: &Population, configure: fn(usize) -> Configuration) -> Scenario {
@@ -152,51 +155,53 @@ fn log_digest(report: &SimReport) -> u64 {
     hash
 }
 
-fn print(name: &str, report: &SimReport) {
+fn line(name: &str, report: &SimReport) -> String {
     let regions = || (0..N_REGIONS as u8).map(RegionId);
     let internet: Vec<u64> = regions().map(|r| report.ledger().internet_bytes(r)).collect();
     let inter_region: Vec<u64> = regions().map(|r| report.ledger().inter_region_bytes(r)).collect();
-    println!(
+    format!(
         "{name} log={:016x} deliveries={} published={} lost={} internet={internet:?} \
-         inter_region={inter_region:?}",
+         inter_region={inter_region:?}\n",
         log_digest(report),
         report.delivery_count(),
         report.published_count(),
         report.lost_count(),
-    );
+    )
 }
 
-fn run(name: &str, scenario: Scenario, jitter: Jitter, seed: u64) {
-    print(name, &Engine::new(scenario, jitter, seed).run(DURATION_MS));
+fn run(name: &str, scenario: Scenario, jitter: Jitter, seed: u64) -> String {
+    line(name, &Engine::new(scenario, jitter, seed).run(DURATION_MS))
 }
 
-fn main() {
+#[test]
+fn reports_match_the_committed_digests() {
     let quiet = Jitter::disabled();
     let subscriber = |n: u64| ClientId(FIRST_SUBSCRIBER + n);
+    let mut table = String::new();
 
-    run("direct", scenario(&FEEDS, direct), quiet, 1);
-    run("routed", scenario(&FEEDS, routed), quiet, 1);
-    run("jitter", scenario(&FEEDS, mixed), Jitter::uniform(5.0), 2);
+    table += &run("direct", scenario(&FEEDS, direct), quiet, 1);
+    table += &run("routed", scenario(&FEEDS, routed), quiet, 1);
+    table += &run("jitter", scenario(&FEEDS, mixed), Jitter::uniform(5.0), 2);
 
     let plan = FaultPlan::none;
     let faulted = |configure: fn(usize) -> Configuration, faults: FaultPlan| {
         scenario(&FEEDS, configure).with_fault_plan(faults)
     };
-    run("loss", faulted(mixed, plan().with_loss_rate(0.02)), quiet, 3);
+    table += &run("loss", faulted(mixed, plan().with_loss_rate(0.02)), quiet, 3);
     let reorder = plan().with_reorder(ReorderWindow::new(20.0, 500.0, 1_200.0));
-    run("reorder", faulted(mixed, reorder), quiet, 4);
+    table += &run("reorder", faulted(mixed, reorder), quiet, 4);
     let duplicate = plan().with_duplicate(DuplicateDelivery::new(3, 800.0, 1_100.0));
-    run("duplicate", faulted(mixed, duplicate), quiet, 5);
+    table += &run("duplicate", faulted(mixed, duplicate), quiet, 5);
     let outage = plan()
         .with_outage(RegionOutage::new(RegionId(2), 600.0, 900.0))
         .with_degradation(LinkDegradation::new(RegionId(0), RegionId(1), 0.0, 1_000.0, 30.0));
-    run("outage_degradation", faulted(routed, outage), quiet, 6);
+    table += &run("outage_degradation", faulted(routed, outage), quiet, 6);
     // One subscriber per stall; the long one carries deliveries for 1.2 s.
     let stall = plan()
         .with_stall(SubscriberStall::new(subscriber(1), 300.0, 1_500.0))
         .with_stall(SubscriberStall::new(subscriber(40), 1_900.0, 2_600.0))
         .with_burst(PublishBurst::new(4, 1_000.0, 1_200.0));
-    run("stall_burst", faulted(mixed, stall), quiet, 7);
+    table += &run("stall_burst", faulted(mixed, stall), quiet, 7);
 
     let everything = plan()
         .with_loss_rate(0.01)
@@ -210,7 +215,13 @@ fn main() {
     for t in 0..FEEDS.topics {
         engine.schedule_reconfiguration(1_000.0, t, mixed(t));
     }
-    print("everything_reconfigured", &engine.run(DURATION_MS));
+    table += &line("everything_reconfigured", &engine.run(DURATION_MS));
 
-    run("small_topics_ties", scenario(&SMALL_TOPICS, mixed), quiet, 9);
+    table += &run("small_topics_ties", scenario(&SMALL_TOPICS, mixed), quiet, 9);
+
+    assert!(
+        table == include_str!("report_digests.txt"),
+        "reports differ from crates/netsim/tests/report_digests.txt; a change that moves \
+         reports on purpose replaces that file with this table:\n{table}"
+    );
 }

@@ -106,7 +106,7 @@ impl LogFilter {
                 }
             }
         }
-        directives.sort_by(|a, b| b.0.len().cmp(&a.0.len()));
+        directives.sort_by_key(|d| std::cmp::Reverse(d.0.len()));
         LogFilter { default, directives }
     }
 

@@ -4,7 +4,7 @@
 //! comment its description, and the name's suffix its kind
 //! ([`kind_of`]). The `counter!`/`gauge!`/`histogram!`/`timer!` macros
 //! check the kind at compile time, so a latency recorded through
-//! `counter!` does not build. `cargo xtask lint` (pass L4) checks the
+//! `counter!` does not build. The lint (`xtask`, pass L4) checks the
 //! rest over these constants: call sites reference one of them rather
 //! than a string literal, values are unique and shaped
 //! `multipub_<crate>_<name>`, every trace stage has its histogram, and

@@ -64,7 +64,7 @@ mod tests {
         // 290 off-by-one ranks in this range (7 % × 100 → 8).
         for ratio in 1u64..=100 {
             for count in 1u64..=2000 {
-                let expected = (ratio * count + 99) / 100;
+                let expected = (ratio * count).div_ceil(100);
                 assert_eq!(ceiling_rank(ratio as f64, count), expected, "{ratio} % of {count}");
             }
         }

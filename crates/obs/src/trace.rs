@@ -44,8 +44,8 @@ use std::sync::OnceLock;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Pipeline stage names in hop order. The per-stage broker histograms
-/// are named `multipub_broker_stage_<name>_ms`; `cargo xtask lint`
-/// (pass L4) enforces that every entry here has a matching catalog
+/// are named `multipub_broker_stage_<name>_ms`; the lint
+/// (`xtask`, pass L4) enforces that every entry here has a matching catalog
 /// const so the stage list, the metric catalog and the README table
 /// cannot drift apart.
 pub const STAGE_NAMES: [&str; 5] = ["admission", "match", "queue", "write", "deliver"];
@@ -119,7 +119,7 @@ impl Sampler {
         match self.period {
             0 => false,
             1 => true,
-            period => self.counter.fetch_add(1, Ordering::Relaxed) % period == 0,
+            period => self.counter.fetch_add(1, Ordering::Relaxed).is_multiple_of(period),
         }
     }
 }

@@ -11,7 +11,7 @@ use multipub_core::assignment::Configuration;
 use multipub_core::ids::{ClientId, RegionId, TopicId};
 use multipub_core::latency::InterRegionMatrix;
 use multipub_core::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
-use multipub_data::king::ClientLatencyModel;
+use multipub_data::king::{generate_population, ClientLatencyModel, SyntheticClient};
 use multipub_netsim::scenario::{SimPublisher, SimSubscriber, TopicScenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -107,24 +107,13 @@ impl Population {
         );
         let model = ClientLatencyModel::new(inter);
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut next_id = 0u64;
-        let mut claim_id = || {
-            let id = ClientId(next_id);
-            next_id += 1;
-            id
+        let publishers = generate_population(&model, &spec.pubs_per_region, &mut rng);
+        let subscribers = generate_population(&model, &spec.subs_per_region, &mut rng);
+        let mut ids = (0..).map(ClientId);
+        let mut number = |clients: Vec<SyntheticClient>| -> Vec<(ClientId, Vec<f64>)> {
+            clients.into_iter().zip(&mut ids).map(|(client, id)| (id, client.latencies)).collect()
         };
-        let mut publishers = Vec::with_capacity(spec.publisher_count());
-        for (region, &count) in spec.pubs_per_region.iter().enumerate() {
-            for _ in 0..count {
-                publishers.push((claim_id(), model.sample(RegionId(region as u8), &mut rng)));
-            }
-        }
-        let mut subscribers = Vec::with_capacity(spec.subscriber_count());
-        for (region, &count) in spec.subs_per_region.iter().enumerate() {
-            for _ in 0..count {
-                subscribers.push((claim_id(), model.sample(RegionId(region as u8), &mut rng)));
-            }
-        }
+        let (publishers, subscribers) = (number(publishers), number(subscribers));
         Population {
             publishers,
             subscribers,

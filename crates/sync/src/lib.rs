@@ -5,7 +5,7 @@
 //! lock-bearing modules. Deadlock-freedom across them is maintained as a
 //! *checked* property, not a convention (DESIGN.md §14):
 //!
-//! * **Statically**, `cargo xtask lint` pass L6 requires every
+//! * **Statically**, the lint's pass L6 (`xtask`, run by `cargo test`) requires every
 //!   `Mutex`/`RwLock` declaration to carry a `// lock:rank(name, N)`
 //!   annotation and reports any nested acquisition whose rank is not
 //!   strictly greater than every rank already held.
@@ -104,7 +104,7 @@ pub use imp::{Arc, AtomicI64, AtomicU64, Ordering};
 /// A mutual-exclusion lock carrying a lock rank (DESIGN.md §14).
 ///
 /// `rank` and `name` come from the lock's `// lock:rank(name, N)`
-/// annotation; `cargo xtask lint` (pass L6) keeps the two in agreement.
+/// annotation; the lint (`xtask`, pass L6) keeps the two in agreement.
 /// The rank is enforced at runtime by the debug-build [`witness`]; in
 /// release builds the wrapper stores only the inner lock.
 pub struct Mutex<T> {
@@ -161,7 +161,7 @@ impl<T> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         #[cfg(all(debug_assertions, not(loom)))]
         {
-            return write!(f, "Mutex({}#{})", self.name, self.rank);
+            write!(f, "Mutex({}#{})", self.name, self.rank)
         }
         #[cfg(not(all(debug_assertions, not(loom))))]
         {
@@ -270,7 +270,7 @@ impl<T> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         #[cfg(all(debug_assertions, not(loom)))]
         {
-            return write!(f, "RwLock({}#{})", self.name, self.rank);
+            write!(f, "RwLock({}#{})", self.name, self.rank)
         }
         #[cfg(not(all(debug_assertions, not(loom))))]
         {

@@ -8,7 +8,7 @@
 //! sites — the one that took the conflicting lock and the one that just
 //! tried to. Two passes over the same evidence:
 //!
-//! * `cargo xtask lint` pass L6 proves the order for the nestings it can
+//! * the lint's pass L6 (`xtask`) proves the order for the nestings it can
 //!   see lexically (a guard scope enclosing another acquisition),
 //! * the witness catches the rest at runtime — nestings threaded through
 //!   function calls, trait objects, or closures, which no token-level

@@ -69,18 +69,18 @@ pub fn check(path: &str, tokens: &[Token], facts: &FileFacts, findings: &mut Vec
                     });
                 }
             }
-            Kind::Punct(b'[') => {
-                if is_index_expr(tokens, i) && facts.allowed("indexing", token.line).is_none() {
-                    findings.push(Finding {
-                        file: path.to_string(),
-                        line: token.line,
-                        pass: "L1",
-                        category: "indexing",
-                        message: "indexing can panic out-of-bounds; use `.get(…)` or annotate \
-                                  `// lint:allow(indexing) <reason>`"
-                            .to_string(),
-                    });
-                }
+            Kind::Punct(b'[')
+                if is_index_expr(tokens, i) && facts.allowed("indexing", token.line).is_none() =>
+            {
+                findings.push(Finding {
+                    file: path.to_string(),
+                    line: token.line,
+                    pass: "L1",
+                    category: "indexing",
+                    message: "indexing can panic out-of-bounds; use `.get(…)` or annotate \
+                              `// lint:allow(indexing) <reason>`"
+                        .to_string(),
+                });
             }
             _ => {}
         }

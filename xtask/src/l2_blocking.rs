@@ -50,48 +50,49 @@ pub fn check(path: &str, tokens: &[Token], facts: &FileFacts, findings: &mut Vec
             })
         };
         match token.text.as_str() {
-            "sleep" if path_prefix(1, "thread") => {
-                if facts.allowed("blocking", token.line).is_none() {
-                    findings.push(finding(
-                        path,
-                        token.line,
-                        "`std::thread::sleep` blocks the async executor; use \
-                         `tokio::time::sleep`",
-                    ));
-                }
+            "sleep"
+                if path_prefix(1, "thread") && facts.allowed("blocking", token.line).is_none() =>
+            {
+                findings.push(finding(
+                    path,
+                    token.line,
+                    "`std::thread::sleep` blocks the async executor; use \
+                     `tokio::time::sleep`",
+                ));
             }
-            "block_on" if tokens.get(i + 1).is_some_and(|t| t.is_punct(b'(')) => {
-                if facts.allowed("blocking", token.line).is_none() {
-                    findings.push(finding(
-                        path,
-                        token.line,
-                        "`block_on` inside an async context can deadlock the runtime",
-                    ));
-                }
+            "block_on"
+                if tokens.get(i + 1).is_some_and(|t| t.is_punct(b'('))
+                    && facts.allowed("blocking", token.line).is_none() =>
+            {
+                findings.push(finding(
+                    path,
+                    token.line,
+                    "`block_on` inside an async context can deadlock the runtime",
+                ));
             }
             t if BLOCKING_NET_TYPES.contains(&t)
                 && path_prefix(1, "net")
-                && path_prefix(2, "std") =>
+                && path_prefix(2, "std")
+                && facts.allowed("blocking", token.line).is_none() =>
             {
-                if facts.allowed("blocking", token.line).is_none() {
-                    findings.push(finding(
-                        path,
-                        token.line,
-                        &format!("blocking `std::net::{t}` in async code; use `tokio::net::{t}`"),
-                    ));
-                }
+                findings.push(finding(
+                    path,
+                    token.line,
+                    &format!("blocking `std::net::{t}` in async code; use `tokio::net::{t}`"),
+                ));
             }
             // `fs::<anything>` (`std::fs::read`, `fs::File::open` via the
             // `File` segment…) — `tokio::fs` is exempted by its prefix.
-            _ if path_prefix(1, "fs") && !path_prefix(2, "tokio") => {
-                if facts.allowed("blocking", token.line).is_none() {
-                    findings.push(finding(
-                        path,
-                        token.line,
-                        "blocking `std::fs` call in async code; use `tokio::fs` or \
-                         `spawn_blocking`",
-                    ));
-                }
+            _ if path_prefix(1, "fs")
+                && !path_prefix(2, "tokio")
+                && facts.allowed("blocking", token.line).is_none() =>
+            {
+                findings.push(finding(
+                    path,
+                    token.line,
+                    "blocking `std::fs` call in async code; use `tokio::fs` or \
+                     `spawn_blocking`",
+                ));
             }
             t if GUARD_METHODS.contains(&t) => {
                 check_guard_across_await(path, tokens, facts, i, findings);

@@ -236,7 +236,7 @@ fn parse_int(text: &str) -> Option<u64> {
         (lower.as_str(), 10)
     };
     // Strip a type suffix (`u8`, `u64`, …).
-    let digits = digits.split(|c: char| c == 'u' || c == 'i').next().unwrap_or_default();
+    let digits = digits.split(['u', 'i']).next().unwrap_or_default();
     u64::from_str_radix(digits, radix).ok()
 }
 

@@ -105,18 +105,16 @@ pub fn check_file(
         }
         let Some(arg) = tokens.get(i + 3) else { continue };
         match arg.kind {
-            Kind::Str => {
-                if facts.allowed("metric", arg.line).is_none() {
-                    findings.push(l4(
-                        path,
-                        arg.line,
-                        &format!(
-                            "metric name `\"{}\"` is a string literal; use a \
-                             `multipub_obs::metrics` catalog const",
-                            arg.text
-                        ),
-                    ));
-                }
+            Kind::Str if facts.allowed("metric", arg.line).is_none() => {
+                findings.push(l4(
+                    path,
+                    arg.line,
+                    &format!(
+                        "metric name `\"{}\"` is a string literal; use a \
+                         `multipub_obs::metrics` catalog const",
+                        arg.text
+                    ),
+                ));
             }
             Kind::Ident => {
                 // Resolve `metrics::FOO` / `multipub_obs::metrics::FOO` /

@@ -1,7 +1,6 @@
-//! `cargo xtask` — workspace automation.
-//!
-//! `cargo xtask lint` runs the MultiPub-specific static analysis passes
-//! over every library crate (see DESIGN.md §9):
+//! The MultiPub-specific static analysis passes over every library crate
+//! (see DESIGN.md §9). `cargo test` at the workspace root runs them over
+//! the tree (`tests/golden.rs`, `the_workspace_is_lint_clean`):
 //!
 //! * **L1** panic-freedom: no `unwrap`/`expect`/`panic!`/indexing in
 //!   non-test library code without a justified annotation,
@@ -25,10 +24,9 @@
 //! whole file. The reason is mandatory; empty justifications are
 //! themselves findings.
 //!
-//! The per-file sweep (lex → analyze → L1/L2/L5/L4/L6-scan) fans out
-//! across threads; the cross-file passes (L3, L4 catalog drift, L6
-//! rank graph) then run once over the gathered facts. `--json` prints
-//! findings as a JSON array for tooling.
+//! The per-file sweep (lex → analyze → L1/L2/L5/L4/L6-scan) runs file by
+//! file; the cross-file passes (L3, L4 catalog drift, L6 rank graph) then
+//! run once over the gathered facts.
 
 pub mod l1_panics;
 pub mod l2_blocking;
@@ -40,7 +38,6 @@ pub mod lexer;
 pub mod spans;
 
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 /// One lint finding.
 #[derive(Debug)]
@@ -61,26 +58,15 @@ pub struct Finding {
 pub const VALID_ALLOW_CATEGORIES: [&str; 6] =
     ["panic", "indexing", "blocking", "metric", "channel", "lockorder"];
 
-/// Everything one `lint` run produces, separated from printing so the
-/// golden-corpus tests can assert on it directly.
+/// Everything one lint run produces.
 #[derive(Debug, Default)]
 pub struct LintOutcome {
     /// Findings, sorted by `(file, line)`.
     pub findings: Vec<Finding>,
-    /// Non-fatal notes (unreadable files, unused annotations).
+    /// Non-fatal notes (missing inputs, unused annotations).
     pub warnings: Vec<String>,
     /// Number of files analyzed.
     pub checked: usize,
-}
-
-/// Workspace root: the parent of this crate's manifest dir, falling back
-/// to the current directory.
-pub fn workspace_root() -> PathBuf {
-    std::env::var_os("CARGO_MANIFEST_DIR")
-        .map(PathBuf::from)
-        .and_then(|dir| dir.parent().map(Path::to_path_buf))
-        .or_else(|| std::env::current_dir().ok())
-        .unwrap_or_else(|| PathBuf::from("."))
 }
 
 /// All `.rs` files under the workspace's library source trees
@@ -110,11 +96,7 @@ fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-fn rel(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root).unwrap_or(path).display().to_string()
-}
-
-/// Per-file results of the parallel phase.
+/// Per-file results of the sweep.
 struct FileReport {
     name: String,
     lexed: lexer::Lexed,
@@ -132,7 +114,7 @@ pub fn run_passes(inputs: &[(String, String)], readme: Option<&str>) -> LintOutc
     let findings = &mut outcome.findings;
 
     // The L4 catalog gates the per-file metric checks, so parse it
-    // before fanning out.
+    // before the sweep.
     let catalog = match inputs.iter().find(|(name, _)| name.ends_with("obs/src/metrics.rs")) {
         Some((name, source)) => {
             Some(l4_metrics::parse_catalog(name, &lexer::lex(source), findings))
@@ -149,36 +131,10 @@ pub fn run_passes(inputs: &[(String, String)], readme: Option<&str>) -> LintOutc
         }
     };
 
-    // Parallel per-file sweep. `FileFacts` is `Send` but not `Sync`
-    // (allow-annotation use marks are `Cell`s), so each thread owns its
-    // chunk's facts outright and hands them back when it joins; chunks
-    // are contiguous, so joining in spawn order preserves file order.
-    let threads = std::thread::available_parallelism().map_or(1, usize::from).min(8);
-    let chunk_size = inputs.len().div_ceil(threads).max(1);
-    let reports: Vec<FileReport> = std::thread::scope(|scope| {
-        let catalog = catalog.as_ref();
-        let handles: Vec<_> = inputs
-            .chunks(chunk_size)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|(name, source)| check_one_file(name, source, catalog))
-                        .collect::<Vec<FileReport>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| match handle.join() {
-                Ok(reports) => reports,
-                // A panicking pass is a linter bug; re-raise it with its
-                // original message instead of a generic join error.
-                Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
-    });
-    let mut reports = reports;
+    let mut reports: Vec<FileReport> = inputs
+        .iter()
+        .map(|(name, source)| check_one_file(name, source, catalog.as_ref()))
+        .collect();
     for report in &mut reports {
         findings.append(&mut report.findings);
     }
@@ -297,120 +253,9 @@ fn check_one_file(name: &str, source: &str, catalog: Option<&l4_metrics::Catalog
     FileReport { name: name.to_string(), lexed, facts, lock_facts, findings }
 }
 
-/// Renders findings as a JSON array (objects with `file`, `line`,
-/// `pass`, `category`, `message`), for `cargo xtask lint --json`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, finding) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"file\": {}, \"line\": {}, \"pass\": {}, \"category\": {}, \"message\": {}}}",
-            json_string(&finding.file),
-            finding.line,
-            json_string(finding.pass),
-            json_string(finding.category),
-            json_string(&finding.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// The `lint` subcommand: reads the workspace, runs the passes, prints
-/// text or JSON (`--json`), and exits non-zero on any finding.
-pub fn lint(json: bool) -> ExitCode {
-    let root = workspace_root();
-    let files = source_files(&root);
-    if files.is_empty() {
-        eprintln!("xtask lint: no source files found under {}", root.display());
-        return ExitCode::FAILURE;
-    }
-
-    let mut inputs: Vec<(String, String)> = Vec::new();
-    let mut io_warnings: Vec<String> = Vec::new();
-    for path in &files {
-        match std::fs::read_to_string(path) {
-            Ok(source) => inputs.push((rel(&root, path), source)),
-            Err(_) => io_warnings.push(format!("could not read {}", rel(&root, path))),
-        }
-    }
-    let readme = std::fs::read_to_string(root.join("README.md")).ok();
-
-    let mut outcome = run_passes(&inputs, readme.as_deref());
-    outcome.warnings.splice(0..0, io_warnings);
-
-    if json {
-        print!("{}", render_json(&outcome.findings));
-    } else {
-        for finding in &outcome.findings {
-            println!(
-                "{}:{}: [{}.{}] {}",
-                finding.file, finding.line, finding.pass, finding.category, finding.message
-            );
-        }
-    }
-    for warning in &outcome.warnings {
-        eprintln!("warning: {warning}");
-    }
-    if outcome.findings.is_empty() {
-        eprintln!(
-            "xtask lint: {} files clean (L1 panics, L2 blocking, L3 frames, L4 metrics, \
-             L5 channels, L6 lock order)",
-            outcome.checked
-        );
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "xtask lint: {} finding(s) across {} files",
-            outcome.findings.len(),
-            outcome.checked
-        );
-        ExitCode::FAILURE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_rendering_escapes() {
-        let findings = vec![Finding {
-            file: "a/b.rs".to_string(),
-            line: 3,
-            pass: "L1",
-            category: "panic",
-            message: "uses `unwrap` on \"input\"\\path".to_string(),
-        }];
-        let json = render_json(&findings);
-        assert!(json.contains("\"file\": \"a/b.rs\""));
-        assert!(json.contains("\"line\": 3"));
-        assert!(json.contains("uses `unwrap` on \\\"input\\\"\\\\path"));
-        assert_eq!(render_json(&[]), "[]\n");
-    }
 
     #[test]
     fn run_passes_flags_and_sorts() {

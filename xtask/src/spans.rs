@@ -111,7 +111,7 @@ fn attr_is_test(tokens: &[Token], hash: usize, attr_end: usize) -> bool {
         }
     }
     match idents.first() {
-        Some(&"cfg") => idents.iter().any(|w| *w == "test") && !idents.iter().any(|w| *w == "not"),
+        Some(&"cfg") => idents.contains(&"test") && !idents.contains(&"not"),
         Some(&"test") | Some(&"proptest") => true,
         Some(_) => idents.last().is_some_and(|w| *w == "test"),
         None => false,

@@ -2,11 +2,13 @@
 //! fixture, and every `lint:allow` form must suppress it. The fixtures
 //! live under `tests/fixtures/` (outside the `src/` trees the real
 //! sweep scans) and are fed to [`xtask::run_passes`] as a synthetic
-//! workspace, so these tests exercise the same driver `cargo xtask
-//! lint` uses — catalog gating, parallel sweep, cross-file passes and
-//! all.
+//! workspace, so these tests exercise the same driver that
+//! `the_workspace_is_lint_clean` runs over the tree — catalog gating,
+//! the per-file sweep, cross-file passes and all.
 
-use xtask::{run_passes, Finding, LintOutcome};
+use std::path::Path;
+
+use xtask::{run_passes, source_files, Finding, LintOutcome};
 
 /// Runs the full pass battery over `(workspace-relative name, source)`
 /// pairs.
@@ -141,5 +143,36 @@ fn unused_allow_is_warned() {
         outcome.warnings.iter().any(|w| w.contains("unused lint:allow(lockorder)")),
         "{:?}",
         outcome.warnings
+    );
+}
+
+/// The lint over the tree itself: every library source file plus the
+/// README's metric table. A finding fails it, and so does an unused
+/// `lint:allow` annotation.
+#[test]
+fn the_workspace_is_lint_clean() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).parent().expect("xtask sits in the root");
+    let inputs: Vec<(String, String)> = source_files(root)
+        .iter()
+        .map(|path| {
+            let name = path.strip_prefix(root).unwrap_or(path).display().to_string();
+            let source = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{name}: {e}"));
+            (name, source)
+        })
+        .collect();
+    let readme = std::fs::read_to_string(root.join("README.md")).expect("README.md is readable");
+    let outcome = run_passes(&inputs, Some(&readme));
+    let report: Vec<String> = outcome
+        .findings
+        .iter()
+        .map(|f| format!("{}:{}: [{}.{}] {}", f.file, f.line, f.pass, f.category, f.message))
+        .chain(outcome.warnings.iter().map(|w| format!("warning: {w}")))
+        .collect();
+    assert!(
+        report.is_empty(),
+        "lint over {} files (L1 panics, L2 blocking, L3 frames, L4 metrics, L5 channels, \
+         L6 lock order):\n{}",
+        outcome.checked,
+        report.join("\n")
     );
 }
