@@ -24,10 +24,9 @@
 //! * [`scenario`] — scenario description: topics, configurations,
 //!   publishers with rates/sizes, subscribers.
 //! * [`engine`] — the event loop over publications and broker arrivals,
-//!   and the delivery log the brokers write into, which settles itself in
-//!   delivery-time order as the clock passes.
+//!   and the delivery log the brokers append to as they send.
 //! * [`metrics`] — delivery records, the per-region traffic ledger and the
-//!   final [`metrics::SimReport`] with its ordered log.
+//!   final [`metrics::SimReport`] with its log in send order.
 //!
 //! ## Example
 //!

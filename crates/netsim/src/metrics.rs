@@ -97,8 +97,9 @@ impl SimReport {
         SimReport { deliveries, ledger, published_count, lost_count, duration_ms }
     }
 
-    /// All delivery records, by ascending delivery time; deliveries landing
-    /// at the same instant are in the order the brokers sent them.
+    /// All delivery records, in the order the brokers sent them. A stable
+    /// sort by `delivered_at` puts them in delivery-time order, deliveries
+    /// landing at the same instant still in send order.
     pub fn deliveries(&self) -> &[DeliveryRecord] {
         &self.deliveries
     }

@@ -1,8 +1,10 @@
 //! One line per fixed scenario with everything a `SimReport` holds, the
-//! ordered delivery log folded into an FNV-1a digest, diffed against
-//! `report_digests.txt` — the check that a change to the engine leaves
-//! reports bit for bit what they were. A changed `log=` digest with equal
-//! counts means deliveries moved in time or changed order.
+//! delivery log folded into an FNV-1a digest in delivery-time order (one
+//! stable sort of the send order), diffed against `report_digests.txt` —
+//! the check that a change to the engine leaves reports bit for bit what
+//! they were. A changed `log=` digest with equal counts means the
+//! time-sorted sequence changed: deliveries moved in time, or deliveries
+//! landing together were sent in a different order.
 //!
 //! The scenarios are King populations from `multipub-data` over the first
 //! six EC2 regions; between them they cover both delivery modes, every
@@ -137,7 +139,8 @@ fn scenario(population: &Population, configure: fn(usize) -> Configuration) -> S
     Scenario::new(regions, inter, topics)
 }
 
-/// FNV-1a over the ordered log: every field of every record, in order.
+/// FNV-1a over the log in delivery-time order: every field of every
+/// record, deliveries landing together in send order.
 fn log_digest(report: &SimReport) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325_u64;
     let mut write = |word: u64| {
@@ -145,7 +148,9 @@ fn log_digest(report: &SimReport) -> u64 {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    for d in report.deliveries() {
+    let mut by_time = report.deliveries().to_vec();
+    by_time.sort_by(|a, b| a.delivered_at.as_ms().total_cmp(&b.delivered_at.as_ms()));
+    for d in by_time {
         write(d.topic_index as u64);
         write(d.publisher.0);
         write(d.subscriber.0);

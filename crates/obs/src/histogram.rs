@@ -6,14 +6,14 @@
 //! bounding the relative quantile error at ≈19 % per octave / 4 ≈ 4.4 %.
 //! The finite bounds span 1 µs to ≈4.7 h; larger values fall into an
 //! overflow bucket whose representative is the observed maximum.
-//! Recording is a handful of relaxed atomic adds plus a binary search
-//! over 136 bounds, so histograms are safe on broker hot paths; a caller
-//! holding many values at once flushes them through
+//! Recording is a handful of relaxed atomic adds plus one table lookup and
+//! one comparison to find the bucket, so histograms are safe on broker hot
+//! paths; a caller holding many values at once flushes them through
 //! [`Histogram::record_all`], which pays the atomics once per batch.
 //!
 //! The atomics come from `multipub_sync` so loom can model them; two
 //! things stay on `std` under loom too: the `OnceLock` around the
-//! bucket bounds (pure deterministic data, not an interleaving of
+//! bucket tables (pure deterministic data, not an interleaving of
 //! interest) and [`HistogramTimer`]'s `Instant` (loom does not model
 //! time).
 
@@ -33,10 +33,31 @@ const BUCKET_COUNT: usize = FINITE_BUCKETS + 1;
 /// Upper bound of the first bucket, in milliseconds (1 µs).
 const FIRST_BOUND_MS: f64 = 0.001;
 
-/// Finite bucket upper bounds, strictly increasing.
-fn bounds() -> &'static [f64; FINITE_BUCKETS] {
-    static BOUNDS: OnceLock<[f64; FINITE_BUCKETS]> = OnceLock::new();
-    BOUNDS.get_or_init(|| {
+/// Mantissa bits that, with the exponent, name a value's slot. A slot
+/// spans a ratio of at most `1 + 2^-3`, less than the `2^(1/4)` between
+/// neighbouring bounds, so no slot holds two bounds.
+const SLOT_MANTISSA_BITS: u32 = 3;
+
+/// How many low bits of an `f64` lie below its slot bits.
+const SLOT_SHIFT: u32 = f64::MANTISSA_DIGITS - 1 - SLOT_MANTISSA_BITS;
+
+/// A positive value's slot: its exponent and top mantissa bits. The bits
+/// of a positive `f64` grow with its value, and so do its slots.
+fn slot_of(value_ms: f64) -> u64 {
+    value_ms.to_bits() >> SLOT_SHIFT
+}
+
+struct Tables {
+    /// Finite bucket upper bounds, strictly increasing.
+    bounds: [f64; FINITE_BUCKETS],
+    /// Per slot from the first bound's to the last bound's: the first
+    /// bucket whose bound is at least the slot's smallest value.
+    candidates: Vec<u8>,
+}
+
+fn tables() -> &'static Tables {
+    static TABLES: OnceLock<Tables> = OnceLock::new();
+    TABLES.get_or_init(|| {
         let ratio = 2f64.powf(0.25);
         let mut bounds = [0.0; FINITE_BUCKETS];
         let mut bound = FIRST_BOUND_MS;
@@ -44,25 +65,45 @@ fn bounds() -> &'static [f64; FINITE_BUCKETS] {
             *slot = bound;
             bound *= ratio;
         }
-        bounds
+        let first_slot = slot_of(FIRST_BOUND_MS);
+        let last_slot = slot_of(bounds.last().copied().unwrap_or(FIRST_BOUND_MS));
+        let candidates = (first_slot..=last_slot)
+            .map(|slot| {
+                let smallest = f64::from_bits(slot << SLOT_SHIFT);
+                // At most FINITE_BUCKETS = 136, so it fits.
+                bounds.partition_point(|bound| *bound < smallest) as u8
+            })
+            .collect();
+        Tables { bounds, candidates }
     })
+}
+
+/// Finite bucket upper bounds, strictly increasing.
+fn bounds() -> &'static [f64; FINITE_BUCKETS] {
+    &tables().bounds
 }
 
 /// The bucket a value falls into. Bucket `i` covers the half-open
 /// interval `(bucket_lower_bound(i), bucket_upper_bound(i)]`; bucket 0
 /// also absorbs zero and negative values, and the last bucket absorbs
 /// everything above the largest finite bound.
+///
+/// The value's slot names a candidate: the first bucket whose bound is at
+/// least the slot's smallest value. The slot holds at most one bound, so
+/// the bucket is the candidate or, past that bound, the next one.
 fn bucket_index(value_ms: f64) -> usize {
-    let bounds = bounds();
-    let first = bounds.first().copied().unwrap_or(FIRST_BOUND_MS);
-    let last = bounds.last().copied().unwrap_or(FIRST_BOUND_MS);
-    if value_ms <= first {
+    let Tables { bounds, candidates } = tables();
+    if value_ms <= FIRST_BOUND_MS {
         return 0;
     }
-    if value_ms > last {
+    if value_ms > bounds.last().copied().unwrap_or(FIRST_BOUND_MS) {
         return FINITE_BUCKETS;
     }
-    bounds.partition_point(|bound| *bound < value_ms)
+    // Only NaN gets this far without a slot; it lands in bucket 0, as in a
+    // binary search over the bounds.
+    let slot = slot_of(value_ms).wrapping_sub(slot_of(FIRST_BOUND_MS));
+    let candidate = candidates.get(slot as usize).map_or(0, |&bucket| usize::from(bucket));
+    candidate + usize::from(bounds.get(candidate).is_some_and(|bound| *bound < value_ms))
 }
 
 /// The inclusive upper bound of a bucket in milliseconds
@@ -322,6 +363,65 @@ mod tests {
             let index = bucket_index(value);
             assert!(value > bucket_lower_bound(index), "value {value} index {index}");
             assert!(value <= bucket_upper_bound(index), "value {value} index {index}");
+        }
+    }
+
+    #[test]
+    fn bucket_index_is_the_binary_search_over_the_bounds() {
+        let binary_search = |value: f64| bounds().partition_point(|bound| *bound < value);
+        let check = |value: f64| {
+            assert_eq!(
+                bucket_index(value),
+                binary_search(value),
+                "{value:e} ({:#x})",
+                value.to_bits()
+            )
+        };
+        // Every bound and the 4 ulps on each side of it.
+        for bound in bounds() {
+            for ulps in -4i64..=4 {
+                check(f64::from_bits(bound.to_bits().wrapping_add_signed(ulps)));
+            }
+        }
+        let first = FIRST_BOUND_MS;
+        let last = bucket_upper_bound(FINITE_BUCKETS - 1);
+        for value in [
+            0.0,
+            -0.0,
+            -1.0,
+            -first,
+            -last,
+            f64::MIN,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            first,
+            last,
+            last * 1.5,
+            1e300,
+            f64::MAX,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            check(value);
+        }
+        // Half of the draws uniform over all bits — every exponent, sign and
+        // NaN payload — and half with an exponent between an octave below
+        // the first bound and an octave above the last.
+        let mut next = crate::xorshift(0x9E37_79B9_7F4A_7C15);
+        let (low, high) = ((first / 2.0).to_bits() >> 52, (last * 2.0).to_bits() >> 52);
+        let draws = if cfg!(miri) { 1_000 } else { 1_000_000 };
+        for draw in 0..draws {
+            let bits = next();
+            let value = if draw % 2 == 0 {
+                f64::from_bits(bits)
+            } else {
+                let exponent = low + next() % (high - low + 1);
+                f64::from_bits(exponent << 52 | bits >> 12)
+            };
+            check(value);
         }
     }
 

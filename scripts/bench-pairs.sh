@@ -14,17 +14,21 @@
 # both medians, both inter-quartile ranges, change/parent, the pairs the change
 # won, and whether the median moved by more than the parent's own IQR and by
 # more than the metric's bound. Every run made lands in the TSV named on the
-# last line. Exits non-zero if a build fails or any run is not
+# last line. With `--out <dir>`, also writes one `BENCH_<workload>.json` per
+# workload into <dir>: both checkouts' commits (`git rev-parse HEAD`, and
+# whether the working tree differed from it), the run settings and seeds, and
+# per end-to-end metric both sides' quartiles, the ratio, the wins and the
+# verdict. Exits non-zero if a build fails or any run is not
 # `"correct": true`.
 #
 # Usage: scripts/bench-pairs.sh <parent-checkout> <change-checkout>
 #            [--pairs 10] [--seconds <BENCHMARK.json run_seconds>]
-#            [--workloads "wide_regions dense_clients …"]
+#            [--workloads "wide_regions dense_clients …"] [--out <dir>]
 set -uo pipefail
 
 usage() {
     echo 'usage: scripts/bench-pairs.sh <parent-checkout> <change-checkout>' \
-        '[--pairs 10] [--seconds S] [--workloads "w1 w2 …"]' >&2
+        '[--pairs 10] [--seconds S] [--workloads "w1 w2 …"] [--out DIR]' >&2
     exit 2
 }
 
@@ -35,11 +39,13 @@ shift 2
 pairs=10
 seconds=""
 workloads=""
+out=""
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:-}"; shift 2 || usage ;;
         --seconds) seconds="${2:-}"; shift 2 || usage ;;
         --workloads) workloads="${2:-}"; shift 2 || usage ;;
+        --out) out="${2:-}"; shift 2 || usage ;;
         *) usage ;;
     esac
 done
@@ -47,6 +53,18 @@ if [ "$parent" = "$change" ]; then
     echo "bench-pairs: parent and change are the same checkout" >&2
     exit 2
 fi
+if [ -n "$out" ]; then
+    mkdir -p "$out" && out="$(cd "$out" && pwd)" || usage
+fi
+
+# commit_of <checkout>: `<sha> <dirty>`, where dirty is true when a tracked
+# file differs from that commit.
+commit_of() {
+    local sha dirty=false
+    sha="$(git -C "$1" rev-parse HEAD 2>/dev/null)" || sha=unknown
+    [ -n "$(git -C "$1" status --porcelain --untracked-files=no 2>/dev/null)" ] && dirty=true
+    echo "$sha $dirty"
+}
 
 benchmark="$change/BENCHMARK.json"
 field() { python3 -c 'import json, sys; b = json.load(open(sys.argv[1])); print(eval(sys.argv[2]))' "$benchmark" "$1"; }
@@ -102,10 +120,18 @@ for workload in $workloads; do
     done
 done
 
-python3 - "$benchmark" "$runs" "$seconds" <<'EOF' || status=1
-import collections, json, statistics, sys
+# shellcheck disable=SC2046 # commit_of prints two words, one argument each
+python3 - "$benchmark" "$runs" "$seconds" "$pairs" "$out" \
+    $(commit_of "$parent") $(commit_of "$change") <<'EOF' || status=1
+import collections, json, os, statistics, sys
 
 benchmark = json.load(open(sys.argv[1]))
+seconds, pairs, out = float(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
+commits = {
+    "parent": {"commit": sys.argv[6], "dirty": sys.argv[7] == "true"},
+    "change": {"commit": sys.argv[8], "dirty": sys.argv[9] == "true"},
+}
+rows = {}
 values = collections.defaultdict(dict)  # (workload, metric) -> seed -> {side: value}
 workloads = []
 for line in list(open(sys.argv[2]))[1:]:
@@ -125,6 +151,14 @@ print(f"# bench-pairs: run_seconds={sys.argv[3]}, one seed per pair, medians [p2
 print("workload | metric | parent | change | ratio | change wins | verdict")
 print("--- | --- | --- | --- | --- | --- | ---")
 for workload in workloads:
+    rows[workload] = {
+        "workload": workload,
+        "commits": commits,
+        "seconds": seconds,
+        "pairs": pairs,
+        "seeds": list(range(1, pairs + 1)),
+        "metrics": {},
+    }
     for metric in benchmark["end_to_end"]:
         name, higher, bound = metric["name"], metric["better"] == "higher", metric["bound"]
         by_seed = values.get((workload, name), {})
@@ -154,6 +188,26 @@ for workload in workloads:
         cell = lambda a, b, c: f"{b:.{digits}f} [{a:.{digits}f}–{c:.{digits}f}]"
         print(f"{workload} | {name} | {cell(p1, p2, p3)} | {cell(c1, c2, c3)} | {ratio:.3f} | "
               f"{wins} of {len(paired)} | {verdict}")
+        rows[workload]["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": bound,
+            "parent": {"p25": p1, "median": p2, "p75": p3},
+            "change": {"p25": c1, "median": c2, "p75": c3},
+            "ratio": ratio,
+            "wins": wins,
+            "losses": losses,
+            "complete_pairs": len(paired),
+            "verdict": verdict,
+        }
+
+if out:
+    for workload, row in rows.items():
+        path = os.path.join(out, f"BENCH_{workload}.json")
+        with open(path, "w") as f:
+            json.dump(row, f, indent=2, ensure_ascii=False)
+            f.write("\n")
+        print(f"# wrote {path}")
 EOF
 
 if [ "$status" = 0 ]; then
