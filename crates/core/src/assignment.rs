@@ -9,11 +9,10 @@
 
 use crate::error::Error;
 use crate::ids::RegionId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How publications reach the regions serving a topic (paper §II-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeliveryMode {
     /// Each publisher sends every publication to **all** serving regions
     /// itself (paper Fig. 1b). Two hops: publisher → region → subscriber.
@@ -39,7 +38,7 @@ impl fmt::Display for DeliveryMode {
 /// `DirectOnly` and `RoutedOnly` implement the paper's *MultiPub-D* and
 /// *MultiPub-R* variants (experiment 2). Single-region assignments are
 /// mode-less (no forwarding happens) and are admitted under every policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModePolicy {
     /// Consider both direct and routed delivery (standard MultiPub).
     Any,
@@ -80,7 +79,7 @@ impl ModePolicy {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AssignmentVector(u32);
 
 /// `region`'s bit, or `None` for an id no `u32` mask can hold. A bare
@@ -241,7 +240,7 @@ impl Iterator for Regions {
 impl ExactSizeIterator for Regions {}
 
 /// A full configuration for a topic: serving regions plus delivery mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Configuration {
     assignment: AssignmentVector,
     mode: DeliveryMode,
@@ -285,9 +284,7 @@ impl fmt::Display for Configuration {
 /// never roll a topic back to a retired placement. Epoch 0 is reserved
 /// for the implicit bootstrap configuration (all regions, routed) that
 /// exists before the controller ever places the topic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epoch(u64);
 
 impl Epoch {
@@ -324,7 +321,7 @@ impl fmt::Display for Epoch {
 /// embedded version counter would make every freshly-enumerated candidate
 /// unequal to the installed one. The controller tracks the pair instead
 /// and only mints a new epoch when the configuration actually changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VersionedConfiguration {
     configuration: Configuration,
     epoch: Epoch,

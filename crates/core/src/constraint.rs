@@ -1,7 +1,6 @@
 //! Per-topic delivery-time constraints `<ratio_T, max_T>`.
 
 use crate::error::Error;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A per-topic delivery constraint (paper §II-A).
@@ -18,7 +17,7 @@ use std::fmt;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeliveryConstraint {
     ratio_percent: f64,
     max_ms: f64,

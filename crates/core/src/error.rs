@@ -58,6 +58,17 @@ pub enum Error {
         /// The offending bound (milliseconds).
         value: f64,
     },
+    /// An observation interval was not a positive finite number of
+    /// seconds.
+    InvalidInterval {
+        /// The offending interval (seconds).
+        value: f64,
+    },
+    /// A publication rate was negative, NaN or infinite.
+    InvalidRate {
+        /// The offending rate (messages per second).
+        value: f64,
+    },
     /// A client id was added twice to the same topic role.
     DuplicateClient {
         /// The duplicated client id.
@@ -105,6 +116,12 @@ impl fmt::Display for Error {
             }
             Error::InvalidBound { value } => {
                 write!(f, "delivery bound must be positive and finite, got {value}")
+            }
+            Error::InvalidInterval { value } => {
+                write!(f, "observation interval must be positive and finite, got {value} s")
+            }
+            Error::InvalidRate { value } => {
+                write!(f, "publication rate must be finite and non-negative, got {value}/s")
             }
             Error::DuplicateClient { id } => {
                 write!(f, "client C{id} was added twice to the same role")

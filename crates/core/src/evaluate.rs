@@ -97,13 +97,12 @@ use crate::ids::RegionId;
 use crate::latency::InterRegionMatrix;
 use crate::region::RegionSet;
 use crate::workload::{Publisher, Subscriber, TopicWorkload};
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell, RefMut};
 use std::sync::OnceLock;
 
 /// The outcome of evaluating one configuration: its delivery-time
 /// percentile and its bandwidth cost for the observation interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfigEvaluation {
     configuration: Configuration,
     percentile_ms: f64,

@@ -24,10 +24,9 @@ use crate::latency::InterRegionMatrix;
 use crate::optimizer::{preferred, Solution};
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the beam search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HeuristicOptions {
     /// How many candidate configurations survive each expansion round.
     pub beam_width: usize,

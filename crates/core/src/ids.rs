@@ -4,7 +4,6 @@
 //! (a [`RegionId`] can never be passed where a [`ClientId`] is expected)
 //! while remaining plain `Copy` integers at runtime.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a cloud region within a [`crate::region::RegionSet`].
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(r.index(), 3);
 /// assert_eq!(r.to_string(), "R3");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RegionId(pub u8);
 
 impl RegionId {
@@ -50,7 +49,7 @@ impl From<u8> for RegionId {
 /// use multipub_core::ids::ClientId;
 /// assert_eq!(ClientId(7).to_string(), "C7");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientId(pub u64);
 
 impl fmt::Display for ClientId {
@@ -75,7 +74,7 @@ impl From<u64> for ClientId {
 /// let t = TopicId::new("game/region-chat");
 /// assert_eq!(t.as_str(), "game/region-chat");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TopicId(String);
 
 impl TopicId {

@@ -7,7 +7,6 @@
 
 use crate::error::Error;
 use crate::ids::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// Validates that a slice of latencies has the expected width and that all
 /// entries are finite and non-negative.
@@ -41,7 +40,7 @@ pub(crate) fn validate_latency_row(row: &[f64], expected: usize) -> Result<(), E
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterRegionMatrix {
     n: usize,
     /// Row-major `n × n` matrix.

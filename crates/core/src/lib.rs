@@ -34,8 +34,8 @@
 //! * [`mitigation`] — high-latency client handling (paper §IV.D).
 //! * [`scaling`] — region pruning and proportional client bundling
 //!   heuristics for extra-large settings (paper §V.F).
-//! * [`topics`] — the topics × regions assignment matrix and
-//!   reconfiguration planning (paper §III.A2, §III.A5).
+//! * [`topics`] — reconfiguration planning: which clients one topic's
+//!   configuration change must notify (paper §III.A5).
 //! * [`heuristic`] — beam-search solving for extra-large region counts
 //!   (the paper's §VII future work).
 //!

@@ -31,10 +31,9 @@ use crate::delivery::{closest_region, direct_delivery_ms, routed_delivery_ms};
 use crate::evaluate::TopicEvaluator;
 use crate::ids::RegionId;
 use crate::workload::Publisher;
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for the straggler scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MitigationPolicy {
     /// Minimum relative improvement of a straggler's best delivery time for
     /// a forced region to be worth adding even when the bound still cannot
@@ -51,7 +50,7 @@ impl Default for MitigationPolicy {
 
 /// A straggler found by [`find_stragglers`]: a subscriber whose *every*
 /// delivery in the interval exceeded the bound.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Straggler {
     /// Index of the subscriber within the workload's subscriber list.
     pub subscriber_index: usize,
@@ -61,7 +60,7 @@ pub struct Straggler {
 }
 
 /// The outcome of one mitigation round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationOutcome {
     /// Regions force-added this round (possibly empty).
     pub added: Vec<RegionId>,

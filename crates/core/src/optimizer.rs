@@ -40,12 +40,11 @@ use crate::evaluate::{Candidate, ConfigEvaluation, EvalScratch, TopicEvaluator};
 use crate::latency::InterRegionMatrix;
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// The optimizer's answer for one topic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Solution {
     evaluation: ConfigEvaluation,
     feasible: bool,
@@ -436,7 +435,7 @@ impl SweepSolver {
 
 /// A topic to be solved by [`solve_topics`]: its workload snapshot and its
 /// delivery constraint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopicProblem {
     /// The observation-interval snapshot for the topic.
     pub workload: TopicWorkload,

@@ -8,7 +8,6 @@
 
 use crate::error::Error;
 use crate::ids::RegionId;
-use serde::{Deserialize, Serialize};
 
 /// Number of bytes in a gigabyte as billed by cloud providers (10^9).
 const BYTES_PER_GB: f64 = 1_000_000_000.0;
@@ -25,7 +24,7 @@ pub(crate) const MAX_REGIONS: usize = 32;
 /// assert_eq!(tokyo.name(), "ap-northeast-1");
 /// assert!(tokyo.internet_cost_per_gb() > tokyo.inter_region_cost_per_gb());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Region {
     name: String,
     location: String,
@@ -101,7 +100,7 @@ impl Region {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RegionSet {
     regions: Vec<Region>,
 }

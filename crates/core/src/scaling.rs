@@ -22,10 +22,9 @@ use crate::error::Error;
 use crate::ids::RegionId;
 use crate::region::RegionSet;
 use crate::workload::{Subscriber, TopicWorkload};
-use serde::{Deserialize, Serialize};
 
 /// Options for [`prune_regions`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PruneOptions {
     /// A region is kept if at least this many clients (publishers +
     /// subscriber weight) are *closest* to it.
@@ -91,7 +90,7 @@ pub fn prune_regions(
 }
 
 /// Options for [`bundle_clients`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BundleOptions {
     /// Two clients are bundled when every entry of their latency rows
     /// differs by at most this many milliseconds (L∞ distance).

@@ -11,10 +11,9 @@ use crate::assignment::{Configuration, DeliveryMode};
 use crate::delivery::closest_region;
 use crate::ids::{ClientId, RegionId};
 use crate::workload::TopicWorkload;
-use serde::{Deserialize, Serialize};
 
 /// The client notifications required by one row change (paper §III.A5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigurationPlan {
     /// Subscribers that must resubscribe, with their moves.
     pub subscriber_moves: Vec<(ClientId, RegionId, RegionId)>,

@@ -8,7 +8,6 @@
 use crate::error::Error;
 use crate::ids::ClientId;
 use crate::latency::validate_latency_row;
-use serde::{Deserialize, Serialize};
 
 /// Aggregated statistics about the messages a publisher sent during one
 /// observation interval.
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(batch.count(), 3);
 /// assert_eq!(batch.total_bytes(), 3072);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MessageBatch {
     count: u64,
     total_bytes: u64,
@@ -54,7 +53,7 @@ impl MessageBatch {
 
 /// A publisher of the topic: its identity, its latency row towards every
 /// region, and the messages it sent in the observation interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Publisher {
     id: ClientId,
     /// One-way latency in ms towards each region (`L[P][·]`).
@@ -101,7 +100,7 @@ impl Publisher {
 /// `weight` counts how many real subscribers this entry stands for; it is 1
 /// for ordinary subscribers and larger for the *virtual clients* produced by
 /// proportional bundling (paper §V.F, implemented in [`crate::scaling`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Subscriber {
     id: ClientId,
     latencies: Vec<f64>,
@@ -170,7 +169,7 @@ impl Subscriber {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopicWorkload {
     n_regions: usize,
     publishers: Vec<Publisher>,

@@ -5,12 +5,11 @@
 //! (which also works in `f64` milliseconds), so a jitter-free simulation
 //! reproduces the model's delivery times bit-for-bit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in milliseconds since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

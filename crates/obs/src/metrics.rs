@@ -216,12 +216,6 @@ pub const CONTROLLER_HANDOVER_COMMIT_MS: &str = "multipub_controller_handover_co
 pub const SIM_TOPICS_SOLVED_TOTAL: &str = "multipub_sim_topics_solved_total";
 /// Wall-time of one spec-file run.
 pub const SIM_SPEC_MS: &str = "multipub_sim_spec_ms";
-/// Adaptive-experiment measurement intervals processed.
-pub const SIM_ADAPTIVE_INTERVALS_TOTAL: &str = "multipub_sim_adaptive_intervals_total";
-/// Wall-time of one adaptive interval (measure + re-solve).
-pub const SIM_ADAPTIVE_INTERVAL_MS: &str = "multipub_sim_adaptive_interval_ms";
-/// Assignment changes produced by adaptive re-optimization.
-pub const SIM_RECONFIGURATIONS_TOTAL: &str = "multipub_sim_reconfigurations_total";
 
 // --- deterministic network simulator ------------------------------------
 

@@ -17,10 +17,9 @@ use multipub_core::assignment::DeliveryMode;
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::optimizer::{Optimizer, SweepSolver};
 use multipub_data::ec2;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of experiment 1; `Default` reproduces the paper's setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp1Params {
     /// Publishers homed near each region (paper: 10).
     pub pubs_per_region: usize,
@@ -64,7 +63,7 @@ impl Default for Exp1Params {
 }
 
 /// One sweep point of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exp1Row {
     /// The delivery bound `max_T` for this point, ms.
     pub max_t_ms: f64,
@@ -82,7 +81,7 @@ pub struct Exp1Row {
 
 /// Full result of experiment 1: the MultiPub sweep plus the two constant
 /// baselines.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp1Result {
     /// One row per sweep point.
     pub rows: Vec<Exp1Row>,

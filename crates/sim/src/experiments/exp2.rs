@@ -18,10 +18,9 @@ use multipub_core::assignment::{DeliveryMode, ModePolicy};
 
 use multipub_core::optimizer::SweepSolver;
 use multipub_data::ec2;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of experiment 2; `Default` reproduces the paper's setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp2Params {
     /// Number of publishers, homed in Asia (paper: 100).
     pub publishers: usize,
@@ -66,7 +65,7 @@ impl Default for Exp2Params {
 }
 
 /// One variant's outcome at one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariantPoint {
     /// Achieved delivery-time percentile, ms.
     pub delivery_ms: f64,
@@ -79,7 +78,7 @@ pub struct VariantPoint {
 }
 
 /// One sweep point of Figure 4: the three variants side by side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exp2Row {
     /// The delivery bound `max_T` for this point, ms.
     pub max_t_ms: f64,
@@ -92,7 +91,7 @@ pub struct Exp2Row {
 }
 
 /// Full result of experiment 2.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp2Result {
     /// One row per sweep point.
     pub rows: Vec<Exp2Row>,

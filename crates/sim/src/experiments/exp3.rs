@@ -17,11 +17,10 @@ use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::ids::RegionId;
 use multipub_core::optimizer::{Optimizer, SweepSolver};
 use multipub_data::ec2;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of experiment 3; defaults (apart from the home region)
 /// reproduce the paper's setup.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp3Params {
     /// The region all clients are closest to (paper: `ap-northeast-1` or
     /// `sa-east-1`).
@@ -77,7 +76,7 @@ impl Exp3Params {
 }
 
 /// One sweep point of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exp3Row {
     /// The delivery bound `max_T` for this point, ms.
     pub max_t_ms: f64,
@@ -94,10 +93,8 @@ pub struct Exp3Row {
 }
 
 /// Full result of experiment 3 for one home region.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp3Result {
-    /// The home region of this run.
-    pub home: RegionId,
     /// One row per sweep point.
     pub rows: Vec<Exp3Row>,
     /// Cost per day of the straightforward approach: serve the clients
@@ -189,7 +186,6 @@ pub fn run(params: &Exp3Params) -> Exp3Result {
         .collect();
 
     Exp3Result {
-        home: params.home,
         rows,
         local_only_cost_per_day: horizon.scale(local_only.cost_dollars()),
         local_only_delivery_ms: local_only.percentile_ms(),

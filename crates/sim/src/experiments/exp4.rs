@@ -14,11 +14,10 @@ use crate::table::Table;
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::optimizer::Optimizer;
 use multipub_data::ec2;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Parameters of experiment 4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp4Params {
     /// Delivery guarantee ratio in percent.
     pub ratio_percent: f64,
@@ -48,7 +47,7 @@ impl Default for Exp4Params {
 }
 
 /// One timing measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exp4Row {
     /// Number of regions in the deployment.
     pub n_regions: usize,
@@ -63,7 +62,7 @@ pub struct Exp4Row {
 }
 
 /// A set of timing measurements with a table renderer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Exp4Result {
     /// One row per measured setting.
     pub rows: Vec<Exp4Row>,

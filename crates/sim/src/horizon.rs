@@ -4,53 +4,32 @@
 //! costs "as if the test workload had run for a full day on the real
 //! cloud". [`CostHorizon`] performs that extrapolation.
 
-use serde::{Deserialize, Serialize};
-
-/// Scales interval costs to a reporting horizon.
+/// Scales interval costs to one day.
 ///
 /// ```
 /// use multipub_sim::horizon::CostHorizon;
 /// let horizon = CostHorizon::per_day(60.0); // 60 s observation interval
 /// assert_eq!(horizon.scale(0.01), 14.4);    // $0.01/min → $14.40/day
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostHorizon {
     interval_secs: f64,
-    horizon_secs: f64,
 }
 
 impl CostHorizon {
-    /// Seconds in a day.
-    pub const DAY_SECS: f64 = 86_400.0;
-
     /// A horizon scaling `interval_secs` observations to one day.
     ///
     /// # Panics
     ///
     /// Panics if `interval_secs` is not positive and finite.
     pub fn per_day(interval_secs: f64) -> Self {
-        Self::new(interval_secs, Self::DAY_SECS)
-    }
-
-    /// A horizon scaling `interval_secs` observations to `horizon_secs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either argument is not positive and finite.
-    pub fn new(interval_secs: f64, horizon_secs: f64) -> Self {
         assert!(interval_secs > 0.0 && interval_secs.is_finite());
-        assert!(horizon_secs > 0.0 && horizon_secs.is_finite());
-        CostHorizon { interval_secs, horizon_secs }
-    }
-
-    /// The observation interval in seconds.
-    pub fn interval_secs(&self) -> f64 {
-        self.interval_secs
+        CostHorizon { interval_secs }
     }
 
     /// Scales a per-interval cost to the horizon.
     pub fn scale(&self, interval_cost_dollars: f64) -> f64 {
-        interval_cost_dollars * self.horizon_secs / self.interval_secs
+        interval_cost_dollars * 86_400.0 / self.interval_secs
     }
 }
 
@@ -64,13 +43,6 @@ mod tests {
         assert_eq!(h.scale(5.0), 5.0);
         let m = CostHorizon::per_day(3_600.0);
         assert_eq!(m.scale(1.0), 24.0);
-    }
-
-    #[test]
-    fn custom_horizon() {
-        let h = CostHorizon::new(10.0, 100.0);
-        assert_eq!(h.scale(0.5), 5.0);
-        assert_eq!(h.interval_secs(), 10.0);
     }
 
     #[test]

@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod adaptive;
 pub mod experiments;
 pub mod horizon;
 pub mod population;

@@ -70,16 +70,6 @@ impl PopulationSpec {
         subs_per_region[home.index()] = subs;
         PopulationSpec { pubs_per_region, subs_per_region, rate_per_sec, size_bytes }
     }
-
-    /// Total number of publishers.
-    pub fn publisher_count(&self) -> usize {
-        self.pubs_per_region.iter().sum()
-    }
-
-    /// Total number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subs_per_region.iter().sum()
-    }
 }
 
 /// A generated client population: concrete latency rows for every client.
@@ -121,16 +111,6 @@ impl Population {
             size_bytes: spec.size_bytes,
             n_regions: inter.len(),
         }
-    }
-
-    /// Number of publishers.
-    pub fn publisher_count(&self) -> usize {
-        self.publishers.len()
-    }
-
-    /// Number of subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.subscribers.len()
     }
 
     /// The analytic workload for an observation interval of
@@ -207,14 +187,14 @@ mod tests {
     #[test]
     fn uniform_spec_counts() {
         let spec = PopulationSpec::uniform(10, 10, 10, 1.0, 1024);
-        assert_eq!(spec.publisher_count(), 100);
-        assert_eq!(spec.subscriber_count(), 100);
+        assert_eq!(spec.pubs_per_region, vec![10; 10]);
+        assert_eq!(spec.subs_per_region, vec![10; 10]);
     }
 
     #[test]
     fn localized_spec_places_everyone_at_home() {
         let spec = PopulationSpec::localized(10, ec2::regions::AP_NORTHEAST_1, 100, 100, 1.0, 1024);
-        assert_eq!(spec.publisher_count(), 100);
+        assert_eq!(spec.pubs_per_region.iter().sum::<usize>(), 100);
         assert_eq!(spec.pubs_per_region[5], 100);
         assert_eq!(spec.pubs_per_region[0], 0);
     }

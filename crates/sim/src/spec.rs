@@ -60,7 +60,7 @@ pub struct SimulationOutcome {
     /// Per-topic solver results, in spec order.
     pub solutions: Vec<(String, Solution)>,
     /// The horizon used to scale costs to $/day.
-    pub horizon: CostHorizon,
+    horizon: CostHorizon,
 }
 
 impl SimulationOutcome {
@@ -92,17 +92,31 @@ impl SimulationOutcome {
 ///
 /// # Errors
 ///
-/// Returns a model error when a topic has no publishers or subscribers.
+/// Returns a model error when the interval is not positive and finite, a
+/// topic's per-region vectors are wider than the deployment, a rate is
+/// negative or not finite, a constraint is invalid, or a topic has no
+/// publishers or subscribers.
 pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
     let _spec_timer = multipub_obs::timer!(multipub_obs::metrics::SIM_SPEC_MS);
     multipub_obs::counter!(multipub_obs::metrics::SIM_TOPICS_SOLVED_TOTAL)
         .add(spec.topics.len() as u64);
+    if !(spec.interval_secs > 0.0 && spec.interval_secs.is_finite()) {
+        return Err(Error::InvalidInterval { value: spec.interval_secs });
+    }
     let regions = ec2::region_set();
     let inter = ec2::inter_region_latencies();
     let mut problems = Vec::with_capacity(spec.topics.len());
     for (index, topic) in spec.topics.iter().enumerate() {
+        let clients = &topic.population;
+        let width = clients.pubs_per_region.len().max(clients.subs_per_region.len());
+        if width > inter.len() {
+            return Err(Error::LatencyDimension { expected: inter.len(), got: width });
+        }
+        if !(clients.rate_per_sec >= 0.0 && clients.rate_per_sec.is_finite()) {
+            return Err(Error::InvalidRate { value: clients.rate_per_sec });
+        }
         let population =
-            Population::generate(&topic.population, &inter, spec.seed.wrapping_add(index as u64));
+            Population::generate(clients, &inter, spec.seed.wrapping_add(index as u64));
         problems.push(TopicProblem {
             workload: population.workload(spec.interval_secs),
             constraint: DeliveryConstraint::new(topic.ratio_percent, topic.max_ms)?,
@@ -113,4 +127,36 @@ pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
         solutions: spec.topics.iter().map(|t| t.name.clone()).zip(solutions).collect(),
         horizon: CostHorizon::per_day(spec.interval_secs),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn one_topic(width: usize, rate_per_sec: f64, interval_secs: f64) -> SimulationSpec {
+        let population = PopulationSpec::uniform(width, 1, 1, rate_per_sec, 100);
+        let topic = TopicSpec { name: "t".into(), ratio_percent: 95.0, max_ms: 150.0, population };
+        SimulationSpec { topics: vec![topic], interval_secs, seed: 1 }
+    }
+
+    #[test]
+    fn vectors_wider_than_the_deployment_are_rejected() {
+        assert!(run_spec(&one_topic(10, 1.0, 10.0)).is_ok());
+        let wide = run_spec(&one_topic(11, 1.0, 10.0));
+        assert_eq!(wide, Err(Error::LatencyDimension { expected: 10, got: 11 }));
+    }
+
+    #[test]
+    fn a_zero_interval_is_rejected() {
+        let zero = run_spec(&one_topic(10, 1.0, 0.0));
+        assert_eq!(zero, Err(Error::InvalidInterval { value: 0.0 }));
+    }
+
+    #[test]
+    fn an_infinite_negative_or_nan_rate_is_rejected() {
+        for rate in [f64::INFINITY, -1.0, f64::NAN] {
+            let error = run_spec(&one_topic(10, rate, 10.0)).unwrap_err();
+            assert!(matches!(error, Error::InvalidRate { .. }), "rate {rate}: {error}");
+        }
+    }
 }

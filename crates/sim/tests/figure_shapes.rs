@@ -1,9 +1,17 @@
 //! Shape assertions for the paper's figures (quick-scale populations):
-//! who wins, in which order the curves sit, and where the regimes switch.
-//! EXPERIMENTS.md records the full-scale numbers.
+//! who wins, in which order the curves sit, and where the regimes switch,
+//! plus §III.A5's running example. EXPERIMENTS.md records the full-scale
+//! numbers.
 
+use multipub_core::constraint::DeliveryConstraint;
+use multipub_core::ids::{RegionId, TopicId};
+use multipub_core::optimizer::Optimizer;
 use multipub_data::ec2;
+use multipub_netsim::engine::Engine;
+use multipub_netsim::jitter::Jitter;
+use multipub_netsim::scenario::Scenario;
 use multipub_sim::experiments::{exp1, exp2, exp3};
+use multipub_sim::population::{Population, PopulationSpec};
 
 fn exp1_quick() -> exp1::Exp1Result {
     exp1::run(&exp1::Exp1Params {
@@ -152,4 +160,38 @@ fn figure5_cost_is_monotone_in_the_bound() {
     for pair in feasible.windows(2) {
         assert!(pair[1].cost_per_day <= pair[0].cost_per_day + 1e-9);
     }
+}
+
+/// §III.A5: a North-America-only topic is served from one region. Once
+/// European clients join, EU↔EU publications would cross the Atlantic
+/// twice, so the optimizer adds a European region, and its pick meets the
+/// bound when simulated.
+#[test]
+fn paper_example_na_topic_gains_eu_clients() {
+    let (regions, inter) = (ec2::region_set(), ec2::inter_region_latencies());
+    let constraint = DeliveryConstraint::new(95.0, 140.0).unwrap();
+    let (us, eu) = (ec2::regions::US_EAST_1, ec2::regions::EU_CENTRAL_1);
+    let population = |homes: &[RegionId], seed| {
+        let mut spec = PopulationSpec::uniform(10, 0, 0, 2.0, 512);
+        for home in homes {
+            spec.pubs_per_region[home.index()] = 3;
+            spec.subs_per_region[home.index()] = 3;
+        }
+        Population::generate(&spec, &inter, seed)
+    };
+    let pick = |population: &Population| {
+        let workload = population.workload(10.0);
+        Optimizer::new(&regions, &inter, &workload).unwrap().solve(&constraint).configuration()
+    };
+    assert_eq!(pick(&population(&[us], 1)).region_count(), 1);
+
+    let na_and_eu = population(&[us, eu], 2);
+    let reacted = pick(&na_and_eu);
+    let serves_eu = [ec2::regions::EU_WEST_1, eu].iter().any(|&r| reacted.assignment().contains(r));
+    assert!(serves_eu && reacted.region_count() >= 2, "no EU region added: {reacted}");
+
+    let topic = na_and_eu.scenario_topic(TopicId::new("t"), reacted, 1);
+    let scenario = Scenario::new(regions.clone(), inter.clone(), vec![topic]);
+    let measured = Engine::new(scenario, Jitter::disabled(), 1).run(10_000.0).percentile_ms(95.0);
+    assert!(constraint.is_met_by(measured), "{reacted} measured p95 {measured} ms");
 }
