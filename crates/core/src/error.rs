@@ -64,7 +64,8 @@ pub enum Error {
         /// The offending interval (seconds).
         value: f64,
     },
-    /// A publication rate was negative, NaN or infinite.
+    /// A publication rate was negative, NaN or infinite, or so large that
+    /// an interval's message, byte or delivery totals overflow `u64`.
     InvalidRate {
         /// The offending rate (messages per second).
         value: f64,
@@ -120,9 +121,11 @@ impl fmt::Display for Error {
             Error::InvalidInterval { value } => {
                 write!(f, "observation interval must be positive and finite, got {value} s")
             }
-            Error::InvalidRate { value } => {
-                write!(f, "publication rate must be finite and non-negative, got {value}/s")
-            }
+            Error::InvalidRate { value } => write!(
+                f,
+                "publication rate must be finite, non-negative and small enough to count, \
+                 got {value}/s"
+            ),
             Error::DuplicateClient { id } => {
                 write!(f, "client C{id} was added twice to the same role")
             }

@@ -9,17 +9,19 @@
 
 // lint:allow-file(panic) experiment driver over fixed paper-given parameters: constructor failures are programming errors, and every experiment's output is pinned by tier-1 tests that would fail first
 
-use crate::horizon::CostHorizon;
-use crate::population::{Population, PopulationSpec};
+use super::{homed, sweep, workload, Point};
 use crate::table::{dollars, millis, Table};
-use multipub_core::assignment::{AssignmentVector, DeliveryMode};
+use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::ids::RegionId;
 use multipub_core::optimizer::{Optimizer, SweepSolver};
 use multipub_data::ec2;
 
-/// Parameters of experiment 3; defaults (apart from the home region)
-/// reproduce the paper's setup.
+/// Delivery guarantee ratio, percent (paper: 95).
+const RATIO_PERCENT: f64 = 95.0;
+
+/// Parameters of experiment 3; [`Exp3Params::asia`] and
+/// [`Exp3Params::south_america`] reproduce the paper's two setups.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exp3Params {
     /// The region all clients are closest to (paper: `ap-northeast-1` or
@@ -29,22 +31,12 @@ pub struct Exp3Params {
     pub publishers: usize,
     /// Number of subscribers (paper: 100).
     pub subscribers: usize,
-    /// Per-publisher rate in messages/second.
-    pub rate_per_sec: f64,
-    /// Publication size in bytes.
-    pub size_bytes: u64,
-    /// Delivery guarantee ratio in percent (paper: 95).
-    pub ratio_percent: f64,
     /// Lowest `max_T` of the sweep, ms.
     pub max_t_start_ms: f64,
     /// Highest `max_T` of the sweep, ms.
     pub max_t_end_ms: f64,
     /// Sweep step, ms.
     pub step_ms: f64,
-    /// Observation-interval length in seconds.
-    pub interval_secs: f64,
-    /// RNG seed for the client population.
-    pub seed: u64,
 }
 
 impl Exp3Params {
@@ -63,45 +55,22 @@ impl Exp3Params {
             home,
             publishers: 100,
             subscribers: 100,
-            rate_per_sec: 1.0,
-            size_bytes: 1024,
-            ratio_percent: 95.0,
             max_t_start_ms: start,
             max_t_end_ms: end,
             step_ms: 5.0,
-            interval_secs: 60.0,
-            seed: 2017,
         }
     }
-}
-
-/// One sweep point of Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exp3Row {
-    /// The delivery bound `max_T` for this point, ms.
-    pub max_t_ms: f64,
-    /// MultiPub's achieved delivery-time percentile, ms.
-    pub delivery_ms: f64,
-    /// MultiPub's cost extrapolated to one day, dollars.
-    pub cost_per_day: f64,
-    /// Number of regions used.
-    pub regions_used: u32,
-    /// Whether the home region is among them.
-    pub uses_home_region: bool,
-    /// Whether the bound was met.
-    pub feasible: bool,
 }
 
 /// Full result of experiment 3 for one home region.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Exp3Result {
-    /// One row per sweep point.
-    pub rows: Vec<Exp3Row>,
-    /// Cost per day of the straightforward approach: serve the clients
-    /// from their local (expensive) region only.
-    pub local_only_cost_per_day: f64,
-    /// Delivery-time percentile of the local-only approach, ms.
-    pub local_only_delivery_ms: f64,
+    /// MultiPub's pick at each sweep point.
+    pub rows: Vec<Point>,
+    /// The straightforward approach: serve the clients from their local
+    /// (expensive) region only, evaluated at the sweep's last bound.
+    pub local_only: Point,
+    home: RegionId,
 }
 
 impl Exp3Result {
@@ -120,9 +89,9 @@ impl Exp3Result {
                 millis(row.max_t_ms),
                 millis(row.delivery_ms),
                 dollars(row.cost_per_day),
-                dollars(self.local_only_cost_per_day),
-                row.regions_used.to_string(),
-                row.uses_home_region.to_string(),
+                dollars(self.local_only.cost_per_day),
+                row.configuration.region_count().to_string(),
+                row.configuration.assignment().contains(self.home).to_string(),
             ]);
         }
         table
@@ -134,7 +103,7 @@ impl Exp3Result {
         self.rows
             .iter()
             .filter(|r| r.feasible)
-            .map(|r| 1.0 - r.cost_per_day / self.local_only_cost_per_day)
+            .map(|r| 1.0 - r.cost_per_day / self.local_only.cost_per_day)
             .fold(0.0, f64::max)
     }
 }
@@ -143,52 +112,34 @@ impl Exp3Result {
 pub fn run(params: &Exp3Params) -> Exp3Result {
     let regions = ec2::region_set();
     let inter = ec2::inter_region_latencies();
-    let spec = PopulationSpec::localized(
-        regions.len(),
-        params.home,
-        params.publishers,
-        params.subscribers,
-        params.rate_per_sec,
-        params.size_bytes,
+    let workload = workload(
+        &inter,
+        homed(regions.len(), &[(params.home, params.publishers)]),
+        homed(regions.len(), &[(params.home, params.subscribers)]),
     );
-    let population = Population::generate(&spec, &inter, params.seed);
-    let workload = population.workload(params.interval_secs);
-    let horizon = CostHorizon::per_day(params.interval_secs);
     let optimizer =
         Optimizer::new(&regions, &inter, &workload).expect("experiment-3 workload is non-empty");
 
     // The straightforward approach: deploy the topic in the local region.
-    let reference =
-        DeliveryConstraint::new(params.ratio_percent, params.max_t_end_ms).expect("valid");
+    let reference = DeliveryConstraint::new(RATIO_PERCENT, params.max_t_end_ms).expect("valid");
     let local_only = optimizer.evaluator().evaluate(
-        multipub_core::assignment::Configuration::new(
+        Configuration::new(
             AssignmentVector::single(params.home, regions.len()).expect("home is in bounds"),
             DeliveryMode::Direct,
         ),
         &reference,
     );
 
-    let sweep_solver = SweepSolver::new(&regions, &inter, &workload, params.ratio_percent)
-        .expect("validated inputs");
-    let rows = super::sweep(params.max_t_start_ms, params.max_t_end_ms, params.step_ms)
-        .into_iter()
-        .map(|max_t| {
-            let solution = sweep_solver.solve_at(max_t).expect("valid sweep point");
-            Exp3Row {
-                max_t_ms: max_t,
-                delivery_ms: solution.evaluation().percentile_ms(),
-                cost_per_day: horizon.scale(solution.evaluation().cost_dollars()),
-                regions_used: solution.configuration().region_count(),
-                uses_home_region: solution.configuration().assignment().contains(params.home),
-                feasible: solution.is_feasible(),
-            }
-        })
-        .collect();
-
+    let sweep_solver =
+        SweepSolver::new(&regions, &inter, &workload, RATIO_PERCENT).expect("validated inputs");
     Exp3Result {
-        rows,
-        local_only_cost_per_day: horizon.scale(local_only.cost_dollars()),
-        local_only_delivery_ms: local_only.percentile_ms(),
+        rows: sweep(&sweep_solver, params.max_t_start_ms, params.max_t_end_ms, params.step_ms),
+        local_only: Point::new(
+            params.max_t_end_ms,
+            &local_only,
+            local_only.is_feasible(&reference),
+        ),
+        home: params.home,
     }
 }
 
@@ -207,18 +158,23 @@ mod tests {
 
     #[test]
     fn tight_bounds_use_the_home_region() {
-        let result = run(&quick(ec2::regions::AP_NORTHEAST_1));
+        let home = ec2::regions::AP_NORTHEAST_1;
+        let result = run(&quick(home));
         let first_feasible = result.rows.iter().find(|r| r.feasible).unwrap();
-        assert!(first_feasible.uses_home_region);
+        assert!(first_feasible.configuration.assignment().contains(home));
     }
 
     #[test]
     fn loose_bounds_escape_to_cheaper_regions() {
-        let result = run(&quick(ec2::regions::SA_EAST_1));
+        let home = ec2::regions::SA_EAST_1;
+        let result = run(&quick(home));
         let last = result.rows.last().unwrap();
         assert!(last.feasible);
-        assert!(!last.uses_home_region, "São Paulo should be abandoned for a cheap region");
-        assert!(last.cost_per_day < result.local_only_cost_per_day);
+        assert!(
+            !last.configuration.assignment().contains(home),
+            "São Paulo should be abandoned for a cheap region"
+        );
+        assert!(last.cost_per_day < result.local_only.cost_per_day);
     }
 
     #[test]
@@ -235,9 +191,9 @@ mod tests {
     fn cost_never_exceeds_local_only_when_feasible_locally() {
         let result = run(&quick(ec2::regions::AP_NORTHEAST_1));
         for row in result.rows.iter().filter(|r| r.feasible) {
-            if row.max_t_ms >= result.local_only_delivery_ms {
+            if row.max_t_ms >= result.local_only.delivery_ms {
                 // Once local-only is feasible, MultiPub can only be cheaper.
-                assert!(row.cost_per_day <= result.local_only_cost_per_day + 1e-9);
+                assert!(row.cost_per_day <= result.local_only.cost_per_day + 1e-9);
             }
         }
     }

@@ -9,42 +9,17 @@
 
 // lint:allow-file(panic) experiment driver over fixed paper-given parameters: constructor failures are programming errors, and every experiment's output is pinned by tier-1 tests that would fail first
 
-use crate::population::{Population, PopulationSpec};
+use super::workload;
 use crate::table::Table;
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::optimizer::Optimizer;
 use multipub_data::ec2;
 use std::time::Instant;
 
-/// Parameters of experiment 4.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Exp4Params {
-    /// Delivery guarantee ratio in percent.
-    pub ratio_percent: f64,
-    /// Delivery bound handed to the solver (runtime does not depend on it).
-    pub max_t_ms: f64,
-    /// Per-publisher rate in messages/second.
-    pub rate_per_sec: f64,
-    /// Publication size in bytes.
-    pub size_bytes: u64,
-    /// Observation-interval length in seconds.
-    pub interval_secs: f64,
-    /// RNG seed for the client populations.
-    pub seed: u64,
-}
-
-impl Default for Exp4Params {
-    fn default() -> Self {
-        Exp4Params {
-            ratio_percent: 75.0,
-            max_t_ms: 150.0,
-            rate_per_sec: 1.0,
-            size_bytes: 1024,
-            interval_secs: 60.0,
-            seed: 2017,
-        }
-    }
-}
+/// Delivery guarantee ratio handed to the solver, percent.
+const RATIO_PERCENT: f64 = 75.0;
+/// Delivery bound handed to the solver, ms (runtime does not depend on it).
+const MAX_T_MS: f64 = 150.0;
 
 /// One timing measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -86,26 +61,14 @@ impl Exp4Result {
     }
 }
 
-fn time_solve(
-    n_regions: usize,
-    pubs_total: usize,
-    subs_total: usize,
-    params: &Exp4Params,
-) -> Exp4Row {
+fn time_solve(n_regions: usize, pubs_total: usize, subs_total: usize) -> Exp4Row {
     let (regions, inter) = ec2::restricted_deployment(n_regions);
     // Spread clients as evenly as possible over the available regions.
     let spread = |total: usize| -> Vec<usize> {
         (0..n_regions).map(|i| total / n_regions + usize::from(i < total % n_regions)).collect()
     };
-    let spec = PopulationSpec {
-        pubs_per_region: spread(pubs_total),
-        subs_per_region: spread(subs_total),
-        rate_per_sec: params.rate_per_sec,
-        size_bytes: params.size_bytes,
-    };
-    let population = Population::generate(&spec, &inter, params.seed);
-    let workload = population.workload(params.interval_secs);
-    let constraint = DeliveryConstraint::new(params.ratio_percent, params.max_t_ms).expect("valid");
+    let workload = workload(&inter, spread(pubs_total), spread(subs_total));
+    let constraint = DeliveryConstraint::new(RATIO_PERCENT, MAX_T_MS).expect("valid");
     let optimizer =
         Optimizer::new(&regions, &inter, &workload).expect("experiment-4 workload is non-empty");
     let start = Instant::now();
@@ -121,35 +84,24 @@ fn time_solve(
 
 /// Figure 6a: publishers = subscribers from `start` to `end` in steps of
 /// `step`, over the full 10-region deployment.
-pub fn run_scaling_clients(
-    params: &Exp4Params,
-    start: usize,
-    end: usize,
-    step: usize,
-) -> Exp4Result {
+pub fn run_scaling_clients(start: usize, end: usize, step: usize) -> Exp4Result {
     assert!(step > 0 && end >= start);
-    let rows = (start..=end).step_by(step).map(|n| time_solve(10, n, n, params)).collect();
+    let rows = (start..=end).step_by(step).map(|n| time_solve(10, n, n)).collect();
     Exp4Result { rows }
 }
 
 /// Figure 6b: fixed `clients × clients` population, region count from
 /// `start_regions` to `end_regions`.
-pub fn run_scaling_regions(
-    params: &Exp4Params,
-    clients: usize,
-    start_regions: usize,
-    end_regions: usize,
-) -> Exp4Result {
+pub fn run_scaling_regions(clients: usize, start_regions: usize, end_regions: usize) -> Exp4Result {
     assert!((1..=10).contains(&start_regions) && (start_regions..=10).contains(&end_regions));
-    let rows =
-        (start_regions..=end_regions).map(|n| time_solve(n, clients, clients, params)).collect();
+    let rows = (start_regions..=end_regions).map(|n| time_solve(n, clients, clients)).collect();
     Exp4Result { rows }
 }
 
 /// The paper's asymmetric scale checks: `pubs × subs` pairs such as
 /// `(10, 1000)` and `(1000, 10)`.
-pub fn run_asymmetric(params: &Exp4Params, settings: &[(usize, usize)]) -> Exp4Result {
-    let rows = settings.iter().map(|&(pubs, subs)| time_solve(10, pubs, subs, params)).collect();
+pub fn run_asymmetric(settings: &[(usize, usize)]) -> Exp4Result {
+    let rows = settings.iter().map(|&(pubs, subs)| time_solve(10, pubs, subs)).collect();
     Exp4Result { rows }
 }
 
@@ -159,8 +111,7 @@ mod tests {
 
     #[test]
     fn configuration_counts_follow_the_formula() {
-        let params = Exp4Params::default();
-        let result = run_scaling_regions(&params, 4, 2, 5);
+        let result = run_scaling_regions(4, 2, 5);
         for row in &result.rows {
             // 2·(2^n − 1) − n: every subset direct, every multi-region one routed.
             let n = row.n_regions as u64;
@@ -170,8 +121,7 @@ mod tests {
 
     #[test]
     fn runtime_grows_with_region_count() {
-        let params = Exp4Params::default();
-        let result = run_scaling_regions(&params, 30, 3, 9);
+        let result = run_scaling_regions(30, 3, 9);
         // Exponential growth: the 9-region solve must dwarf the 3-region
         // one (2036/22 configurations ≈ 46×; allow a generous margin).
         let first = result.rows.first().unwrap().solve_seconds;
@@ -181,8 +131,7 @@ mod tests {
 
     #[test]
     fn client_scaling_produces_requested_rows() {
-        let params = Exp4Params::default();
-        let result = run_scaling_clients(&params, 10, 30, 10);
+        let result = run_scaling_clients(10, 30, 10);
         let sizes: Vec<usize> = result.rows.iter().map(|r| r.publishers).collect();
         assert_eq!(sizes, vec![10, 20, 30]);
         assert!(result.rows.iter().all(|r| r.n_regions == 10));
@@ -191,8 +140,7 @@ mod tests {
 
     #[test]
     fn asymmetric_settings_run() {
-        let params = Exp4Params::default();
-        let result = run_asymmetric(&params, &[(5, 50), (50, 5)]);
+        let result = run_asymmetric(&[(5, 50), (50, 5)]);
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.rows[0].subscribers, 50);
         assert_eq!(result.rows[1].publishers, 50);

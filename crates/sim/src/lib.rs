@@ -15,9 +15,8 @@
 //!   [`experiments::exp1`] (Fig. 3), [`experiments::exp2`] (Fig. 4),
 //!   [`experiments::exp3`] (Fig. 5), [`experiments::exp4`] (Fig. 6).
 //!
-//! Every experiment is deterministic given its seed, and each returns
-//! typed rows that the `examples/paper_experiments` binary and the bench
-//! harness render as tables.
+//! Every experiment is deterministic, and each returns typed rows that
+//! render as tables; `examples/paper_experiments` prints them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

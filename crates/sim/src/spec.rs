@@ -94,8 +94,9 @@ impl SimulationOutcome {
 ///
 /// Returns a model error when the interval is not positive and finite, a
 /// topic's per-region vectors are wider than the deployment, a rate is
-/// negative or not finite, a constraint is invalid, or a topic has no
-/// publishers or subscribers.
+/// negative, not finite or so large that an interval's message, byte or
+/// delivery totals overflow `u64`, a constraint is invalid, or a topic has
+/// no publishers or subscribers.
 pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
     let _spec_timer = multipub_obs::timer!(multipub_obs::metrics::SIM_SPEC_MS);
     multipub_obs::counter!(multipub_obs::metrics::SIM_TOPICS_SOLVED_TOTAL)
@@ -112,7 +113,7 @@ pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
         if width > inter.len() {
             return Err(Error::LatencyDimension { expected: inter.len(), got: width });
         }
-        if !(clients.rate_per_sec >= 0.0 && clients.rate_per_sec.is_finite()) {
+        if !rate_is_countable(clients, spec.interval_secs) {
             return Err(Error::InvalidRate { value: clients.rate_per_sec });
         }
         let population =
@@ -129,12 +130,41 @@ pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
     })
 }
 
+/// Whether `clients`' rate is finite and non-negative, and one interval of
+/// their traffic counts in `u64`: each publisher's `rate × interval`
+/// messages (the count [`Population::workload`] casts), the topic's bytes,
+/// and its deliveries to every subscriber.
+fn rate_is_countable(clients: &PopulationSpec, interval_secs: f64) -> bool {
+    let rate = clients.rate_per_sec;
+    let count = (rate * interval_secs).round();
+    // 2^64 is exact in f64; at or above it the `as u64` cast saturates.
+    if !(rate >= 0.0 && rate.is_finite() && count < 18_446_744_073_709_551_616.0) {
+        return false;
+    }
+    let count = count as u64;
+    let total = |per_region: &[usize]| {
+        per_region.iter().try_fold(0u64, |sum, &n| sum.checked_add(n as u64))
+    };
+    let totals = || {
+        let (publishers, subscribers) =
+            (total(&clients.pubs_per_region)?, total(&clients.subs_per_region)?);
+        let bytes = count.checked_mul(clients.size_bytes)?.checked_mul(publishers)?;
+        let deliveries = count.checked_mul(publishers)?.checked_mul(subscribers)?;
+        Some((bytes, deliveries))
+    };
+    totals().is_some()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn one_topic(width: usize, rate_per_sec: f64, interval_secs: f64) -> SimulationSpec {
-        let population = PopulationSpec::uniform(width, 1, 1, rate_per_sec, 100);
+        sized_topic(width, rate_per_sec, interval_secs, 100)
+    }
+
+    fn sized_topic(width: usize, rate: f64, interval_secs: f64, size: u64) -> SimulationSpec {
+        let population = PopulationSpec::uniform(width, 1, 1, rate, size);
         let topic = TopicSpec { name: "t".into(), ratio_percent: 95.0, max_ms: 150.0, population };
         SimulationSpec { topics: vec![topic], interval_secs, seed: 1 }
     }
@@ -158,5 +188,23 @@ mod tests {
             let error = run_spec(&one_topic(10, rate, 10.0)).unwrap_err();
             assert!(matches!(error, Error::InvalidRate { .. }), "rate {rate}: {error}");
         }
+    }
+
+    #[test]
+    fn a_rate_whose_bytes_overflow_u64_is_rejected() {
+        // 6e17 messages of 1 KiB from each of 10 publishers: 6.1e21 bytes.
+        let bytes_overflow = run_spec(&sized_topic(10, 1e16, 60.0, 1024));
+        assert_eq!(bytes_overflow, Err(Error::InvalidRate { value: 1e16 }));
+    }
+
+    #[test]
+    fn a_rate_whose_deliveries_overflow_u64_is_rejected() {
+        // 1 B messages keep the bytes at 6e17 × 10 publishers = 6e18 < 2^64:
+        // one subscriber receives 6e18 deliveries, ten receive 6e19.
+        let mut spec = sized_topic(10, 1e16, 60.0, 1);
+        spec.topics[0].population.subs_per_region = vec![1];
+        assert!(run_spec(&spec).is_ok());
+        spec.topics[0].population.subs_per_region = vec![1; 10];
+        assert_eq!(run_spec(&spec), Err(Error::InvalidRate { value: 1e16 }));
     }
 }

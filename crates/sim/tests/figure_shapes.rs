@@ -18,36 +18,34 @@ fn exp1_quick() -> exp1::Exp1Result {
         pubs_per_region: 3,
         subs_per_region: 3,
         step_ms: 10.0,
-        max_t_start_ms: 100.0,
         max_t_end_ms: 260.0,
-        ..Default::default()
     })
 }
 
 #[test]
 fn figure3_ordering_all_regions_fast_one_region_cheap() {
     let result = exp1_quick();
-    assert!(result.all_regions_delivery_ms < result.one_region_delivery_ms);
-    assert!(result.all_regions_cost_per_day > result.one_region_cost_per_day);
+    assert!(result.all_regions.delivery_ms < result.one_region.delivery_ms);
+    assert!(result.all_regions.cost_per_day > result.one_region.cost_per_day);
 }
 
 #[test]
 fn figure3_multipub_interpolates_between_the_baselines() {
     let result = exp1_quick();
     for row in &result.rows {
-        assert!(row.cost_per_day <= result.all_regions_cost_per_day + 1e-9);
-        assert!(row.cost_per_day >= result.one_region_cost_per_day - 1e-9);
+        assert!(row.cost_per_day <= result.all_regions.cost_per_day + 1e-9);
+        assert!(row.cost_per_day >= result.one_region.cost_per_day - 1e-9);
         if row.feasible {
             assert!(row.delivery_ms <= row.max_t_ms);
         }
     }
     // Tight end: as fast as the all-regions deployment can be required.
     let first = result.rows.first().unwrap();
-    assert!(first.delivery_ms <= result.one_region_delivery_ms);
+    assert!(first.delivery_ms <= result.one_region.delivery_ms);
     // Loose end: converged to the one-region deployment.
     let last = result.rows.last().unwrap();
-    assert_eq!(last.regions_used, 1);
-    assert!((last.cost_per_day - result.one_region_cost_per_day).abs() < 1e-9);
+    assert_eq!(last.configuration.region_count(), 1);
+    assert!((last.cost_per_day - result.one_region.cost_per_day).abs() < 1e-9);
 }
 
 #[test]
@@ -57,7 +55,7 @@ fn figure3_region_count_decreases_with_the_bound() {
     // tight end must use strictly more regions than the loose end.
     let first = result.rows.first().unwrap();
     let last = result.rows.last().unwrap();
-    assert!(first.regions_used > last.regions_used);
+    assert!(first.configuration.region_count() > last.configuration.region_count());
     // And MultiPub achieves real savings somewhere along the sweep.
     assert!(result.peak_saving_vs_all_regions() > 0.10, "expected >10% peak saving");
 }
@@ -68,15 +66,14 @@ fn exp2_quick() -> exp2::Exp2Result {
         asia_subscribers: 8,
         usa_subscribers: 8,
         step_ms: 10.0,
-        ..Default::default()
     })
 }
 
 #[test]
 fn figure4_routed_reaches_lower_delivery_floor() {
     let result = exp2_quick();
-    let routed_floor = result.min_delivery_ms(|r| r.routed_only);
-    let direct_floor = result.min_delivery_ms(|r| r.direct_only);
+    let routed_floor = result.min_delivery_ms(|r| &r.routed_only);
+    let direct_floor = result.min_delivery_ms(|r| &r.direct_only);
     assert!(
         routed_floor < direct_floor,
         "routed floor {routed_floor} must undercut direct floor {direct_floor} \
@@ -87,12 +84,13 @@ fn figure4_routed_reaches_lower_delivery_floor() {
 #[test]
 fn figure4_multipub_is_the_lower_cost_envelope() {
     let result = exp2_quick();
-    for row in &result.rows {
-        assert!(row.multipub.cost_per_day <= row.direct_only.cost_per_day + 1e-9);
-        assert!(row.multipub.cost_per_day <= row.routed_only.cost_per_day + 1e-9);
+    let variants = result.multipub.iter().zip(&result.direct_only).zip(&result.routed_only);
+    for ((multipub, direct), routed) in variants {
+        assert!(multipub.cost_per_day <= direct.cost_per_day + 1e-9);
+        assert!(multipub.cost_per_day <= routed.cost_per_day + 1e-9);
         // And never slower than required when a variant is feasible.
-        if row.direct_only.feasible || row.routed_only.feasible {
-            assert!(row.multipub.feasible);
+        if direct.feasible || routed.feasible {
+            assert!(multipub.feasible);
         }
     }
 }
@@ -102,13 +100,14 @@ fn figure4_mode_switches_from_routed_to_direct_as_bound_relaxes() {
     let result = exp2_quick();
     // In the tight-bound regime where only routed is feasible, MultiPub
     // must pick routed.
-    let tight = result.rows.iter().find(|r| r.routed_only.feasible && !r.direct_only.feasible);
-    if let Some(row) = tight {
-        assert_eq!(row.multipub.mode, multipub_core::assignment::DeliveryMode::Routed);
+    let mut variants = result.multipub.iter().zip(&result.direct_only).zip(&result.routed_only);
+    let tight = variants.find(|((_, direct), routed)| routed.feasible && !direct.feasible);
+    if let Some(((multipub, _), _)) = tight {
+        assert_eq!(multipub.configuration.mode(), multipub_core::assignment::DeliveryMode::Routed);
     }
     // At the loose end the paper observes direct delivery with one region.
-    let last = result.rows.last().unwrap();
-    assert_eq!(last.multipub.mode, multipub_core::assignment::DeliveryMode::Direct);
+    let last = result.multipub.last().unwrap();
+    assert_eq!(last.configuration.mode(), multipub_core::assignment::DeliveryMode::Direct);
 }
 
 fn exp3_quick(home: multipub_core::ids::RegionId, end: f64) -> exp3::Exp3Result {
@@ -132,11 +131,11 @@ fn figure5a_tokyo_cost_arbitrage() {
     let result = exp3_quick(ec2::regions::AP_NORTHEAST_1, 300.0);
     // Tight bounds need the local (expensive) region.
     let first_feasible = result.rows.iter().find(|r| r.feasible).unwrap();
-    assert!(first_feasible.uses_home_region);
+    assert!(first_feasible.configuration.assignment().contains(ec2::regions::AP_NORTHEAST_1));
     // Loose bounds find a cheaper remote configuration.
     let last = result.rows.last().unwrap();
     assert!(last.feasible);
-    assert!(last.cost_per_day < result.local_only_cost_per_day);
+    assert!(last.cost_per_day < result.local_only.cost_per_day);
     assert!(result.peak_saving() > 0.2, "Tokyo peak saving {:.2}", result.peak_saving());
 }
 
@@ -159,6 +158,37 @@ fn figure5_cost_is_monotone_in_the_bound() {
     let feasible: Vec<_> = result.rows.iter().filter(|r| r.feasible).collect();
     for pair in feasible.windows(2) {
         assert!(pair[1].cost_per_day <= pair[0].cost_per_day + 1e-9);
+    }
+}
+
+/// Every sweep of Figures 3–5: a feasible point meets its bound, and a
+/// looser bound neither loses feasibility nor costs more.
+#[test]
+fn every_sweep_meets_its_bounds_and_never_costs_more_as_they_relax() {
+    let exp2 = exp2_quick();
+    let sweeps = [
+        ("Fig. 3", exp1_quick().rows),
+        ("Fig. 4 MultiPub", exp2.multipub),
+        ("Fig. 4 MultiPub-D", exp2.direct_only),
+        ("Fig. 4 MultiPub-R", exp2.routed_only),
+        ("Fig. 5a", exp3_quick(ec2::regions::AP_NORTHEAST_1, 300.0).rows),
+        ("Fig. 5b", exp3_quick(ec2::regions::SA_EAST_1, 350.0).rows),
+    ];
+    for (figure, points) in sweeps {
+        for point in points.iter().filter(|point| point.feasible) {
+            assert!(point.delivery_ms <= point.max_t_ms, "{figure}: {point:?}");
+        }
+        for pair in points.windows(2) {
+            let (tight, loose) = (&pair[0], &pair[1]);
+            assert!(loose.feasible || !tight.feasible, "{figure}: feasibility lost at {loose:?}");
+            assert!(
+                loose.cost_per_day <= tight.cost_per_day + 1e-9,
+                "{figure}: cost rose from {} to {} at max_T {}",
+                tight.cost_per_day,
+                loose.cost_per_day,
+                loose.max_t_ms
+            );
+        }
     }
 }
 

@@ -76,13 +76,7 @@ fn run_exp1(quick: bool) {
 fn run_exp2(quick: bool) {
     println!("== Experiment 2 / Figure 4: direct vs routed delivery ==");
     let params = if quick {
-        exp2::Exp2Params {
-            publishers: 20,
-            asia_subscribers: 8,
-            usa_subscribers: 8,
-            step_ms: 10.0,
-            ..Default::default()
-        }
+        exp2::Exp2Params { publishers: 20, asia_subscribers: 8, usa_subscribers: 8, step_ms: 10.0 }
     } else {
         exp2::Exp2Params::default()
     };
@@ -90,8 +84,8 @@ fn run_exp2(quick: bool) {
     println!("{}", result.table().to_markdown());
     println!(
         "Min delivery: MultiPub-R {:.0} ms vs MultiPub-D {:.0} ms (paper: 94 vs 110)\n",
-        result.min_delivery_ms(|r| r.routed_only),
-        result.min_delivery_ms(|r| r.direct_only)
+        result.min_delivery_ms(|r| &r.routed_only),
+        result.min_delivery_ms(|r| &r.direct_only)
     );
 }
 
@@ -117,26 +111,25 @@ fn run_exp3(quick: bool) {
 
 fn run_exp4(quick: bool) {
     println!("== Experiment 4 / Figure 6: runtime analysis ==");
-    let params = exp4::Exp4Params::default();
     println!("-- Figure 6a: clients scale (10 regions) --");
     let a = if quick {
-        exp4::run_scaling_clients(&params, 10, 40, 10)
+        exp4::run_scaling_clients(10, 40, 10)
     } else {
-        exp4::run_scaling_clients(&params, 10, 100, 10)
+        exp4::run_scaling_clients(10, 100, 10)
     };
     println!("{}", a.table().to_markdown());
     println!("-- Figure 6b: regions scale (100+100 clients) --");
     let b = if quick {
-        exp4::run_scaling_regions(&params, 30, 2, 8)
+        exp4::run_scaling_regions(30, 2, 8)
     } else {
-        exp4::run_scaling_regions(&params, 100, 2, 10)
+        exp4::run_scaling_regions(100, 2, 10)
     };
     println!("{}", b.table().to_markdown());
     println!("-- Asymmetric settings --");
     let c = if quick {
-        exp4::run_asymmetric(&params, &[(10, 100), (100, 10)])
+        exp4::run_asymmetric(&[(10, 100), (100, 10)])
     } else {
-        exp4::run_asymmetric(&params, &[(10, 1000), (1000, 10)])
+        exp4::run_asymmetric(&[(10, 1000), (1000, 10)])
     };
     println!("{}", c.table().to_markdown());
 }
