@@ -376,72 +376,20 @@ impl fmt::Display for VersionedConfiguration {
 pub fn enumerate_configurations(
     allowed: AssignmentVector,
     policy: ModePolicy,
-) -> ConfigurationIter {
-    ConfigurationIter {
-        allowed: allowed.mask(),
-        current: 0,
-        emit_routed_for: None,
-        policy,
-        done: false,
-    }
-}
-
-/// Iterator produced by [`enumerate_configurations`].
-#[derive(Debug, Clone)]
-pub struct ConfigurationIter {
-    allowed: u32,
-    /// The submask most recently emitted (0 before the first).
-    current: u32,
-    /// Pending routed configuration for the given mask.
-    emit_routed_for: Option<u32>,
-    policy: ModePolicy,
-    done: bool,
-}
-
-impl ConfigurationIter {
-    /// Advances `current` to the next non-empty submask of `allowed` in
-    /// increasing numeric order, returning it, or `None` when exhausted.
-    fn next_submask(&mut self) -> Option<u32> {
-        // Enumerate submasks in increasing order: ((current - allowed) & allowed)
-        // yields the numerically next submask of `allowed` above `current`.
-        if self.done {
-            return None;
-        }
-        let next = self.current.wrapping_sub(self.allowed) & self.allowed;
-        if next == 0 {
-            // Wrapped around (only happens after emitting `allowed` itself).
-            self.done = true;
-            return None;
-        }
-        self.current = next;
-        Some(next)
-    }
-}
-
-impl Iterator for ConfigurationIter {
-    type Item = Configuration;
-
-    fn next(&mut self) -> Option<Configuration> {
-        loop {
-            if let Some(mask) = self.emit_routed_for.take() {
-                let assignment = AssignmentVector(mask);
-                if self.policy.admits(DeliveryMode::Routed, assignment.count()) {
-                    return Some(Configuration::new(assignment, DeliveryMode::Routed));
-                }
-                // Routed not admitted; fall through to the next submask.
-            }
-            let mask = self.next_submask()?;
-            let assignment = AssignmentVector(mask);
-            let n = assignment.count();
-            if n >= 2 {
-                self.emit_routed_for = Some(mask);
-            }
-            if self.policy.admits(DeliveryMode::Direct, n) {
-                return Some(Configuration::new(assignment, DeliveryMode::Direct));
-            }
-            // Direct not admitted (RoutedOnly multi-region); loop to emit routed.
-        }
-    }
+) -> impl Iterator<Item = Configuration> + Clone {
+    let allowed = allowed.mask();
+    // `(mask − allowed) & allowed` is the next submask of `allowed` above
+    // `mask`; it wraps to 0 after `allowed` itself.
+    let submasks = std::iter::successors(Some(allowed & allowed.wrapping_neg()), move |&mask| {
+        Some(mask.wrapping_sub(allowed) & allowed).filter(|&next| next != 0)
+    });
+    submasks.flat_map(move |mask| {
+        let assignment = AssignmentVector(mask);
+        [DeliveryMode::Direct, DeliveryMode::Routed]
+            .into_iter()
+            .filter(move |&mode| policy.admits(mode, assignment.count()))
+            .map(move |mode| Configuration::new(assignment, mode))
+    })
 }
 
 #[cfg(test)]
@@ -538,6 +486,30 @@ pub(crate) mod tests {
             let count = enumerate_configurations(allowed, ModePolicy::Any).count() as u64;
             assert_eq!(count, configuration_count(n), "n = {n}");
         }
+    }
+
+    /// §IV.B's scan keeps the first of several tolerance-equal candidates,
+    /// so the walk's order decides ties: increasing submask, direct first.
+    #[test]
+    fn enumeration_order_is_increasing_submask_direct_first() {
+        use DeliveryMode::{Direct as D, Routed as R};
+        let walk = |mask: u32, n: usize, policy| -> Vec<(u32, DeliveryMode)> {
+            let allowed = AssignmentVector::from_mask(mask, n).unwrap();
+            enumerate_configurations(allowed, policy)
+                .map(|c| (c.assignment().mask(), c.mode()))
+                .collect()
+        };
+        let any = [(1, D), (2, D), (3, D), (3, R), (4, D), (5, D), (5, R), (6, D), (6, R)];
+        assert_eq!(walk(0b111, 3, ModePolicy::Any), [&any[..], &[(7, D), (7, R)]].concat());
+        let direct = [(1, D), (2, D), (3, D), (4, D), (5, D), (6, D), (7, D)];
+        assert_eq!(walk(0b111, 3, ModePolicy::DirectOnly), direct);
+        let routed = [(1, D), (2, D), (3, R), (4, D), (5, R), (6, R), (7, R)];
+        assert_eq!(walk(0b111, 3, ModePolicy::RoutedOnly), routed);
+        // Bit 31 set: the walk still ends at `allowed`, not at a wrapped 0.
+        let (a, b, c) = (0x8000_0000, 0x8000_0001, 0x8000_0004);
+        let low = [(1, D), (4, D), (5, D), (5, R), (a, D), (b, D), (b, R), (c, D), (c, R)];
+        let all = [&low[..], &[(0x8000_0005, D), (0x8000_0005, R)]].concat();
+        assert_eq!(walk(0x8000_0005, 32, ModePolicy::Any), all);
     }
 
     #[test]

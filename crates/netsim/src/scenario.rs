@@ -25,7 +25,8 @@ impl SimPublisher {
     ///
     /// # Panics
     ///
-    /// Panics if the rate is not positive and finite.
+    /// Panics if the rate is not positive and finite, or a latency is
+    /// negative, NaN or infinite.
     pub fn new(client: ClientId, latencies: Vec<f64>, rate_per_sec: f64, size_bytes: u64) -> Self {
         Self::with_phase(client, latencies, rate_per_sec, size_bytes, 0.0)
     }
@@ -35,7 +36,8 @@ impl SimPublisher {
     ///
     /// # Panics
     ///
-    /// Panics if the rate is not positive/finite or the phase is negative.
+    /// Panics if the rate is not positive/finite, the phase is negative, or
+    /// a latency is negative, NaN or infinite.
     pub fn with_phase(
         client: ClientId,
         latencies: Vec<f64>,
@@ -45,6 +47,7 @@ impl SimPublisher {
     ) -> Self {
         assert!(rate_per_sec > 0.0 && rate_per_sec.is_finite(), "rate must be positive");
         assert!(phase_ms >= 0.0 && phase_ms.is_finite(), "phase must be non-negative");
+        assert_latencies("publisher", client, &latencies);
         SimPublisher { client, latencies, rate_per_sec, size_bytes, phase_ms }
     }
 
@@ -76,41 +79,29 @@ impl SimPublisher {
     /// The publication timestamps within a run of `duration_ms`
     /// milliseconds: `phase + k / rate` for every `k` with a timestamp
     /// strictly below the duration.
-    pub(crate) fn publish_times_ms(&self, duration_ms: f64) -> PublishTimes {
-        PublishTimes {
-            phase_ms: self.phase_ms,
-            period_ms: 1000.0 / self.rate_per_sec,
-            duration_ms,
-            k: 0,
-        }
-    }
-
-    /// Number of messages this publisher emits within `duration_ms`.
-    fn message_count(&self, duration_ms: f64) -> u64 {
-        self.publish_times_ms(duration_ms).count() as u64
+    pub(crate) fn publish_times_ms(&self, duration_ms: f64) -> impl Iterator<Item = f64> {
+        let (phase, period) = (self.phase_ms, 1000.0 / self.rate_per_sec);
+        (0u64..).map(move |k| phase + k as f64 * period).take_while(move |&t| t < duration_ms)
     }
 }
 
-/// Iterator over a publisher's publication timestamps.
-#[derive(Debug, Clone)]
-pub(crate) struct PublishTimes {
-    phase_ms: f64,
-    period_ms: f64,
-    duration_ms: f64,
-    k: u64,
+/// Panics unless every entry of `client`'s latency row is finite and
+/// non-negative: the values the model's `Publisher` and `Subscriber` accept.
+fn assert_latencies(role: &str, client: ClientId, latencies: &[f64]) {
+    for &value in latencies {
+        assert!(
+            value.is_finite() && value >= 0.0,
+            "{role} {client} latency {value} must be finite and non-negative"
+        );
+    }
 }
 
-impl Iterator for PublishTimes {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        let t = self.phase_ms + self.k as f64 * self.period_ms;
-        if t < self.duration_ms {
-            self.k += 1;
-            Some(t)
-        } else {
-            None
-        }
+/// Panics if a client id appears twice among `clients`, one role of `topic`.
+fn assert_unique(role: &str, topic: &TopicId, clients: impl Iterator<Item = ClientId>) {
+    let mut clients: Vec<ClientId> = clients.collect();
+    clients.sort_unstable();
+    for (a, b) in clients.iter().zip(clients.iter().skip(1)) {
+        assert_ne!(a, b, "{role} {a} appears twice in topic {topic}");
     }
 }
 
@@ -123,7 +114,12 @@ pub struct SimSubscriber {
 
 impl SimSubscriber {
     /// Creates a subscriber.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a latency is negative, NaN or infinite.
     pub fn new(client: ClientId, latencies: Vec<f64>) -> Self {
+        assert_latencies("subscriber", client, &latencies);
         SimSubscriber { client, latencies }
     }
 
@@ -149,12 +145,18 @@ pub struct TopicScenario {
 
 impl TopicScenario {
     /// Creates a topic scenario.
+    ///
+    /// # Panics
+    ///
+    /// Panics if two publishers, or two subscribers, share a client id.
     pub fn new(
         id: TopicId,
         configuration: Configuration,
         publishers: Vec<SimPublisher>,
         subscribers: Vec<SimSubscriber>,
     ) -> Self {
+        assert_unique("publisher", &id, publishers.iter().map(SimPublisher::client));
+        assert_unique("subscriber", &id, subscribers.iter().map(SimSubscriber::client));
         TopicScenario { id, configuration, publishers, subscribers }
     }
 
@@ -191,31 +193,32 @@ impl TopicScenario {
     ///
     /// # Panics
     ///
-    /// Panics if the scenario contains duplicate client ids within a role
-    /// or inconsistent latency rows, which `Scenario::new` rules out.
+    /// Panics if a latency row's width differs from `n_regions`, which
+    /// `Scenario::new` rules out for its own region count. Latency values
+    /// and ids are checked by the client constructors and `TopicScenario::new`.
     pub fn workload(&self, n_regions: usize, duration_ms: f64) -> TopicWorkload {
         let mut workload = TopicWorkload::new(n_regions);
         for publisher in &self.publishers {
-            let batch =
-                MessageBatch::uniform(publisher.message_count(duration_ms), publisher.size_bytes());
+            let count = publisher.publish_times_ms(duration_ms).count() as u64;
+            let batch = MessageBatch::uniform(count, publisher.size_bytes());
             workload
                 .add_publisher(
                     Publisher::new(publisher.client(), publisher.latencies().to_vec(), batch)
-                        // lint:allow(panic) rebuilt from fields of a Scenario that already passed the same constructor's validation
-                        .expect("validated by Scenario::new"),
+                        // lint:allow(panic) `SimPublisher::with_phase` checked every latency
+                        .expect("latencies checked by SimPublisher::with_phase"),
                 )
-                // lint:allow(panic) rebuilt from fields of a Scenario that already passed the same constructor's validation
-                .expect("validated by Scenario::new");
+                // lint:allow(panic) ids unique per `TopicScenario::new`; a wrong width is the documented panic
+                .expect("ids unique per TopicScenario::new; row width must be n_regions");
         }
         for subscriber in &self.subscribers {
             workload
                 .add_subscriber(
                     Subscriber::new(subscriber.client(), subscriber.latencies().to_vec())
-                        // lint:allow(panic) rebuilt from fields of a Scenario that already passed the same constructor's validation
-                        .expect("validated by Scenario::new"),
+                        // lint:allow(panic) `SimSubscriber::new` checked every latency
+                        .expect("latencies checked by SimSubscriber::new"),
                 )
-                // lint:allow(panic) rebuilt from fields of a Scenario that already passed the same constructor's validation
-                .expect("validated by Scenario::new");
+                // lint:allow(panic) ids unique per `TopicScenario::new`; a wrong width is the documented panic
+                .expect("ids unique per TopicScenario::new; row width must be n_regions");
         }
         workload
     }
@@ -238,11 +241,11 @@ impl Scenario {
     ///
     /// Panics if the inter-region matrix width differs from the region
     /// count or any client latency row has the wrong width — scenario
-    /// construction bugs, not runtime conditions. Only widths are checked:
-    /// latency values are taken as given, and so is each topic's
-    /// configuration and anything later swapped in through
-    /// [`Scenario::topics_mut`]; `Engine::new` checks every configuration
-    /// against the region count.
+    /// construction bugs, not runtime conditions. Latency values and client
+    /// ids are checked where clients and topics are built, so they hold for
+    /// topics swapped in through [`Scenario::topics_mut`] too; widths there
+    /// are not rechecked. `Engine::new` checks every configuration against
+    /// the region count.
     pub fn new(regions: RegionSet, inter: InterRegionMatrix, topics: Vec<TopicScenario>) -> Self {
         assert_eq!(regions.len(), inter.len(), "inter-region matrix must cover every region");
         for topic in &topics {
@@ -347,7 +350,7 @@ mod tests {
         assert_eq!(times.len(), 10);
         assert_eq!(times[0], 0.0);
         assert_eq!(times[1], 100.0);
-        assert_eq!(p.message_count(1000.0), 10);
+        assert_eq!(p.publish_times_ms(1000.0).count(), 10);
     }
 
     #[test]
@@ -360,13 +363,39 @@ mod tests {
     #[test]
     fn phase_beyond_duration_means_no_messages() {
         let p = SimPublisher::with_phase(ClientId(0), vec![1.0, 2.0], 1.0, 100, 5000.0);
-        assert_eq!(p.message_count(1000.0), 0);
+        assert_eq!(p.publish_times_ms(1000.0).count(), 0);
     }
 
     #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
         let _ = SimPublisher::new(ClientId(0), vec![], 0.0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "publisher C3 latency NaN must be finite and non-negative")]
+    fn nan_latency_rejected() {
+        let _ = SimPublisher::new(ClientId(3), vec![f64::NAN, 1.0], 10.0, 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscriber C4 latency -100 must be finite and non-negative")]
+    fn negative_latency_rejected() {
+        let _ = SimSubscriber::new(ClientId(4), vec![-100.0, 1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "subscriber C1 appears twice in topic t")]
+    fn duplicate_client_rejected() {
+        let _ = TopicScenario::new(
+            TopicId::new("t"),
+            Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Routed),
+            vec![SimPublisher::new(ClientId(0), vec![5.0, 60.0], 10.0, 100)],
+            vec![
+                SimSubscriber::new(ClientId(1), vec![60.0, 5.0]),
+                SimSubscriber::new(ClientId(1), vec![5.0, 60.0]),
+            ],
+        );
     }
 
     #[test]

@@ -294,22 +294,6 @@ impl HistogramSnapshot {
         }
         self.max_ms()
     }
-
-    /// Merges two snapshots: bucket counts and sums add, the maximum
-    /// is the larger of the two.
-    pub fn merge(&self, other: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&other.buckets)
-                .map(|(a, b)| a.saturating_add(*b))
-                .collect(),
-            count: self.count.saturating_add(other.count),
-            sum_micros: self.sum_micros.saturating_add(other.sum_micros),
-            max_micros: self.max_micros.max(other.max_micros),
-        }
-    }
 }
 
 /// RAII timer: records the elapsed wall-time in milliseconds into a
@@ -542,20 +526,6 @@ mod tests {
         assert_eq!(Histogram::new().snapshot().quantile(95.0), 0.0);
     }
 
-    #[test]
-    fn merge_adds_counts_and_keeps_max() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        a.record(1.0);
-        a.record(2.0);
-        b.record(500.0);
-        let merged = a.snapshot().merge(&b.snapshot());
-        assert_eq!(merged.count(), 3);
-        assert!((merged.sum_ms() - 503.0).abs() < 1e-9);
-        assert!((merged.max_ms() - 500.0).abs() < 1e-9);
-        assert_eq!(merged.buckets().iter().sum::<u64>(), 3);
-    }
-
     fn snapshot_of(values: &[f64]) -> HistogramSnapshot {
         let histogram = Histogram::new();
         values.iter().for_each(|&value| histogram.record(value));
@@ -596,20 +566,6 @@ mod tests {
             ratios.sort_unstable_by(f64::total_cmp);
             let estimates: Vec<f64> = ratios.iter().map(|q| snapshot.quantile(*q)).collect();
             assert!(estimates.windows(2).all(|pair| pair[0] <= pair[1]), "{estimates:?}");
-        });
-    }
-
-    #[test]
-    fn merged_counts_and_sums_are_the_sums_of_the_parts() {
-        crate::for_each_seed(|seed| {
-            let mut next = crate::xorshift(seed);
-            let a = sample(&mut next, 0, 99, 0.0, 1.0e7);
-            let b = sample(&mut next, 0, 99, 0.0, 1.0e7);
-            let (snapshot_a, snapshot_b) = (snapshot_of(&a), snapshot_of(&b));
-            let merged = snapshot_a.merge(&snapshot_b);
-            assert_eq!(merged.count(), snapshot_a.count() + snapshot_b.count());
-            assert_eq!(merged.buckets().iter().sum::<u64>(), (a.len() + b.len()) as u64);
-            assert!((merged.sum_ms() - (snapshot_a.sum_ms() + snapshot_b.sum_ms())).abs() < 1e-6);
         });
     }
 

@@ -76,7 +76,7 @@ impl Gauge {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Metric {
     Counter(Arc<Counter>),
     Gauge(Arc<Gauge>),
@@ -119,21 +119,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(Metric::Counter(counter)) = self.metrics.read().get(name).cloned() {
-            return counter;
-        }
-        let mut metrics = self.metrics.write();
-        let entry = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())));
-        match entry {
-            Metric::Counter(counter) => Arc::clone(counter),
-            // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
-            other => panic!(
-                "metric `{name}` is already registered as a {}, not a counter",
-                kind_name(other)
-            ),
-        }
+        self.get_or_register(name, "counter", Metric::Counter, |metric| match metric {
+            Metric::Counter(counter) => Some(counter),
+            _ => None,
+        })
     }
 
     /// The gauge named `name`, registering it on first use.
@@ -142,21 +131,10 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(Metric::Gauge(gauge)) = self.metrics.read().get(name).cloned() {
-            return gauge;
-        }
-        let mut metrics = self.metrics.write();
-        let entry = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())));
-        match entry {
-            Metric::Gauge(gauge) => Arc::clone(gauge),
-            // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
-            other => panic!(
-                "metric `{name}` is already registered as a {}, not a gauge",
-                kind_name(other)
-            ),
-        }
+        self.get_or_register(name, "gauge", Metric::Gauge, |metric| match metric {
+            Metric::Gauge(gauge) => Some(gauge),
+            _ => None,
+        })
     }
 
     /// The histogram named `name`, registering it on first use.
@@ -165,19 +143,34 @@ impl Registry {
     ///
     /// Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(Metric::Histogram(histogram)) = self.metrics.read().get(name).cloned() {
-            return histogram;
+        self.get_or_register(name, "histogram", Metric::Histogram, |metric| match metric {
+            Metric::Histogram(histogram) => Some(histogram),
+            _ => None,
+        })
+    }
+
+    /// The `kind` metric named `name` as `get` finds it: under the read
+    /// lock if it exists, else registered as `wrap` of a new one under the
+    /// write lock (another thread may have registered it in between).
+    fn get_or_register<T: Default>(
+        &self,
+        name: &str,
+        kind: &str,
+        wrap: fn(Arc<T>) -> Metric,
+        get: fn(&Metric) -> Option<&Arc<T>>,
+    ) -> Arc<T> {
+        if let Some(found) = self.metrics.read().get(name).and_then(get) {
+            return Arc::clone(found);
         }
         let mut metrics = self.metrics.write();
-        let entry = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())));
-        match entry {
-            Metric::Histogram(histogram) => Arc::clone(histogram),
+        let metric =
+            metrics.entry(name.to_string()).or_insert_with(|| wrap(Arc::new(T::default())));
+        match get(metric) {
+            Some(found) => Arc::clone(found),
             // lint:allow(panic) one name, one kind: the macros reject a mismatch at compile time, this guards the by-name API
-            other => panic!(
-                "metric `{name}` is already registered as a {}, not a histogram",
-                kind_name(other)
+            None => panic!(
+                "metric `{name}` is already registered as a {}, not a {kind}",
+                kind_name(metric)
             ),
         }
     }
@@ -389,6 +382,28 @@ mod tests {
         let registry = Registry::new();
         registry.counter("multipub_test_conflict");
         registry.gauge("multipub_test_conflict");
+    }
+
+    #[test]
+    fn every_kind_mismatch_panics_naming_both_kinds() {
+        let register = |registry: &Registry, kind: &str| match kind {
+            "counter" => drop(registry.counter("multipub_test_conflict")),
+            "gauge" => drop(registry.gauge("multipub_test_conflict")),
+            _ => drop(registry.histogram("multipub_test_conflict")),
+        };
+        let kinds = ["counter", "gauge", "histogram"];
+        for first in kinds {
+            for second in kinds.into_iter().filter(|&kind| kind != first) {
+                let registry = Registry::new();
+                register(&registry, first);
+                let panic = std::panic::catch_unwind(|| register(&registry, second)).unwrap_err();
+                let message = panic.downcast_ref::<String>().unwrap();
+                let expected = format!(
+                    "metric `multipub_test_conflict` is already registered as a {first}, not a {second}"
+                );
+                assert_eq!(*message, expected);
+            }
+        }
     }
 
     #[test]

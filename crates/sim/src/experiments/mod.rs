@@ -24,7 +24,7 @@ pub mod exp2;
 pub mod exp3;
 pub mod exp4;
 
-use crate::horizon::CostHorizon;
+use crate::cost_per_day;
 use crate::population::{Population, PopulationSpec};
 use multipub_core::assignment::Configuration;
 use multipub_core::evaluate::ConfigEvaluation;
@@ -64,7 +64,7 @@ impl Point {
             max_t_ms,
             configuration: evaluation.configuration(),
             delivery_ms: evaluation.percentile_ms(),
-            cost_per_day: CostHorizon::per_day(INTERVAL_SECS).scale(evaluation.cost_dollars()),
+            cost_per_day: cost_per_day(evaluation.cost_dollars(), INTERVAL_SECS),
             feasible,
         }
     }

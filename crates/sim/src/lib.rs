@@ -9,7 +9,7 @@
 //! * [`population`] — generates client populations (latency rows via the
 //!   King-style model of `multipub-data`) and turns them into analytic
 //!   workloads or discrete-event scenarios.
-//! * [`horizon`] — scales interval costs to the paper's "$/day" figures.
+//! * [`cost_per_day`] — scales interval costs to the paper's "$/day" figures.
 //! * [`table`] — plain-text result tables (markdown / CSV).
 //! * [`experiments`] — the paper's four experiments:
 //!   [`experiments::exp1`] (Fig. 3), [`experiments::exp2`] (Fig. 4),
@@ -22,7 +22,36 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod experiments;
-pub mod horizon;
 pub mod population;
 pub mod spec;
 pub mod table;
+
+/// Extrapolates the cost of one `interval_secs` observation interval to a
+/// day: the paper reports costs "as if the test workload had run for a
+/// full day on the real cloud".
+///
+/// # Panics
+///
+/// Panics if `interval_secs` is not positive and finite.
+pub fn cost_per_day(interval_cost_dollars: f64, interval_secs: f64) -> f64 {
+    assert!(interval_secs > 0.0 && interval_secs.is_finite());
+    interval_cost_dollars * 86_400.0 / interval_secs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cost_per_day;
+
+    #[test]
+    fn day_scaling() {
+        assert_eq!(cost_per_day(5.0, 86_400.0), 5.0);
+        assert_eq!(cost_per_day(1.0, 3_600.0), 24.0);
+        assert_eq!(cost_per_day(0.01, 60.0), 14.4);
+    }
+
+    #[test]
+    #[should_panic]
+    fn zero_interval_rejected() {
+        let _ = cost_per_day(1.0, 0.0);
+    }
+}

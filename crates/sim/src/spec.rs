@@ -5,7 +5,7 @@
 //! number of topics" with per-topic populations, rates, sizes and
 //! constraints (§V.B).
 
-use crate::horizon::CostHorizon;
+use crate::cost_per_day;
 use crate::population::{Population, PopulationSpec};
 use crate::table::{dollars, millis, Table};
 use multipub_core::constraint::DeliveryConstraint;
@@ -59,8 +59,8 @@ fn default_seed() -> u64 {
 pub struct SimulationOutcome {
     /// Per-topic solver results, in spec order.
     pub solutions: Vec<(String, Solution)>,
-    /// The horizon used to scale costs to $/day.
-    horizon: CostHorizon,
+    /// The observation interval, seconds, scaled to $/day.
+    interval_secs: f64,
 }
 
 impl SimulationOutcome {
@@ -80,7 +80,7 @@ impl SimulationOutcome {
                 solution.configuration().to_string(),
                 millis(solution.evaluation().percentile_ms()),
                 solution.is_feasible().to_string(),
-                dollars(self.horizon.scale(solution.evaluation().cost_dollars())),
+                dollars(cost_per_day(solution.evaluation().cost_dollars(), self.interval_secs)),
                 solution.configurations_considered().to_string(),
             ]);
         }
@@ -126,7 +126,7 @@ pub fn run_spec(spec: &SimulationSpec) -> Result<SimulationOutcome, Error> {
     let solutions = solve_topics(&regions, &inter, &problems)?;
     Ok(SimulationOutcome {
         solutions: spec.topics.iter().map(|t| t.name.clone()).zip(solutions).collect(),
-        horizon: CostHorizon::per_day(spec.interval_secs),
+        interval_secs: spec.interval_secs,
     })
 }
 

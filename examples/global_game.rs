@@ -20,7 +20,7 @@ use multipub_data::king::ClientLatencyModel;
 use multipub_netsim::engine::Engine;
 use multipub_netsim::jitter::Jitter;
 use multipub_netsim::scenario::Scenario;
-use multipub_sim::horizon::CostHorizon;
+use multipub_sim::cost_per_day;
 use multipub_sim::population::{Population, PopulationSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,7 +30,6 @@ const INTERVAL_SECS: f64 = 60.0;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let regions = ec2::region_set();
     let inter = ec2::inter_region_latencies();
-    let horizon = CostHorizon::per_day(INTERVAL_SECS);
 
     // Three topics with different populations and bounds.
     let game_state = PopulationSpec::uniform(regions.len(), 2, 8, 20.0, 256);
@@ -61,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {name:<12} <{ratio}%, {max_t} ms> -> {} | {:.1} ms | ${:.2}/day | feasible: {}",
             solution.configuration(),
             solution.evaluation().percentile_ms(),
-            horizon.scale(solution.evaluation().cost_dollars()),
+            cost_per_day(solution.evaluation().cost_dollars(), INTERVAL_SECS),
             solution.is_feasible()
         );
     }

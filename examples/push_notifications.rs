@@ -12,7 +12,7 @@ use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::optimizer::Optimizer;
 use multipub_core::scaling::{bundle_clients, prune_regions, BundleOptions, PruneOptions};
 use multipub_data::ec2;
-use multipub_sim::horizon::CostHorizon;
+use multipub_sim::cost_per_day;
 use multipub_sim::population::{Population, PopulationSpec};
 use multipub_sim::table::{dollars, millis, Table};
 use std::time::Instant;
@@ -22,7 +22,6 @@ const INTERVAL_SECS: f64 = 60.0;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let regions = ec2::region_set();
     let inter = ec2::inter_region_latencies();
-    let horizon = CostHorizon::per_day(INTERVAL_SECS);
 
     // 3 backend publishers (us-east-1), 2 000 subscribers near each of the
     // 10 regions, one 4 KiB notification per publisher per second.
@@ -61,7 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         table.push_row([
             millis(deadline),
             millis(solution.evaluation().percentile_ms()),
-            dollars(horizon.scale(solution.evaluation().cost_dollars())),
+            dollars(cost_per_day(solution.evaluation().cost_dollars(), INTERVAL_SECS)),
             solution.configuration().region_count().to_string(),
             solution.configuration().mode().to_string(),
             format!("{elapsed:.1}"),
@@ -81,19 +80,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "Exact solve:   {:.1} ms, ${:.2}/day",
         exact_ms,
-        horizon.scale(exact.evaluation().cost_dollars())
+        cost_per_day(exact.evaluation().cost_dollars(), INTERVAL_SECS)
     );
     println!(
         "Heuristic:     {:.1} ms, ${:.2}/day",
         approx_ms,
-        horizon.scale(approx.evaluation().cost_dollars())
+        cost_per_day(approx.evaluation().cost_dollars(), INTERVAL_SECS)
     );
     println!(
         "Speedup {:.1}x with {:.2}% cost gap",
         exact_ms / approx_ms.max(1e-6),
         100.0
-            * (horizon.scale(approx.evaluation().cost_dollars())
-                / horizon.scale(exact.evaluation().cost_dollars()).max(f64::MIN_POSITIVE)
+            * (cost_per_day(approx.evaluation().cost_dollars(), INTERVAL_SECS)
+                / cost_per_day(exact.evaluation().cost_dollars(), INTERVAL_SECS)
+                    .max(f64::MIN_POSITIVE)
                 - 1.0)
     );
     Ok(())

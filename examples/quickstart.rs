@@ -4,7 +4,7 @@
 
 use multipub_core::prelude::*;
 use multipub_data::ec2;
-use multipub_sim::horizon::CostHorizon;
+use multipub_sim::cost_per_day;
 use multipub_sim::population::{Population, PopulationSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let population = Population::generate(&spec, &inter, 42);
     let interval_secs = 60.0;
     let workload = population.workload(interval_secs);
-    let horizon = CostHorizon::per_day(interval_secs);
 
     println!(
         "\nTopic: {} publishers, {} subscribers, {} messages per {interval_secs}s interval",
@@ -52,7 +51,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("    {} ({})", regions.region(region).name(), regions.region(region).location());
     }
     println!("  achieved 75th percentile: {:.1} ms", solution.evaluation().percentile_ms());
-    println!("  cost: ${:.2}/day", horizon.scale(solution.evaluation().cost_dollars()));
+    println!(
+        "  cost: ${:.2}/day",
+        cost_per_day(solution.evaluation().cost_dollars(), interval_secs)
+    );
     println!("  feasible: {}", solution.is_feasible());
     println!("  configurations considered: {}", solution.configurations_considered());
 
@@ -63,12 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "  All Regions (routed): {:.1} ms, ${:.2}/day",
         all.evaluation().percentile_ms(),
-        horizon.scale(all.evaluation().cost_dollars())
+        cost_per_day(all.evaluation().cost_dollars(), interval_secs)
     );
     println!(
         "  One Region:           {:.1} ms, ${:.2}/day",
         one.evaluation().percentile_ms(),
-        horizon.scale(one.evaluation().cost_dollars())
+        cost_per_day(one.evaluation().cost_dollars(), interval_secs)
     );
     let saving = 1.0
         - solution.evaluation().cost_dollars()
