@@ -8,7 +8,9 @@
 //! 1. **attribute** — each client's serving region
 //!    ([`crate::delivery::closest_region`]), the per-region subscriber
 //!    weights and from them the Eq. 3–4 cost ([`crate::cost`]):
-//!    `O((N_P + N_S) × N_R)`, no delivery time computed;
+//!    `O((N_P + N_S) × N_R)`, no delivery time computed. The subscribers'
+//!    half depends on the region set alone, so the optimizer's scan, which
+//!    meets every set as direct and then as routed, does it once per set;
 //! 2. (a) **count test** — "is `D̃_C ≤ t`?": the weight of the deliveries
 //!    within `t` is added up until the rank `n^T` is reached or out of reach;
 //!    (b) **exact percentile** — the `n^T`-th smallest delivery time itself.
@@ -468,13 +470,29 @@ impl<'a> TopicEvaluator<'a> {
 
     /// Evaluates one configuration reusing caller-provided scratch buffers:
     /// stage 1, then the exact percentile.
+    ///
+    /// The scratch may be shared between evaluators: every call attributes
+    /// every client afresh.
     pub fn evaluate_into(
         &self,
         configuration: Configuration,
         constraint: &DeliveryConstraint,
         scratch: &mut EvalScratch,
     ) -> ConfigEvaluation {
-        let cost_dollars = self.attribute(configuration, scratch);
+        self.evaluate_on(configuration, constraint, scratch, false)
+    }
+
+    /// [`TopicEvaluator::evaluate_into`] on a scratch that `own` says only
+    /// this evaluator has attributed on, so that a previous attribution of
+    /// the same region set keeps its subscriber half (see `attribute`).
+    pub(crate) fn evaluate_on(
+        &self,
+        configuration: Configuration,
+        constraint: &DeliveryConstraint,
+        scratch: &mut EvalScratch,
+        own: bool,
+    ) -> ConfigEvaluation {
+        let cost_dollars = self.attribute(configuration, scratch, own);
         let rank = constraint.rank(self.total_deliveries);
         let percentile_ms = self.percentile_ms(configuration, rank, scratch);
         ConfigEvaluation { configuration, percentile_ms, cost_dollars }
@@ -482,14 +500,16 @@ impl<'a> TopicEvaluator<'a> {
 
     /// Stage 1 of `configuration`, as a [`Candidate`] that runs stage 2 on
     /// `scratch` if and when the selection rule asks about delivery times.
-    /// `rank` is `n^T` of Eq. 5.
+    /// `rank` is `n^T` of Eq. 5. Only this evaluator may attribute on
+    /// `scratch`: a previous attribution of the same region set keeps its
+    /// subscriber half.
     pub(crate) fn stage<'s>(
         &'s self,
         configuration: Configuration,
         rank: u64,
         scratch: &'s RefCell<EvalScratch>,
     ) -> StagedCandidate<'s, 'a> {
-        let cost_dollars = self.attribute(configuration, &mut scratch.borrow_mut());
+        let cost_dollars = self.attribute(configuration, &mut scratch.borrow_mut(), true);
         StagedCandidate {
             evaluator: self,
             scratch,
@@ -504,20 +524,28 @@ impl<'a> TopicEvaluator<'a> {
     /// Stage 1: attributes every client to its closest serving region under
     /// `configuration`, leaves the attribution in `scratch` and returns the
     /// configuration's cost (Eq. 3–4).
-    fn attribute(&self, configuration: Configuration, scratch: &mut EvalScratch) -> f64 {
+    ///
+    /// The subscribers' half depends on the region set alone, and the
+    /// enumeration yields direct and then routed for each set. So when `own`
+    /// says only this evaluator has attributed on `scratch`, and the last
+    /// attribution there was of the same region set, that half is kept.
+    fn attribute(&self, configuration: Configuration, scratch: &mut EvalScratch, own: bool) -> f64 {
         let assignment = configuration.assignment();
         let publishers = self.workload.publishers();
         let subscribers = self.workload.subscribers();
+        let same_regions = scratch.attributed.is_some_and(|last| last.assignment() == assignment);
         scratch.attributed = Some(configuration);
         scratch.grouping.current = false;
-        scratch.sub_regions.clear();
-        scratch.sub_regions.reserve(subscribers.len());
-        scratch.sub_counts.clear();
-        scratch.sub_counts.resize(self.regions.len(), 0);
-        for sub in subscribers {
-            let region = closest_region(sub.latencies(), assignment);
-            scratch.sub_regions.push(region);
-            scratch.sub_counts[region.index()] += sub.weight();
+        if !(own && same_regions) {
+            scratch.sub_regions.clear();
+            scratch.sub_regions.reserve(subscribers.len());
+            scratch.sub_counts.clear();
+            scratch.sub_counts.resize(self.regions.len(), 0);
+            for sub in subscribers {
+                let region = closest_region(sub.latencies(), assignment);
+                scratch.sub_regions.push(region);
+                scratch.sub_counts[region.index()] += sub.weight();
+            }
         }
         scratch.pub_homes.clear();
         scratch.pub_homes.extend(publishers.iter().map(|publisher| match configuration.mode() {
@@ -923,7 +951,7 @@ impl TopicEvaluator<'_> {
         constraint: &DeliveryConstraint,
     ) -> ConfigEvaluation {
         let mut scratch = EvalScratch::default();
-        let cost_dollars = self.attribute(configuration, &mut scratch);
+        let cost_dollars = self.attribute(configuration, &mut scratch, false);
         let rank = constraint.rank(self.total_deliveries);
         let percentile_ms = self.streamed_percentile_ms(rank, &mut scratch);
         ConfigEvaluation { configuration, percentile_ms, cost_dollars }
@@ -953,7 +981,7 @@ impl StagedCandidate<'_, '_> {
         self.examined.set(true);
         let mut scratch = self.scratch.borrow_mut();
         if scratch.attributed != Some(self.configuration) {
-            self.evaluator.attribute(self.configuration, &mut scratch);
+            self.evaluator.attribute(self.configuration, &mut scratch, true);
         }
         scratch
     }
@@ -1134,6 +1162,52 @@ mod tests {
         }
     }
 
+    /// Random four-region instances of 1–12 × 1–12 clients.
+    fn four_region_instance(rng: &mut SplitMix64) -> (RegionSet, InterRegionMatrix, TopicWorkload) {
+        let shape =
+            Shape { regions: (4, 4), publishers: (1, 12), subscribers: (1, 12), fractional: true };
+        random_instance(rng, &shape)
+    }
+
+    #[test]
+    fn a_scratch_shared_between_evaluators_gets_each_workloads_answer() {
+        let mut rng = SplitMix64(0x5ca7);
+        for _ in 0..20 {
+            let (regions_a, inter_a, a) = four_region_instance(&mut rng);
+            let (regions_b, inter_b, b) = four_region_instance(&mut rng);
+            let eval_a = TopicEvaluator::new(&regions_a, &inter_a, &a).unwrap();
+            let eval_b = TopicEvaluator::new(&regions_b, &inter_b, &b).unwrap();
+            let constraint = DeliveryConstraint::new(90.0, 100.0).unwrap();
+            let mut scratch = EvalScratch::default();
+            // Each region set is attributed by one evaluator, then the other.
+            for config in
+                enumerate_configurations(AssignmentVector::all(4).unwrap(), ModePolicy::Any)
+            {
+                for eval in [&eval_a, &eval_b] {
+                    let shared = eval.evaluate_into(config, &constraint, &mut scratch);
+                    assert_eq!(shared, eval.evaluate(config, &constraint), "{config}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_own_scratch_attributes_each_region_sets_subscribers_once() {
+        let mut rng = SplitMix64(0x0dd);
+        for _ in 0..20 {
+            let (regions, inter, workload) = four_region_instance(&mut rng);
+            let eval = TopicEvaluator::new(&regions, &inter, &workload).unwrap();
+            let constraint = DeliveryConstraint::new(90.0, 100.0).unwrap();
+            let mut scratch = EvalScratch::default();
+            for config in
+                enumerate_configurations(AssignmentVector::all(4).unwrap(), ModePolicy::Any)
+            {
+                let own = eval.evaluate_on(config, &constraint, &mut scratch, true);
+                assert_eq!(own, eval.evaluate(config, &constraint), "{config}");
+            }
+        }
+    }
+
     #[test]
     fn empty_traffic_yields_zero_percentile_and_cost() {
         let r = regions3();
@@ -1198,7 +1272,7 @@ mod tests {
         context: &str,
     ) {
         let mut scratch = EvalScratch::default();
-        evaluator.attribute(configuration, &mut scratch);
+        evaluator.attribute(configuration, &mut scratch, false);
         let pairs = all_pairs(evaluator, &scratch);
         let total: u64 = pairs.iter().map(|pair| pair.weight).sum();
         assert_eq!(total, evaluator.total_deliveries(), "{context}");
@@ -1528,7 +1602,7 @@ mod tests {
         let mut sized = None;
         for config in enumerate_configurations(all, ModePolicy::Any) {
             assert!(evaluator.sweeps(config), "{config}");
-            evaluator.attribute(config, &mut scratch);
+            evaluator.attribute(config, &mut scratch, true);
             evaluator.delivers_within(config, constraint.max_ms(), rank, &mut scratch);
             evaluator.percentile_ms(config, rank, &mut scratch);
             assert_eq!(*sized.get_or_insert_with(|| capacities(&scratch)), capacities(&scratch));

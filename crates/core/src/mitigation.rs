@@ -487,7 +487,8 @@ mod tests {
     /// `workload` with every latency rounded down to a multiple of 50 ms, so
     /// that publishers tie on their distance to a region all the time.
     fn coarsened(workload: &TopicWorkload) -> TopicWorkload {
-        let coarse = |row: &[f64]| row.iter().map(|l| (l / 50.0).floor() * 50.0).collect();
+        let coarse =
+            |row: &[f64]| row.iter().map(|l| (l / 50.0).floor() * 50.0).collect::<Vec<_>>();
         let mut out = TopicWorkload::new(workload.n_regions());
         for p in workload.publishers() {
             out.add_publisher(Publisher::new(p.id(), coarse(p.latencies()), p.batch()).unwrap())

@@ -410,10 +410,10 @@ impl SweepSolver {
         // The percentile depends on the ratio only; any finite bound works.
         let probe = DeliveryConstraint::new(ratio_percent, 1.0)?;
         // The cache needs every percentile, so this is the one place the
-        // enumeration is evaluated in full.
+        // enumeration is evaluated in full, on a scratch of its own.
         let mut scratch = EvalScratch::default();
         let evaluations = enumerate_configurations(optimizer.allowed, optimizer.policy)
-            .map(|config| optimizer.evaluator.evaluate_into(config, &probe, &mut scratch))
+            .map(|config| optimizer.evaluator.evaluate_on(config, &probe, &mut scratch, true))
             .collect();
         Ok(SweepSolver { evaluations, ratio_percent })
     }
@@ -471,25 +471,22 @@ pub fn solve_topics(
     }
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(topics.len());
     let chunk_len = topics.len().div_ceil(threads);
+    let solve_chunk = |(optimizers, topics): (&[Optimizer<'_>], &[TopicProblem])| {
+        let solutions = optimizers.iter().zip(topics);
+        solutions.map(|(optimizer, topic)| optimizer.solve(&topic.constraint)).collect::<Vec<_>>()
+    };
+    let mut chunks = optimizers.chunks(chunk_len).zip(topics.chunks(chunk_len));
+    // The calling thread solves the last chunk itself: one chunk spawns nothing.
+    let last = chunks.next_back();
     let mut results = Vec::with_capacity(topics.len());
     std::thread::scope(|scope| {
-        let handles: Vec<_> = optimizers
-            .chunks(chunk_len)
-            .zip(topics.chunks(chunk_len))
-            .map(|(optimizer_chunk, topic_chunk)| {
-                scope.spawn(move || {
-                    optimizer_chunk
-                        .iter()
-                        .zip(topic_chunk)
-                        .map(|(optimizer, topic)| optimizer.solve(&topic.constraint))
-                        .collect::<Vec<Solution>>()
-                })
-            })
-            .collect();
+        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(move || solve_chunk(chunk))).collect();
+        let last = last.map(solve_chunk);
         for handle in handles {
             // lint:allow(panic) a solver-thread panic is already a bug; re-raising it on the caller beats silently dropping that chunk's solutions
             results.extend(handle.join().expect("solver thread panicked"));
         }
+        results.extend(last.into_iter().flatten());
     });
     Ok(results)
 }
@@ -690,11 +687,17 @@ mod tests {
                 constraint: DeliveryConstraint::new(95.0, 20.0 + 30.0 * i as f64).unwrap(),
             })
             .collect();
-        let parallel = solve_topics(&regions, &inter, &topics).unwrap();
-        for (topic, solution) in topics.iter().zip(&parallel) {
-            let sequential =
-                Optimizer::new(&regions, &inter, &topic.workload).unwrap().solve(&topic.constraint);
-            assert_eq!(&sequential, solution);
+        // Eight topics fan out over the available threads; one is solved on
+        // the calling thread alone.
+        for topics in [&topics[..], &topics[3..4]] {
+            let parallel = solve_topics(&regions, &inter, topics).unwrap();
+            assert_eq!(parallel.len(), topics.len());
+            for (topic, solution) in topics.iter().zip(&parallel) {
+                let sequential = Optimizer::new(&regions, &inter, &topic.workload)
+                    .unwrap()
+                    .solve(&topic.constraint);
+                assert_eq!(&sequential, solution);
+            }
         }
     }
 

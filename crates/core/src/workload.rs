@@ -4,10 +4,15 @@
 //! collection interval (paper §III.A3): who published and subscribed, how
 //! many messages each publisher sent and how many bytes they amounted to,
 //! plus each client's latency row towards every region.
+//!
+//! A latency row is an `Arc<[f64]>`: it stays the same from one interval to
+//! the next, so a snapshot shares the rows its source holds instead of
+//! copying them.
 
 use crate::error::Error;
 use crate::ids::ClientId;
 use crate::latency::validate_latency_row;
+use std::sync::Arc;
 
 /// Aggregated statistics about the messages a publisher sent during one
 /// observation interval.
@@ -57,7 +62,7 @@ impl MessageBatch {
 pub struct Publisher {
     id: ClientId,
     /// One-way latency in ms towards each region (`L[P][·]`).
-    latencies: Vec<f64>,
+    latencies: Arc<[f64]>,
     batch: MessageBatch,
 }
 
@@ -69,7 +74,12 @@ impl Publisher {
     /// Returns [`Error::InvalidLatency`] for negative/NaN/infinite entries.
     /// The row length is validated against the workload's region count when
     /// the publisher is added via [`TopicWorkload::add_publisher`].
-    pub fn new(id: ClientId, latencies: Vec<f64>, batch: MessageBatch) -> Result<Self, Error> {
+    pub fn new(
+        id: ClientId,
+        latencies: impl Into<Arc<[f64]>>,
+        batch: MessageBatch,
+    ) -> Result<Self, Error> {
+        let latencies = latencies.into();
         validate_latency_row(&latencies, latencies.len())?;
         Ok(Publisher { id, latencies, batch })
     }
@@ -103,7 +113,7 @@ impl Publisher {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Subscriber {
     id: ClientId,
-    latencies: Vec<f64>,
+    latencies: Arc<[f64]>,
     weight: u64,
 }
 
@@ -113,7 +123,7 @@ impl Subscriber {
     /// # Errors
     ///
     /// Returns [`Error::InvalidLatency`] for negative/NaN/infinite entries.
-    pub fn new(id: ClientId, latencies: Vec<f64>) -> Result<Self, Error> {
+    pub fn new(id: ClientId, latencies: impl Into<Arc<[f64]>>) -> Result<Self, Error> {
         Self::with_weight(id, latencies, 1)
     }
 
@@ -126,12 +136,13 @@ impl Subscriber {
     /// [`Error::InvalidLatency`] for invalid latency entries.
     pub(crate) fn with_weight(
         id: ClientId,
-        latencies: Vec<f64>,
+        latencies: impl Into<Arc<[f64]>>,
         weight: u64,
     ) -> Result<Self, Error> {
         if weight == 0 {
             return Err(Error::ZeroWeight);
         }
+        let latencies = latencies.into();
         validate_latency_row(&latencies, latencies.len())?;
         Ok(Subscriber { id, latencies, weight })
     }

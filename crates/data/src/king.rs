@@ -16,12 +16,15 @@
 //!   milliseconds, like King's DNS-server measurements), producing the
 //!   occasional straggler that §IV.D mitigation targets.
 //!
-//! All sampling is deterministic given the caller's seeded RNG.
+//! All sampling is deterministic given the caller's seeded RNG. A row is
+//! allocated once, as the `Arc<[f64]>` the model's and the simulator's
+//! clients share.
 
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
 use rand::Rng;
 use rand_distr::{Distribution, LogNormal};
+use std::sync::Arc;
 
 /// Last-mile median (ms), in line with King's residential DNS-server
 /// latencies.
@@ -70,7 +73,7 @@ impl<'a> ClientLatencyModel<'a> {
 
     /// Samples the latency row of one client whose home is `home`:
     /// `L[C][r] = last_mile + inflation × L^R[home][r] + jitter_r`.
-    pub fn sample<R: Rng + ?Sized>(&self, home: RegionId, rng: &mut R) -> Vec<f64> {
+    pub fn sample<R: Rng + ?Sized>(&self, home: RegionId, rng: &mut R) -> Arc<[f64]> {
         let last_mile = self.last_mile.sample(rng);
         self.row_with_last_mile(home, last_mile, rng)
     }
@@ -83,7 +86,7 @@ impl<'a> ClientLatencyModel<'a> {
         home: RegionId,
         factor: f64,
         rng: &mut R,
-    ) -> Vec<f64> {
+    ) -> Arc<[f64]> {
         let last_mile = self.last_mile.sample(rng) * factor;
         self.row_with_last_mile(home, last_mile, rng)
     }
@@ -93,7 +96,7 @@ impl<'a> ClientLatencyModel<'a> {
         home: RegionId,
         last_mile: f64,
         rng: &mut R,
-    ) -> Vec<f64> {
+    ) -> Arc<[f64]> {
         let n = self.inter.len();
         assert!(home.index() < n, "home region out of bounds");
         (0..n)
@@ -111,7 +114,7 @@ pub struct SyntheticClient {
     /// The region the client is closest to.
     pub home: RegionId,
     /// One-way latency towards each region, in milliseconds.
-    pub latencies: Vec<f64>,
+    pub latencies: Arc<[f64]>,
 }
 
 /// Generates `per_region[i]` clients homed at region `i`.

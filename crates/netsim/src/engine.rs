@@ -1,7 +1,9 @@
 //! The discrete-event loop.
 //!
-//! The engine pre-schedules every publication, then processes events in
-//! time order. There are two kinds, plus reconfiguration:
+//! The engine schedules every publication up front, as one sorted batch
+//! beside the event heap (`EventQueue::schedule_all`), then processes events
+//! in time order; the heap holds only broker arrivals and reconfigurations.
+//! There are two kinds of event, plus reconfiguration:
 //!
 //! 1. **Publish** — the publisher's message leaves for the serving
 //!    region(s): all of them under direct delivery, only the closest under
@@ -41,14 +43,16 @@
 //! **What allocates.** The event handlers read the routing tables, the
 //! latency rows and the fault plan in place, so handling a `Publish` or
 //! `RegionReceive` event allocates nothing of its own: a run's allocations
-//! are the growth of the event queue (publications and broker arrivals
-//! only) and of the delivery log (one record per delivery, kept for the
-//! report), plus one routing table rebuilt per `Reconfigure` event. Events,
-//! lost copies and deliveries are counted in the engine only;
-//! [`Engine::run`] adds them to the global `multipub_netsim_*` metrics
-//! once, after the last event.
+//! are the publication batch (grown once, sorted once), the growth of the
+//! heap (broker arrivals and reconfigurations only) and of the delivery log
+//! (one record per delivery, kept for the report), plus one routing table
+//! per topic at construction and one per `Reconfigure` event. The scenario
+//! the engine takes shares its client lists and latency rows by `Arc`, so
+//! cloning one for the next run copies no row. Events, lost copies and
+//! deliveries are counted in the engine only; [`Engine::run`] adds them to
+//! the global `multipub_netsim_*` metrics once, after the last event.
 
-// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue, and every configuration is checked against the region count before its routing table is built, so all slice accesses are in bounds by construction
+// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
 use crate::faults::FaultInjector;
 use crate::jitter::{Jitter, JitterSource};
@@ -162,12 +166,15 @@ impl Engine {
     /// # Panics
     ///
     /// Panics if a topic's configuration assigns a region outside the
-    /// scenario's deployment.
+    /// scenario's deployment, or a latency row's width differs from the
+    /// region count (possible for a topic swapped in through
+    /// [`Scenario::topics_mut`]).
     pub fn new(scenario: Scenario, jitter: Jitter, seed: u64) -> Self {
         let (regions, inter, topics, plan) = scenario.into_parts();
         let n_regions = regions.len();
         let mut routing = Vec::with_capacity(topics.len());
         for (index, topic) in topics.iter().enumerate() {
+            topic.assert_rows_fit(n_regions);
             assert_fits(index, topic.configuration(), n_regions);
             routing.push(TopicRouting::new(topic, topic.configuration(), n_regions));
         }
@@ -235,22 +242,23 @@ impl Engine {
         SimReport::new(deliveries, ledger, published_count, lost_count, duration_ms)
     }
 
+    /// Schedules every publication of the run as one batch, in the order
+    /// topic, publisher, time: the queue numbers them in that order, so
+    /// publications at equal times pop in it.
     fn schedule_publications(&mut self, duration_ms: f64) {
         assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
-        for (topic_index, topic) in self.topics.iter().enumerate() {
-            for (publisher_index, publisher) in topic.publishers().iter().enumerate() {
-                for t in publisher.publish_times_ms(duration_ms) {
+        let Engine { topics, queue, faults, .. } = self;
+        let plan = faults.plan();
+        queue.schedule_all(topics.iter().enumerate().flat_map(|(topic, scenario)| {
+            scenario.publishers().iter().enumerate().flat_map(move |(publisher, client)| {
+                client.publish_times_ms(duration_ms).flat_map(move |t| {
                     let at = SimTime::from_ms(t);
                     // A publish-burst window multiplies the in-window load.
-                    for _ in 0..self.faults.plan().burst_multiplier(at) {
-                        self.queue.schedule(
-                            at,
-                            Event::Publish { topic: topic_index, publisher: publisher_index },
-                        );
-                    }
-                }
-            }
-        }
+                    let copies = 0..plan.burst_multiplier(at);
+                    copies.map(move |_| (at, Event::Publish { topic, publisher }))
+                })
+            })
+        }));
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
@@ -614,6 +622,26 @@ mod tests {
     fn engine_rejects_a_configuration_wider_than_the_deployment() {
         let mut scenario = two_region_scenario(DeliveryMode::Direct);
         scenario.topics_mut()[0].set_configuration(region_5_only());
+        let _ = Engine::new(scenario, Jitter::disabled(), 0);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "topic t: subscriber C2 latency row width 1 differs from the 2-region deployment"
+    )]
+    fn engine_rejects_a_swapped_in_row_narrower_than_the_deployment() {
+        let mut scenario = two_region_scenario(DeliveryMode::Direct);
+        let topic = &scenario.topics()[0];
+        let narrow = TopicScenario::new(
+            topic.id().clone(),
+            topic.configuration(),
+            topic.publishers().to_vec(),
+            vec![
+                SimSubscriber::new(ClientId(1), vec![4.0, 70.0]),
+                SimSubscriber::new(ClientId(2), vec![6.0]),
+            ],
+        );
+        scenario.topics_mut()[0] = narrow;
         let _ = Engine::new(scenario, Jitter::disabled(), 0);
     }
 

@@ -15,14 +15,17 @@
 //! ## Structure
 //!
 //! * [`time`] — the virtual clock ([`time::SimTime`], milliseconds).
-//! * [`queue`] — the event queue with deterministic FIFO tie-breaking.
+//! * [`queue`] — the event queue with deterministic FIFO tie-breaking: a
+//!   batch scheduled up front (the publications), sorted once, beside a
+//!   heap of what is scheduled while the run goes on.
 //! * [`jitter`] — optional per-hop latency noise.
 //! * [`faults`] — deterministic fault injection over half-open windows of
 //!   simulated time: seeded packet loss, region outages, link
 //!   degradations, subscriber stalls, publish bursts, duplicate-delivery
 //!   and reorder windows.
 //! * [`scenario`] — scenario description: topics, configurations,
-//!   publishers with rates/sizes, subscribers.
+//!   publishers with rates/sizes, subscribers; client lists and latency rows
+//!   shared by `Arc`, so a clone or a topic's analytic workload copies none.
 //! * [`engine`] — the event loop over publications and broker arrivals,
 //!   and the delivery log the brokers append to as they send.
 //! * [`metrics`] — delivery records, the per-region traffic ledger and the

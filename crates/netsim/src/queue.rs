@@ -1,5 +1,11 @@
-//! The event queue: a min-heap over `(time, sequence)` so that events at
-//! equal times pop in FIFO order, keeping runs fully deterministic.
+//! The event queue: events pop in `(time, sequence)` order, so that events
+//! at equal times pop in FIFO order, keeping runs fully deterministic.
+//!
+//! Events known before a run starts — the simulator's publications — go in
+//! as one batch, sorted once; events scheduled while it runs go on a
+//! min-heap. `pop` takes the earlier of the two heads, so the heap only ever
+//! holds what is in flight, and the order is the one a heap of everything
+//! would give.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -35,6 +41,9 @@ impl<E> Ord for Scheduled<E> {
 
 /// A deterministic future-event list.
 ///
+/// [`EventQueue::schedule_all`] is a run of [`EventQueue::schedule`] calls
+/// that does not go through the heap:
+///
 /// ```
 /// use multipub_netsim::queue::EventQueue;
 /// use multipub_netsim::time::SimTime;
@@ -47,17 +56,26 @@ impl<E> Ord for Scheduled<E> {
 /// assert_eq!(q.pop().map(|(_, e)| e), Some("early-second"));
 /// assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
 /// assert!(q.is_empty());
+///
+/// q.schedule_all([(SimTime::from_ms(2.0), "batch-late"), (SimTime::from_ms(1.0), "batch-early")]);
+/// q.schedule(SimTime::from_ms(1.0), "scheduled-after");
+/// assert_eq!(q.len(), 3);
+/// assert_eq!(q.pop().map(|(_, e)| e), Some("batch-early"));
+/// assert_eq!(q.pop().map(|(_, e)| e), Some("scheduled-after"));
+/// assert_eq!(q.pop().map(|(_, e)| e), Some("batch-late"));
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
+    /// Events scheduled in bulk, sorted so the earliest is last.
+    batch: Vec<Scheduled<E>>,
     next_seq: u64,
 }
 
 impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
-        EventQueue { heap: BinaryHeap::new(), next_seq: 0 }
+        EventQueue { heap: BinaryHeap::new(), batch: Vec::new(), next_seq: 0 }
     }
 
     /// Schedules `event` to fire at `at`. Events with equal times fire in
@@ -68,19 +86,41 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, event });
     }
 
+    /// Schedules every event of `events`, exactly as one [`schedule`] call
+    /// per event in iteration order would, and sorts them once instead of
+    /// pushing each onto the heap.
+    ///
+    /// [`schedule`]: EventQueue::schedule
+    pub fn schedule_all(&mut self, events: impl IntoIterator<Item = (SimTime, E)>) {
+        let next_seq = &mut self.next_seq;
+        self.batch.extend(events.into_iter().map(|(at, event)| {
+            let seq = *next_seq;
+            *next_seq += 1;
+            Scheduled { at, seq, event }
+        }));
+        // `Scheduled`'s order is reversed: ascending puts the earliest last.
+        self.batch.sort_unstable();
+    }
+
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.event))
+        // Sequence numbers are unique, so the two heads are never equal.
+        let from_batch = match (self.batch.last(), self.heap.peek()) {
+            (Some(batched), Some(heaped)) => batched > heaped,
+            (batched, _) => batched.is_some(),
+        };
+        let next = if from_batch { self.batch.pop() } else { self.heap.pop() };
+        next.map(|s| (s.at, s.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.batch.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.batch.is_empty()
     }
 }
 
@@ -119,5 +159,62 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::default();
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+        q.schedule_all(std::iter::empty());
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+    }
+
+    /// Bulk batches, later `schedule` calls and pops, interleaved at random
+    /// over a handful of distinct times, pop exactly as a list kept in
+    /// `(time, sequence)` order by hand.
+    #[test]
+    fn batches_pop_like_one_heap_of_everything() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..200 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::new();
+            // (time, sequence), the event being its own sequence number.
+            let mut reference: Vec<(SimTime, u64)> = Vec::new();
+            let mut next = 0u64;
+            let time = |rng: &mut StdRng| SimTime::from_ms(rng.random_range(0..6usize) as f64);
+            for _ in 0..400 {
+                match rng.random_range(0..10usize) {
+                    0 => {
+                        let batch: Vec<(SimTime, u64)> = (0..rng.random_range(0..40usize))
+                            .map(|_| {
+                                next += 1;
+                                (time(&mut rng), next - 1)
+                            })
+                            .collect();
+                        reference.extend(&batch);
+                        queue.schedule_all(batch);
+                    }
+                    1..=4 => {
+                        let at = time(&mut rng);
+                        reference.push((at, next));
+                        queue.schedule(at, next);
+                        next += 1;
+                    }
+                    _ => {
+                        let earliest = reference
+                            .iter()
+                            .enumerate()
+                            .min_by(|(_, a), (_, b)| a.0.total_cmp(b.0).then(a.1.cmp(&b.1)))
+                            .map(|(index, _)| index);
+                        assert_eq!(
+                            queue.pop(),
+                            earliest.map(|i| reference.remove(i)),
+                            "seed {seed}"
+                        );
+                    }
+                }
+                assert_eq!(queue.len(), reference.len(), "seed {seed}");
+            }
+            reference.sort_by(|a, b| a.0.total_cmp(b.0).then(a.1.cmp(&b.1)));
+            let drained: Vec<(SimTime, u64)> = std::iter::from_fn(|| queue.pop()).collect();
+            assert_eq!(drained, reference, "seed {seed}");
+            assert!(queue.is_empty());
+        }
     }
 }

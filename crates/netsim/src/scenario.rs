@@ -1,5 +1,9 @@
 //! Scenario description: which topics exist, how they are configured, and
 //! who publishes/subscribes at what rate.
+//!
+//! A topic's client lists and every client's latency row are shared by
+//! `Arc`: cloning a scenario for the next run, and taking the analytic
+//! [`TopicWorkload`] of a topic, bump reference counts and copy no row.
 
 use crate::faults::FaultPlan;
 use multipub_core::assignment::Configuration;
@@ -7,13 +11,14 @@ use multipub_core::ids::{ClientId, TopicId};
 use multipub_core::latency::InterRegionMatrix;
 use multipub_core::region::RegionSet;
 use multipub_core::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
+use std::sync::Arc;
 
 /// A simulated publisher: identity, latency row, publication rate and
 /// (constant) publication size.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimPublisher {
     client: ClientId,
-    latencies: Vec<f64>,
+    latencies: Arc<[f64]>,
     rate_per_sec: f64,
     size_bytes: u64,
     phase_ms: f64,
@@ -27,7 +32,12 @@ impl SimPublisher {
     ///
     /// Panics if the rate is not positive and finite, or a latency is
     /// negative, NaN or infinite.
-    pub fn new(client: ClientId, latencies: Vec<f64>, rate_per_sec: f64, size_bytes: u64) -> Self {
+    pub fn new(
+        client: ClientId,
+        latencies: impl Into<Arc<[f64]>>,
+        rate_per_sec: f64,
+        size_bytes: u64,
+    ) -> Self {
         Self::with_phase(client, latencies, rate_per_sec, size_bytes, 0.0)
     }
 
@@ -40,13 +50,14 @@ impl SimPublisher {
     /// a latency is negative, NaN or infinite.
     pub fn with_phase(
         client: ClientId,
-        latencies: Vec<f64>,
+        latencies: impl Into<Arc<[f64]>>,
         rate_per_sec: f64,
         size_bytes: u64,
         phase_ms: f64,
     ) -> Self {
         assert!(rate_per_sec > 0.0 && rate_per_sec.is_finite(), "rate must be positive");
         assert!(phase_ms >= 0.0 && phase_ms.is_finite(), "phase must be non-negative");
+        let latencies = latencies.into();
         assert_latencies("publisher", client, &latencies);
         SimPublisher { client, latencies, rate_per_sec, size_bytes, phase_ms }
     }
@@ -109,7 +120,7 @@ fn assert_unique(role: &str, topic: &TopicId, clients: impl Iterator<Item = Clie
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimSubscriber {
     client: ClientId,
-    latencies: Vec<f64>,
+    latencies: Arc<[f64]>,
 }
 
 impl SimSubscriber {
@@ -118,7 +129,8 @@ impl SimSubscriber {
     /// # Panics
     ///
     /// Panics if a latency is negative, NaN or infinite.
-    pub fn new(client: ClientId, latencies: Vec<f64>) -> Self {
+    pub fn new(client: ClientId, latencies: impl Into<Arc<[f64]>>) -> Self {
+        let latencies = latencies.into();
         assert_latencies("subscriber", client, &latencies);
         SimSubscriber { client, latencies }
     }
@@ -139,8 +151,8 @@ impl SimSubscriber {
 pub struct TopicScenario {
     id: TopicId,
     configuration: Configuration,
-    publishers: Vec<SimPublisher>,
-    subscribers: Vec<SimSubscriber>,
+    publishers: Arc<[SimPublisher]>,
+    subscribers: Arc<[SimSubscriber]>,
 }
 
 impl TopicScenario {
@@ -157,7 +169,12 @@ impl TopicScenario {
     ) -> Self {
         assert_unique("publisher", &id, publishers.iter().map(SimPublisher::client));
         assert_unique("subscriber", &id, subscribers.iter().map(SimSubscriber::client));
-        TopicScenario { id, configuration, publishers, subscribers }
+        TopicScenario {
+            id,
+            configuration,
+            publishers: publishers.into(),
+            subscribers: subscribers.into(),
+        }
     }
 
     /// The topic id.
@@ -196,24 +213,26 @@ impl TopicScenario {
     /// Panics if a latency row's width differs from `n_regions`, which
     /// `Scenario::new` rules out for its own region count. Latency values
     /// and ids are checked by the client constructors and `TopicScenario::new`.
+    ///
+    /// The workload's clients share this topic's latency rows.
     pub fn workload(&self, n_regions: usize, duration_ms: f64) -> TopicWorkload {
         let mut workload = TopicWorkload::new(n_regions);
-        for publisher in &self.publishers {
+        for publisher in self.publishers.iter() {
             let count = publisher.publish_times_ms(duration_ms).count() as u64;
             let batch = MessageBatch::uniform(count, publisher.size_bytes());
             workload
                 .add_publisher(
-                    Publisher::new(publisher.client(), publisher.latencies().to_vec(), batch)
+                    Publisher::new(publisher.client(), Arc::clone(&publisher.latencies), batch)
                         // lint:allow(panic) `SimPublisher::with_phase` checked every latency
                         .expect("latencies checked by SimPublisher::with_phase"),
                 )
                 // lint:allow(panic) ids unique per `TopicScenario::new`; a wrong width is the documented panic
                 .expect("ids unique per TopicScenario::new; row width must be n_regions");
         }
-        for subscriber in &self.subscribers {
+        for subscriber in self.subscribers.iter() {
             workload
                 .add_subscriber(
-                    Subscriber::new(subscriber.client(), subscriber.latencies().to_vec())
+                    Subscriber::new(subscriber.client(), Arc::clone(&subscriber.latencies))
                         // lint:allow(panic) `SimSubscriber::new` checked every latency
                         .expect("latencies checked by SimSubscriber::new"),
                 )
@@ -221,6 +240,22 @@ impl TopicScenario {
                 .expect("ids unique per TopicScenario::new; row width must be n_regions");
         }
         workload
+    }
+
+    /// Panics, naming the topic and the client, unless every latency row has
+    /// exactly `n_regions` entries.
+    pub(crate) fn assert_rows_fit(&self, n_regions: usize) {
+        let publishers = self.publishers.iter().map(|p| ("publisher", p.client, &p.latencies));
+        let subscribers = self.subscribers.iter().map(|s| ("subscriber", s.client, &s.latencies));
+        for (role, client, row) in publishers.chain(subscribers) {
+            assert!(
+                row.len() == n_regions,
+                "topic {}: {role} {client} latency row width {} differs from the \
+                 {n_regions}-region deployment",
+                self.id,
+                row.len()
+            );
+        }
     }
 }
 
@@ -243,28 +278,13 @@ impl Scenario {
     /// count or any client latency row has the wrong width — scenario
     /// construction bugs, not runtime conditions. Latency values and client
     /// ids are checked where clients and topics are built, so they hold for
-    /// topics swapped in through [`Scenario::topics_mut`] too; widths there
-    /// are not rechecked. `Engine::new` checks every configuration against
-    /// the region count.
+    /// topics swapped in through [`Scenario::topics_mut`] too. `Engine::new`
+    /// checks every row width again, for those topics, and every
+    /// configuration against the region count.
     pub fn new(regions: RegionSet, inter: InterRegionMatrix, topics: Vec<TopicScenario>) -> Self {
         assert_eq!(regions.len(), inter.len(), "inter-region matrix must cover every region");
         for topic in &topics {
-            for publisher in topic.publishers() {
-                assert_eq!(
-                    publisher.latencies().len(),
-                    regions.len(),
-                    "publisher {} latency row width",
-                    publisher.client()
-                );
-            }
-            for subscriber in topic.subscribers() {
-                assert_eq!(
-                    subscriber.latencies().len(),
-                    regions.len(),
-                    "subscriber {} latency row width",
-                    subscriber.client()
-                );
-            }
+            topic.assert_rows_fit(regions.len());
         }
         Scenario { regions, inter, topics, faults: FaultPlan::none() }
     }
@@ -414,7 +434,29 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "latency row width")]
+    fn clones_and_workloads_share_the_rows() {
+        let topic = TopicScenario::new(
+            TopicId::new("t"),
+            Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct),
+            vec![SimPublisher::new(ClientId(0), vec![5.0, 60.0], 2.0, 256)],
+            vec![SimSubscriber::new(ClientId(1), vec![60.0, 5.0])],
+        );
+        let scenario = Scenario::new(regions2(), zeros(2), vec![topic]);
+        let clone = scenario.clone();
+        let (topic, copy) = (&scenario.topics()[0], &clone.topics()[0]);
+        assert!(std::ptr::eq(topic.publishers(), copy.publishers()));
+        assert!(std::ptr::eq(topic.subscribers(), copy.subscribers()));
+        let workload = copy.workload(2, 1000.0);
+        let publisher = topic.publishers()[0].latencies();
+        assert!(std::ptr::eq(publisher, workload.publishers()[0].latencies()));
+        let subscriber = topic.subscribers()[0].latencies();
+        assert!(std::ptr::eq(subscriber, workload.subscribers()[0].latencies()));
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "topic t: publisher C0 latency row width 1 differs from the 2-region"
+    )]
     fn scenario_rejects_wrong_row_width() {
         let topic = TopicScenario::new(
             TopicId::new("t"),

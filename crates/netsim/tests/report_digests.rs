@@ -95,11 +95,12 @@ fn scenario(population: &Population, configure: fn(usize) -> Configuration) -> S
     let model = ClientLatencyModel::new(&inter);
     let mut rng = StdRng::seed_from_u64(population.seed);
     let mut row = |home: usize| {
-        let mut row = model.sample(RegionId(home as u8), &mut rng);
+        let row = model.sample(RegionId(home as u8), &mut rng);
         if population.integral {
-            row.iter_mut().for_each(|latency| *latency = latency.round());
+            row.iter().map(|latency| latency.round()).collect()
+        } else {
+            row
         }
-        row
     };
     let (mut next_publisher, mut next_subscriber) = (0, FIRST_SUBSCRIBER);
     let topics = (0..population.topics)

@@ -16,6 +16,7 @@ use multipub_netsim::scenario::{SimPublisher, SimSubscriber, TopicScenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Where and how a topic's clients are placed, and how publishers behave.
 ///
@@ -75,8 +76,8 @@ impl PopulationSpec {
 /// A generated client population: concrete latency rows for every client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Population {
-    publishers: Vec<(ClientId, Vec<f64>)>,
-    subscribers: Vec<(ClientId, Vec<f64>)>,
+    publishers: Vec<(ClientId, Arc<[f64]>)>,
+    subscribers: Vec<(ClientId, Arc<[f64]>)>,
     rate_per_sec: f64,
     size_bytes: u64,
     n_regions: usize,
@@ -100,7 +101,7 @@ impl Population {
         let publishers = generate_population(&model, &spec.pubs_per_region, &mut rng);
         let subscribers = generate_population(&model, &spec.subs_per_region, &mut rng);
         let mut ids = (0..).map(ClientId);
-        let mut number = |clients: Vec<SyntheticClient>| -> Vec<(ClientId, Vec<f64>)> {
+        let mut number = |clients: Vec<SyntheticClient>| -> Vec<(ClientId, Arc<[f64]>)> {
             clients.into_iter().zip(&mut ids).map(|(client, id)| (id, client.latencies)).collect()
         };
         let (publishers, subscribers) = (number(publishers), number(subscribers));
