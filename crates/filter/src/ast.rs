@@ -2,11 +2,10 @@
 
 use crate::headers::{Headers, Value};
 use crate::parser::{parse, ParseError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A comparison operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CompareOp {
     /// `==`
     Eq,
@@ -44,7 +43,12 @@ impl fmt::Display for CompareOp {
 /// Evaluation is total: comparisons against missing fields or mismatched
 /// types are `false` (and therefore `!=` against a missing field is also
 /// `false` — absence is not inequality).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Field names are non-empty words over `[A-Za-z0-9_./-]`, the grammar's
+/// field token. For every predicate whose field names keep that rule and
+/// whose numbers are finite, `Display` writes text that [`Predicate::parse`]
+/// reads back as the same predicate.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true — the subscription behaves topic-based.
     True,
@@ -199,8 +203,14 @@ mod tests {
 
     #[test]
     fn display_roundtrips_through_parse() {
-        let texts =
-            [r#"(symbol =^ "AA" && (price < 50 || price > 100))"#, "!exists(volume)", "price >= 3"];
+        let texts = [
+            r#"(symbol =^ "AA" && (price < 50 || price > 100))"#,
+            "!exists(volume)",
+            "price >= 3",
+            // The keywords are field names wherever a field name fits.
+            "(exists(true) && true == 1)",
+            "(exists(exists) || exists != false)",
+        ];
         for text in texts {
             let p = Predicate::parse(text).unwrap();
             let reparsed = Predicate::parse(&p.to_string()).unwrap();

@@ -1,12 +1,17 @@
 //! Typed message headers.
 
-use serde::{Deserialize, Serialize};
+use crate::parser::parse_headers;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A header value: number, string or boolean.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(untagged)]
+///
+/// Its `Display` is the one text form of a value, read back by the
+/// predicate parser and by [`Headers::from_json`]: `true`/`false`, a finite
+/// number as Rust's shortest round-trip decimal (never an exponent), a
+/// non-finite one as `null` (which no reader accepts), and a string in
+/// double quotes with JSON's escapes.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A boolean.
     Bool(bool),
@@ -20,10 +25,29 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => write!(f, "{n}"),
-            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Num(n) if n.is_finite() => write!(f, "{n}"),
+            Value::Num(_) => f.write_str("null"),
+            Value::Str(s) => quote(s, f),
         }
     }
+}
+
+/// Writes `s` as a JSON string: `\"`, `\\`, `\n`, `\r`, `\t`, `\u00XX` for
+/// the other characters below U+0020, and every other character as itself.
+fn quote(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    f.write_str("\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if c < ' ' => write!(f, "\\u{:04x}", u32::from(c))?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_str("\"")
 }
 
 impl From<bool> for Value {
@@ -57,7 +81,7 @@ impl From<String> for Value {
 }
 
 /// A publication's headers: an ordered map from field name to [`Value`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Headers {
     fields: BTreeMap<String, Value>,
 }
@@ -94,21 +118,22 @@ impl Headers {
         self.fields.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Serializes to a compact JSON object (used on the wire).
+    /// Serializes to a compact JSON object (used on the wire): the fields
+    /// in order as `"field":value` pairs, each side in [`Value`]'s text form.
     pub fn to_json(&self) -> String {
-        // lint:allow(panic) a string-keyed map of JSON scalars has no failing serialization path
-        serde_json::to_string(&self.fields).expect("headers serialize")
+        let pairs: Vec<String> =
+            self.iter().map(|(field, value)| format!("{}:{value}", Value::from(field))).collect();
+        format!("{{{}}}", pairs.join(","))
     }
 
     /// Parses the JSON produced by [`Headers::to_json`].
     ///
     /// # Errors
     ///
-    /// Returns the JSON error message.
+    /// Returns the [`ParseError`](crate::ParseError) as text; a `null` (a
+    /// non-finite number on the way out) is an error.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        let fields: BTreeMap<String, Value> =
-            serde_json::from_str(text).map_err(|e| e.to_string())?;
-        Ok(Headers { fields })
+        parse_headers(text).map_err(|e| e.to_string())
     }
 }
 
@@ -117,10 +142,6 @@ impl FromIterator<(String, Value)> for Headers {
         Headers { fields: iter.into_iter().collect() }
     }
 }
-
-// `serde_json` is only needed for the wire helpers; keep the dependency
-// internal to this module.
-use serde_json;
 
 #[cfg(test)]
 mod tests {
@@ -161,9 +182,34 @@ mod tests {
     }
 
     #[test]
+    fn wire_form() {
+        let mut h = Headers::new();
+        h.set("symbol", "AAPL").set("price", 101.5).set("halted", false);
+        assert_eq!(h.to_json(), r#"{"halted":false,"price":101.5,"symbol":"AAPL"}"#);
+        assert_eq!(Headers::new().to_json(), "{}");
+        assert_eq!(Headers::from_json(" { } ").unwrap(), Headers::new());
+        // An integer-valued number prints without a fraction and reads back
+        // as the same float.
+        let json = Headers::new().set("count", 42i64).to_json();
+        assert_eq!(json, r#"{"count":42}"#);
+        assert_eq!(Headers::from_json(&json).unwrap().get("count"), Some(&Value::Num(42.0)));
+        // A non-finite number has no JSON form: it is written as `null`,
+        // which does not read back.
+        let json = Headers::new().set("x", f64::NAN).to_json();
+        assert_eq!(json, r#"{"x":null}"#);
+        assert!(Headers::from_json(&json).is_err());
+    }
+
+    #[test]
     fn display_forms() {
         assert_eq!(Value::Num(1.5).to_string(), "1.5");
+        assert_eq!(Value::Num(1e21).to_string(), "1000000000000000000000");
+        assert_eq!(Value::Num(f64::INFINITY).to_string(), "null");
         assert_eq!(Value::Bool(true).to_string(), "true");
         assert_eq!(Value::Str("a".into()).to_string(), "\"a\"");
+        assert_eq!(
+            Value::Str("\"\\\n\r\t\u{0}\u{1f}\u{7f}é😀".into()).to_string(),
+            "\"\\\"\\\\\\n\\r\\t\\u0000\\u001f\u{7f}é😀\""
+        );
     }
 }

@@ -16,9 +16,15 @@
 //! and       := unary ( "&&" unary )*
 //! unary     := "!" unary | "(" predicate ")" | atom
 //! atom      := exists(field) | field op literal
+//! field     := [A-Za-z0-9_./-]+
 //! op        := == | != | < | <= | > | >= | =^        (=^ is string-prefix)
 //! literal   := number | "string" | true | false
+//! number    := [+-]? digits [. digits]                (no exponent)
+//! string    := escapes \" \\ \n \r \t \uXXXX, any other char as itself
 //! ```
+//!
+//! A literal's text is [`Value`]'s `Display`, and [`Headers::to_json`] is
+//! JSON built from the same text, read back by the same parser.
 //!
 //! ```
 //! use multipub_filter::{Headers, Predicate, Value};

@@ -1,9 +1,10 @@
-//! Recursive-descent parser for the predicate language.
+//! Recursive-descent parser for the predicate language, and for the JSON
+//! object [`Headers::to_json`] writes.
 
 // lint:allow-file(indexing) recursive-descent cursor: `self.pos` only advances by lengths of matched prefixes of `self.text`, so every slice is on a char boundary within bounds
 
 use crate::ast::{CompareOp, Predicate};
-use crate::headers::Value;
+use crate::headers::{Headers, Value};
 use std::fmt;
 
 /// A parse failure with its byte position in the input.
@@ -30,18 +31,53 @@ struct Parser<'a> {
 
 pub(crate) fn parse(text: &str) -> Result<Predicate, ParseError> {
     let mut parser = Parser { text, pos: 0 };
-    parser.skip_ws();
     let predicate = parser.or_expr()?;
-    parser.skip_ws();
-    if parser.pos != parser.text.len() {
-        return Err(parser.error("unexpected trailing input"));
+    parser.finish(predicate)
+}
+
+/// Reads `{` then `"field":literal` pairs separated by `,` then `}`, the
+/// fields as string literals and the values as predicate literals.
+pub(crate) fn parse_headers(text: &str) -> Result<Headers, ParseError> {
+    let mut parser = Parser { text, pos: 0 };
+    if !parser.eat("{") {
+        return Err(parser.error("expected '{'"));
     }
-    Ok(predicate)
+    let mut headers = Headers::new();
+    if !parser.eat("}") {
+        loop {
+            let field = parser.string_literal()?;
+            if !parser.eat(":") {
+                return Err(parser.error("expected ':'"));
+            }
+            headers.set(field, parser.literal()?);
+            if parser.eat("}") {
+                break;
+            }
+            if !parser.eat(",") {
+                return Err(parser.error("expected ',' or '}'"));
+            }
+        }
+    }
+    parser.finish(headers)
+}
+
+/// The characters of a field name.
+fn is_field_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '/' | '-')
 }
 
 impl<'a> Parser<'a> {
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError { position: self.pos, message: message.into() }
+    }
+
+    /// Returns `value` if only whitespace is left.
+    fn finish<T>(mut self, value: T) -> Result<T, ParseError> {
+        self.skip_ws();
+        if self.pos != self.text.len() {
+            return Err(self.error("unexpected trailing input"));
+        }
+        Ok(value)
     }
 
     fn rest(&self) -> &'a str {
@@ -130,26 +166,13 @@ impl<'a> Parser<'a> {
 
     fn identifier(&mut self) -> Result<String, ParseError> {
         self.skip_ws();
-        let start = self.pos;
-        for (offset, c) in self.rest().char_indices() {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '/' || c == '-' {
-                continue;
-            }
-            self.pos = start + offset;
-            break;
-        }
-        if self.pos == start {
-            // Either end of input or an immediate non-identifier char.
-            if self.rest().chars().next().is_some_and(|c| {
-                c.is_ascii_alphanumeric() || c == '_' || c == '.' || c == '/' || c == '-'
-            }) {
-                self.pos = self.text.len();
-            }
-        }
-        if self.pos == start {
+        let rest = self.rest();
+        let len = rest.find(|c| !is_field_char(c)).unwrap_or(rest.len());
+        if len == 0 {
             return Err(self.error("expected a field name"));
         }
-        Ok(self.text[start..self.pos].to_string())
+        self.pos += len;
+        Ok(rest[..len].to_string())
     }
 
     fn operator(&mut self) -> Result<CompareOp, ParseError> {
@@ -176,7 +199,7 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         let rest = self.rest();
         if rest.starts_with('"') {
-            return self.string_literal();
+            return self.string_literal().map(Value::Str);
         }
         if rest.starts_with("true") {
             self.pos += 4;
@@ -216,20 +239,40 @@ impl<'a> Parser<'a> {
             .map_err(|_| self.error(format!("invalid number {text:?}")))
     }
 
-    fn string_literal(&mut self) -> Result<Value, ParseError> {
-        debug_assert!(self.rest().starts_with('"'));
-        self.pos += 1;
+    /// A double-quoted string with the escapes `\"`, `\\`, `\n`, `\r`,
+    /// `\t` and `\uXXXX` (a non-surrogate code point, four hex digits).
+    fn string_literal(&mut self) -> Result<String, ParseError> {
+        if !self.eat("\"") {
+            return Err(self.error("expected a string"));
+        }
+        let rest = self.rest();
         let mut out = String::new();
-        let mut chars = self.rest().char_indices();
+        let mut chars = rest.char_indices();
         while let Some((offset, c)) = chars.next() {
             match c {
                 '"' => {
                     self.pos += offset + 1;
-                    return Ok(Value::Str(out));
+                    return Ok(out);
                 }
                 '\\' => match chars.next() {
                     Some((_, escaped @ ('"' | '\\'))) => out.push(escaped),
                     Some((_, 'n')) => out.push('\n'),
+                    Some((_, 'r')) => out.push('\r'),
+                    Some((_, 't')) => out.push('\t'),
+                    Some((at, 'u')) => {
+                        let hex = rest
+                            .get(at + 1..at + 5)
+                            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()));
+                        let Some(c) = hex
+                            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                            .and_then(char::from_u32)
+                        else {
+                            return Err(self.error("invalid \\u escape"));
+                        };
+                        out.push(c);
+                        // Past the four ASCII digits.
+                        chars.nth(3);
+                    }
                     Some((_, other)) => return Err(self.error(format!("unknown escape \\{other}"))),
                     None => return Err(self.error("unterminated escape")),
                 },
@@ -289,13 +332,13 @@ mod tests {
 
     #[test]
     fn string_escapes() {
-        let p = parse(r#"name == "a\"b\\c\nd""#).unwrap();
+        let p = parse(r#"name == "a\"b\\c\nd\r\t\u0041\u00e9""#).unwrap();
         assert_eq!(
             p,
             Predicate::Compare {
                 field: "name".into(),
                 op: CompareOp::Eq,
-                value: Value::Str("a\"b\\c\nd".into())
+                value: Value::Str("a\"b\\c\nd\r\tAé".into())
             }
         );
     }
@@ -324,6 +367,9 @@ mod tests {
         assert!(parse(r#"s == "unterminated"#).is_err());
         assert!(parse("(a == 1").is_err());
         assert!(parse("exists(").is_err());
+        for bad in [r#"s == "\u12""#, r#"s == "\u+123""#, r#"s == "\ud800""#, r#"s == "\b""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
