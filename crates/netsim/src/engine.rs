@@ -18,12 +18,15 @@
 //! **A delivery is written when it is sent.** It is not an event: when the
 //! broker sends a copy to a subscriber it already knows when the copy lands,
 //! and landing reads no table, bills nothing, draws no random number and
-//! schedules nothing. So the broker appends the finished [`DeliveryRecord`]
-//! to the delivery log, and the report lists deliveries in the order the
-//! brokers sent them. Every measurement the report makes — counts, sums,
-//! percentiles by selection — is order-free; a caller that wants
-//! delivery-time order sorts by `delivered_at` with a stable sort, which
-//! keeps deliveries landing at the same instant in send order.
+//! schedules nothing. So the broker appends a 16-byte entry to the delivery
+//! log — the publication's index in the publication table, the subscriber's
+//! index in its topic, and when the copy lands — and the report lists
+//! deliveries in the order the brokers sent them, building each
+//! [`crate::metrics::DeliveryRecord`] when it is read. Every measurement the
+//! report makes — counts, sums, percentiles by selection — is order-free; a
+//! caller that wants delivery-time order sorts by `delivered_at` with a
+//! stable sort, which keeps deliveries landing at the same instant in send
+//! order.
 //!
 //! Each hop takes its base latency from the matrices plus an optional
 //! jitter sample, so a jitter-free run reproduces the analytic model
@@ -43,20 +46,23 @@
 //! **What allocates.** The event handlers read the routing tables, the
 //! latency rows and the fault plan in place, so handling a `Publish` or
 //! `RegionReceive` event allocates nothing of its own: a run's allocations
-//! are the publication batch (grown once, sorted once), the growth of the
-//! heap (broker arrivals and reconfigurations only) and of the delivery log
-//! (one record per delivery, kept for the report), plus one routing table
-//! per topic at construction and one per `Reconfigure` event. The scenario
+//! are the publication batch (grown once, sorted once), the publication
+//! table (sized for the batch), the growth of the heap (broker arrivals and
+//! reconfigurations only) and of the delivery log (16 bytes a delivery,
+//! kept for the report), plus one routing table per topic at construction
+//! and one per `Reconfigure` event, each a single `Vec<u32>`. The scenario
 //! the engine takes shares its client lists and latency rows by `Arc`, so
-//! cloning one for the next run copies no row. Events, lost copies and
-//! deliveries are counted in the engine only; [`Engine::run`] adds them to
-//! the global `multipub_netsim_*` metrics once, after the last event.
+//! cloning one for the next run copies no row, and the finished run hands
+//! its topics to the report, which turns the log's indices back into client
+//! ids. Events, lost copies and deliveries are counted in the engine only;
+//! [`Engine::run`] adds them to the global `multipub_netsim_*` metrics
+//! once, after the last event.
 
-// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
+// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the publication table, pushed before the message is sent), each routing table is laid out for its own topic's client counts and region count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
 use crate::faults::FaultInjector;
 use crate::jitter::{Jitter, JitterSource};
-use crate::metrics::{DeliveryRecord, SimReport, TrafficLedger};
+use crate::metrics::{Publication, Sent, SimReport, TrafficLedger};
 use crate::queue::EventQueue;
 use crate::scenario::{Scenario, TopicScenario};
 use crate::time::SimTime;
@@ -66,12 +72,10 @@ use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
 use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
 
-/// One publication on its way: which topic, from whom, emitted when.
+/// One publication on its way: its index in the publication table.
 #[derive(Debug, Clone, Copy)]
 struct Message {
-    topic: usize,
-    publisher: usize,
-    published_at: SimTime,
+    publication: u32,
 }
 
 #[derive(Debug)]
@@ -96,34 +100,64 @@ enum Event {
     },
 }
 
-/// Per-topic routing tables precomputed from a configuration.
+/// Per-topic routing tables precomputed from a configuration, in one
+/// allocation. The serving regions are the assignment's.
 #[derive(Debug)]
 struct TopicRouting {
-    serving: Vec<RegionId>,
-    /// Subscriber indices grouped by closest serving region (indexed by
-    /// region id).
-    local_subscribers: Vec<Vec<usize>>,
-    /// Closest serving region per publisher index (routed mode's `R^P`).
-    publisher_home: Vec<RegionId>,
+    assignment: AssignmentVector,
     mode: DeliveryMode,
+    n_regions: usize,
+    /// `n_regions + 1` offsets, then the subscriber indices grouped by
+    /// closest serving region (region `r`'s group runs from offset `r` to
+    /// offset `r + 1`), then each publisher's closest serving region
+    /// (routed mode's `R^P`).
+    table: Vec<u32>,
 }
 
 impl TopicRouting {
     fn new(topic: &TopicScenario, configuration: Configuration, n_regions: usize) -> Self {
         let assignment = configuration.assignment();
-        let mut local_subscribers = vec![Vec::new(); n_regions];
-        for (index, subscriber) in topic.subscribers().iter().enumerate() {
-            let region = closest_region(subscriber.latencies(), assignment);
-            local_subscribers[region.index()].push(index);
+        let home = |latencies: &[f64]| closest_region(latencies, assignment).index();
+        let (subscribers, publishers) = (topic.subscribers(), topic.publishers());
+        let groups = n_regions + 1;
+        let mut table = vec![0; groups + subscribers.len() + publishers.len()];
+        // A counting sort in place: count each region's subscribers, sum the
+        // counts so that offset `r` is where region `r`'s group ends, then
+        // place the subscribers last to first, moving each offset back to
+        // where its group begins. `Engine::new` checked that the subscriber
+        // indices fit a `u32`.
+        for subscriber in subscribers.iter() {
+            table[home(subscriber.latencies())] += 1;
         }
-        let publisher_home =
-            topic.publishers().iter().map(|p| closest_region(p.latencies(), assignment)).collect();
-        TopicRouting {
-            serving: assignment.iter().collect(),
-            local_subscribers,
-            publisher_home,
-            mode: configuration.mode(),
+        for region in 1..n_regions {
+            table[region] += table[region - 1];
         }
+        table[n_regions] = subscribers.len() as u32;
+        for (index, subscriber) in subscribers.iter().enumerate().rev() {
+            let region = home(subscriber.latencies());
+            table[region] -= 1;
+            let slot = groups + table[region] as usize;
+            table[slot] = index as u32;
+        }
+        let homes = groups + subscribers.len();
+        for (slot, publisher) in table[homes..].iter_mut().zip(publishers.iter()) {
+            *slot = home(publisher.latencies()) as u32;
+        }
+        TopicRouting { assignment, mode: configuration.mode(), n_regions, table }
+    }
+
+    /// The indices of the subscribers homed at `region`, in index order.
+    fn local_subscribers(&self, region: RegionId) -> &[u32] {
+        let (offsets, groups) = self.table.split_at(self.n_regions + 1);
+        let r = region.index();
+        &groups[offsets[r] as usize..offsets[r + 1] as usize]
+    }
+
+    /// The serving region closest to publisher `publisher`.
+    fn publisher_home(&self, publisher: usize) -> RegionId {
+        let homes = self.n_regions + 1 + self.table[self.n_regions] as usize;
+        // Region indices are below the deployment's at most 32 regions.
+        RegionId(self.table[homes + publisher] as u8)
     }
 }
 
@@ -140,6 +174,12 @@ fn assert_fits(topic_index: usize, configuration: Configuration, n_regions: usiz
     );
 }
 
+/// Panics, naming what was counted, unless `count` of them can be numbered
+/// by the delivery log's `u32` indices.
+fn assert_indexable(count: usize, what: impl std::fmt::Display) {
+    assert!(u32::try_from(count).is_ok(), "{count} {what} exceed the delivery log's u32 indices");
+}
+
 /// The simulation engine. Construct with a scenario, run once, read the
 /// report. See the crate-level example.
 #[derive(Debug)]
@@ -151,10 +191,11 @@ pub struct Engine {
     queue: EventQueue<Event>,
     jitter: JitterSource,
     faults: FaultInjector,
+    /// Every publication emitted, in the order it was emitted.
+    publications: Vec<Publication>,
     /// Every delivery the brokers have sent, in the order they sent it.
-    log: Vec<DeliveryRecord>,
+    log: Vec<Sent>,
     ledger: TrafficLedger,
-    published_count: u64,
     lost_count: u64,
 }
 
@@ -168,14 +209,20 @@ impl Engine {
     /// Panics if a topic's configuration assigns a region outside the
     /// scenario's deployment, or a latency row's width differs from the
     /// region count (possible for a topic swapped in through
-    /// [`Scenario::topics_mut`]).
+    /// [`Scenario::topics_mut`]). Panics, too, if the topics, or one
+    /// topic's publishers or subscribers, number more than `u32::MAX`: the
+    /// delivery log numbers them with `u32` indices.
     pub fn new(scenario: Scenario, jitter: Jitter, seed: u64) -> Self {
         let (regions, inter, topics, plan) = scenario.into_parts();
         let n_regions = regions.len();
+        assert_indexable(topics.len(), "topics");
         let mut routing = Vec::with_capacity(topics.len());
         for (index, topic) in topics.iter().enumerate() {
             topic.assert_rows_fit(n_regions);
             assert_fits(index, topic.configuration(), n_regions);
+            let id = topic.id();
+            assert_indexable(topic.publishers().len(), format_args!("publishers of topic {id}"));
+            assert_indexable(topic.subscribers().len(), format_args!("subscribers of topic {id}"));
             routing.push(TopicRouting::new(topic, topic.configuration(), n_regions));
         }
         Engine {
@@ -186,9 +233,9 @@ impl Engine {
             queue: EventQueue::new(),
             jitter: JitterSource::new(jitter, seed),
             faults: FaultInjector::new(plan, seed),
+            publications: Vec::new(),
             log: Vec::new(),
             ledger: TrafficLedger::new(n_regions),
-            published_count: 0,
             lost_count: 0,
         }
     }
@@ -224,6 +271,12 @@ impl Engine {
     /// The finished run is added to the global `multipub_netsim_*` metrics:
     /// one event per publication, per broker arrival and per delivery, one
     /// histogram sample per delivery (the crate-level example counts them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `duration_ms` is negative or not finite, or the run emits
+    /// more than `u32::MAX` publications: the delivery log numbers them
+    /// with `u32` indices.
     pub fn run(mut self, duration_ms: f64) -> SimReport {
         self.schedule_publications(duration_ms);
         let mut events = 0u64;
@@ -231,24 +284,26 @@ impl Engine {
             events += 1;
             self.handle(now, event);
         }
-        let Engine { log: deliveries, ledger, published_count, lost_count, .. } = self;
+        let Engine { topics, publications, log, ledger, lost_count, .. } = self;
+        let report = SimReport::new(topics, publications, log, ledger, lost_count, duration_ms);
         // The global metrics see the finished run once; the loop above
         // touches no shared atomic. A delivery counts as an event: it was
         // one until it became a line of the log.
-        multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + deliveries.len() as u64);
+        multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + report.delivery_count());
         multipub_obs::counter!(NETSIM_LOST_TOTAL).add(lost_count);
-        multipub_obs::histogram!(NETSIM_DELIVERY_MS)
-            .record_all(deliveries.iter().map(DeliveryRecord::latency_ms));
-        SimReport::new(deliveries, ledger, published_count, lost_count, duration_ms)
+        multipub_obs::histogram!(NETSIM_DELIVERY_MS).record_all(report.latencies_ms());
+        report
     }
 
     /// Schedules every publication of the run as one batch, in the order
     /// topic, publisher, time: the queue numbers them in that order, so
-    /// publications at equal times pop in it.
+    /// publications at equal times pop in it. The publication table is
+    /// sized for the whole batch.
     fn schedule_publications(&mut self, duration_ms: f64) {
         assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
-        let Engine { topics, queue, faults, .. } = self;
+        let Engine { topics, queue, faults, publications, .. } = self;
         let plan = faults.plan();
+        let scheduled = queue.len();
         queue.schedule_all(topics.iter().enumerate().flat_map(|(topic, scenario)| {
             scenario.publishers().iter().enumerate().flat_map(move |(publisher, client)| {
                 client.publish_times_ms(duration_ms).flat_map(move |t| {
@@ -259,6 +314,9 @@ impl Engine {
                 })
             })
         }));
+        let count = queue.len() - scheduled;
+        assert_indexable(count, "publications");
+        publications.reserve_exact(count);
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
@@ -275,22 +333,23 @@ impl Engine {
     }
 
     fn on_publish(&mut self, now: SimTime, topic: usize, publisher: usize) {
-        let Engine { topics, routing, queue, jitter, faults, published_count, lost_count, .. } =
-            self;
-        *published_count += 1;
+        let Engine { topics, routing, queue, jitter, faults, publications, lost_count, .. } = self;
+        // `Engine::new` and `schedule_publications` checked that these
+        // indices fit a `u32`.
+        let message = Message { publication: publications.len() as u32 };
+        publications.push(Publication {
+            topic: topic as u32,
+            publisher: publisher as u32,
+            published_at: now,
+        });
         let routing = &routing[topic];
         let latencies = topics[topic].publishers()[publisher].latencies();
-        let message = Message { topic, publisher, published_at: now };
         // Direct: the publisher uploads to every serving region itself.
         // Routed: only to its closest one, which forwards. Inbound traffic
         // is free either way, so nothing is billed here.
-        let (targets, deliver_only) = match routing.mode {
-            DeliveryMode::Direct => (routing.serving.as_slice(), true),
-            DeliveryMode::Routed => {
-                (std::slice::from_ref(&routing.publisher_home[publisher]), false)
-            }
-        };
-        for &region in targets {
+        let deliver_only = routing.mode == DeliveryMode::Direct;
+        let home = routing.publisher_home(publisher);
+        for region in routing.assignment.iter().filter(|&region| deliver_only || region == home) {
             if faults.drop_packet() {
                 *lost_count += 1;
                 continue;
@@ -308,7 +367,17 @@ impl Engine {
         deliver_only: bool,
     ) {
         let Engine {
-            topics, inter, routing, queue, jitter, faults, log, ledger, lost_count, ..
+            topics,
+            inter,
+            routing,
+            queue,
+            jitter,
+            faults,
+            publications,
+            log,
+            ledger,
+            lost_count,
+            ..
         } = self;
         // A region inside an outage window has no broker: the arriving
         // copy (and everything it would have produced downstream) dies.
@@ -316,16 +385,16 @@ impl Engine {
             *lost_count += 1;
             return;
         }
-        let routing = &routing[message.topic];
-        let clients = &topics[message.topic];
-        let publisher = &clients.publishers()[message.publisher];
-        let size = publisher.size_bytes();
+        let Publication { topic, publisher, .. } = publications[message.publication as usize];
+        let routing = &routing[topic as usize];
+        let clients = &topics[topic as usize];
+        let size = clients.publishers()[publisher as usize].size_bytes();
 
         // Routed first hop: forward to the other serving regions, billing
         // inter-region egress at this region's α rate. Egress is billed at
         // send time, so copies lost in flight still cost money.
         if !deliver_only {
-            for &peer in routing.serving.iter().filter(|&&peer| peer != region) {
+            for peer in routing.assignment.iter().filter(|&peer| peer != region) {
                 ledger.record_inter_region(region, size);
                 if faults.drop_packet() {
                     *lost_count += 1;
@@ -346,8 +415,8 @@ impl Engine {
         // lost and delayed independently. A copy that is not lost is a
         // line of the log from here on: nothing happens when it lands.
         let copies = faults.plan().duplicate_copies(now);
-        for &subscriber in &routing.local_subscribers[region.index()] {
-            let client = &clients.subscribers()[subscriber];
+        for &subscriber in routing.local_subscribers(region) {
+            let client = &clients.subscribers()[subscriber as usize];
             for _ in 0..copies {
                 ledger.record_internet(region, size);
                 if faults.drop_packet() {
@@ -363,13 +432,7 @@ impl Engine {
                 // window ends — the simulated slow consumer.
                 let delivered_at = faults.plan().stall_release(client.client(), now + latency);
                 debug_assert!(delivered_at >= now, "a delivery cannot land before it is sent");
-                log.push(DeliveryRecord {
-                    topic_index: message.topic,
-                    publisher: publisher.client(),
-                    subscriber: client.client(),
-                    published_at: message.published_at,
-                    delivered_at,
-                });
+                log.push(Sent { publication: message.publication, subscriber, delivered_at });
             }
         }
     }
@@ -378,6 +441,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::DeliveryRecord;
     use crate::scenario::{SimPublisher, SimSubscriber, TopicScenario};
     use multipub_core::assignment::{AssignmentVector, Configuration};
     use multipub_core::ids::{ClientId, TopicId};
@@ -406,9 +470,39 @@ mod tests {
     /// The report's deliveries in delivery-time order: one stable sort of
     /// the send order, so deliveries landing together stay in send order.
     fn by_delivery_time(report: &SimReport) -> Vec<DeliveryRecord> {
-        let mut deliveries = report.deliveries().to_vec();
+        let mut deliveries: Vec<DeliveryRecord> = report.deliveries().collect();
         deliveries.sort_by(|a, b| a.delivered_at.total_cmp(b.delivered_at));
         deliveries
+    }
+
+    #[test]
+    fn routing_table_groups_subscribers_by_closest_serving_region() {
+        // Regions 0 and 2 of three serve; region 1 is closest to everyone
+        // but serves no one.
+        let topic = TopicScenario::new(
+            TopicId::new("t"),
+            Configuration::new(
+                AssignmentVector::from_mask(0b101, 3).unwrap(),
+                DeliveryMode::Routed,
+            ),
+            vec![
+                SimPublisher::new(ClientId(0), vec![9.0, 1.0, 3.0], 1.0, 1),
+                SimPublisher::new(ClientId(1), vec![3.0, 1.0, 9.0], 1.0, 1),
+            ],
+            vec![
+                SimSubscriber::new(ClientId(10), vec![9.0, 1.0, 3.0]),
+                SimSubscriber::new(ClientId(11), vec![3.0, 1.0, 9.0]),
+                SimSubscriber::new(ClientId(12), vec![8.0, 1.0, 2.0]),
+                SimSubscriber::new(ClientId(13), vec![2.0, 1.0, 8.0]),
+                SimSubscriber::new(ClientId(14), vec![7.0, 1.0, 4.0]),
+            ],
+        );
+        let routing = TopicRouting::new(&topic, topic.configuration(), 3);
+        assert_eq!(routing.local_subscribers(RegionId(0)), [1, 3]);
+        assert_eq!(routing.local_subscribers(RegionId(1)), [] as [u32; 0]);
+        assert_eq!(routing.local_subscribers(RegionId(2)), [0, 2, 4]);
+        assert_eq!(routing.publisher_home(0), RegionId(2));
+        assert_eq!(routing.publisher_home(1), RegionId(0));
     }
 
     #[test]
@@ -420,7 +514,7 @@ mod tests {
         let scenario = two_region_scenario(DeliveryMode::Direct)
             .with_fault_plan(crate::faults::FaultPlan::none().with_stall(stall));
         let report = Engine::new(scenario, Jitter::disabled(), 0).run(150.0);
-        let rows = |deliveries: &[DeliveryRecord]| -> Vec<(ClientId, f64, f64)> {
+        let rows = |deliveries: Vec<DeliveryRecord>| -> Vec<(ClientId, f64, f64)> {
             deliveries
                 .iter()
                 .map(|d| (d.subscriber, d.published_at.as_ms(), d.delivered_at.as_ms()))
@@ -429,12 +523,12 @@ mod tests {
         // Sent at 5, 60, 105 and 160: the copy sent second lands first.
         let (one, two) = (ClientId(1), ClientId(2));
         assert_eq!(
-            rows(report.deliveries()),
+            rows(report.deliveries().collect()),
             [(one, 0.0, 109.0), (two, 0.0, 66.0), (one, 100.0, 109.0), (two, 100.0, 166.0)]
         );
         // The two copies landing at 109 keep their send order.
         assert_eq!(
-            rows(&by_delivery_time(&report)),
+            rows(by_delivery_time(&report)),
             [(two, 0.0, 66.0), (one, 0.0, 109.0), (one, 100.0, 109.0), (two, 100.0, 166.0)]
         );
     }
@@ -776,7 +870,6 @@ mod tests {
         // publication, landing 266 ms after the outage began.
         let first_after = report
             .deliveries()
-            .iter()
             .filter(|d| d.published_at.as_ms() >= 300.0)
             .map(|d| d.delivered_at.as_ms())
             .fold(f64::INFINITY, f64::min);
@@ -1035,7 +1128,6 @@ mod tests {
         assert_eq!(report.delivery_count(), 20);
         let landed: Vec<f64> = report
             .deliveries()
-            .iter()
             .filter(|d| d.subscriber == ClientId(1))
             .map(|d| d.delivered_at.as_ms())
             .collect();
@@ -1043,7 +1135,6 @@ mod tests {
         // Queued deliveries keep the order they were sent in.
         let queued: Vec<f64> = report
             .deliveries()
-            .iter()
             .filter(|d| d.delivered_at.as_ms() == 800.0)
             .map(|d| d.published_at.as_ms())
             .collect();

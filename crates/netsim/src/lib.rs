@@ -27,9 +27,12 @@
 //!   publishers with rates/sizes, subscribers; client lists and latency rows
 //!   shared by `Arc`, so a clone or a topic's analytic workload copies none.
 //! * [`engine`] — the event loop over publications and broker arrivals,
-//!   and the delivery log the brokers append to as they send.
-//! * [`metrics`] — delivery records, the per-region traffic ledger and the
-//!   final [`metrics::SimReport`] with its log in send order.
+//!   the publication table it appends to as publishers emit, and the
+//!   delivery log the brokers append to as they send: 16 bytes a delivery,
+//!   indices into the publication table and the topic's subscribers.
+//! * [`metrics`] — the per-region traffic ledger and the final
+//!   [`metrics::SimReport`], which holds the log in send order and builds
+//!   each [`metrics::DeliveryRecord`] when it is read.
 //!
 //! ## Example
 //!

@@ -1,8 +1,13 @@
-//! Measurement collection: delivery records, the per-region traffic
-//! ledger and the final simulation report.
+//! Measurement collection: the delivery log, the per-region traffic ledger
+//! and the final simulation report.
+//!
+//! The log keeps each delivery as a 16-byte `Sent` entry beside one
+//! `Publication` per publication; the report builds a full
+//! [`DeliveryRecord`] only when one is read.
 
-// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count
+// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every log entry's publication, topic, publisher and subscriber index was taken by the engine from the tables the report holds
 
+use crate::scenario::TopicScenario;
 use crate::time::SimTime;
 use multipub_core::ids::{ClientId, RegionId};
 use multipub_core::region::RegionSet;
@@ -24,9 +29,28 @@ pub struct DeliveryRecord {
 
 impl DeliveryRecord {
     /// End-to-end delivery time in milliseconds.
-    pub(crate) fn latency_ms(&self) -> f64 {
+    pub fn latency_ms(&self) -> f64 {
         self.delivered_at - self.published_at
     }
+}
+
+/// One publication: the topic, the publisher's index in it, and when it
+/// was emitted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Publication {
+    pub(crate) topic: u32,
+    pub(crate) publisher: u32,
+    pub(crate) published_at: SimTime,
+}
+
+/// One delivery as the log keeps it: the publication's index in the
+/// publication table, the subscriber's index in its topic, and when the
+/// copy lands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Sent {
+    pub(crate) publication: u32,
+    pub(crate) subscriber: u32,
+    pub(crate) delivered_at: SimTime,
 }
 
 /// Billable egress bytes per region, split by destination class exactly
@@ -79,39 +103,65 @@ impl TrafficLedger {
 /// Everything measured during one simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    deliveries: Vec<DeliveryRecord>,
+    /// The scenario's topics, whose client lists turn the log's indices
+    /// back into client ids.
+    topics: Vec<TopicScenario>,
+    /// Every publication emitted, in the order it was emitted.
+    publications: Vec<Publication>,
+    /// Every delivery, in the order the brokers sent it.
+    log: Vec<Sent>,
     ledger: TrafficLedger,
-    published_count: u64,
     lost_count: u64,
     duration_ms: f64,
 }
 
 impl SimReport {
     pub(crate) fn new(
-        deliveries: Vec<DeliveryRecord>,
+        topics: Vec<TopicScenario>,
+        publications: Vec<Publication>,
+        log: Vec<Sent>,
         ledger: TrafficLedger,
-        published_count: u64,
         lost_count: u64,
         duration_ms: f64,
     ) -> Self {
-        SimReport { deliveries, ledger, published_count, lost_count, duration_ms }
+        SimReport { topics, publications, log, ledger, lost_count, duration_ms }
     }
 
-    /// All delivery records, in the order the brokers sent them. A stable
-    /// sort by `delivered_at` puts them in delivery-time order, deliveries
-    /// landing at the same instant still in send order.
-    pub fn deliveries(&self) -> &[DeliveryRecord] {
-        &self.deliveries
+    /// All delivery records, in the order the brokers sent them, each built
+    /// when it is read. A stable sort by `delivered_at` puts them in
+    /// delivery-time order, deliveries landing at the same instant still in
+    /// send order.
+    pub fn deliveries(&self) -> impl ExactSizeIterator<Item = DeliveryRecord> + '_ {
+        self.log.iter().map(|sent| {
+            let publication = self.publications[sent.publication as usize];
+            let topic = &self.topics[publication.topic as usize];
+            DeliveryRecord {
+                topic_index: publication.topic as usize,
+                publisher: topic.publishers()[publication.publisher as usize].client(),
+                subscriber: topic.subscribers()[sent.subscriber as usize].client(),
+                published_at: publication.published_at,
+                delivered_at: sent.delivered_at,
+            }
+        })
+    }
+
+    /// Every delivery's end-to-end time in milliseconds, in send order.
+    pub(crate) fn latencies_ms(&self) -> impl Iterator<Item = f64> + '_ {
+        self.log.iter().map(|sent| self.latency_ms(sent))
+    }
+
+    fn latency_ms(&self, sent: &Sent) -> f64 {
+        sent.delivered_at - self.publications[sent.publication as usize].published_at
     }
 
     /// Number of deliveries completed.
     pub fn delivery_count(&self) -> u64 {
-        self.deliveries.len() as u64
+        self.log.len() as u64
     }
 
     /// Number of publications emitted.
     pub fn published_count(&self) -> u64 {
-        self.published_count
+        self.publications.len() as u64
     }
 
     /// Number of in-flight message copies destroyed by injected faults
@@ -132,16 +182,29 @@ impl SimReport {
     /// Uses the same ceiling-rank definition as the analytic model
     /// (Eq. 5), so jitter-free runs agree with it exactly.
     pub fn percentile_ms(&self, ratio_percent: f64) -> f64 {
-        percentile_of(self.deliveries.iter().map(DeliveryRecord::latency_ms), ratio_percent)
+        percentile_of(self.latencies_ms(), ratio_percent)
     }
 
-    /// The measured percentile for a single topic.
+    /// The measured percentile for a single topic (0.0 when the topic had
+    /// no deliveries).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `topic_index` is not the index of one of the scenario's
+    /// topics.
     pub fn topic_percentile_ms(&self, topic_index: usize, ratio_percent: f64) -> f64 {
+        let topics = self.topics.len();
+        assert!(
+            topic_index < topics,
+            "topic index {topic_index} out of range for a report of {topics} topics"
+        );
+        // The engine checked that every topic index fits a `u32`.
+        let topic = topic_index as u32;
         percentile_of(
-            self.deliveries
+            self.log
                 .iter()
-                .filter(|d| d.topic_index == topic_index)
-                .map(DeliveryRecord::latency_ms),
+                .filter(|sent| self.publications[sent.publication as usize].topic == topic)
+                .map(|sent| self.latency_ms(sent)),
             ratio_percent,
         )
     }
@@ -169,16 +232,44 @@ fn percentile_of(latencies: impl Iterator<Item = f64>, ratio_percent: f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{SimPublisher, SimSubscriber};
+    use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
+    use multipub_core::ids::TopicId;
     use multipub_core::region::Region;
 
-    fn record(topic: usize, latency: f64) -> DeliveryRecord {
-        DeliveryRecord {
-            topic_index: topic,
-            publisher: ClientId(0),
-            subscriber: ClientId(1),
-            published_at: SimTime::ZERO,
-            delivered_at: SimTime::from_ms(latency),
-        }
+    /// A report over `topics` topics of one publisher (C0) and one
+    /// subscriber (C1) each. Every `(topic, latency)` delivery is its own
+    /// publication on that topic, emitted at 0 and landing `latency` ms
+    /// later.
+    fn report(topics: usize, deliveries: &[(u32, f64)]) -> SimReport {
+        let topic = |t: usize| {
+            TopicScenario::new(
+                TopicId::new(format!("t{t}")),
+                Configuration::new(AssignmentVector::all(1).unwrap(), DeliveryMode::Direct),
+                vec![SimPublisher::new(ClientId(0), vec![0.0], 1.0, 1)],
+                vec![SimSubscriber::new(ClientId(1), vec![0.0])],
+            )
+        };
+        let publications = deliveries
+            .iter()
+            .map(|&(topic, _)| Publication { topic, publisher: 0, published_at: SimTime::ZERO })
+            .collect();
+        let log = (0..)
+            .zip(deliveries)
+            .map(|(publication, &(_, latency))| Sent {
+                publication,
+                subscriber: 0,
+                delivered_at: SimTime::from_ms(latency),
+            })
+            .collect();
+        let topics = (0..topics).map(topic).collect();
+        SimReport::new(topics, publications, log, TrafficLedger::new(1), 0, 1000.0)
+    }
+
+    #[test]
+    fn a_log_entry_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Sent>(), 16);
+        assert_eq!(std::mem::size_of::<Publication>(), 16);
     }
 
     #[test]
@@ -199,8 +290,7 @@ mod tests {
 
     #[test]
     fn percentile_matches_ceiling_rank() {
-        let deliveries = vec![record(0, 10.0), record(0, 20.0), record(0, 30.0), record(0, 40.0)];
-        let report = SimReport::new(deliveries, TrafficLedger::new(1), 4, 0, 1000.0);
+        let report = report(1, &[(0, 10.0), (0, 20.0), (0, 30.0), (0, 40.0)]);
         // ceil(0.75 × 4) = 3 → 30.
         assert_eq!(report.percentile_ms(75.0), 30.0);
         assert_eq!(report.percentile_ms(100.0), 40.0);
@@ -209,11 +299,17 @@ mod tests {
 
     #[test]
     fn per_topic_percentiles() {
-        let deliveries = vec![record(0, 10.0), record(1, 100.0), record(1, 200.0)];
-        let report = SimReport::new(deliveries, TrafficLedger::new(1), 3, 0, 1000.0);
+        let report = report(3, &[(0, 10.0), (1, 100.0), (1, 200.0)]);
         assert_eq!(report.topic_percentile_ms(0, 95.0), 10.0);
         assert_eq!(report.topic_percentile_ms(1, 95.0), 200.0);
-        assert_eq!(report.topic_percentile_ms(9, 95.0), 0.0);
+        // A topic with no deliveries has no latency to report.
+        assert_eq!(report.topic_percentile_ms(2, 95.0), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "topic index 9 out of range for a report of 3 topics")]
+    fn topic_percentile_of_an_unknown_topic_panics() {
+        let _ = report(3, &[(0, 10.0)]).topic_percentile_ms(9, 95.0);
     }
 
     #[test]
@@ -221,14 +317,14 @@ mod tests {
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         let mut ledger = TrafficLedger::new(1);
         ledger.record_internet(RegionId(0), 1_000_000_000);
-        let report = SimReport::new(vec![], ledger, 0, 0, 60_000.0);
+        let report = SimReport::new(vec![], vec![], vec![], ledger, 0, 60_000.0);
         let per_day = report.cost_dollars_per(&regions, 86_400_000.0);
         assert!((per_day - 0.09 * 1440.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_defaults() {
-        let report = SimReport::new(vec![], TrafficLedger::new(1), 0, 0, 0.0);
+        let report = SimReport::new(vec![], vec![], vec![], TrafficLedger::new(1), 0, 0.0);
         assert_eq!(report.percentile_ms(95.0), 0.0);
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         assert_eq!(report.cost_dollars_per(&regions, 1000.0), 0.0);

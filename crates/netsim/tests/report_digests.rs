@@ -149,7 +149,7 @@ fn log_digest(report: &SimReport) -> u64 {
             hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     };
-    let mut by_time = report.deliveries().to_vec();
+    let mut by_time: Vec<_> = report.deliveries().collect();
     by_time.sort_by(|a, b| a.delivered_at.as_ms().total_cmp(&b.delivered_at.as_ms()));
     for d in by_time {
         write(d.topic_index as u64);
