@@ -1,979 +1,61 @@
-//! Binary framing: `[u32 length][u8 tag][fields…]`, all integers
-//! big-endian, strings as `u16` length + UTF-8, payloads as `u32` length +
-//! bytes.
-//!
-//! [`encode`] appends one frame to a buffer; [`decode`] incrementally
-//! consumes complete frames from a receive buffer, returning `Ok(None)`
-//! while a frame is still partial — the natural shape for reading from a
-//! TCP stream.
-//!
-//! # Trace context layout
-//!
-//! The publish-path frames (`Publish`/`Forward`/`Deliver`) carry an
-//! optional [`TraceContext`] encoded **first in the body, at a fixed
-//! offset**: a presence flag byte right after the tag, then (when
-//! present) trace id, sampled flag and the four stage stamps. The fixed
-//! position lets the outbound writer task stamp queue/write times into
-//! already-encoded bytes ([`stamp_queue_write`]) without re-encoding —
-//! essential because a zero-copy fan-out shares one encoded buffer
-//! across every subscriber queue. An absent context costs exactly one
-//! byte. Control frames never carry a context
-//! ([`Frame::is_control`]); [`peek_trace`] enforces this by tag.
+//! Binary framing over `bytes` buffers: thin adapters around
+//! [`multipub_proto`], which owns the wire format, plus the codec
+//! counters.
 
-use crate::flow::SlowConsumerPolicy;
-use crate::frame::{Frame, Role, TraceContext, WireMode};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use std::fmt;
+use crate::frame::Frame;
+use bytes::{Bytes, BytesMut};
 
-/// Upper bound on a frame's body size; larger lengths indicate stream
-/// corruption and abort decoding.
-pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
-
-/// Errors produced while decoding a frame stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum CodecError {
-    /// The length prefix exceeded [`MAX_FRAME_BYTES`].
-    Oversized {
-        /// The advertised body length.
-        len: usize,
-    },
-    /// An unknown frame tag was encountered.
-    UnknownTag {
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A frame body ended before all declared fields were read.
-    Truncated,
-    /// A string field was not valid UTF-8.
-    InvalidUtf8,
-    /// An enum field carried an unknown discriminant.
-    InvalidEnum {
-        /// The offending discriminant.
-        value: u8,
-    },
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CodecError::Oversized { len } => write!(f, "frame of {len} bytes exceeds limit"),
-            CodecError::UnknownTag { tag } => write!(f, "unknown frame tag {tag:#04x}"),
-            CodecError::Truncated => write!(f, "frame body ended early"),
-            CodecError::InvalidUtf8 => write!(f, "string field is not valid utf-8"),
-            CodecError::InvalidEnum { value } => write!(f, "invalid enum discriminant {value}"),
-        }
-    }
-}
-
-impl std::error::Error for CodecError {}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    debug_assert!(s.len() <= u16::MAX as usize, "topic names are short");
-    buf.put_u16(s.len() as u16);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_payload(buf: &mut BytesMut, payload: &Bytes) {
-    buf.put_u32(payload.len() as u32);
-    buf.put_slice(payload);
-}
-
-fn put_long_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-// Fixed offsets of the trace block within a full framed buffer
-// (`[u32 len][u8 tag][u8 flag][trace fields…]`). `stamp_queue_write`
-// and `peek_trace` rely on these staying in lockstep with
-// `put_trace`/`read_trace`.
-const TRACE_FLAG_OFFSET: usize = 5;
-const TRACE_ID_OFFSET: usize = 6;
-const TRACE_SAMPLED_OFFSET: usize = 14;
-const TRACE_MATCH_OFFSET: usize = 23;
-const TRACE_QUEUE_OFFSET: usize = 31;
-const TRACE_WRITE_OFFSET: usize = 39;
-/// Byte past the end of a present trace block (flag + id + sampled +
-/// four stamps), relative to the start of the framed buffer.
-const TRACE_END_OFFSET: usize = 47;
-
-fn put_trace(buf: &mut BytesMut, trace: &Option<TraceContext>) {
-    match trace {
-        None => buf.put_u8(0),
-        Some(ctx) => {
-            buf.put_u8(1);
-            buf.put_u64(ctx.trace_id);
-            buf.put_u8(u8::from(ctx.sampled));
-            buf.put_u64(ctx.admit_micros);
-            buf.put_u64(ctx.match_micros);
-            buf.put_u64(ctx.queue_micros);
-            buf.put_u64(ctx.write_micros);
-        }
-    }
-}
-
-fn read_trace(reader: &mut Reader<'_>) -> Result<Option<TraceContext>, CodecError> {
-    match reader.u8()? {
-        0 => Ok(None),
-        _ => {
-            let trace_id = reader.u64()?;
-            let sampled = reader.u8()? != 0;
-            let admit_micros = reader.u64()?;
-            let match_micros = reader.u64()?;
-            let queue_micros = reader.u64()?;
-            let write_micros = reader.u64()?;
-            Ok(Some(TraceContext {
-                trace_id,
-                sampled,
-                admit_micros,
-                match_micros,
-                queue_micros,
-                write_micros,
-            }))
-        }
-    }
-}
-
-fn read_u64_at(bytes: &Bytes, offset: usize) -> Option<u64> {
-    let slice = bytes.get(offset..offset + 8)?;
-    let array: [u8; 8] = slice.try_into().ok()?;
-    Some(u64::from_be_bytes(array))
-}
-
-/// Peeks the trace context of an already-encoded `Forward`/`Deliver`
-/// frame without decoding it.
-///
-/// Returns `(trace_id, match_micros)` when the buffer is a publish-path
-/// frame carrying a **sampled** context, `None` otherwise. Control
-/// frames are rejected by tag, so keepalive traffic can never produce
-/// spans. `Publish` is also excluded: only broker-outbound frames pass
-/// through the writer task that uses this peek.
-#[must_use]
-pub fn peek_trace(bytes: &Bytes) -> Option<(u64, u64)> {
-    if bytes.len() < TRACE_END_OFFSET {
-        return None;
-    }
-    let tag = *bytes.get(4)?;
-    if tag != 0x06 && tag != 0x07 {
-        return None;
-    }
-    if *bytes.get(TRACE_FLAG_OFFSET)? != 1 || *bytes.get(TRACE_SAMPLED_OFFSET)? != 1 {
-        return None;
-    }
-    let trace_id = read_u64_at(bytes, TRACE_ID_OFFSET)?;
-    let match_micros = read_u64_at(bytes, TRACE_MATCH_OFFSET)?;
-    Some((trace_id, match_micros))
-}
-
-/// Returns a copy of an encoded frame with the queue/write stage stamps
-/// patched into its trace block.
-///
-/// The writer task calls this only for frames where [`peek_trace`]
-/// returned `Some`, so the offsets are known to exist; zero-copy
-/// fan-out shares the original buffer across subscriber queues, and the
-/// copy confines the stamps to this subscriber's frame. Unsampled
-/// frames never pay for the copy.
-#[must_use]
-pub fn stamp_queue_write(bytes: &Bytes, queue_micros: u64, write_micros: u64) -> Bytes {
-    let mut patched = BytesMut::with_capacity(bytes.len());
-    patched.extend_from_slice(bytes);
-    if let Some(slot) = patched.get_mut(TRACE_QUEUE_OFFSET..TRACE_QUEUE_OFFSET + 8) {
-        slot.copy_from_slice(&queue_micros.to_be_bytes());
-    }
-    if let Some(slot) = patched.get_mut(TRACE_WRITE_OFFSET..TRACE_WRITE_OFFSET + 8) {
-        slot.copy_from_slice(&write_micros.to_be_bytes());
-    }
-    patched.freeze()
-}
+pub use multipub_proto::{peek_trace, CodecError, MAX_FRAME_BYTES};
 
 /// Appends the wire encoding of `frame` to `buf`.
 pub fn encode(frame: &Frame, buf: &mut BytesMut) {
-    let start = buf.len();
-    buf.put_u32(0); // length placeholder
-    buf.put_u8(frame.tag());
-    match frame {
-        Frame::Connect { client_id, role, policy } => {
-            buf.put_u64(*client_id);
-            buf.put_u8(role.to_u8());
-            match policy {
-                Some(policy) => {
-                    buf.put_u8(policy.wire_byte());
-                    buf.put_u32(policy.wire_ms());
-                }
-                None => {
-                    buf.put_u8(0);
-                    buf.put_u32(0);
-                }
-            }
-        }
-        Frame::ConnectAck { region } => {
-            buf.put_u16(*region);
-        }
-        Frame::Subscribe { topic, filter, qos } => {
-            put_string(buf, topic);
-            put_long_string(buf, filter);
-            buf.put_u8(*qos);
-        }
-        Frame::Unsubscribe { topic } => {
-            put_string(buf, topic);
-        }
-        Frame::Publish {
-            topic,
-            publisher,
-            publish_micros,
-            single_target,
-            headers,
-            payload,
-            trace,
-            qos,
-            seq,
-            retain,
-            epoch,
-        } => {
-            put_trace(buf, trace);
-            put_string(buf, topic);
-            buf.put_u64(*publisher);
-            buf.put_u64(*publish_micros);
-            buf.put_u8(u8::from(*single_target));
-            put_long_string(buf, headers);
-            put_payload(buf, payload);
-            // QoS fields are appended after the original body so the
-            // trace block keeps its fixed offset near the frame start.
-            buf.put_u8(*qos);
-            buf.put_u64(*seq);
-            buf.put_u8(u8::from(*retain));
-            buf.put_u64(*epoch);
-        }
-        Frame::Deliver {
-            topic,
-            publisher,
-            publish_micros,
-            headers,
-            payload,
-            trace,
-            qos,
-            seq,
-            retained,
-        } => {
-            put_trace(buf, trace);
-            put_string(buf, topic);
-            buf.put_u64(*publisher);
-            buf.put_u64(*publish_micros);
-            put_long_string(buf, headers);
-            put_payload(buf, payload);
-            buf.put_u8(*qos);
-            buf.put_u64(*seq);
-            buf.put_u8(u8::from(*retained));
-        }
-        Frame::Forward {
-            topic,
-            publisher,
-            publish_micros,
-            origin_region,
-            headers,
-            payload,
-            trace,
-            qos,
-            seq,
-            retain,
-        } => {
-            put_trace(buf, trace);
-            put_string(buf, topic);
-            buf.put_u64(*publisher);
-            buf.put_u64(*publish_micros);
-            buf.put_u16(*origin_region);
-            put_long_string(buf, headers);
-            put_payload(buf, payload);
-            buf.put_u8(*qos);
-            buf.put_u64(*seq);
-            buf.put_u8(u8::from(*retain));
-        }
-        Frame::StatsRequest => {}
-        Frame::StatsReport { json } => {
-            put_long_string(buf, json);
-        }
-        Frame::ConfigUpdate { topic, mask, mode, epoch } => {
-            put_string(buf, topic);
-            buf.put_u32(*mask);
-            buf.put_u8(mode.to_u8());
-            buf.put_u64(*epoch);
-        }
-        Frame::Ping { nonce } | Frame::Pong { nonce } => {
-            buf.put_u64(*nonce);
-        }
-        Frame::StatsSnapshotRequest => {}
-        Frame::StatsSnapshot { json } => {
-            put_long_string(buf, json);
-        }
-        Frame::Busy { topic, retry_after_ms, seq } => {
-            put_string(buf, topic);
-            buf.put_u32(*retry_after_ms);
-            buf.put_u64(*seq);
-        }
-        Frame::PubAck { topic, seq } => {
-            put_string(buf, topic);
-            buf.put_u64(*seq);
-        }
-        Frame::DeliverAck { topic, publisher, seq } => {
-            put_string(buf, topic);
-            buf.put_u64(*publisher);
-            buf.put_u64(*seq);
-        }
-        Frame::HandoverPrepare { topic, mask, mode, epoch } => {
-            put_string(buf, topic);
-            buf.put_u32(*mask);
-            buf.put_u8(mode.to_u8());
-            buf.put_u64(*epoch);
-        }
-        Frame::HandoverCommit { topic, epoch, grace_ms } => {
-            put_string(buf, topic);
-            buf.put_u64(*epoch);
-            buf.put_u32(*grace_ms);
-        }
-        Frame::HandoverAbort { topic, epoch } => {
-            put_string(buf, topic);
-            buf.put_u64(*epoch);
-        }
-        Frame::HandoverAck { topic, epoch, phase } => {
-            put_string(buf, topic);
-            buf.put_u64(*epoch);
-            buf.put_u8(*phase);
-        }
-    }
-    let body_len = (buf.len() - start - 4) as u32;
-    // lint:allow(indexing) the four length-prefix bytes were reserved at `start` before the body was written, so the range exists
-    buf[start..start + 4].copy_from_slice(&body_len.to_be_bytes());
+    buf.extend_from_slice(&encode_to_bytes(frame));
+}
+
+/// Encodes a frame into a fresh buffer — convenience for writers that send
+/// one frame at a time.
+pub fn encode_to_bytes(frame: &Frame) -> Bytes {
+    let mut out = Vec::with_capacity(64);
+    multipub_proto::encode(frame, &mut out);
     multipub_obs::counter!(multipub_obs::metrics::BROKER_FRAMES_ENCODED_TOTAL).inc();
-}
-
-struct Reader<'a> {
-    body: &'a mut Bytes,
-}
-
-impl Reader<'_> {
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        if self.body.remaining() < 1 {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.body.get_u8())
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        if self.body.remaining() < 2 {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.body.get_u16())
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        if self.body.remaining() < 4 {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.body.get_u32())
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        if self.body.remaining() < 8 {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.body.get_u64())
-    }
-
-    fn string(&mut self) -> Result<String, CodecError> {
-        let len = self.u16()? as usize;
-        self.utf8(len)
-    }
-
-    fn long_string(&mut self) -> Result<String, CodecError> {
-        let len = self.u32()? as usize;
-        self.utf8(len)
-    }
-
-    fn utf8(&mut self, len: usize) -> Result<String, CodecError> {
-        if self.body.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        let raw = self.body.split_to(len);
-        String::from_utf8(raw.to_vec()).map_err(|_| CodecError::InvalidUtf8)
-    }
-
-    fn payload(&mut self) -> Result<Bytes, CodecError> {
-        let len = self.u32()? as usize;
-        if self.body.remaining() < len {
-            return Err(CodecError::Truncated);
-        }
-        Ok(self.body.split_to(len))
-    }
+    Bytes::from(out)
 }
 
 /// Attempts to decode one complete frame from the front of `buf`.
 ///
 /// Returns `Ok(None)` when the buffer holds only part of a frame — read
-/// more bytes and call again. Consumed bytes are removed from `buf`.
+/// more bytes and call again. Consumed bytes are removed from `buf`, and
+/// the payload is a zero-copy slice of them.
 ///
 /// # Errors
 ///
 /// Any [`CodecError`] indicates an unrecoverable protocol violation; the
 /// connection should be dropped.
 pub fn decode(buf: &mut BytesMut) -> Result<Option<Frame>, CodecError> {
-    let result = decode_inner(buf);
-    match &result {
-        Ok(Some(_)) => {
-            multipub_obs::counter!(multipub_obs::metrics::BROKER_FRAMES_DECODED_TOTAL).inc()
+    match multipub_proto::decode(buf) {
+        Ok(Some((frame, len))) => {
+            multipub_obs::counter!(multipub_obs::metrics::BROKER_FRAMES_DECODED_TOTAL).inc();
+            let framed = buf.split_to(len).freeze();
+            Ok(Some(frame.map_payload(|range| framed.slice(range))))
         }
-        Ok(None) => {}
-        Err(_) => multipub_obs::counter!(multipub_obs::metrics::BROKER_CODEC_ERRORS_TOTAL).inc(),
+        Ok(None) => Ok(None),
+        Err(e) => {
+            multipub_obs::counter!(multipub_obs::metrics::BROKER_CODEC_ERRORS_TOTAL).inc();
+            Err(e)
+        }
     }
-    result
 }
 
-fn decode_inner(buf: &mut BytesMut) -> Result<Option<Frame>, CodecError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    // lint:allow(indexing) guarded by the `buf.len() < 4` early return above
-    let body_len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if body_len > MAX_FRAME_BYTES {
-        return Err(CodecError::Oversized { len: body_len });
-    }
-    if buf.len() < 4 + body_len {
-        return Ok(None);
-    }
-    buf.advance(4);
-    let mut body = buf.split_to(body_len).freeze();
-    let mut reader = Reader { body: &mut body };
-    let tag = reader.u8()?;
-    let frame = match tag {
-        0x01 => {
-            let client_id = reader.u64()?;
-            let role_byte = reader.u8()?;
-            let role =
-                Role::from_u8(role_byte).ok_or(CodecError::InvalidEnum { value: role_byte })?;
-            let policy_byte = reader.u8()?;
-            let policy_ms = reader.u32()?;
-            let policy = SlowConsumerPolicy::from_wire(policy_byte, policy_ms)
-                .map_err(|value| CodecError::InvalidEnum { value })?;
-            Frame::Connect { client_id, role, policy }
-        }
-        0x02 => Frame::ConnectAck { region: reader.u16()? },
-        0x03 => {
-            let topic = reader.string()?;
-            let filter = reader.long_string()?;
-            let qos = reader.u8()?;
-            Frame::Subscribe { topic, filter, qos }
-        }
-        0x04 => Frame::Unsubscribe { topic: reader.string()? },
-        0x05 => {
-            let trace = read_trace(&mut reader)?;
-            let topic = reader.string()?;
-            let publisher = reader.u64()?;
-            let publish_micros = reader.u64()?;
-            let single_target = reader.u8()? != 0;
-            let headers = reader.long_string()?;
-            let payload = reader.payload()?;
-            let qos = reader.u8()?;
-            let seq = reader.u64()?;
-            let retain = reader.u8()? != 0;
-            let epoch = reader.u64()?;
-            Frame::Publish {
-                topic,
-                publisher,
-                publish_micros,
-                single_target,
-                headers,
-                payload,
-                trace,
-                qos,
-                seq,
-                retain,
-                epoch,
-            }
-        }
-        0x07 => {
-            let trace = read_trace(&mut reader)?;
-            let topic = reader.string()?;
-            let publisher = reader.u64()?;
-            let publish_micros = reader.u64()?;
-            let headers = reader.long_string()?;
-            let payload = reader.payload()?;
-            let qos = reader.u8()?;
-            let seq = reader.u64()?;
-            let retained = reader.u8()? != 0;
-            Frame::Deliver {
-                topic,
-                publisher,
-                publish_micros,
-                headers,
-                payload,
-                trace,
-                qos,
-                seq,
-                retained,
-            }
-        }
-        0x06 => {
-            let trace = read_trace(&mut reader)?;
-            let topic = reader.string()?;
-            let publisher = reader.u64()?;
-            let publish_micros = reader.u64()?;
-            let origin_region = reader.u16()?;
-            let headers = reader.long_string()?;
-            let payload = reader.payload()?;
-            let qos = reader.u8()?;
-            let seq = reader.u64()?;
-            let retain = reader.u8()? != 0;
-            Frame::Forward {
-                topic,
-                publisher,
-                publish_micros,
-                origin_region,
-                headers,
-                payload,
-                trace,
-                qos,
-                seq,
-                retain,
-            }
-        }
-        0x08 => Frame::StatsRequest,
-        0x09 => Frame::StatsReport { json: reader.long_string()? },
-        0x0A => {
-            let topic = reader.string()?;
-            let mask = reader.u32()?;
-            let mode_byte = reader.u8()?;
-            let mode =
-                WireMode::from_u8(mode_byte).ok_or(CodecError::InvalidEnum { value: mode_byte })?;
-            let epoch = reader.u64()?;
-            Frame::ConfigUpdate { topic, mask, mode, epoch }
-        }
-        0x0B => Frame::Ping { nonce: reader.u64()? },
-        0x0C => Frame::Pong { nonce: reader.u64()? },
-        0x0D => Frame::StatsSnapshotRequest,
-        0x0E => Frame::StatsSnapshot { json: reader.long_string()? },
-        0x0F => {
-            let topic = reader.string()?;
-            let retry_after_ms = reader.u32()?;
-            let seq = reader.u64()?;
-            Frame::Busy { topic, retry_after_ms, seq }
-        }
-        0x10 => {
-            let topic = reader.string()?;
-            let seq = reader.u64()?;
-            Frame::PubAck { topic, seq }
-        }
-        0x11 => {
-            let topic = reader.string()?;
-            let publisher = reader.u64()?;
-            let seq = reader.u64()?;
-            Frame::DeliverAck { topic, publisher, seq }
-        }
-        0x12 => {
-            let topic = reader.string()?;
-            let mask = reader.u32()?;
-            let mode_byte = reader.u8()?;
-            let mode =
-                WireMode::from_u8(mode_byte).ok_or(CodecError::InvalidEnum { value: mode_byte })?;
-            let epoch = reader.u64()?;
-            Frame::HandoverPrepare { topic, mask, mode, epoch }
-        }
-        0x13 => {
-            let topic = reader.string()?;
-            let epoch = reader.u64()?;
-            let grace_ms = reader.u32()?;
-            Frame::HandoverCommit { topic, epoch, grace_ms }
-        }
-        0x14 => {
-            let topic = reader.string()?;
-            let epoch = reader.u64()?;
-            Frame::HandoverAbort { topic, epoch }
-        }
-        0x15 => {
-            let topic = reader.string()?;
-            let epoch = reader.u64()?;
-            let phase = reader.u8()?;
-            Frame::HandoverAck { topic, epoch, phase }
-        }
-        other => return Err(CodecError::UnknownTag { tag: other }),
-    };
-    Ok(Some(frame))
-}
-
-/// Encodes a frame into a fresh buffer — convenience for writers that send
-/// one frame at a time.
-pub fn encode_to_bytes(frame: &Frame) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
-    encode(frame, &mut buf);
-    buf.freeze()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn all_frames() -> Vec<Frame> {
-        vec![
-            Frame::Connect { client_id: 77, role: Role::Subscriber, policy: None },
-            Frame::Connect {
-                client_id: 78,
-                role: Role::Subscriber,
-                policy: Some(SlowConsumerPolicy::Block {
-                    deadline: std::time::Duration::from_millis(250),
-                }),
-            },
-            Frame::ConnectAck { region: 9 },
-            Frame::Subscribe { topic: "games/eu/chat".into(), filter: "price < 10".into(), qos: 0 },
-            Frame::Subscribe { topic: "ticks".into(), filter: String::new(), qos: 1 },
-            Frame::Unsubscribe { topic: "t".into() },
-            Frame::Publish {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 123_456_789,
-                single_target: true,
-                headers: "{\"price\":9.5}".into(),
-                payload: Bytes::from_static(b"hello world"),
-                trace: None,
-                qos: 0,
-                seq: 0,
-                retain: false,
-                epoch: 0,
-            },
-            Frame::Publish {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 123_456_790,
-                single_target: false,
-                headers: String::new(),
-                payload: Bytes::from_static(b"traced"),
-                trace: Some(TraceContext::new(0xDEAD_BEEF_0000_0001)),
-                qos: 1,
-                seq: 7,
-                retain: true,
-                epoch: 3,
-            },
-            Frame::Forward {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 42,
-                origin_region: 3,
-                headers: String::new(),
-                payload: Bytes::from_static(&[0, 1, 2, 255]),
-                trace: None,
-                qos: 0,
-                seq: 0,
-                retain: false,
-            },
-            Frame::Forward {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 43,
-                origin_region: 3,
-                headers: String::new(),
-                payload: Bytes::from_static(&[7]),
-                trace: Some(TraceContext {
-                    trace_id: 0x1234_5678_9ABC_DEF0,
-                    sampled: true,
-                    admit_micros: 100,
-                    match_micros: 200,
-                    queue_micros: 300,
-                    write_micros: 400,
-                }),
-                qos: 1,
-                seq: u64::MAX,
-                retain: false,
-            },
-            Frame::Deliver {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 42,
-                headers: String::new(),
-                payload: Bytes::new(),
-                trace: None,
-                qos: 0,
-                seq: 0,
-                retained: false,
-            },
-            Frame::Deliver {
-                topic: "scores".into(),
-                publisher: 12,
-                publish_micros: 44,
-                headers: String::new(),
-                payload: Bytes::from_static(b"x"),
-                trace: Some(TraceContext {
-                    trace_id: 5,
-                    sampled: false,
-                    admit_micros: 1,
-                    match_micros: 2,
-                    queue_micros: 0,
-                    write_micros: 0,
-                }),
-                qos: 1,
-                seq: 9,
-                retained: true,
-            },
-            Frame::StatsRequest,
-            Frame::StatsReport { json: "{\"topics\":{}}".into() },
-            Frame::ConfigUpdate {
-                topic: "scores".into(),
-                mask: 0b1011,
-                mode: WireMode::Routed,
-                epoch: 4,
-            },
-            Frame::Ping { nonce: u64::MAX },
-            Frame::Pong { nonce: 0 },
-            Frame::StatsSnapshotRequest,
-            Frame::StatsSnapshot { json: "{\"counters\":{}}".into() },
-            Frame::Busy { topic: "scores".into(), retry_after_ms: 125, seq: 3 },
-            Frame::PubAck { topic: "ticks".into(), seq: 41 },
-            Frame::DeliverAck { topic: "ticks".into(), publisher: 12, seq: 41 },
-            Frame::HandoverPrepare {
-                topic: "scores".into(),
-                mask: 0b0110,
-                mode: WireMode::Routed,
-                epoch: 5,
-            },
-            Frame::HandoverCommit { topic: "scores".into(), epoch: 5, grace_ms: 750 },
-            Frame::HandoverAbort { topic: "scores".into(), epoch: 5 },
-            Frame::HandoverAck { topic: "scores".into(), epoch: 5, phase: 1 },
-        ]
-    }
-
-    #[test]
-    fn roundtrip_every_frame() {
-        for frame in all_frames() {
-            let mut buf = BytesMut::new();
-            encode(&frame, &mut buf);
-            let decoded = decode(&mut buf).unwrap().unwrap();
-            assert_eq!(decoded, frame);
-            assert!(buf.is_empty(), "no residue after {frame:?}");
-        }
-    }
-
-    #[test]
-    fn roundtrip_back_to_back_frames() {
-        let frames = all_frames();
-        let mut buf = BytesMut::new();
-        for frame in &frames {
-            encode(frame, &mut buf);
-        }
-        for frame in &frames {
-            assert_eq!(decode(&mut buf).unwrap().as_ref(), Some(frame));
-        }
-        assert!(decode(&mut buf).unwrap().is_none());
-    }
-
-    #[test]
-    fn partial_frames_wait_for_more_bytes() {
-        let frame = Frame::Publish {
-            topic: "t".into(),
-            publisher: 1,
-            publish_micros: 2,
-            single_target: false,
-            headers: String::new(),
-            payload: Bytes::from_static(b"abc"),
-            trace: Some(TraceContext::new(9)),
-            qos: 1,
-            seq: 5,
-            retain: false,
-            epoch: 2,
-        };
-        let full = encode_to_bytes(&frame);
-        for cut in 0..full.len() {
-            let mut buf = BytesMut::from(&full[..cut]);
-            assert_eq!(decode(&mut buf).unwrap(), None, "cut at {cut}");
-        }
-        let mut buf = BytesMut::from(&full[..]);
-        assert_eq!(decode(&mut buf).unwrap(), Some(frame));
-    }
-
-    #[test]
-    fn byte_by_byte_feed() {
-        let frame =
-            Frame::ConfigUpdate { topic: "x".into(), mask: 7, mode: WireMode::Direct, epoch: 1 };
-        let full = encode_to_bytes(&frame);
-        let mut buf = BytesMut::new();
-        let mut decoded = None;
-        for byte in full.iter() {
-            buf.put_u8(*byte);
-            if let Some(f) = decode(&mut buf).unwrap() {
-                decoded = Some(f);
-            }
-        }
-        assert_eq!(decoded, Some(frame));
-    }
-
-    #[test]
-    fn oversized_length_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32((MAX_FRAME_BYTES + 1) as u32);
-        assert_eq!(decode(&mut buf), Err(CodecError::Oversized { len: MAX_FRAME_BYTES + 1 }));
-    }
-
-    #[test]
-    fn unknown_tag_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(1);
-        buf.put_u8(0xEE);
-        assert_eq!(decode(&mut buf), Err(CodecError::UnknownTag { tag: 0xEE }));
-    }
-
-    #[test]
-    fn truncated_body_rejected() {
-        // Declared body of 3 bytes: tag + u16, but Connect needs 9 more.
-        let mut buf = BytesMut::new();
-        buf.put_u32(3);
-        buf.put_u8(0x01);
-        buf.put_u16(0);
-        assert_eq!(decode(&mut buf), Err(CodecError::Truncated));
-    }
-
-    #[test]
-    fn invalid_role_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(10);
-        buf.put_u8(0x01);
-        buf.put_u64(5);
-        buf.put_u8(200);
-        assert_eq!(decode(&mut buf), Err(CodecError::InvalidEnum { value: 200 }));
-    }
-
-    fn traced_deliver(trace: Option<TraceContext>) -> Frame {
-        Frame::Deliver {
-            topic: "t".into(),
-            publisher: 1,
-            publish_micros: 2,
-            headers: String::new(),
-            payload: Bytes::from_static(b"p"),
-            trace,
-            qos: 0,
-            seq: 0,
-            retained: false,
-        }
-    }
-
-    #[test]
-    fn peek_trace_reads_sampled_data_frames_only() {
-        // Sampled Deliver: peek sees the id and match stamp.
-        let mut ctx = TraceContext::new(0xAB);
-        ctx.match_micros = 777;
-        let encoded = encode_to_bytes(&traced_deliver(Some(ctx)));
-        assert_eq!(peek_trace(&encoded), Some((0xAB, 777)));
-
-        // Absent and unsampled contexts peek as None.
-        assert_eq!(peek_trace(&encode_to_bytes(&traced_deliver(None))), None);
-        let unsampled = TraceContext { sampled: false, ..TraceContext::new(0xAB) };
-        assert_eq!(peek_trace(&encode_to_bytes(&traced_deliver(Some(unsampled)))), None);
-
-        // Sampled Forward peeks too (peer-hop writer attribution).
-        let forward = Frame::Forward {
-            topic: "t".into(),
-            publisher: 1,
-            publish_micros: 2,
-            origin_region: 0,
-            headers: String::new(),
-            payload: Bytes::new(),
-            trace: Some(ctx),
-            qos: 0,
-            seq: 0,
-            retain: false,
-        };
-        assert_eq!(peek_trace(&encode_to_bytes(&forward)), Some((0xAB, 777)));
-    }
-
-    #[test]
-    fn peek_trace_excludes_control_frames() {
-        // Control traffic can never produce spans, even under a
-        // keepalive storm: peek rejects every control tag outright.
-        let control = [
-            Frame::Connect { client_id: 1, role: Role::Publisher, policy: None },
-            Frame::ConnectAck { region: 0 },
-            Frame::Subscribe { topic: "t".into(), filter: String::new(), qos: 1 },
-            Frame::Unsubscribe { topic: "t".into() },
-            Frame::StatsRequest,
-            Frame::StatsReport { json: "{}".into() },
-            Frame::ConfigUpdate { topic: "t".into(), mask: 1, mode: WireMode::Direct, epoch: 0 },
-            Frame::Ping { nonce: 1 },
-            Frame::Pong { nonce: 1 },
-            Frame::StatsSnapshotRequest,
-            Frame::StatsSnapshot { json: "{}".into() },
-            Frame::Busy { topic: "t".into(), retry_after_ms: 5, seq: 2 },
-            Frame::PubAck { topic: "t".into(), seq: 1 },
-            Frame::DeliverAck { topic: "t".into(), publisher: 1, seq: 1 },
-            Frame::HandoverPrepare { topic: "t".into(), mask: 2, mode: WireMode::Direct, epoch: 1 },
-            Frame::HandoverCommit { topic: "t".into(), epoch: 1, grace_ms: 100 },
-            Frame::HandoverAbort { topic: "t".into(), epoch: 1 },
-            Frame::HandoverAck { topic: "t".into(), epoch: 1, phase: 2 },
-        ];
-        for frame in control {
-            assert!(frame.is_control(), "{frame:?} must be control traffic");
-            assert_eq!(peek_trace(&encode_to_bytes(&frame)), None, "{frame:?}");
-        }
-        // Publish is data but broker-inbound; the writer-side peek
-        // ignores it as well.
-        let publish = Frame::Publish {
-            topic: "t".into(),
-            publisher: 1,
-            publish_micros: 2,
-            single_target: false,
-            headers: String::new(),
-            payload: Bytes::new(),
-            trace: Some(TraceContext::new(3)),
-            qos: 0,
-            seq: 0,
-            retain: false,
-            epoch: 0,
-        };
-        assert!(!publish.is_control());
-        assert_eq!(peek_trace(&encode_to_bytes(&publish)), None);
-    }
-
-    #[test]
-    fn stamp_queue_write_patches_only_the_stamp_slots() {
-        let mut ctx = TraceContext::new(0xF00D);
-        ctx.admit_micros = 10;
-        ctx.match_micros = 20;
-        let original = encode_to_bytes(&traced_deliver(Some(ctx)));
-        let patched = stamp_queue_write(&original, 30, 40);
-        assert_eq!(patched.len(), original.len());
-
-        // The original (shared by the zero-copy fan-out) is untouched.
-        let mut buf = BytesMut::from(original.as_ref());
-        let Ok(Some(Frame::Deliver { trace: Some(untouched), .. })) = decode(&mut buf) else {
-            panic!("original must still decode as Deliver");
-        };
-        assert_eq!((untouched.queue_micros, untouched.write_micros), (0, 0));
-
-        // The patched copy decodes with the stamps and nothing else
-        // changed.
-        let mut buf = BytesMut::from(patched.as_ref());
-        let Ok(Some(Frame::Deliver { trace: Some(stamped), payload, .. })) = decode(&mut buf)
-        else {
-            panic!("patched frame must decode as Deliver");
-        };
-        assert_eq!(stamped.queue_micros, 30);
-        assert_eq!(stamped.write_micros, 40);
-        assert_eq!(stamped.trace_id, 0xF00D);
-        assert_eq!((stamped.admit_micros, stamped.match_micros), (10, 20));
-        assert_eq!(payload, Bytes::from_static(b"p"));
-    }
-
-    #[test]
-    fn untraced_frame_costs_one_flag_byte() {
-        let untraced = encode_to_bytes(&traced_deliver(None));
-        let traced = encode_to_bytes(&traced_deliver(Some(TraceContext::new(1))));
-        // flag byte is shared; a present context adds id + sampled +
-        // four u64 stamps.
-        assert_eq!(traced.len() - untraced.len(), 8 + 1 + 4 * 8);
-        assert_eq!(peek_trace(&untraced), None);
-    }
-
-    #[test]
-    fn invalid_utf8_rejected() {
-        let mut buf = BytesMut::new();
-        buf.put_u32(4);
-        buf.put_u8(0x04); // Unsubscribe
-        buf.put_u16(1);
-        buf.put_u8(0xFF);
-        assert_eq!(decode(&mut buf), Err(CodecError::InvalidUtf8));
-    }
+/// Returns a copy of an encoded frame with the queue/write stage stamps
+/// patched into its trace block.
+///
+/// The writer task calls this only for frames where [`peek_trace`]
+/// returned `Some`; zero-copy fan-out shares the original buffer across
+/// subscriber queues, and the copy confines the stamps to this
+/// subscriber's frame. Unsampled frames never pay for the copy.
+#[must_use]
+pub fn stamp_queue_write(bytes: &Bytes, queue_micros: u64, write_micros: u64) -> Bytes {
+    let mut patched = bytes.to_vec();
+    multipub_proto::stamp_queue_write(&mut patched, queue_micros, write_micros);
+    Bytes::from(patched)
 }

@@ -25,99 +25,10 @@ use bytes::Bytes;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use tokio::sync::Notify;
 use tokio::time::Instant;
 
-/// What a connection writer does with **data** frames once its outbound
-/// queue is full (the queue's high watermark is its capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlowConsumerPolicy {
-    /// Apply backpressure: the sender waits until the queue drains below
-    /// the low watermark, giving up (and dropping the frame) after
-    /// `deadline`.
-    Block {
-        /// How long a sender may wait for queue space.
-        deadline: Duration,
-    },
-    /// Evict the oldest queued data frame to make room — the consumer
-    /// keeps up with the *freshest* traffic and loses history.
-    DropOldest,
-    /// Drop the incoming frame — the consumer keeps the backlog it
-    /// already has and misses new traffic.
-    DropNewest,
-    /// Close the connection: a consumer too slow to keep a bounded
-    /// queue is cut off rather than degraded.
-    Disconnect,
-}
-
-impl Default for SlowConsumerPolicy {
-    fn default() -> Self {
-        SlowConsumerPolicy::DropOldest
-    }
-}
-
-impl SlowConsumerPolicy {
-    /// Parses the CLI spelling: `block:<ms>`, `drop-oldest`,
-    /// `drop-newest` or `disconnect`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for unknown spellings or a
-    /// malformed `block:<ms>` deadline.
-    pub fn parse(s: &str) -> Result<SlowConsumerPolicy, String> {
-        match s {
-            "drop-oldest" => Ok(SlowConsumerPolicy::DropOldest),
-            "drop-newest" => Ok(SlowConsumerPolicy::DropNewest),
-            "disconnect" => Ok(SlowConsumerPolicy::Disconnect),
-            other => match other.strip_prefix("block:") {
-                Some(ms) => ms
-                    .parse::<u64>()
-                    .map(|ms| SlowConsumerPolicy::Block { deadline: Duration::from_millis(ms) })
-                    .map_err(|_| format!("bad block deadline `{ms}` (want milliseconds)")),
-                None => Err(format!(
-                    "unknown slow-consumer policy `{other}` \
-                     (want block:<ms>, drop-oldest, drop-newest or disconnect)"
-                )),
-            },
-        }
-    }
-
-    /// Wire discriminant for the `Connect` frame (`0` is reserved for
-    /// "no preference, use the broker default").
-    pub(crate) fn wire_byte(self) -> u8 {
-        match self {
-            SlowConsumerPolicy::Block { .. } => 1,
-            SlowConsumerPolicy::DropOldest => 2,
-            SlowConsumerPolicy::DropNewest => 3,
-            SlowConsumerPolicy::Disconnect => 4,
-        }
-    }
-
-    /// Deadline in milliseconds as carried on the wire (zero for the
-    /// non-blocking policies).
-    pub(crate) fn wire_ms(self) -> u32 {
-        match self {
-            SlowConsumerPolicy::Block { deadline } => {
-                deadline.as_millis().min(u128::from(u32::MAX)) as u32
-            }
-            _ => 0,
-        }
-    }
-
-    /// Inverse of [`wire_byte`](Self::wire_byte)/[`wire_ms`](Self::wire_ms):
-    /// `Ok(None)` for byte `0`, `Err(byte)` for unknown discriminants.
-    pub(crate) fn from_wire(byte: u8, ms: u32) -> Result<Option<SlowConsumerPolicy>, u8> {
-        Ok(Some(match byte {
-            0 => return Ok(None),
-            1 => SlowConsumerPolicy::Block { deadline: Duration::from_millis(u64::from(ms)) },
-            2 => SlowConsumerPolicy::DropOldest,
-            3 => SlowConsumerPolicy::DropNewest,
-            4 => SlowConsumerPolicy::Disconnect,
-            other => return Err(other),
-        }))
-    }
-}
+pub use multipub_proto::SlowConsumerPolicy;
 
 /// Sizing and policy for one connection's outbound [`FlowQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -746,6 +657,7 @@ impl GlobalBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn q(capacity: usize, policy: SlowConsumerPolicy) -> FlowQueue {
         let config =
@@ -755,36 +667,6 @@ mod tests {
 
     fn payload(n: usize) -> Bytes {
         Bytes::from(vec![0u8; n])
-    }
-
-    #[test]
-    fn policy_parses_cli_spellings() {
-        assert_eq!(SlowConsumerPolicy::parse("drop-oldest"), Ok(SlowConsumerPolicy::DropOldest));
-        assert_eq!(SlowConsumerPolicy::parse("drop-newest"), Ok(SlowConsumerPolicy::DropNewest));
-        assert_eq!(SlowConsumerPolicy::parse("disconnect"), Ok(SlowConsumerPolicy::Disconnect));
-        assert_eq!(
-            SlowConsumerPolicy::parse("block:250"),
-            Ok(SlowConsumerPolicy::Block { deadline: Duration::from_millis(250) })
-        );
-        assert!(SlowConsumerPolicy::parse("block:soon").is_err());
-        assert!(SlowConsumerPolicy::parse("yolo").is_err());
-    }
-
-    #[test]
-    fn policy_wire_roundtrip() {
-        for policy in [
-            SlowConsumerPolicy::Block { deadline: Duration::from_millis(750) },
-            SlowConsumerPolicy::DropOldest,
-            SlowConsumerPolicy::DropNewest,
-            SlowConsumerPolicy::Disconnect,
-        ] {
-            assert_eq!(
-                SlowConsumerPolicy::from_wire(policy.wire_byte(), policy.wire_ms()),
-                Ok(Some(policy))
-            );
-        }
-        assert_eq!(SlowConsumerPolicy::from_wire(0, 0), Ok(None));
-        assert_eq!(SlowConsumerPolicy::from_wire(9, 0), Err(9));
     }
 
     #[tokio::test]

@@ -5,8 +5,6 @@
 //! * **L1** panic-freedom: no `unwrap`/`expect`/`panic!`/indexing in
 //!   non-test library code without a justified annotation,
 //! * **L2** no blocking calls inside async fns (executor stalls),
-//! * **L3** frame-tag exhaustiveness: `Frame::tag()`, `KNOWN_TAGS`,
-//!   encode arms and decode arms must all agree,
 //! * **L4** metric-name catalog: every name passed to `multipub_obs`
 //!   comes from `crates/obs/src/metrics.rs`, and the README table
 //!   matches it,
@@ -25,12 +23,11 @@
 //! themselves findings.
 //!
 //! The per-file sweep (lex → analyze → L1/L2/L5/L4/L6-scan) runs file by
-//! file; the cross-file passes (L3, L4 catalog drift, L6 rank graph) then
-//! run once over the gathered facts.
+//! file; the cross-file passes (L4 catalog drift, L6 rank graph) then run
+//! once over the gathered facts.
 
 pub mod l1_panics;
 pub mod l2_blocking;
-pub mod l3_frames;
 pub mod l4_metrics;
 pub mod l5_channels;
 pub mod l6_lockorder;
@@ -146,22 +143,6 @@ pub fn run_passes(inputs: &[(String, String)], readme: Option<&str>) -> LintOutc
             .find(|r| r.name.ends_with(suffix))
             .map(|r| (r.name.as_str(), r.lexed.tokens.as_slice()))
     };
-    match (find_tokens("broker/src/frame.rs"), find_tokens("broker/src/codec.rs")) {
-        (Some((frame_name, frame)), Some((codec_name, codec))) => {
-            l3_frames::check(frame_name, frame, codec_name, codec, findings);
-        }
-        _ => {
-            findings.push(Finding {
-                file: "crates/broker/src".to_string(),
-                line: 1,
-                pass: "L3",
-                category: "frame",
-                message: "frame.rs / codec.rs not found; cannot check tag exhaustiveness"
-                    .to_string(),
-            });
-        }
-    }
-
     if let Some(catalog) = &catalog {
         // Trace stages must each have their per-stage latency histogram.
         match find_tokens("obs/src/trace.rs") {

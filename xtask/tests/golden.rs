@@ -19,8 +19,8 @@ fn run(files: &[(&str, &str)]) -> LintOutcome {
 }
 
 /// The outcome's findings for one pass, ignoring the structural noise a
-/// synthetic workspace always produces (missing frame.rs / metric
-/// catalog for the passes under test elsewhere).
+/// synthetic workspace always produces (a missing metric catalog for the
+/// passes under test elsewhere).
 fn findings_for<'a>(outcome: &'a LintOutcome, pass: &str) -> Vec<&'a Finding> {
     outcome.findings.iter().filter(|f| f.pass == pass).collect()
 }
@@ -50,32 +50,6 @@ fn l2_fires_on_bad_and_allow_suppresses() {
     let ok = run(&[("crates/fixture/src/lib.rs", include_str!("fixtures/l2_allowed.rs"))]);
     assert!(findings_for(&ok, "L2").is_empty(), "{:?}", ok.findings);
     assert!(findings_for(&ok, "meta").is_empty(), "allow reasons must be accepted");
-}
-
-#[test]
-fn l3_fires_on_mismatched_frame_and_codec() {
-    let bad = run(&[
-        ("crates/broker/src/frame.rs", include_str!("fixtures/l3_bad_frame.rs")),
-        ("crates/broker/src/codec.rs", include_str!("fixtures/l3_bad_codec.rs")),
-    ]);
-    let flagged = findings_for(&bad, "L3");
-    assert_eq!(flagged.len(), 4, "{flagged:?}");
-    assert!(flagged.iter().any(|f| f.message.contains("not listed in `KNOWN_TAGS`")));
-    assert!(flagged.iter().any(|f| f.message.contains("no arm in the `encode` match")));
-    assert!(flagged.iter().any(|f| f.message.contains("no arm in the decode match")));
-    assert!(flagged.iter().any(|f| f.message.contains("no matching variant")));
-}
-
-#[test]
-fn l3_fires_on_epochless_config_update_codec() {
-    let bad = run(&[
-        ("crates/broker/src/frame.rs", include_str!("fixtures/l3_bad_epoch_frame.rs")),
-        ("crates/broker/src/codec.rs", include_str!("fixtures/l3_bad_epoch_codec.rs")),
-    ]);
-    let flagged = findings_for(&bad, "L3");
-    assert_eq!(flagged.len(), 2, "{flagged:?}");
-    assert!(flagged.iter().any(|f| f.message.contains("encode arm does not carry the `epoch`")));
-    assert!(flagged.iter().any(|f| f.message.contains("decode arm does not read the `epoch`")));
 }
 
 #[test]
@@ -170,8 +144,7 @@ fn the_workspace_is_lint_clean() {
         .collect();
     assert!(
         report.is_empty(),
-        "lint over {} files (L1 panics, L2 blocking, L3 frames, L4 metrics, L5 channels, \
-         L6 lock order):\n{}",
+        "lint over {} files (L1 panics, L2 blocking, L4 metrics, L5 channels, L6 lock order):\n{}",
         outcome.checked,
         report.join("\n")
     );
