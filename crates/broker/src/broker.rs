@@ -27,12 +27,13 @@ use crate::sync::Mutex;
 use bytes::{Bytes, BytesMut};
 use multipub_core::ids::RegionId;
 use multipub_filter::{Headers, Predicate};
+use multipub_proto::TopicView;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tokio::net::{TcpListener, TcpStream};
 use tokio::task::JoinHandle;
 
@@ -69,42 +70,9 @@ pub struct RegionReport {
     pub topics: BTreeMap<String, TopicReport>,
 }
 
-/// A topic's installed configuration as the broker stores it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InstalledConfig {
-    /// Assignment bitmask, bit `i` ↔ region `i`.
-    pub mask: u32,
-    /// Delivery mode.
-    pub mode: WireMode,
-    /// The committed configuration epoch (`0` for the bootstrap
-    /// default). Updates carrying an older epoch are rejected so a
-    /// delayed or replayed `ConfigUpdate` can never roll the topic's
-    /// view backwards (DESIGN.md §15).
-    pub epoch: u64,
-}
-
-/// A topic's in-flight handover as a participating broker tracks it
-/// between `HandoverPrepare` and the end of the post-commit drain
-/// window (DESIGN.md §15). While an entry exists the publish path
-/// bridge-forwards to the union of the committed, pending and prior
-/// serving sets so no side of the transition misses a message.
-#[derive(Debug, Clone, Copy)]
-struct HandoverState {
-    /// Pending assignment bitmask.
-    mask: u32,
-    /// Pending delivery mode.
-    mode: WireMode,
-    /// The epoch being handed over to.
-    epoch: u64,
-    /// `None` while prepared (the handover can still be aborted);
-    /// `Some(deadline)` once committed — the entry is lazily dropped by
-    /// the publish path after the drain deadline passes.
-    drain_until: Option<std::time::Instant>,
-    /// The committed mask at prepare time, bridged to during drain so
-    /// not-yet-re-steered subscribers in retiring regions keep
-    /// receiving.
-    prior_mask: u32,
-}
+/// A topic's installed configuration (DESIGN.md §15); the epoch rule
+/// that decides it lives in [`TopicView`].
+pub use multipub_proto::InstalledConfig;
 
 #[derive(Debug)]
 struct ConnectedClient {
@@ -162,12 +130,10 @@ struct Shared {
     /// configuration keeps the seed's per-subscriber encode +
     /// frame-at-a-time writes as the benchmark reference path.
     zero_copy: bool,
-    /// Installed configurations per topic.
-    configs: Mutex<HashMap<String, InstalledConfig>>, // lock:rank(broker.configs, 50)
-    /// In-flight make-before-break handovers per topic (prepared or
-    /// draining). Entries are inserted by `HandoverPrepare`, promoted by
-    /// `HandoverCommit`, removed by `HandoverAbort` or lazy drain expiry.
-    handovers: Mutex<HashMap<String, HandoverState>>, // lock:rank(broker.handovers, 52)
+    /// Each topic's committed configuration and in-flight handover
+    /// (DESIGN.md §15). A topic with no committed configuration follows
+    /// the live all-peers default.
+    configs: Mutex<HashMap<String, TopicView>>, // lock:rank(broker.configs, 50)
     /// Interval statistics per topic.
     stats: Mutex<HashMap<String, TopicStats>>, // lock:rank(broker.stats, 55)
     next_conn_id: AtomicU64,
@@ -197,35 +163,17 @@ struct Shared {
 }
 
 impl Shared {
-    /// The default configuration for topics the controller has not placed
-    /// yet: every known region (self + peers), routed delivery. Reads
-    /// the atomic region mask — no lock on the publish hot path.
-    fn default_config(&self) -> InstalledConfig {
-        InstalledConfig {
-            mask: self.peer_mask.load(Ordering::Relaxed),
-            mode: WireMode::Routed,
-            epoch: 0,
-        }
+    /// The serving set of topics the controller has not placed yet (with
+    /// routed delivery): every known region, self + peers. Reads the
+    /// atomic region mask — no extra lock on the publish hot path.
+    fn unplaced_mask(&self) -> u32 {
+        self.peer_mask.load(Ordering::Relaxed)
     }
 
-    fn config_for(&self, topic: &str) -> InstalledConfig {
-        self.configs.lock().get(topic).copied().unwrap_or_else(|| self.default_config())
-    }
-
-    /// Regions beyond the committed serving set that the publish path
-    /// must bridge to while `topic` has an active handover (prepared or
-    /// draining); `0` otherwise. Lazily expires a drained handover the
-    /// first time a publish arrives past its deadline.
-    fn bridge_extra(&self, topic: &str) -> u32 {
-        let mut handovers = self.handovers.lock();
-        let Some(state) = handovers.get(topic) else { return 0 };
-        if let Some(deadline) = state.drain_until {
-            if std::time::Instant::now() >= deadline {
-                handovers.remove(topic);
-                return 0;
-            }
-        }
-        state.mask | state.prior_mask
+    /// Runs one control-plane transition on `topic`'s view under the
+    /// `configs` lock, creating the view when the topic has none.
+    fn with_view<R>(&self, topic: &str, f: impl FnOnce(&mut TopicView) -> R) -> R {
+        f(self.configs.lock().entry(topic.to_string()).or_default())
     }
 }
 
@@ -393,7 +341,6 @@ impl BrokerBuilder {
             shards: ShardedTopics::new(shard_count),
             zero_copy,
             configs: Mutex::new(50, "broker.configs", HashMap::new()),
-            handovers: Mutex::new(52, "broker.handovers", HashMap::new()),
             stats: Mutex::new(55, "broker.stats", HashMap::new()),
             next_conn_id: AtomicU64::new(1),
             conn_tasks: Mutex::new(10, "broker.conn_tasks", Vec::new()),
@@ -491,8 +438,7 @@ impl Broker {
     /// new configuration is minted at the next epoch after whatever is
     /// currently in force.
     pub fn install_config(&self, topic: &str, mask: u32, mode: WireMode) {
-        let epoch = self.shared.config_for(topic).epoch + 1;
-        apply_config_update(&self.shared, topic, mask, mode, epoch);
+        apply_config_update(&self.shared, topic, mask, mode, None);
     }
 
     /// Installs a topic configuration at an **explicit** epoch, exactly
@@ -500,12 +446,13 @@ impl Broker {
     /// an epoch older than the one in force are rejected and counted in
     /// `multipub_broker_stale_config_updates_total`.
     pub fn install_config_at(&self, topic: &str, mask: u32, mode: WireMode, epoch: u64) {
-        apply_config_update(&self.shared, topic, mask, mode, epoch);
+        apply_config_update(&self.shared, topic, mask, mode, Some(epoch));
     }
 
     /// The topic configuration currently in force (installed or default).
     pub fn config_for(&self, topic: &str) -> InstalledConfig {
-        self.shared.config_for(topic)
+        let committed = self.shared.configs.lock().get(topic).and_then(TopicView::committed);
+        committed.unwrap_or_else(|| InstalledConfig::unplaced(self.shared.unplaced_mask()))
     }
 
     /// Snapshots and **clears** the interval statistics — the region
@@ -600,30 +547,43 @@ fn take_report(shared: &Shared) -> RegionReport {
     RegionReport { region: u16::from(shared.region.0), topics }
 }
 
-fn apply_config_update(shared: &Shared, topic: &str, mask: u32, mode: WireMode, epoch: u64) {
-    // Epoch gating: a delayed or replayed update carrying an older
-    // epoch must never roll the topic's view backwards. Equal epochs
-    // are re-applied so the degraded-mode redial replay stays
-    // idempotent.
-    {
-        let configs = shared.configs.lock();
-        if let Some(existing) = configs.get(topic) {
-            if epoch < existing.epoch {
-                multipub_obs::counter!(multipub_obs::metrics::BROKER_STALE_CONFIG_UPDATES_TOTAL)
-                    .inc();
-                multipub_obs::event!(
-                    Debug,
-                    "broker",
-                    msg = "stale config update rejected",
-                    region = shared.region.0,
-                    topic = topic,
-                    epoch = epoch,
-                    installed_epoch = existing.epoch,
-                );
-                return;
-            }
+/// Installs a configuration through the topic's epoch gate, at `epoch`
+/// or, when `None`, minted one past the committed epoch. The gate, the
+/// minting and the write share one `configs` acquisition, so two racing
+/// installs can neither mint the same epoch nor overwrite a newer one.
+fn apply_config_update(
+    shared: &Shared,
+    topic: &str,
+    mask: u32,
+    mode: WireMode,
+    epoch: Option<u64>,
+) {
+    let (config, installed) = shared.with_view(topic, |view| {
+        let config =
+            InstalledConfig { mask, mode, epoch: epoch.unwrap_or_else(|| view.next_epoch()) };
+        (config, view.install(config))
+    });
+    match installed {
+        Ok(()) => announce_config(shared, topic, config),
+        Err(installed_epoch) => {
+            multipub_obs::counter!(multipub_obs::metrics::BROKER_STALE_CONFIG_UPDATES_TOTAL).inc();
+            multipub_obs::event!(
+                Debug,
+                "broker",
+                msg = "stale config update rejected",
+                region = shared.region.0,
+                topic = topic,
+                epoch = config.epoch,
+                installed_epoch = installed_epoch,
+            );
         }
     }
+}
+
+/// Counts and logs an installed configuration and fans it out to the
+/// connected clients.
+fn announce_config(shared: &Shared, topic: &str, config: InstalledConfig) {
+    let InstalledConfig { mask, mode, epoch } = config;
     multipub_obs::counter!(multipub_obs::metrics::BROKER_CONFIG_UPDATES_TOTAL).inc();
     multipub_obs::event!(
         Debug,
@@ -635,18 +595,6 @@ fn apply_config_update(shared: &Shared, topic: &str, mask: u32, mode: WireMode, 
         mode = format!("{mode:?}"),
         epoch = epoch,
     );
-    shared.configs.lock().insert(topic.to_string(), InstalledConfig { mask, mode, epoch });
-    // A pending handover targeting an older epoch is obsolete once a
-    // newer configuration commits; one at the same epoch is the commit
-    // of this very handover and stays for its drain window.
-    {
-        let mut handovers = shared.handovers.lock();
-        if let Some(state) = handovers.get(topic) {
-            if state.epoch < epoch {
-                handovers.remove(topic);
-            }
-        }
-    }
     // Fan the update out to every connected client so publishers and
     // subscribers can re-steer. (The paper narrows this to the clients
     // closest to this region; broadcasting is correct and simpler — remote
@@ -892,37 +840,25 @@ async fn handle_publish_from_client(
     deliver_locally(shared, &topic, publisher, publish_micros, &headers, &payload, trace, qos, seq)
         .await;
 
-    // Forward to the topic's other serving regions when (a) the publisher
-    // sent to us alone (routed delivery, or a stale routed view during the
-    // reconfiguration window), or (b) we are no longer a serving region —
-    // then a stale direct fan-out may have missed the real serving set and
-    // we act as ingress. The installed configuration, not the publisher's
-    // view, decides the serving set; transient duplicates during a
-    // reconfiguration are accepted (at-least-once across config changes).
-    let config = shared.config_for(&topic);
-    let self_bit = 1u32 << shared.region.0;
-    let self_serving = config.mask & self_bit != 0;
-    if epoch < config.epoch {
+    // Forward to the regions the topic's view picks (DESIGN.md §15): the
+    // installed configuration, not the publisher's view, decides the
+    // serving set, widened to both sides of an active handover.
+    // Transient duplicates during a reconfiguration are accepted
+    // (at-least-once across config changes); forward frames are never
+    // re-forwarded, so the widened set cannot loop.
+    let route = {
+        let (mut configs, mut unplaced) = (shared.configs.lock(), TopicView::default());
+        let view = configs.get_mut(&topic).unwrap_or(&mut unplaced);
+        view.route(shared.region, single_target, epoch, shared.unplaced_mask(), Instant::now())
+    };
+    if route.stale {
         // The publisher steered by a configuration this broker has
         // already superseded — expected during a handover's commit
-        // window, and the bridge below (not a drop) is what makes the
+        // window, and the bridge (not a drop) is what makes the
         // transition lossless.
         multipub_obs::counter!(multipub_obs::metrics::BROKER_STALE_EPOCH_PUBLISHES_TOTAL).inc();
     }
-    // While a handover is active (prepared or draining) the forward set
-    // widens to the union of the committed, pending and prior serving
-    // regions so both sides of the transition see every publish
-    // (make-before-break, DESIGN.md §15). Forward frames are never
-    // re-forwarded, so the widened set cannot loop.
-    let bridge_extra = shared.bridge_extra(&topic) & !config.mask;
-    let targets = if !single_target && self_serving {
-        // The publisher's direct fan-out already reached every committed
-        // serving region; bridge only the regions it missed.
-        bridge_extra & !self_bit
-    } else {
-        (config.mask | bridge_extra) & !self_bit
-    };
-    if targets == 0 {
+    if route.targets == 0 {
         return;
     }
     // The peer hop inherits the admission stamp; the remote broker's
@@ -945,7 +881,7 @@ async fn handle_publish_from_client(
     let mut encoded: Option<Bytes> = None;
     for region in 0..32u16 {
         let bit = 1u32 << region;
-        if targets & bit == 0 {
+        if route.targets & bit == 0 {
             continue;
         }
         if let Some(outbound) = peer_outbound(shared, region).await {
@@ -957,7 +893,7 @@ async fn handle_publish_from_client(
             };
             if queued {
                 multipub_obs::counter!(multipub_obs::metrics::BROKER_FORWARDS_TOTAL).inc();
-                if config.mask & bit == 0 {
+                if route.bridged & bit != 0 {
                     multipub_obs::counter!(multipub_obs::metrics::BROKER_BRIDGED_FORWARDS_TOTAL)
                         .inc();
                 }
@@ -1046,10 +982,14 @@ async fn handle_connection(shared: Arc<Shared>, stream: TcpStream) -> Result<(),
             .clients
             .lock()
             .insert(conn_id, ConnectedClient { client_id, role, outbound: outbound.clone() });
-        // Replay the installed configurations so late-joining clients
+        // Replay the committed configurations so late-joining clients
         // steer correctly from their first operation.
-        let configs: Vec<(String, InstalledConfig)> =
-            shared.configs.lock().iter().map(|(topic, config)| (topic.clone(), *config)).collect();
+        let configs: Vec<(String, InstalledConfig)> = shared
+            .configs
+            .lock()
+            .iter()
+            .filter_map(|(topic, view)| Some((topic.clone(), view.committed()?)))
+            .collect();
         for (topic, config) in configs {
             outbound.send(&Frame::ConfigUpdate {
                 topic,
@@ -1363,29 +1303,20 @@ async fn connection_loop(
             }
             Frame::ConfigUpdate { topic, mask, mode, epoch } => {
                 if matches!(role, Role::Controller) {
-                    apply_config_update(shared, &topic, mask, mode, epoch);
+                    apply_config_update(shared, &topic, mask, mode, Some(epoch));
                 }
             }
             Frame::HandoverPrepare { topic, mask, mode, epoch } => {
                 // Phase one of a make-before-break handover: record the
                 // pending configuration (invisible to clients) so the
                 // publish path starts bridging to the union of the old
-                // and new serving sets. Stale prepares (epoch not ahead
-                // of the committed view) are ignored but still acked —
-                // replays must stay idempotent.
+                // and new serving sets. Stale prepares are ignored but
+                // still acked — replays must stay idempotent.
                 if matches!(role, Role::Controller) {
-                    let committed = shared.config_for(&topic);
-                    if epoch > committed.epoch {
-                        shared.handovers.lock().insert(
-                            topic.clone(),
-                            HandoverState {
-                                mask,
-                                mode,
-                                epoch,
-                                drain_until: None,
-                                prior_mask: committed.mask,
-                            },
-                        );
+                    let pending = InstalledConfig { mask, mode, epoch };
+                    if shared
+                        .with_view(&topic, |view| view.prepare(pending, shared.unplaced_mask()))
+                    {
                         multipub_obs::event!(
                             Debug,
                             "broker",
@@ -1406,25 +1337,20 @@ async fn connection_loop(
                 // drain window, during which stragglers steering by the
                 // old epoch are still bridged.
                 if matches!(role, Role::Controller) {
-                    let pending = shared.handovers.lock().get(&topic).copied();
-                    if let Some(state) = pending {
-                        if state.epoch == epoch {
-                            apply_config_update(shared, &topic, state.mask, state.mode, epoch);
-                            let deadline = std::time::Instant::now()
-                                + Duration::from_millis(u64::from(grace_ms));
-                            if let Some(entry) = shared.handovers.lock().get_mut(&topic) {
-                                entry.drain_until = Some(deadline);
-                            }
-                            multipub_obs::event!(
-                                Debug,
-                                "broker",
-                                msg = "handover committed",
-                                region = shared.region.0,
-                                topic = topic,
-                                epoch = epoch,
-                                grace_ms = grace_ms,
-                            );
-                        }
+                    let drain_until = Instant::now() + Duration::from_millis(u64::from(grace_ms));
+                    if let Some(config) =
+                        shared.with_view(&topic, |view| view.commit(epoch, drain_until))
+                    {
+                        announce_config(shared, &topic, config);
+                        multipub_obs::event!(
+                            Debug,
+                            "broker",
+                            msg = "handover committed",
+                            region = shared.region.0,
+                            topic = topic,
+                            epoch = epoch,
+                            grace_ms = grace_ms,
+                        );
                     }
                     outbound.send(&Frame::HandoverAck { topic, epoch, phase: 1 });
                 }
@@ -1436,21 +1362,15 @@ async fn connection_loop(
                 // (draining) is past the point of no return and keeps
                 // its drain window.
                 if matches!(role, Role::Controller) {
-                    {
-                        let mut handovers = shared.handovers.lock();
-                        if let Some(state) = handovers.get(&topic) {
-                            if state.epoch == epoch && state.drain_until.is_none() {
-                                handovers.remove(&topic);
-                                multipub_obs::event!(
-                                    Info,
-                                    "broker",
-                                    msg = "handover aborted",
-                                    region = shared.region.0,
-                                    topic = topic,
-                                    epoch = epoch,
-                                );
-                            }
-                        }
+                    if shared.with_view(&topic, |view| view.abort(epoch)) {
+                        multipub_obs::event!(
+                            Info,
+                            "broker",
+                            msg = "handover aborted",
+                            region = shared.region.0,
+                            topic = topic,
+                            epoch = epoch,
+                        );
                     }
                     outbound.send(&Frame::HandoverAck { topic, epoch, phase: 2 });
                 }

@@ -42,6 +42,7 @@ use crate::sync::Mutex;
 use bytes::{Bytes, BytesMut};
 use multipub_core::ids::RegionId;
 use multipub_filter::{Headers, Predicate};
+use multipub_proto::TopicView;
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -201,7 +202,7 @@ struct Links {
     config: ClientConfig,
     role: Role,
     conns: HashMap<u16, Outbound>,
-    topic_configs: Arc<Mutex<HashMap<String, InstalledConfig>>>, // lock:rank(client.topic_configs, 60)
+    topic_configs: Arc<Mutex<HashMap<String, TopicView>>>, // lock:rank(client.topic_configs, 60)
     events_tx: mpsc::Sender<Event>,
     /// Regions connected at least once — a later connect is a *re*connect.
     ever_connected: std::collections::HashSet<u16>,
@@ -238,11 +239,9 @@ impl Links {
     /// The configuration to use for `topic`: installed, or the all-regions
     /// routed bootstrap default.
     fn config_for(&self, topic: &str) -> InstalledConfig {
-        self.topic_configs.lock().get(topic).copied().unwrap_or(InstalledConfig {
-            mask: if self.n_regions() >= 32 { u32::MAX } else { (1u32 << self.n_regions()) - 1 },
-            mode: WireMode::Routed,
-            epoch: 0,
-        })
+        let committed = self.topic_configs.lock().get(topic).and_then(TopicView::committed);
+        let all = if self.n_regions() >= 32 { u32::MAX } else { (1u32 << self.n_regions()) - 1 };
+        committed.unwrap_or(InstalledConfig::unplaced(all))
     }
 
     /// The closest region among the serving set of `mask`.
@@ -384,20 +383,16 @@ impl Links {
                         }
                     }
                     Ok(Some(Frame::ConfigUpdate { topic, mask, mode, epoch })) => {
-                        // Epoch-gate the install: during a handover both
-                        // old and new regions replay configs, and a stale
-                        // region's replay must not un-steer the client.
-                        let installed = {
-                            let mut configs = topic_configs.lock();
-                            let stale = configs
-                                .get(&topic)
-                                .is_some_and(|current: &InstalledConfig| epoch < current.epoch);
-                            if !stale {
-                                configs
-                                    .insert(topic.clone(), InstalledConfig { mask, mode, epoch });
-                            }
-                            !stale
-                        };
+                        // Epoch-gate the install, by the brokers' own rule:
+                        // during a handover both old and new regions replay
+                        // configs, and a stale region's replay must not
+                        // un-steer the client.
+                        let installed = topic_configs
+                            .lock()
+                            .entry(topic.clone())
+                            .or_default()
+                            .install(InstalledConfig { mask, mode, epoch })
+                            .is_ok();
                         if installed && events_tx.send(Event::Config { topic }).await.is_err() {
                             break;
                         }

@@ -48,10 +48,12 @@
 
 mod codec;
 mod frame;
+mod handover;
 mod policy;
 
 pub use codec::{
     decode, encode, peek_trace, stamp_queue_write, CodecError, Decoded, MAX_FRAME_BYTES,
 };
 pub use frame::{Frame, Role, TraceContext, KNOWN_TAGS};
+pub use handover::{InstalledConfig, Route, TopicView};
 pub use policy::SlowConsumerPolicy;

@@ -1,0 +1,37 @@
+//! The seeded random source shared by this crate's property tests.
+
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+/// SplitMix64 (Steele et al.): the whole random source of these tests.
+pub struct SplitMix64(pub u64);
+
+impl SplitMix64 {
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform index in `0..n`.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    pub fn coin(&mut self) -> bool {
+        self.below(2) == 0
+    }
+}
+
+/// Runs `property` once per seed in `0..cases`, naming the seed that
+/// fails; a property draws everything from its seed, so that seed alone
+/// replays the failure.
+pub fn for_each_seed(cases: u64, property: impl Fn(u64)) {
+    for seed in 0..cases {
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| property(seed))) {
+            eprintln!("failing seed: {seed}");
+            resume_unwind(panic);
+        }
+    }
+}

@@ -9,35 +9,18 @@ use multipub_proto::{
     decode, encode, peek_trace, stamp_queue_write, CodecError, Frame, Role, SlowConsumerPolicy,
     TraceContext, KNOWN_TAGS,
 };
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
+
+mod common;
+
+use common::SplitMix64;
 
 /// Seeded cases per property.
 const CASES: u64 = 256;
 
-/// SplitMix64 (Steele et al.): the whole random source of these tests.
-struct SplitMix64(u64);
-
 impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform index in `0..n`.
-    fn below(&mut self, n: usize) -> usize {
-        (self.next_u64() % n as u64) as usize
-    }
-
     fn byte(&mut self) -> u8 {
         self.next_u64() as u8
-    }
-
-    fn coin(&mut self) -> bool {
-        self.below(2) == 0
     }
 
     fn bytes(&mut self, max: usize) -> Vec<u8> {
@@ -47,13 +30,7 @@ impl SplitMix64 {
 
 /// Runs `property` once per seed in `0..CASES`, naming the seed that fails.
 fn for_each_seed(property: impl Fn(&mut SplitMix64)) {
-    for seed in 0..CASES {
-        let outcome = catch_unwind(AssertUnwindSafe(|| property(&mut SplitMix64(seed))));
-        if let Err(panic) = outcome {
-            eprintln!("failing seed: {seed}");
-            resume_unwind(panic);
-        }
-    }
+    common::for_each_seed(CASES, |seed| property(&mut SplitMix64(seed)));
 }
 
 type Owned = Frame<Vec<u8>>;
