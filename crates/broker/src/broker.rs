@@ -433,20 +433,13 @@ impl Broker {
         self.shared.shards.publish_counts()
     }
 
-    /// Installs a topic configuration locally, exactly as a controller
-    /// [`Frame::ConfigUpdate`] would, including the client fan-out. The
-    /// new configuration is minted at the next epoch after whatever is
-    /// currently in force.
-    pub fn install_config(&self, topic: &str, mask: u32, mode: WireMode) {
-        apply_config_update(&self.shared, topic, mask, mode, None);
-    }
-
-    /// Installs a topic configuration at an **explicit** epoch, exactly
-    /// as a (possibly lagging) controller replay would: updates carrying
-    /// an epoch older than the one in force are rejected and counted in
+    /// Installs a topic configuration locally at `epoch`, exactly as a
+    /// (possibly lagging) controller [`Frame::ConfigUpdate`] would,
+    /// including the client fan-out: updates carrying an epoch older than
+    /// the one in force are rejected and counted in
     /// `multipub_broker_stale_config_updates_total`.
     pub fn install_config_at(&self, topic: &str, mask: u32, mode: WireMode, epoch: u64) {
-        apply_config_update(&self.shared, topic, mask, mode, Some(epoch));
+        apply_config_update(&self.shared, topic, InstalledConfig { mask, mode, epoch });
     }
 
     /// The topic configuration currently in force (installed or default).
@@ -547,22 +540,11 @@ fn take_report(shared: &Shared) -> RegionReport {
     RegionReport { region: u16::from(shared.region.0), topics }
 }
 
-/// Installs a configuration through the topic's epoch gate, at `epoch`
-/// or, when `None`, minted one past the committed epoch. The gate, the
-/// minting and the write share one `configs` acquisition, so two racing
-/// installs can neither mint the same epoch nor overwrite a newer one.
-fn apply_config_update(
-    shared: &Shared,
-    topic: &str,
-    mask: u32,
-    mode: WireMode,
-    epoch: Option<u64>,
-) {
-    let (config, installed) = shared.with_view(topic, |view| {
-        let config =
-            InstalledConfig { mask, mode, epoch: epoch.unwrap_or_else(|| view.next_epoch()) };
-        (config, view.install(config))
-    });
+/// Installs a configuration through the topic's epoch gate. The gate and
+/// the write share one `configs` acquisition, so a racing install can
+/// never overwrite a newer one.
+fn apply_config_update(shared: &Shared, topic: &str, config: InstalledConfig) {
+    let installed = shared.with_view(topic, |view| view.install(config));
     match installed {
         Ok(()) => announce_config(shared, topic, config),
         Err(installed_epoch) => {
@@ -1303,7 +1285,7 @@ async fn connection_loop(
             }
             Frame::ConfigUpdate { topic, mask, mode, epoch } => {
                 if matches!(role, Role::Controller) {
-                    apply_config_update(shared, &topic, mask, mode, Some(epoch));
+                    apply_config_update(shared, &topic, InstalledConfig { mask, mode, epoch });
                 }
             }
             Frame::HandoverPrepare { topic, mask, mode, epoch } => {

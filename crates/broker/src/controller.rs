@@ -3,9 +3,10 @@
 //! The controller connects to every region broker, periodically pulls the
 //! region managers' interval reports, reassembles per-topic workloads
 //! (using its client↔region latency knowledge), re-runs the optimizer for
-//! each topic, and deploys improved configurations with
-//! [`Frame::ConfigUpdate`] — which the brokers apply and fan out to their
-//! clients.
+//! each topic, and moves every topic whose configuration changed through
+//! the make-before-break handover (DESIGN.md §15), all of them at once.
+//! Each topic's handover is decided by its [`Coordinator`]; this module
+//! only carries the coordinators' frames, timers and acks.
 //!
 //! Client latencies are registered explicitly here ([`
 //! Controller::register_client`]); in a production deployment the same
@@ -21,15 +22,17 @@
 //! missed consecutive report deadlines) are **excluded from the
 //! optimizer's search space** via its allowed-regions facility — so new
 //! configurations only ever place topics on regions that can actually
-//! serve them. Excluded regions rejoin automatically once their broker
-//! answers again.
+//! serve them. A handover leaves excluded regions out as well, so a topic
+//! can still be placed, or moved off a dead region; the redial replay
+//! brings their brokers to the committed configuration. Excluded regions
+//! rejoin automatically once their broker answers again.
 
 use crate::broker::{RegionReport, TopicReport};
 use crate::conn::{read_frame, BrokerError};
 use crate::delay::Outbound;
 use crate::frame::{Frame, Role};
 use bytes::BytesMut;
-use multipub_core::assignment::{AssignmentVector, Configuration, Epoch, VersionedConfiguration};
+use multipub_core::assignment::{AssignmentVector, Configuration};
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
@@ -37,6 +40,7 @@ use multipub_core::mitigation::{mitigate, retract_unneeded, MitigationPolicy};
 use multipub_core::optimizer::Optimizer;
 use multipub_core::region::RegionSet;
 use multipub_core::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
+use multipub_proto::{Action, Control, Coordinator, Event as HandoverEvent, Phase};
 use std::collections::{BTreeMap, HashMap};
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -56,8 +60,8 @@ pub struct TopicDecision {
     pub percentile_ms: f64,
     /// Expected interval cost of the selection, dollars.
     pub cost_dollars: f64,
-    /// Whether a [`Frame::ConfigUpdate`] was actually sent (false when the
-    /// chosen configuration was already installed).
+    /// Whether the handover to `configuration` committed (false when it
+    /// was already installed, or when the handover aborted).
     pub deployed: bool,
     /// Clients seen in the reports but unknown to the latency table; they
     /// were ignored during optimization.
@@ -76,13 +80,13 @@ pub struct TopicDecision {
 /// counts `multipub_controller_reports_dropped_total`.
 const LINK_CHANNEL_CAPACITY: usize = 256;
 
+/// A handover ack as `(region, topic, epoch, phase)`.
+type Ack = (usize, String, u64, u8);
+
 struct BrokerLink {
     outbound: Outbound,
     reports_rx: mpsc::Receiver<RegionReport>,
     snapshots_rx: mpsc::Receiver<String>,
-    /// Handover acks as `(topic, epoch, phase)` triples, consumed by the
-    /// per-topic handover state machine.
-    acks_rx: mpsc::Receiver<(String, u64, u8)>,
 }
 
 impl std::fmt::Debug for BrokerLink {
@@ -139,7 +143,17 @@ pub struct Controller {
     client_latencies: HashMap<u64, Vec<f64>>,
     constraints: HashMap<String, DeliveryConstraint>,
     default_constraint: DeliveryConstraint,
-    installed: HashMap<String, VersionedConfiguration>,
+    /// One coordinator per topic ever handed over or deployed: the only
+    /// owner of its epochs.
+    coordinators: HashMap<String, Coordinator>,
+    /// Every link's acks, unbounded: they answer frames the controller
+    /// itself sent.
+    acks_tx: mpsc::UnboundedSender<Ack>,
+    acks_rx: mpsc::UnboundedReceiver<Ack>,
+    /// Timers the coordinators armed: when, for which topic, and what.
+    timers: Vec<(tokio::time::Instant, String, u64, Phase)>,
+    /// When each running handover's current phase began.
+    phase_started: HashMap<String, std::time::Instant>,
     report_timeout: Duration,
     connect_timeout: Duration,
     /// Post-commit drain window: how long retiring regions keep
@@ -157,8 +171,13 @@ pub struct Controller {
 }
 
 /// Dials one broker and spawns its reader task, demultiplexing inbound
-/// stats frames onto the link's channels.
-async fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<BrokerLink, BrokerError> {
+/// stats frames onto the link's channels and handover acks onto `acks_tx`.
+async fn dial(
+    addr: SocketAddr,
+    connect_timeout: Duration,
+    region: usize,
+    acks_tx: mpsc::UnboundedSender<Ack>,
+) -> Result<BrokerLink, BrokerError> {
     let stream = match tokio::time::timeout(connect_timeout, TcpStream::connect(addr)).await {
         Ok(result) => result?,
         Err(_) => return Err(BrokerError::Timeout { what: "broker connect" }),
@@ -169,7 +188,6 @@ async fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<BrokerLink,
     outbound.send(&Frame::Connect { client_id: 0, role: Role::Controller, policy: None });
     let (reports_tx, reports_rx) = mpsc::channel(LINK_CHANNEL_CAPACITY);
     let (snapshots_tx, snapshots_rx) = mpsc::channel(LINK_CHANNEL_CAPACITY);
-    let (acks_tx, acks_rx) = mpsc::channel(LINK_CHANNEL_CAPACITY);
     tokio::spawn(async move {
         let mut buf = BytesMut::new();
         loop {
@@ -202,15 +220,8 @@ async fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<BrokerLink,
                     Err(mpsc::error::TrySendError::Closed(_)) => break,
                 },
                 Ok(Some(Frame::HandoverAck { topic, epoch, phase })) => {
-                    match acks_tx.try_send((topic, epoch, phase)) {
-                        Ok(()) => {}
-                        Err(mpsc::error::TrySendError::Full(_)) => {
-                            multipub_obs::counter!(
-                                multipub_obs::metrics::CONTROLLER_REPORTS_DROPPED_TOTAL
-                            )
-                            .inc();
-                        }
-                        Err(mpsc::error::TrySendError::Closed(_)) => break,
+                    if acks_tx.send((region, topic, epoch, phase)).is_err() {
+                        break;
                     }
                 }
                 Ok(Some(_)) => {}
@@ -218,7 +229,7 @@ async fn dial(addr: SocketAddr, connect_timeout: Duration) -> Result<BrokerLink,
             }
         }
     });
-    Ok(BrokerLink { outbound, reports_rx, snapshots_rx, acks_rx })
+    Ok(BrokerLink { outbound, reports_rx, snapshots_rx })
 }
 
 impl Controller {
@@ -249,8 +260,10 @@ impl Controller {
         let connect_timeout = Duration::from_secs(2);
         let mut links = Vec::with_capacity(broker_addrs.len());
         let mut last_err = None;
+        // lint:allow(channel) acks answer frames this controller sent, and each round starts by emptying it; a bounded channel would drop an ack and abort its handover
+        let (acks_tx, acks_rx) = mpsc::unbounded_channel();
         for (region, &addr) in broker_addrs.iter().enumerate() {
-            let state = match dial(addr, connect_timeout).await {
+            let state = match dial(addr, connect_timeout, region, acks_tx.clone()).await {
                 Ok(link) => Some(link),
                 Err(e) => {
                     multipub_obs::event!(
@@ -282,7 +295,11 @@ impl Controller {
             client_latencies: HashMap::new(),
             constraints: HashMap::new(),
             default_constraint,
-            installed: HashMap::new(),
+            coordinators: HashMap::new(),
+            acks_tx,
+            acks_rx,
+            timers: Vec::new(),
+            phase_started: HashMap::new(),
             report_timeout: Duration::from_secs(5),
             connect_timeout,
             handover_grace: Duration::from_millis(500),
@@ -330,21 +347,15 @@ impl Controller {
                 }
             }
             multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_LINK_REDIALS_TOTAL).inc();
-            match dial(link.addr, self.connect_timeout).await {
+            match dial(link.addr, self.connect_timeout, region, self.acks_tx.clone()).await {
                 Ok(state) => {
-                    // Replay every installed configuration at its
-                    // **committed** epoch — never a half-applied one; a
-                    // handover that aborted mid-prepare left `installed`
-                    // untouched, so the replay is exactly the rollback
-                    // target (DESIGN.md §15).
-                    for (topic, versioned) in &self.installed {
-                        let configuration = versioned.configuration();
-                        state.outbound.send(&Frame::ConfigUpdate {
-                            topic: topic.clone(),
-                            mask: configuration.assignment().mask(),
-                            mode: configuration.mode().into(),
-                            epoch: versioned.epoch().get(),
-                        });
+                    // Replay every topic's **committed** configuration —
+                    // never a half-applied one: an aborted handover never
+                    // shows in `Coordinator::committed` (DESIGN.md §15).
+                    for (topic, coordinator) in &self.coordinators {
+                        if let Some(config) = coordinator.committed() {
+                            state.outbound.send(&Control::Update(config).frame(topic));
+                        }
                     }
                     link.state = Some(state);
                     link.consecutive_misses = 0;
@@ -423,14 +434,16 @@ impl Controller {
 
     /// The configuration currently installed for a topic, if any.
     pub fn installed(&self, topic: &str) -> Option<Configuration> {
-        self.installed.get(topic).map(|versioned| versioned.configuration())
+        let config = self.coordinators.get(topic)?.committed()?;
+        let assignment = AssignmentVector::from_mask(config.mask, self.regions.len()).ok()?;
+        Some(Configuration::new(assignment, config.mode))
     }
 
     /// The committed epoch of a topic's installed configuration, if any.
-    /// Epochs minted by aborted handovers never appear here — `installed`
-    /// only ever advances at a commit point.
+    /// Epochs minted by aborted handovers never appear here: the
+    /// coordinator's committed configuration only moves at a commit point.
     pub fn installed_epoch(&self, topic: &str) -> Option<u64> {
-        self.installed.get(topic).map(|versioned| versioned.epoch().get())
+        Some(self.coordinators.get(topic)?.committed()?.epoch)
     }
 
     /// Requests and gathers one interval report from every live region
@@ -510,12 +523,7 @@ impl Controller {
         let reports = self.collect_reports().await;
 
         // Degraded mode: optimize only over regions whose broker answers.
-        let mut alive_mask = 0u32;
-        for (region, link) in self.links.iter().enumerate() {
-            if link.is_alive() {
-                alive_mask |= 1u32 << region;
-            }
-        }
+        let alive_mask = self.live();
         let excluded = self.unreachable_regions();
         let Ok(allowed) = AssignmentVector::from_mask(alive_mask, self.regions.len()) else {
             multipub_obs::event!(
@@ -538,6 +546,7 @@ impl Controller {
 
         let merged = merge_reports(&reports);
         let mut decisions = Vec::new();
+        let mut changes = Vec::new();
         for (topic, report) in merged {
             let constraint =
                 self.constraints.get(&topic).copied().unwrap_or(self.default_constraint);
@@ -599,46 +608,43 @@ impl Controller {
             if !forced_regions.is_empty() {
                 multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_MITIGATIONS_TOTAL).inc();
             }
-            let changed =
-                self.installed.get(&topic).map(|v| v.configuration()) != Some(configuration);
-            let deployed = if changed {
-                // Live traffic may be steering by the old configuration:
-                // run the make-before-break handover rather than a
-                // fire-and-forget broadcast. A rolled-back handover
-                // leaves the committed configuration in force.
-                let committed = self.handover(&topic, configuration).await;
-                if committed {
-                    multipub_obs::counter!(
-                        multipub_obs::metrics::CONTROLLER_RECONFIGURATIONS_TOTAL
-                    )
-                    .inc();
-                }
-                committed
-            } else {
-                false
-            };
-            multipub_obs::event!(
-                Debug,
-                "controller",
-                msg = "topic decided",
-                topic = topic,
-                configuration = configuration,
-                feasible = solution.is_feasible(),
-                deployed = deployed,
-                percentile_ms = solution.evaluation().percentile_ms(),
-                unknown_clients = unknown_clients,
-            );
+            if self.installed(&topic) != Some(configuration) {
+                changes.push((topic.clone(), configuration));
+            }
             decisions.push(TopicDecision {
                 topic,
                 configuration,
                 feasible: solution.is_feasible(),
                 percentile_ms: solution.evaluation().percentile_ms(),
                 cost_dollars: solution.evaluation().cost_dollars(),
-                deployed,
+                deployed: false,
                 unknown_clients,
                 forced_regions,
                 excluded_regions: excluded.clone(),
             });
+        }
+        // Live traffic may be steering by the old configurations: every
+        // changed topic goes through its make-before-break handover, all
+        // at once. A rolled-back handover leaves its committed
+        // configuration in force.
+        let committed = self.run_handovers(changes).await;
+        for decision in &mut decisions {
+            decision.deployed = committed.get(&decision.topic).copied().unwrap_or(false);
+            if decision.deployed {
+                multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_RECONFIGURATIONS_TOTAL)
+                    .inc();
+            }
+            multipub_obs::event!(
+                Debug,
+                "controller",
+                msg = "topic decided",
+                topic = decision.topic,
+                configuration = decision.configuration,
+                feasible = decision.feasible,
+                deployed = decision.deployed,
+                percentile_ms = decision.percentile_ms,
+                unknown_clients = decision.unknown_clients,
+            );
         }
         multipub_obs::event!(
             Info,
@@ -650,17 +656,8 @@ impl Controller {
         decisions
     }
 
-    /// The epoch the next configuration change of `topic` would commit
-    /// at: one past the installed epoch, or `1` for a first install.
-    fn next_versioned(&self, topic: &str, configuration: Configuration) -> VersionedConfiguration {
-        match self.installed.get(topic) {
-            Some(current) => current.succeeded_by(configuration),
-            None => VersionedConfiguration::new(configuration, Epoch::INITIAL.next()),
-        }
-    }
-
     /// Pushes a configuration to every *live* broker (which fan it out to
-    /// their clients) and records it as installed, minting the next
+    /// their clients) and records it as installed, at a freshly minted
     /// epoch. Brokers whose link is down at deploy time are **deferred**:
     /// counted in `multipub_controller_config_deferred_total` and logged,
     /// and they pick the configuration up via the redial replay — until
@@ -671,216 +668,181 @@ impl Controller {
     /// their own traffic windows; [`Controller::optimize_once`] uses the
     /// make-before-break [`Controller::handover`] instead.
     pub fn deploy(&mut self, topic: &str, configuration: Configuration) {
-        let versioned = self.next_versioned(topic, configuration);
-        let update = Frame::ConfigUpdate {
-            topic: topic.to_string(),
-            mask: configuration.assignment().mask(),
-            mode: configuration.mode().into(),
-            epoch: versioned.epoch().get(),
-        };
-        for (region, link) in self.links.iter().enumerate() {
-            let sent = match &link.state {
-                Some(state) => state.outbound.send(&update),
-                None => false,
-            };
-            if !sent {
-                multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_CONFIG_DEFERRED_TOTAL)
-                    .inc();
-                multipub_obs::event!(
-                    Warn,
-                    "controller",
-                    msg = "config install deferred: broker link down",
-                    region = region,
-                    topic = topic,
-                    epoch = versioned.epoch().get(),
-                );
-            }
-        }
-        self.installed.insert(topic.to_string(), versioned);
+        let mut outcomes = HashMap::new();
+        self.fire_due_timers(&mut outcomes);
+        let (mask, mode) = (configuration.assignment().mask(), configuration.mode());
+        self.dispatch(topic, HandoverEvent::Deploy { mask, mode }, &mut outcomes);
     }
 
     /// Runs the three-phase make-before-break handover for one topic
-    /// (DESIGN.md §15): **prepare** every participating broker (old and
-    /// new serving regions) so both sides bridge traffic, **commit**
-    /// once all prepare acks are in (brokers fan the new epoch to
-    /// clients, who re-steer), then let retiring regions **drain**
-    /// stragglers for the grace window. A phase that misses its ack
-    /// deadline — or a dead broker in the *new* serving set — aborts the
-    /// handover and rolls back to the last committed epoch.
-    ///
-    /// Returns `true` when the new configuration committed, `false` when
-    /// it was aborted (the previously committed configuration stays in
-    /// force and `installed` is untouched).
+    /// (DESIGN.md §15). Returns `true` when the new configuration
+    /// committed, `false` when it was aborted (the previously committed
+    /// configuration stays in force).
     pub async fn handover(&mut self, topic: &str, configuration: Configuration) -> bool {
-        multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_HANDOVERS_TOTAL).inc();
-        let versioned = self.next_versioned(topic, configuration);
-        let epoch = versioned.epoch().get();
-        let new_mask = configuration.assignment().mask();
-        let old_mask =
-            self.installed.get(topic).map(|v| v.configuration().assignment().mask()).unwrap_or(0);
-        let participants = new_mask | old_mask;
+        let committed = self.run_handovers(vec![(topic.to_string(), configuration)]).await;
+        committed.get(topic).copied().unwrap_or(false)
+    }
 
-        // Phase 1: prepare. New serving regions must all be reachable —
-        // they are about to carry the topic. A dead *retiring* region is
-        // skipped (deferred): it cannot lose messages it will never
-        // receive, and the redial replay brings it to the committed
-        // epoch when it returns.
-        let prepare = Frame::HandoverPrepare {
-            topic: topic.to_string(),
-            mask: new_mask,
-            mode: configuration.mode().into(),
-            epoch,
-        };
-        let mut awaiting = 0u32;
-        let mut dead_new_region = false;
-        for (region, link) in self.links.iter().enumerate() {
-            let bit = 1u32 << region;
-            if participants & bit == 0 {
-                continue;
+    /// Starts one handover per change, among the regions whose link is up,
+    /// and carries every coordinator's frames, acks and timers until each
+    /// has an outcome: whether it committed.
+    async fn run_handovers(
+        &mut self,
+        changes: Vec<(String, Configuration)>,
+    ) -> HashMap<String, bool> {
+        let grace_ms = self.handover_grace.as_millis().min(u128::from(u32::MAX)) as u32;
+        let mut outcomes = HashMap::new();
+        // Acks left from earlier rounds answer attempts that have ended.
+        while self.acks_rx.try_recv().is_ok() {}
+        // A drain that already ended must not widen the new participants.
+        self.fire_due_timers(&mut outcomes);
+        for (topic, configuration) in &changes {
+            multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_HANDOVERS_TOTAL).inc();
+            self.phase_started.insert(topic.clone(), std::time::Instant::now());
+            let (mask, mode, live) =
+                (configuration.assignment().mask(), configuration.mode(), self.live());
+            let handover = HandoverEvent::Handover { mask, mode, grace_ms, live };
+            self.dispatch(topic, handover, &mut outcomes);
+        }
+        while changes.iter().any(|(topic, _)| !outcomes.contains_key(topic)) {
+            let Some(next) = self.timers.iter().map(|(at, ..)| *at).min() else { break };
+            if let Ok(Some((region, topic, epoch, phase))) =
+                tokio::time::timeout_at(next, self.acks_rx.recv()).await
+            {
+                let (region, live) = (RegionId(region as u8), self.live());
+                let ack = HandoverEvent::Ack { region, epoch, phase, live };
+                self.dispatch(&topic, ack, &mut outcomes);
             }
-            let sent = match &link.state {
-                Some(state) => state.outbound.send(&prepare),
-                None => false,
-            };
-            if sent {
-                awaiting |= bit;
-            } else if new_mask & bit != 0 {
-                dead_new_region = true;
+            self.fire_due_timers(&mut outcomes);
+        }
+        outcomes
+    }
+
+    /// The regions whose broker is reachable: the rest are left out of
+    /// optimization and of handovers alike.
+    fn live(&self) -> u32 {
+        let mut live = 0;
+        for (region, link) in self.links.iter().enumerate() {
+            if link.is_alive() {
+                live |= 1 << region;
+            }
+        }
+        live
+    }
+
+    /// Hands every timer that has fallen due to its coordinator.
+    fn fire_due_timers(&mut self, outcomes: &mut HashMap<String, bool>) {
+        let now = tokio::time::Instant::now();
+        let (due, pending): (Vec<_>, Vec<_>) =
+            std::mem::take(&mut self.timers).into_iter().partition(|(at, ..)| *at <= now);
+        self.timers = pending;
+        for (_, topic, epoch, phase) in due {
+            self.dispatch(&topic, HandoverEvent::Timeout { epoch, phase }, outcomes);
+        }
+    }
+
+    /// Tells the topic's coordinator (created on first use) of `event` and
+    /// carries out what it asks: frames onto the links, timers into
+    /// `timers`, outcomes into `outcomes`.
+    fn dispatch(
+        &mut self,
+        topic: &str,
+        event: HandoverEvent,
+        outcomes: &mut HashMap<String, bool>,
+    ) {
+        let all = AssignmentVector::all(self.links.len()).map_or(0, AssignmentVector::mask);
+        let coordinator =
+            self.coordinators.entry(topic.to_string()).or_insert_with(|| Coordinator::new(all));
+        for action in coordinator.handle(event) {
+            self.apply(topic, action, outcomes);
+        }
+    }
+
+    /// Carries out one coordinator action for `topic`.
+    fn apply(&mut self, topic: &str, action: Action, outcomes: &mut HashMap<String, bool>) {
+        match action {
+            Action::Send { control, regions } => {
+                let frame = control.frame(topic);
+                for (region, link) in self.links.iter().enumerate() {
+                    let sent = regions & 1 << region != 0
+                        && link.state.as_ref().is_some_and(|s| s.outbound.send(&frame));
+                    if let (false, Control::Update(config)) = (sent, control) {
+                        multipub_obs::counter!(
+                            multipub_obs::metrics::CONTROLLER_CONFIG_DEFERRED_TOTAL
+                        )
+                        .inc();
+                        multipub_obs::event!(
+                            Warn,
+                            "controller",
+                            msg = "config install deferred: broker link down",
+                            region = region,
+                            topic = topic,
+                            epoch = config.epoch,
+                        );
+                    }
+                }
+                if let Control::Commit { .. } = control {
+                    if let Some(ms) = self.phase_ms(topic) {
+                        multipub_obs::histogram!(
+                            multipub_obs::metrics::CONTROLLER_HANDOVER_PREPARE_MS
+                        )
+                        .record(ms);
+                    }
+                    self.phase_started.insert(topic.to_string(), std::time::Instant::now());
+                }
+            }
+            Action::ArmTimer { epoch, phase } => {
+                let after = match phase {
+                    Phase::Drain => self.handover_grace,
+                    Phase::Prepare | Phase::Commit => self.handover_timeout,
+                };
+                self.timers.push((
+                    tokio::time::Instant::now() + after,
+                    topic.to_string(),
+                    epoch,
+                    phase,
+                ));
+            }
+            Action::Committed { config, unacked } => {
+                if let Some(ms) = self.phase_ms(topic) {
+                    multipub_obs::histogram!(multipub_obs::metrics::CONTROLLER_HANDOVER_COMMIT_MS)
+                        .record(ms);
+                }
+                // Missing commit acks (`unacked`) are diagnostic only: the
+                // stragglers recover via the redial replay.
                 multipub_obs::event!(
-                    Warn,
+                    Info,
                     "controller",
-                    msg = "handover target region unreachable",
-                    region = region,
+                    msg = "handover committed",
                     topic = topic,
-                    epoch = epoch,
+                    epoch = config.epoch,
+                    mask = format!("{:#b}", config.mask),
+                    unacked = format!("{unacked:#b}"),
                 );
-            } else {
-                multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_CONFIG_DEFERRED_TOTAL)
+                outcomes.insert(topic.to_string(), true);
+            }
+            Action::Aborted(epoch) => {
+                if let Some(ms) = self.phase_ms(topic) {
+                    multipub_obs::histogram!(multipub_obs::metrics::CONTROLLER_HANDOVER_PREPARE_MS)
+                        .record(ms);
+                }
+                multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_HANDOVER_ROLLBACKS_TOTAL)
                     .inc();
                 multipub_obs::event!(
                     Warn,
                     "controller",
-                    msg = "retiring region skipped in handover: broker link down",
-                    region = region,
+                    msg = "handover aborted; committed epoch stays in force",
                     topic = topic,
                     epoch = epoch,
                 );
+                outcomes.insert(topic.to_string(), false);
             }
         }
-        if dead_new_region {
-            self.abort_handover(topic, epoch);
-            return false;
-        }
-        let prepare_started = std::time::Instant::now();
-        let acked = self.await_acks(topic, epoch, 0, awaiting).await;
-        multipub_obs::histogram!(multipub_obs::metrics::CONTROLLER_HANDOVER_PREPARE_MS)
-            .record(prepare_started.elapsed().as_secs_f64() * 1000.0);
-        if acked != awaiting {
-            // A participant died or timed out mid-prepare: no client has
-            // re-steered yet, so rolling back is free.
-            self.abort_handover(topic, epoch);
-            return false;
-        }
-
-        // Commit point — irrevocable from here on. Record the committed
-        // epoch first so a redial replay always carries the new
-        // configuration, even to a broker that misses the commit frame.
-        self.installed.insert(topic.to_string(), versioned);
-        let grace_ms = self.handover_grace.as_millis().min(u128::from(u32::MAX)) as u32;
-        let commit = Frame::HandoverCommit { topic: topic.to_string(), epoch, grace_ms };
-        let mut commit_awaiting = 0u32;
-        for (region, link) in self.links.iter().enumerate() {
-            let bit = 1u32 << region;
-            if awaiting & bit == 0 {
-                continue;
-            }
-            if let Some(state) = &link.state {
-                if state.outbound.send(&commit) {
-                    commit_awaiting |= bit;
-                }
-            }
-        }
-        let commit_started = std::time::Instant::now();
-        let commit_acked = self.await_acks(topic, epoch, 1, commit_awaiting).await;
-        multipub_obs::histogram!(multipub_obs::metrics::CONTROLLER_HANDOVER_COMMIT_MS)
-            .record(commit_started.elapsed().as_secs_f64() * 1000.0);
-        // Missing commit acks are diagnostic only: the handover is
-        // committed, and stragglers recover via the redial replay.
-        if commit_acked != commit_awaiting {
-            multipub_obs::event!(
-                Warn,
-                "controller",
-                msg = "handover committed with missing commit acks",
-                topic = topic,
-                epoch = epoch,
-                awaited = format!("{commit_awaiting:#b}"),
-                acked = format!("{commit_acked:#b}"),
-            );
-        }
-        multipub_obs::event!(
-            Info,
-            "controller",
-            msg = "handover committed",
-            topic = topic,
-            epoch = epoch,
-            mask = format!("{new_mask:#b}"),
-        );
-        true
     }
 
-    /// Broadcasts a [`Frame::HandoverAbort`] for `(topic, epoch)` and
-    /// counts the rollback. `installed` is deliberately untouched: the
-    /// redial replay path then replays the *committed* epoch, never the
-    /// half-applied one.
-    fn abort_handover(&mut self, topic: &str, epoch: u64) {
-        multipub_obs::counter!(multipub_obs::metrics::CONTROLLER_HANDOVER_ROLLBACKS_TOTAL).inc();
-        let abort = Frame::HandoverAbort { topic: topic.to_string(), epoch };
-        for link in &self.links {
-            if let Some(state) = &link.state {
-                state.outbound.send(&abort);
-            }
-        }
-        multipub_obs::event!(
-            Warn,
-            "controller",
-            msg = "handover aborted; committed epoch stays in force",
-            topic = topic,
-            epoch = epoch,
-        );
-    }
-
-    /// Waits for a `(topic, epoch, phase)` handover ack from every
-    /// region in `awaiting`, bounded by the handover timeout shared
-    /// across the whole phase. Returns the mask of regions that acked.
-    /// Acks from older handovers or other phases are drained and
-    /// discarded — handovers run one at a time.
-    async fn await_acks(&mut self, topic: &str, epoch: u64, phase: u8, awaiting: u32) -> u32 {
-        let deadline = tokio::time::Instant::now() + self.handover_timeout;
-        let mut acked = 0u32;
-        for (region, link) in self.links.iter_mut().enumerate() {
-            let bit = 1u32 << region;
-            if awaiting & bit == 0 {
-                continue;
-            }
-            let Some(state) = &mut link.state else { continue };
-            loop {
-                let now = tokio::time::Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match tokio::time::timeout(deadline - now, state.acks_rx.recv()).await {
-                    Ok(Some((t, e, p))) => {
-                        if t == topic && e == epoch && p == phase {
-                            acked |= bit;
-                            break;
-                        }
-                    }
-                    // Reader exited (broker hung up) or deadline passed.
-                    Ok(None) | Err(_) => break,
-                }
-            }
-        }
-        acked
+    /// Ends the topic's current handover phase: how long it took, in ms.
+    fn phase_ms(&mut self, topic: &str) -> Option<f64> {
+        Some(self.phase_started.remove(topic)?.elapsed().as_secs_f64() * 1000.0)
     }
 
     /// Builds the analytic workload for one topic from the merged report,

@@ -93,7 +93,7 @@ async fn routed_delivery_crosses_regions() {
 async fn direct_delivery_fans_out_from_the_publisher() {
     let (brokers, addrs) = mesh(2).await;
     for broker in &brokers {
-        broker.install_config("scores", 0b11, WireMode::Direct);
+        broker.install_config_at("scores", 0b11, WireMode::Direct, 1);
     }
     let mut sub_far = SubscriberClient::new(ClientConfig {
         client_id: 20,
@@ -146,8 +146,8 @@ async fn direct_delivery_fans_out_from_the_publisher() {
 #[tokio::test]
 async fn region_manager_reports_interval_statistics() {
     let (brokers, addrs) = mesh(2).await;
-    brokers[0].install_config("metrics", 0b01, WireMode::Direct);
-    brokers[1].install_config("metrics", 0b01, WireMode::Direct);
+    brokers[0].install_config_at("metrics", 0b01, WireMode::Direct, 1);
+    brokers[1].install_config_at("metrics", 0b01, WireMode::Direct, 1);
 
     let mut subscriber = SubscriberClient::new(ClientConfig {
         client_id: 30,
@@ -488,7 +488,7 @@ async fn reconfiguration_loses_no_messages_during_switch() {
         if i == 10 {
             // Flip the topic to region-0-only mid-stream.
             for broker in &brokers {
-                broker.install_config("stream", 0b01, WireMode::Direct);
+                broker.install_config_at("stream", 0b01, WireMode::Direct, 1);
             }
         }
         publisher.publish("stream", format!("{i}").into_bytes()).await.unwrap();

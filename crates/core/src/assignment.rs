@@ -276,86 +276,6 @@ impl fmt::Display for Configuration {
     }
 }
 
-/// A monotonically-increasing per-topic configuration version.
-///
-/// Every committed reconfiguration of a topic advances its epoch by one;
-/// brokers and clients reject configuration updates carrying an epoch
-/// older than the one they hold, so a delayed or replayed update can
-/// never roll a topic back to a retired placement. Epoch 0 is reserved
-/// for the implicit bootstrap configuration (all regions, routed) that
-/// exists before the controller ever places the topic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Epoch(u64);
-
-impl Epoch {
-    /// The pre-placement bootstrap epoch.
-    pub const INITIAL: Epoch = Epoch(0);
-
-    /// Wraps a raw epoch counter (e.g. one read off the wire).
-    pub fn new(value: u64) -> Self {
-        Epoch(value)
-    }
-
-    /// The raw counter value.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-
-    /// The epoch after this one.
-    pub fn next(self) -> Epoch {
-        Epoch(self.0 + 1)
-    }
-}
-
-impl fmt::Display for Epoch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "e{}", self.0)
-    }
-}
-
-/// A [`Configuration`] paired with the [`Epoch`] at which it was
-/// committed.
-///
-/// [`Configuration`] itself stays epoch-free on purpose: the optimizer
-/// compares candidate configurations by value (assignment + mode), and an
-/// embedded version counter would make every freshly-enumerated candidate
-/// unequal to the installed one. The controller tracks the pair instead
-/// and only mints a new epoch when the configuration actually changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct VersionedConfiguration {
-    configuration: Configuration,
-    epoch: Epoch,
-}
-
-impl VersionedConfiguration {
-    /// Pairs a configuration with its commit epoch.
-    pub fn new(configuration: Configuration, epoch: Epoch) -> Self {
-        VersionedConfiguration { configuration, epoch }
-    }
-
-    /// The configuration.
-    pub fn configuration(&self) -> Configuration {
-        self.configuration
-    }
-
-    /// The epoch the configuration was committed at.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
-    }
-
-    /// The versioned successor: `configuration` committed at the next
-    /// epoch after this one.
-    pub fn succeeded_by(&self, configuration: Configuration) -> VersionedConfiguration {
-        VersionedConfiguration { configuration, epoch: self.epoch.next() }
-    }
-}
-
-impl fmt::Display for VersionedConfiguration {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.configuration, self.epoch)
-    }
-}
-
 /// Enumerates every configuration over a set of allowed regions under a
 /// [`ModePolicy`].
 ///
@@ -569,34 +489,5 @@ pub(crate) mod tests {
         assert_eq!(configuration_count(1), 1);
         assert_eq!(configuration_count(2), 4);
         assert_eq!(configuration_count(10), 2036);
-    }
-
-    #[test]
-    fn epoch_ordering_and_succession() {
-        let e0 = Epoch::INITIAL;
-        let e1 = e0.next();
-        assert_eq!(e0.get(), 0);
-        assert_eq!(e1.get(), 1);
-        assert!(e0 < e1);
-        assert_eq!(Epoch::new(7).to_string(), "e7");
-    }
-
-    #[test]
-    fn versioned_configuration_mints_monotonic_epochs() {
-        let a = Configuration::new(
-            AssignmentVector::single(RegionId(0), 2).unwrap(),
-            DeliveryMode::Direct,
-        );
-        let b =
-            Configuration::new(AssignmentVector::from_mask(0b11, 2).unwrap(), DeliveryMode::Routed);
-        let v1 = VersionedConfiguration::new(a, Epoch::INITIAL.next());
-        let v2 = v1.succeeded_by(b);
-        assert_eq!(v1.epoch().get(), 1);
-        assert_eq!(v2.epoch().get(), 2);
-        assert_eq!(v2.configuration(), b);
-        // The configuration itself stays epoch-free: candidates compare
-        // equal to the installed value regardless of version history.
-        assert_eq!(v2.configuration(), Configuration::new(b.assignment(), b.mode()));
-        assert_eq!(v2.to_string(), "{R0,R1} routed@e2");
     }
 }

@@ -418,7 +418,8 @@ frames! {
         mask: u32,
         /// Pending delivery mode.
         mode: DeliveryMode,
-        /// The epoch being prepared (committed epoch + 1).
+        /// The epoch being prepared, freshly minted: past every epoch the
+        /// coordinator minted before, aborted attempts' included.
         epoch: u64,
     },
     /// Controller → broker: phase two — all participants acked the

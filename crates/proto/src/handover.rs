@@ -73,12 +73,6 @@ impl TopicView {
         self.committed.map_or(0, |config| config.epoch)
     }
 
-    /// The epoch a locally minted configuration takes: one past the
-    /// committed one.
-    pub fn next_epoch(&self) -> u64 {
-        self.committed_epoch() + 1
-    }
-
     /// The epoch gate. An older epoch is rejected and changes nothing
     /// (`Err` carries the committed epoch); an equal one re-applies, so
     /// replays stay idempotent; a newer one installs and retires a
@@ -235,7 +229,6 @@ mod tests {
         assert!(view.prepare(config(0b100, ROUTED, 1), 0b011));
         assert!(view.abort(1));
         assert_eq!(view.committed(), None);
-        assert_eq!(view.next_epoch(), 1);
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! ```
 
 mod codec;
+mod coordinator;
 mod frame;
 mod handover;
 mod policy;
@@ -54,6 +55,7 @@ mod policy;
 pub use codec::{
     decode, encode, peek_trace, stamp_queue_write, CodecError, Decoded, MAX_FRAME_BYTES,
 };
+pub use coordinator::{Action, Control, Coordinator, Event, Phase};
 pub use frame::{Frame, Role, TraceContext, KNOWN_TAGS};
 pub use handover::{InstalledConfig, Route, TopicView};
 pub use policy::SlowConsumerPolicy;

@@ -1,13 +1,14 @@
 //! The seeded handover checker: brokers and clients that follow one topic
-//! through [`TopicView`], a scripted coordinator that re-deploys it the
-//! way the live controller's `handover()` and `deploy()` do, and an event
-//! queue that delays, duplicates and replays their control frames, all on
-//! a virtual millisecond clock. Each seed is one schedule; after every
-//! event the checker holds the invariants of DESIGN.md §15:
+//! through [`TopicView`], the real [`Coordinator`] driven by a thin adapter
+//! that turns its actions into events, and an event queue that delays,
+//! duplicates and replays their control frames, all on a virtual
+//! millisecond clock. Each seed is one schedule; after every event the
+//! checker holds the invariants of DESIGN.md §15:
 //!
 //! * every node's committed epoch only grows;
-//! * no gap: each publication reaches a region every subscriber is
-//!   subscribed at, at that instant;
+//! * no gap: each publication that reached a live broker reaches a region
+//!   every subscriber homed on a live region is subscribed at, at that
+//!   instant;
 //! * duplicates stay within one copy per (region the publisher reached,
 //!   region the subscriber is on) — forwards are never re-forwarded;
 //! * an abort leaves every committed view unchanged, and a late abort
@@ -21,18 +22,19 @@
 //!
 //! The model's timing: control frames travel FIFO per link within
 //! [`CONTROL_DELAY_MS`], a broker's `ConfigUpdate` reaches a client within
-//! [`CLIENT_DELAY_MS`] (well inside the [`GRACE_MS`] drain), and a
-//! subscriber drops its old region within [`OVERLAP_MS`] of subscribing
-//! at the new one. Handovers run back to back, the next one often starting
-//! inside the previous one's grace window, while clients may still follow
-//! the configuration before. Acks are matched to their handover attempt,
-//! and a broker's data path stays up when its control link is dead. Every
-//! schedule starts with the topic placed everywhere; a first placement by
-//! handover and a dead retiring region are not modelled (ROADMAP item 8).
-//! The client bound matters: at 60 ms, seed 1641 of 20 000 finds a
-//! publisher two configurations behind that steers to a broker the second
-//! handover left out, which the coordinator's old ∪ new participant set
-//! cannot cover (ROADMAP item 8 too).
+//! [`CLIENT_DELAY_MS`], and a subscriber drops its old region within
+//! [`OVERLAP_MS`] of subscribing at the new one. Handovers run back to
+//! back, the next one often starting inside the previous one's grace
+//! window, while clients may still follow the configuration before or the
+//! one before that. A schedule may start with the topic unplaced, so that
+//! its first placement is a handover. A handover may find a new serving
+//! region's control link down (its data path stays up) until some time
+//! after it ends, when the link comes back and the committed configuration
+//! is replayed. A retiring broker may crash just before a handover, which
+//! then leaves it out, or mid-drain: its link and data path go down for
+//! good, what it already sent still arrives, and every client notices
+//! within [`FAILOVER_MS`], a subscriber homed there re-homing to the
+//! closest live region its view serves from.
 
 mod common;
 
@@ -40,7 +42,7 @@ use common::{for_each_seed, SplitMix64};
 use multipub_core::assignment::{AssignmentVector, DeliveryMode};
 use multipub_core::delivery::closest_region;
 use multipub_core::ids::RegionId;
-use multipub_proto::{InstalledConfig, TopicView};
+use multipub_proto::{Action, Control, Coordinator, InstalledConfig, Phase, TopicView};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -52,11 +54,13 @@ const GRACE_MS: u64 = 100;
 /// Upper bound of a controller ↔ broker hop.
 const CONTROL_DELAY_MS: u64 = 15;
 /// Upper bound of a broker → client `ConfigUpdate`.
-const CLIENT_DELAY_MS: u64 = 30;
+const CLIENT_DELAY_MS: u64 = 60;
 /// Upper bound of a subscriber's make-before-break overlap.
 const OVERLAP_MS: u64 = 5;
 /// The coordinator's per-phase ack deadline.
 const ACK_TIMEOUT_MS: u64 = 50;
+/// Upper bound of a client noticing a crashed broker.
+const FAILOVER_MS: u64 = 20;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Placement {
@@ -68,14 +72,17 @@ struct Placement {
 enum Op {
     /// A fire-and-forget `ConfigUpdate` to every live broker.
     Deploy(Placement),
-    /// The three-phase handover; `dead` names a region whose control
-    /// link is down for it, `lost_ack` one whose prepare ack is lost.
-    Handover { to: Placement, dead: Option<usize>, lost_ack: Option<usize> },
+    /// The three-phase handover; `dead` names a new serving region whose
+    /// control link is down for it, or a retiring one whose broker crashes
+    /// just before it; `late_ack` a region whose prepare ack comes back
+    /// only after the ack timeout.
+    Handover { to: Placement, dead: Option<usize>, late_ack: Option<usize> },
 }
 
 /// One schedule: the deployment, the coordinator's operations (each after
-/// a pause) and the broker-side stale replays, plus the seed of every
-/// delay the run draws.
+/// a pause), the broker-side stale replays and the handover whose commit
+/// crashes one of its retiring brokers, plus the seed of every delay the
+/// run draws.
 #[derive(Debug, Clone)]
 struct Script {
     regions: usize,
@@ -83,10 +90,12 @@ struct Script {
     subscribers: Vec<Vec<f64>>,
     publishers: Vec<Vec<f64>>,
     publish_every_ms: u64,
-    initial: Placement,
+    /// `None`: the topic starts unplaced.
+    initial: Option<Placement>,
     ops: Vec<(u64, Op)>,
     /// `(at_ms, broker)`: a late replay of an already superseded frame.
     stale_replays: Vec<(u64, usize)>,
+    crash: Option<usize>,
     timing_seed: u64,
 }
 
@@ -109,6 +118,7 @@ impl Script {
         let initial = placement(&mut rng);
         let mut committed = initial;
         let mut ops = Vec::new();
+        let mut retiring = Vec::new();
         for _ in 0..1 + rng.below(4) {
             let mut to = placement(&mut rng);
             while to == committed {
@@ -120,28 +130,42 @@ impl Script {
                 (!fresh.is_empty() && rng.below(6) == 0).then(|| fresh[rng.below(fresh.len())]);
             let participants: Vec<usize> =
                 (0..regions).filter(|r| (to.mask | committed.mask) & 1 << r != 0).collect();
-            let lost_ack = (rng.below(6) == 0).then(|| participants[rng.below(participants.len())]);
-            if dead.is_none() && lost_ack.is_none() {
+            let late_ack = (rng.below(6) == 0).then(|| participants[rng.below(participants.len())]);
+            retiring.push(committed.mask & !to.mask);
+            if dead.is_none() && late_ack.is_none() {
                 committed = to;
             }
             // Pauses skew short: most handovers start inside the grace
             // window of the one before.
             let longest = rng.below(GRACE_MS as usize) + 1;
-            ops.push((rng.below(longest) as u64, Op::Handover { to, dead, lost_ack }));
+            ops.push((rng.below(longest) as u64, Op::Handover { to, dead, late_ack }));
         }
         let horizon = 300 * ops.len() as u64;
         let stale_replays = (0..rng.below(6))
             .map(|_| (rng.below(horizon as usize) as u64, rng.below(regions)))
             .collect();
+        let publish_every_ms = 1 + rng.below(4) as u64;
+        let timing_seed = rng.next_u64();
+        // Drawn last, so that every schedule without them stays as it was.
+        let initial = (rng.below(4) != 0).then_some(initial);
+        for ((_, op), retiring) in ops.iter_mut().zip(retiring) {
+            if let Op::Handover { dead: dead @ None, .. } = op {
+                if retiring != 0 && rng.below(8) == 0 {
+                    *dead = bits(retiring).nth(rng.below(retiring.count_ones() as usize));
+                }
+            }
+        }
+        let crash = (rng.below(4) == 0).then(|| rng.below(ops.len()));
         Script {
             regions,
             subscribers,
             publishers,
-            publish_every_ms: 1 + rng.below(4) as u64,
+            publish_every_ms,
             initial,
             ops,
             stale_replays,
-            timing_seed: rng.next_u64(),
+            crash,
+            timing_seed,
         }
     }
 
@@ -151,19 +175,14 @@ impl Script {
 }
 
 #[derive(Debug, Clone, Copy)]
-enum Control {
-    Update(InstalledConfig),
-    Prepare(InstalledConfig),
-    Commit { epoch: u64, grace_ms: u64 },
-    Abort(u64),
-}
-
-#[derive(Debug, Clone, Copy)]
 enum Event {
     NextOp,
-    Control { broker: usize, attempt: u64, frame: Control },
-    Ack { broker: usize, attempt: u64, phase: u8 },
-    Timeout { attempt: u64, phase: u8 },
+    Control { broker: usize, frame: Control },
+    Ack { broker: usize, epoch: u64, phase: u8 },
+    Timeout { epoch: u64, phase: Phase },
+    LinkUp { broker: usize },
+    Crash { broker: usize },
+    Failover { client: usize },
     ToClient { client: usize, config: InstalledConfig },
     Unsubscribe { client: usize, region: usize },
     Publish { client: usize },
@@ -187,22 +206,27 @@ struct ClientNode {
     connected: BTreeSet<usize>,
     role: Role,
     floor: u64,
+    /// The client has noticed the crashed broker and steers around it.
+    noticed: bool,
 }
 
-enum Phase {
-    Idle,
-    Prepare { config: InstalledConfig, awaiting: u32, acked: u32, lost_ack: Option<usize> },
-    Commit { awaiting: u32, acked: u32 },
-}
-
-struct Coordinator {
-    installed: Option<InstalledConfig>,
+/// The coordinator with what the adapter remembers around it.
+struct Coordination {
+    core: Coordinator,
+    /// Every configuration the coordinator committed, in order.
     history: Vec<InstalledConfig>,
     next_op: usize,
-    attempt: u64,
-    phase: Phase,
-    /// Every broker's committed view when the running handover started.
+    /// Regions whose control link is down.
+    down: u32,
+    late_ack: Option<usize>,
+    /// The region whose link the running handover took down.
+    relink: Option<usize>,
+    /// Every broker's committed view when the running handover started,
+    /// and the epoch it aborted at, until the next operation starts.
     snapshot: Vec<Option<InstalledConfig>>,
+    aborted: Option<u64>,
+    /// Brokers of which the first to commit the running handover crashes.
+    crash_candidates: u32,
 }
 
 /// What a run leaves behind for the named scenarios to inspect.
@@ -224,7 +248,8 @@ struct World {
     link_clock: Vec<u64>,
     brokers: Vec<BrokerNode>,
     clients: Vec<ClientNode>,
-    coordinator: Coordinator,
+    coordination: Coordination,
+    crashed: Option<usize>,
     traffic_until: Option<u64>,
     last_deadline: u64,
     stats: Stats,
@@ -241,36 +266,40 @@ fn closest(latencies: &[f64], mask: u32) -> usize {
 }
 
 impl World {
-    /// The deployment with `script.initial` placed everywhere: every
-    /// broker and client has installed it, and every subscriber is
-    /// subscribed at its closest serving region.
+    /// The deployment: `script.initial`, if any, placed everywhere as the
+    /// coordinator's first deploy, every broker and client having
+    /// installed it, and every subscriber subscribed at its closest
+    /// serving region.
     fn new(script: Script) -> World {
-        let initial =
-            InstalledConfig { mask: script.initial.mask, mode: script.initial.mode, epoch: 1 };
-        let placed = || {
-            let mut view = TopicView::default();
-            view.install(initial).expect("a first install");
-            view
-        };
+        let all = script.all();
+        let mut core = Coordinator::new(all);
+        let mut view = TopicView::default();
+        if let Some(Placement { mask, mode }) = script.initial {
+            core.handle(multipub_proto::Event::Deploy { mask, mode });
+            view.install(core.committed().expect("a deploy commits")).expect("a first install");
+        }
+        let home_mask = view.committed().map_or(all, |config| config.mask);
+        let floor = view.committed().map_or(0, |config| config.epoch);
         let brokers = (0..script.regions)
-            .map(|_| BrokerNode { view: placed(), clients: BTreeSet::new(), floor: 1 })
+            .map(|_| BrokerNode { view: view.clone(), clients: BTreeSet::new(), floor })
             .collect();
         let publishers = script.publishers.iter().map(|latencies| (latencies, None));
         let subscribers = script
             .subscribers
             .iter()
-            .map(|latencies| (latencies, Some(closest(latencies, initial.mask))));
+            .map(|latencies| (latencies, Some(closest(latencies, home_mask))));
         let clients = publishers
             .chain(subscribers)
             .map(|(latencies, home)| ClientNode {
                 latencies: latencies.clone(),
-                view: placed(),
+                view: view.clone(),
                 connected: home.into_iter().collect(),
                 role: match home {
                     Some(home) => Role::Subscriber { home, leaving: BTreeSet::new() },
                     None => Role::Publisher,
                 },
-                floor: 1,
+                floor,
+                noticed: false,
             })
             .collect();
         let mut world = World {
@@ -282,14 +311,18 @@ impl World {
             link_clock: vec![0; script.regions],
             brokers,
             clients,
-            coordinator: Coordinator {
-                installed: Some(initial),
-                history: vec![initial],
+            coordination: Coordination {
+                history: core.committed().into_iter().collect(),
+                core,
                 next_op: 0,
-                attempt: 0,
-                phase: Phase::Idle,
+                down: 0,
+                late_ack: None,
+                relink: None,
                 snapshot: Vec::new(),
+                aborted: None,
+                crash_candidates: 0,
             },
+            crashed: None,
             traffic_until: None,
             last_deadline: 0,
             stats: Stats::default(),
@@ -338,9 +371,26 @@ impl World {
     fn handle(&mut self, event: Event) {
         match event {
             Event::NextOp => self.next_op(),
-            Event::Control { broker, attempt, frame } => self.control(broker, attempt, frame),
-            Event::Ack { broker, attempt, phase } => self.ack(broker, attempt, phase),
-            Event::Timeout { attempt, phase } => self.timeout(attempt, phase),
+            Event::Control { broker, frame } => self.control(broker, frame),
+            Event::Ack { broker, epoch, phase } => {
+                let down = self.coordination.down;
+                if down & 1 << broker == 0 {
+                    let (region, live) = (RegionId(broker as u8), self.script.all() & !down);
+                    self.drive(multipub_proto::Event::Ack { region, epoch, phase, live });
+                }
+            }
+            Event::Timeout { epoch, phase } => {
+                self.drive(multipub_proto::Event::Timeout { epoch, phase });
+            }
+            Event::LinkUp { broker } => self.link_up(broker),
+            Event::Crash { broker } => {
+                // Unless a handover since made it serve, or another crashed.
+                let committed = self.coordination.core.committed();
+                if self.crashed.is_none() && committed.is_none_or(|c| c.mask & 1 << broker == 0) {
+                    self.crash(broker);
+                }
+            }
+            Event::Failover { client } => self.failover(client),
             Event::ToClient { client, config } => self.client_update(client, config),
             Event::Unsubscribe { client, region } => {
                 if let Role::Subscriber { home, leaving } = &mut self.clients[client].role {
@@ -354,154 +404,156 @@ impl World {
         }
     }
 
-    // ---- the coordinator ------------------------------------------------
+    // ---- the adapter around the coordinator ------------------------------
+
+    /// Hands the coordinator one event and turns its actions into events.
+    fn drive(&mut self, event: multipub_proto::Event) {
+        for action in self.coordination.core.handle(event) {
+            match action {
+                Action::Send { control, regions } => {
+                    for broker in bits(regions & !self.coordination.down) {
+                        self.send(broker, control);
+                    }
+                }
+                Action::ArmTimer { epoch, phase } => {
+                    let after = if phase == Phase::Drain { GRACE_MS } else { ACK_TIMEOUT_MS };
+                    self.schedule(self.now + after, Event::Timeout { epoch, phase });
+                }
+                Action::Committed { .. } => {
+                    self.stats.commits += 1;
+                    self.finish();
+                }
+                Action::Aborted(epoch) => {
+                    self.stats.aborts += 1;
+                    self.coordination.aborted = Some(epoch);
+                    self.finish();
+                }
+            }
+        }
+        let committed = self.coordination.core.committed();
+        if committed.is_some() && self.coordination.history.last().copied() != committed {
+            self.coordination.history.extend(committed);
+        }
+    }
 
     /// Sends a control frame down the broker's FIFO link, sometimes twice.
-    fn send(&mut self, broker: usize, attempt: u64, frame: Control) {
+    fn send(&mut self, broker: usize, frame: Control) {
         for _ in 0..1 + usize::from(self.rng.below(8) == 0) {
             let at = self.delay(CONTROL_DELAY_MS).max(self.link_clock[broker]);
             self.link_clock[broker] = at;
-            self.schedule(at, Event::Control { broker, attempt, frame });
+            self.schedule(at, Event::Control { broker, frame });
         }
     }
 
     fn next_op(&mut self) {
-        let Some(&(_, op)) = self.script.ops.get(self.coordinator.next_op) else {
+        let coordination = &mut self.coordination;
+        let Some(&(_, op)) = self.script.ops.get(coordination.next_op) else {
             self.traffic_until = Some(self.now + 2 * GRACE_MS);
             return;
         };
-        self.coordinator.next_op += 1;
-        self.coordinator.attempt += 1;
-        let attempt = self.coordinator.attempt;
-        let installed = self.coordinator.installed;
-        let epoch = installed.map_or(1, |config| config.epoch + 1);
+        let crashes = self.script.crash == Some(coordination.next_op) && self.crashed.is_none();
+        coordination.next_op += 1;
+        coordination.aborted = None;
         match op {
-            Op::Deploy(to) => {
-                let config = InstalledConfig { mask: to.mask, mode: to.mode, epoch };
-                for broker in 0..self.script.regions {
-                    self.send(broker, attempt, Control::Update(config));
-                }
-                self.install_at_coordinator(config);
+            Op::Deploy(Placement { mask, mode }) => {
+                self.drive(multipub_proto::Event::Deploy { mask, mode });
                 self.finish();
             }
-            Op::Handover { to, dead, lost_ack } => {
-                self.coordinator.snapshot =
+            Op::Handover { to, dead, late_ack } => {
+                coordination.snapshot =
                     self.brokers.iter().map(|broker| broker.view.committed()).collect();
-                let config = InstalledConfig { mask: to.mask, mode: to.mode, epoch };
-                let participants = to.mask | installed.map_or(0, |config| config.mask);
-                let mut awaiting = 0;
-                let mut dead_new_region = false;
-                for region in bits(participants) {
-                    if Some(region) == dead {
-                        // A dead retiring region is skipped; a dead new
-                        // one aborts the handover.
-                        dead_new_region |= to.mask & 1 << region != 0;
-                    } else {
-                        self.send(region, attempt, Control::Prepare(config));
-                        awaiting |= 1 << region;
-                    }
+                coordination.late_ack = late_ack;
+                let old = coordination.core.committed().map_or(self.script.all(), |c| c.mask);
+                coordination.crash_candidates = if crashes { old & !to.mask } else { 0 };
+                let bit = dead.map_or(0, |dead| 1 << dead);
+                if bit & to.mask & !coordination.down != 0 {
+                    coordination.down |= bit;
+                    coordination.relink = dead;
+                } else if bit & old & !to.mask != 0 && old != bit && self.crashed.is_none() {
+                    self.crash(bit.trailing_zeros() as usize);
                 }
-                if dead_new_region {
-                    self.abort(epoch, dead);
-                    return;
-                }
-                self.coordinator.phase = Phase::Prepare { config, awaiting, acked: 0, lost_ack };
-                self.schedule(self.now + ACK_TIMEOUT_MS, Event::Timeout { attempt, phase: 0 });
+                let (grace_ms, live) =
+                    (GRACE_MS as u32, self.script.all() & !self.coordination.down);
+                self.drive(multipub_proto::Event::Handover {
+                    mask: to.mask,
+                    mode: to.mode,
+                    grace_ms,
+                    live,
+                });
             }
         }
     }
 
-    fn install_at_coordinator(&mut self, config: InstalledConfig) {
-        self.coordinator.installed = Some(config);
-        self.coordinator.history.push(config);
-    }
-
-    fn ack(&mut self, broker: usize, attempt: u64, phase: u8) {
-        if attempt != self.coordinator.attempt {
-            return;
-        }
-        match &mut self.coordinator.phase {
-            Phase::Prepare { awaiting, acked, lost_ack, .. } if phase == 0 => {
-                if *lost_ack == Some(broker) {
-                    return;
-                }
-                *acked |= 1 << broker;
-                if acked == awaiting {
-                    self.commit();
-                }
-            }
-            Phase::Commit { awaiting, acked } if phase == 1 => {
-                *acked |= 1 << broker;
-                if acked == awaiting {
-                    self.finish();
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn timeout(&mut self, attempt: u64, phase: u8) {
-        if attempt != self.coordinator.attempt {
-            return;
-        }
-        match self.coordinator.phase {
-            Phase::Prepare { config, awaiting, acked, .. } if phase == 0 && acked != awaiting => {
-                self.abort(config.epoch, None);
-            }
-            // Missing commit acks are diagnostic only.
-            Phase::Commit { .. } if phase == 1 => self.finish(),
-            _ => {}
-        }
-    }
-
-    fn commit(&mut self) {
-        let Phase::Prepare { config, awaiting, .. } = self.coordinator.phase else { return };
-        self.install_at_coordinator(config);
-        let attempt = self.coordinator.attempt;
-        for region in bits(awaiting) {
-            self.send(region, attempt, Control::Commit { epoch: config.epoch, grace_ms: GRACE_MS });
-        }
-        self.coordinator.phase = Phase::Commit { awaiting, acked: 0 };
-        self.schedule(self.now + ACK_TIMEOUT_MS, Event::Timeout { attempt, phase: 1 });
-        self.stats.commits += 1;
-    }
-
-    /// Rolls the running handover back: as its aborts land, every
-    /// broker's committed view must be what it was when it started.
-    fn abort(&mut self, epoch: u64, dead: Option<usize>) {
-        let attempt = self.coordinator.attempt;
-        for broker in (0..self.script.regions).filter(|&broker| Some(broker) != dead) {
-            self.send(broker, attempt, Control::Abort(epoch));
-        }
-        self.stats.aborts += 1;
-        self.finish();
-    }
-
+    /// The operation ended: a link it took down comes back a while later,
+    /// and the next operation follows its pause, once that link is back.
+    /// A broker that serves while its link is down is outside the
+    /// coordinator's failure model, so no handover may start meanwhile.
     fn finish(&mut self) {
-        self.coordinator.phase = Phase::Idle;
-        let pause = self.script.ops.get(self.coordinator.next_op).map_or(0, |(pause, _)| *pause);
-        self.schedule(self.now + pause, Event::NextOp);
+        let mut start = self.now;
+        if let Some(broker) = self.coordination.relink.take() {
+            start = self.delay(2 * GRACE_MS);
+            self.schedule(start, Event::LinkUp { broker });
+        }
+        let next = self.coordination.next_op;
+        let pause = self.script.ops.get(next).map_or(0, |(pause, _)| *pause);
+        self.schedule(start + pause, Event::NextOp);
+    }
+
+    /// A link back up gets the committed configuration replayed.
+    fn link_up(&mut self, broker: usize) {
+        if self.crashed == Some(broker) {
+            return;
+        }
+        self.coordination.down &= !(1 << broker);
+        if let Some(config) = self.coordination.core.committed() {
+            self.send(broker, Control::Update(config));
+        }
+    }
+
+    /// A retiring broker crashes for good.
+    fn crash(&mut self, broker: usize) {
+        self.crashed = Some(broker);
+        self.coordination.down |= 1 << broker;
+        for client in 0..self.clients.len() {
+            let at = self.delay(FAILOVER_MS);
+            self.schedule(at, Event::Failover { client });
+        }
     }
 
     // ---- the brokers ----------------------------------------------------
 
-    fn control(&mut self, broker: usize, attempt: u64, frame: Control) {
+    fn control(&mut self, broker: usize, frame: Control) {
+        if self.crashed == Some(broker) {
+            return;
+        }
         let mut ack = None;
         match frame {
-            Control::Update(config) => self.update(broker, config),
+            Control::Update(config) => {
+                // A replay to a link back up moves the view, not a handover.
+                self.update(broker, config);
+                let committed = self.brokers[broker].view.committed();
+                if let Some(before) = self.coordination.snapshot.get_mut(broker) {
+                    *before = committed;
+                }
+            }
             Control::Prepare(config) => {
                 self.brokers[broker].view.prepare(config, self.script.all());
-                ack = Some(0);
+                ack = Some((config.epoch, 0));
             }
             Control::Commit { epoch, grace_ms } => {
-                let deadline = self.now + grace_ms;
+                let deadline = self.now + u64::from(grace_ms);
                 let until = self.instant(deadline);
                 let committed = self.brokers[broker].view.commit(epoch, until);
                 if let Some(config) = committed {
                     self.last_deadline = self.last_deadline.max(deadline);
                     self.fan_out(broker, config);
+                    if self.coordination.crash_candidates & 1 << broker != 0 {
+                        self.coordination.crash_candidates = 0;
+                        let at = self.delay(GRACE_MS - 1) + 1;
+                        self.schedule(at, Event::Crash { broker });
+                    }
                 }
-                ack = Some(1);
+                ack = Some((epoch, 1));
             }
             Control::Abort(epoch) => {
                 let view = &mut self.brokers[broker].view;
@@ -514,22 +566,24 @@ impl World {
                     before.committed(),
                     "an abort changed a committed view"
                 );
-                if matches!(self.coordinator.phase, Phase::Idle)
-                    && attempt == self.coordinator.attempt
-                {
-                    let snapshot = &self.coordinator.snapshot;
+                if self.coordination.aborted == Some(epoch) {
+                    let snapshot = &self.coordination.snapshot;
                     let views: Vec<_> = self.brokers.iter().map(|b| b.view.committed()).collect();
                     assert_eq!(&views, snapshot, "a rolled-back handover moved a committed view");
                 }
             }
         }
         self.check_floor_broker(broker);
-        if let Some(phase) = ack {
-            let at = self.delay(CONTROL_DELAY_MS);
-            self.schedule(at, Event::Ack { broker, attempt, phase });
+        if let Some((epoch, phase)) = ack {
+            let late = phase == 0 && self.coordination.late_ack == Some(broker);
+            let at = if late {
+                ACK_TIMEOUT_MS + self.delay(ACK_TIMEOUT_MS)
+            } else {
+                self.delay(CONTROL_DELAY_MS)
+            };
+            self.schedule(at, Event::Ack { broker, epoch, phase });
         }
     }
-
     fn update(&mut self, broker: usize, config: InstalledConfig) {
         let view = &mut self.brokers[broker].view;
         let before = view.clone();
@@ -556,7 +610,7 @@ impl World {
     fn stale_replay(&mut self, broker: usize) {
         let Some(committed) = self.brokers[broker].view.committed() else { return };
         let past: Vec<InstalledConfig> = self
-            .coordinator
+            .coordination
             .history
             .iter()
             .copied()
@@ -588,15 +642,22 @@ impl World {
 
     // ---- the clients ----------------------------------------------------
 
-    fn config_of(&self, client: usize) -> InstalledConfig {
-        let committed = self.clients[client].view.committed();
-        committed.unwrap_or(InstalledConfig::unplaced(self.script.all()))
+    /// The serving set a client steers by: its view's, less the crashed
+    /// broker once it noticed.
+    fn usable(&self, client: usize) -> u32 {
+        let node = &self.clients[client];
+        let mask = node.view.committed().map_or(self.script.all(), |config| config.mask);
+        match self.crashed {
+            Some(crashed) if node.noticed => mask & !(1 << crashed),
+            _ => mask,
+        }
     }
 
     /// Opens a client's connection to a region's broker, which replays
-    /// its committed configuration to the newcomer.
+    /// its committed configuration to the newcomer. A crashed broker
+    /// takes no connection.
     fn connect(&mut self, client: usize, region: usize) {
-        if self.clients[client].connected.insert(region) {
+        if self.crashed != Some(region) && self.clients[client].connected.insert(region) {
             self.brokers[region].clients.insert(client);
             if let Some(config) = self.brokers[region].view.committed() {
                 let at = self.delay(CLIENT_DELAY_MS);
@@ -618,10 +679,18 @@ impl World {
             node.floor
         );
         node.floor = epoch;
-        // A subscriber re-steers make-before-break: subscribe at the new
-        // closest serving region first, drop the old one a little later.
-        let target = closest(&self.clients[client].latencies, self.config_of(client).mask);
+        self.resteer(client, OVERLAP_MS);
+    }
+
+    /// A subscriber re-steers make-before-break: subscribe at the closest
+    /// region it can steer to first, drop the old one within `overlap`.
+    fn resteer(&mut self, client: usize, overlap: u64) {
+        let usable = self.usable(client);
         let Role::Subscriber { home, .. } = self.clients[client].role else { return };
+        if usable == 0 {
+            return;
+        }
+        let target = closest(&self.clients[client].latencies, usable);
         if target == home {
             return;
         }
@@ -631,44 +700,55 @@ impl World {
             leaving.remove(&target);
             *home = target;
         }
-        let at = self.delay(OVERLAP_MS);
+        let at = self.delay(overlap);
         self.schedule(at, Event::Unsubscribe { client, region: home });
     }
 
+    /// The client notices the crashed broker: it drops the connection,
+    /// and a subscriber homed there re-homes at once.
+    fn failover(&mut self, client: usize) {
+        let Some(crashed) = self.crashed else { return };
+        self.clients[client].noticed = true;
+        self.clients[client].connected.remove(&crashed);
+        self.brokers[crashed].clients.remove(&client);
+        self.resteer(client, 0);
+    }
+
     /// One publication, steered by the publisher's own view: direct to
-    /// every serving region, routed to the closest one. Each broker it
-    /// lands on forwards by its own view; every subscriber must be on a
-    /// region it reached.
+    /// every serving region, routed to the closest one. Each live broker
+    /// it lands on forwards by its own view; every subscriber homed on a
+    /// live region must be on a region it reached. A publication only the
+    /// crashed broker took is lost, as QoS 0 allows.
     fn publish(&mut self, client: usize) {
-        let config = self.config_of(client);
-        let (sent, single_target) = match config.mode {
-            DeliveryMode::Direct => (config.mask, false),
-            DeliveryMode::Routed => {
-                (1 << closest(&self.clients[client].latencies, config.mask), true)
-            }
+        let config = self.clients[client].view.committed();
+        let epoch = config.map_or(0, |config| config.epoch);
+        let usable = self.usable(client);
+        let (sent, single_target) = match config.map_or(DeliveryMode::Routed, |c| c.mode) {
+            _ if usable == 0 => (0, true),
+            DeliveryMode::Direct => (usable, false),
+            DeliveryMode::Routed => (1 << closest(&self.clients[client].latencies, usable), true),
         };
+        let live = !self.crashed.map_or(0, |crashed| 1 << crashed);
         let mut arrivals = [0u32; 32];
         let now = self.instant(self.now);
-        for region in bits(sent) {
+        for region in bits(sent & live) {
             self.connect(client, region);
             arrivals[region] += 1;
             let view = &mut self.brokers[region].view;
-            let route = view.route(
-                RegionId(region as u8),
-                single_target,
-                config.epoch,
-                self.script.all(),
-                now,
-            );
+            let route =
+                view.route(RegionId(region as u8), single_target, epoch, self.script.all(), now);
             assert_eq!(route.targets & 1 << region, 0, "a broker forwarded to itself");
-            for target in bits(route.targets) {
+            for target in bits(route.targets & live) {
                 arrivals[target] += 1;
             }
         }
         self.stats.publishes += 1;
-        let _ = write!(self.trace, "  epoch {} sent {sent:#b} copies", config.epoch);
+        let _ = write!(self.trace, "  epoch {epoch} sent {sent:#b} copies");
         for (subscriber, node) in self.clients.iter().enumerate() {
             let Role::Subscriber { home, leaving } = &node.role else { continue };
+            if sent & live == 0 || live & 1 << home == 0 {
+                continue;
+            }
             let on: Vec<usize> = leaving.iter().copied().chain([*home]).collect();
             let copies: u32 = on.iter().map(|&region| arrivals[region]).sum();
             assert!(
@@ -710,6 +790,9 @@ impl World {
         let all = self.script.all();
         for (region, broker) in self.brokers.iter_mut().enumerate() {
             let Some(committed) = broker.view.committed() else { continue };
+            if self.crashed == Some(region) {
+                continue;
+            }
             let route =
                 broker.view.route(RegionId(region as u8), true, committed.epoch, all, after);
             assert_eq!(
@@ -719,7 +802,7 @@ impl World {
             );
             assert_eq!(route.bridged, 0);
         }
-        let installed = self.coordinator.installed;
+        let installed = self.coordination.core.committed();
         for region in bits(installed.map_or(0, |config| config.mask)) {
             assert_eq!(self.brokers[region].view.committed(), installed, "serving broker {region}");
         }
@@ -744,6 +827,31 @@ fn seeded_handover_schedules_keep_every_invariant() {
     });
 }
 
+/// The checker over 50 000 schedules, in the release chaos job.
+#[test]
+#[ignore = "50 000 schedules; run in release with --include-ignored"]
+fn fifty_thousand_seeded_handover_schedules() {
+    for_each_seed(50_000, |seed| {
+        check(Script::random(seed));
+    });
+}
+
+/// A publisher two configurations behind steers to a broker that only the
+/// first of two back-to-back handovers involved; the second one prepares
+/// it too, so it bridges to the subscribers' new home.
+#[test]
+fn seed_1641_two_configurations_behind() {
+    check(Script::random(1641));
+}
+
+/// A prepare ack that comes back after its attempt timed out names an
+/// epoch no retry reuses, so it cannot commit the retry before that
+/// broker has prepared it.
+#[test]
+fn seed_19351_late_ack_of_an_aborted_attempt() {
+    check(Script::random(19351));
+}
+
 // ---- named seeds: the live reconfiguration tests as schedules -------------
 
 fn placement(mask: u32, mode: DeliveryMode) -> Placement {
@@ -751,7 +859,7 @@ fn placement(mask: u32, mode: DeliveryMode) -> Placement {
 }
 
 fn handover(mask: u32, mode: DeliveryMode) -> Op {
-    Op::Handover { to: placement(mask, mode), dead: None, lost_ack: None }
+    Op::Handover { to: placement(mask, mode), dead: None, late_ack: None }
 }
 
 fn two_regions(initial: Placement, ops: Vec<(u64, Op)>, clients: bool) -> Script {
@@ -761,9 +869,10 @@ fn two_regions(initial: Placement, ops: Vec<(u64, Op)>, clients: bool) -> Script
         subscribers: latencies.clone(),
         publishers: latencies,
         publish_every_ms: 2,
-        initial,
+        initial: Some(initial),
         ops,
         stale_replays: Vec::new(),
+        crash: None,
         timing_seed: 1,
     }
 }
@@ -780,7 +889,7 @@ fn deploys_mint_monotonic_epochs_and_stale_updates_are_rejected() {
     let deploy = Op::Deploy(placement(0b10, DeliveryMode::Routed));
     let mut world =
         check(two_regions(placement(0b01, DeliveryMode::Direct), vec![(0, deploy)], false));
-    assert_eq!(world.coordinator.installed, config(0b10, DeliveryMode::Routed, 2));
+    assert_eq!(world.coordination.core.committed(), config(0b10, DeliveryMode::Routed, 2));
     assert_eq!(world.brokers[0].view.committed(), config(0b10, DeliveryMode::Routed, 2));
     let stale = InstalledConfig { mask: 0b01, mode: DeliveryMode::Direct, epoch: 1 };
     world.update(0, stale);
@@ -822,10 +931,10 @@ fn live_qos0_handover_loses_nothing() {
 #[test]
 fn broker_killed_mid_prepare_rolls_back() {
     let to = placement(0b10, DeliveryMode::Routed);
-    let ops = vec![(100, Op::Handover { to, dead: Some(1), lost_ack: None })];
+    let ops = vec![(100, Op::Handover { to, dead: Some(1), late_ack: None })];
     let world = check(two_regions(placement(0b01, DeliveryMode::Direct), ops, true));
     assert_eq!((world.stats.commits, world.stats.aborts), (0, 1));
-    assert_eq!(world.coordinator.installed, config(0b01, DeliveryMode::Direct, 1));
+    assert_eq!(world.coordination.core.committed(), config(0b01, DeliveryMode::Direct, 1));
     assert_eq!(world.brokers[0].view.committed(), config(0b01, DeliveryMode::Direct, 1));
     assert!(world.stats.publishes >= 100, "delivery continued after the rollback");
 }
