@@ -13,20 +13,29 @@
 //!    (billing inter-region egress); every receiving broker then delivers
 //!    to its local subscribers (billing Internet egress).
 //!
-//! A **Reconfigure** event swaps one topic's routing tables.
+//! A **Reconfigure** event installs a topic's new routing table; one to the
+//! configuration the topic already runs builds none.
 //!
 //! **A delivery is written when it is sent.** It is not an event: when the
 //! broker sends a copy to a subscriber it already knows when the copy lands,
 //! and landing reads no table, bills nothing, draws no random number and
-//! schedules nothing. So the broker appends a 16-byte entry to the delivery
-//! log — the publication's index in the publication table, the subscriber's
-//! index in its topic, and when the copy lands — and the report lists
-//! deliveries in the order the brokers sent them, building each
-//! [`crate::metrics::DeliveryRecord`] when it is read. Every measurement the
-//! report makes — counts, sums, percentiles by selection — is order-free; a
-//! caller that wants delivery-time order sorts by `delivered_at` with a
-//! stable sort, which keeps deliveries landing at the same instant in send
-//! order.
+//! schedules nothing. Most arrivals are **quiet**: the plan loses nothing
+//! and stalls no one, jitter is off, and no reorder or duplicate window is
+//! active, so every copy the broker sends lands exactly its subscriber's
+//! latency to the region later. A quiet arrival is one 24-byte line of the
+//! delivery log — the publication, the routing table, the region, the
+//! arrival time and how many per-copy lines came before it — and the
+//! report expands it into one delivery per subscriber of the table's group
+//! for that region when it is read. Every other arrival sends each copy on
+//! its own, drawing what it draws, and writes a 16-byte line per copy: the
+//! publication's index in the publication table, the subscriber's index in
+//! its topic, and when the copy lands. The report merges the two kinds of
+//! line and lists deliveries in the order the brokers sent them, building
+//! each [`crate::metrics::DeliveryRecord`] when it is read. Every
+//! measurement the report makes — counts, sums, percentiles by selection —
+//! is order-free; a caller that wants delivery-time order sorts by
+//! `delivered_at` with a stable sort, which keeps deliveries landing at the
+//! same instant in send order.
 //!
 //! Each hop takes its base latency from the matrices plus an optional
 //! jitter sample, so a jitter-free run reproduces the analytic model
@@ -48,26 +57,29 @@
 //! `RegionReceive` event allocates nothing of its own: a run's allocations
 //! are the publication batch (grown once, sorted once), the publication
 //! table (sized for the batch), the growth of the heap (broker arrivals and
-//! reconfigurations only) and of the delivery log (16 bytes a delivery,
-//! kept for the report), plus one routing table per topic at construction
-//! and one per `Reconfigure` event, each a single `Vec<u32>`. The scenario
-//! the engine takes shares its client lists and latency rows by `Arc`, so
-//! cloning one for the next run copies no row, and the finished run hands
-//! its topics to the report, which turns the log's indices back into client
-//! ids. Events, lost copies and deliveries are counted in the engine only;
-//! [`Engine::run`] adds them to the global `multipub_netsim_*` metrics
-//! once, after the last event.
+//! reconfigurations only) and of the delivery log (24 bytes a quiet arrival
+//! and 16 bytes a delivery sent on its own, kept for the report), plus one
+//! routing table per topic at construction and one per `Reconfigure` event
+//! that changes a configuration, each a single `Vec<u32>` kept for the
+//! report. The scenario the engine takes shares its client lists and
+//! latency rows by `Arc`, so cloning one for the next run copies no row,
+//! and the finished run hands its topics to the report, which turns the
+//! log's indices back into client ids. Events, lost copies and deliveries
+//! are counted in the engine only, and each delivery's latency is tallied
+//! into a plain [`multipub_obs::Tally`] as it is sent; [`Engine::run`] adds
+//! them to the global `multipub_netsim_*` metrics once, after the last
+//! event.
 
-// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the publication table, pushed before the message is sent), each routing table is laid out for its own topic's client counts and region count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
+// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the publication table, pushed before the message is sent), each topic's current table index is the index of a table already pushed, each routing table is laid out for its own topic's client counts and region count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
 use crate::faults::FaultInjector;
 use crate::jitter::{Jitter, JitterSource};
-use crate::metrics::{Publication, Sent, SimReport, TrafficLedger};
+use crate::metrics::{Arrival, DeliveryLog, Publication, Sent, SimReport, TrafficLedger};
 use crate::queue::EventQueue;
+use crate::routing::TopicRouting;
 use crate::scenario::{Scenario, TopicScenario};
 use crate::time::SimTime;
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
-use multipub_core::delivery::closest_region;
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
 use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
@@ -100,67 +112,6 @@ enum Event {
     },
 }
 
-/// Per-topic routing tables precomputed from a configuration, in one
-/// allocation. The serving regions are the assignment's.
-#[derive(Debug)]
-struct TopicRouting {
-    assignment: AssignmentVector,
-    mode: DeliveryMode,
-    n_regions: usize,
-    /// `n_regions + 1` offsets, then the subscriber indices grouped by
-    /// closest serving region (region `r`'s group runs from offset `r` to
-    /// offset `r + 1`), then each publisher's closest serving region
-    /// (routed mode's `R^P`).
-    table: Vec<u32>,
-}
-
-impl TopicRouting {
-    fn new(topic: &TopicScenario, configuration: Configuration, n_regions: usize) -> Self {
-        let assignment = configuration.assignment();
-        let home = |latencies: &[f64]| closest_region(latencies, assignment).index();
-        let (subscribers, publishers) = (topic.subscribers(), topic.publishers());
-        let groups = n_regions + 1;
-        let mut table = vec![0; groups + subscribers.len() + publishers.len()];
-        // A counting sort in place: count each region's subscribers, sum the
-        // counts so that offset `r` is where region `r`'s group ends, then
-        // place the subscribers last to first, moving each offset back to
-        // where its group begins. `Engine::new` checked that the subscriber
-        // indices fit a `u32`.
-        for subscriber in subscribers.iter() {
-            table[home(subscriber.latencies())] += 1;
-        }
-        for region in 1..n_regions {
-            table[region] += table[region - 1];
-        }
-        table[n_regions] = subscribers.len() as u32;
-        for (index, subscriber) in subscribers.iter().enumerate().rev() {
-            let region = home(subscriber.latencies());
-            table[region] -= 1;
-            let slot = groups + table[region] as usize;
-            table[slot] = index as u32;
-        }
-        let homes = groups + subscribers.len();
-        for (slot, publisher) in table[homes..].iter_mut().zip(publishers.iter()) {
-            *slot = home(publisher.latencies()) as u32;
-        }
-        TopicRouting { assignment, mode: configuration.mode(), n_regions, table }
-    }
-
-    /// The indices of the subscribers homed at `region`, in index order.
-    fn local_subscribers(&self, region: RegionId) -> &[u32] {
-        let (offsets, groups) = self.table.split_at(self.n_regions + 1);
-        let r = region.index();
-        &groups[offsets[r] as usize..offsets[r + 1] as usize]
-    }
-
-    /// The serving region closest to publisher `publisher`.
-    fn publisher_home(&self, publisher: usize) -> RegionId {
-        let homes = self.n_regions + 1 + self.table[self.n_regions] as usize;
-        // Region indices are below the deployment's at most 32 regions.
-        RegionId(self.table[homes + publisher] as u8)
-    }
-}
-
 /// Panics unless every region `configuration` assigns exists in a
 /// deployment of `n_regions`. An [`AssignmentVector`] is only validated
 /// against the region count it was built with, and a wider one would index
@@ -187,14 +138,13 @@ pub struct Engine {
     n_regions: usize,
     topics: Vec<TopicScenario>,
     inter: InterRegionMatrix,
-    routing: Vec<TopicRouting>,
+    /// Each topic's current routing table: its index in `log.tables`.
+    current: Vec<u32>,
     queue: EventQueue<Event>,
     jitter: JitterSource,
     faults: FaultInjector,
-    /// Every publication emitted, in the order it was emitted.
-    publications: Vec<Publication>,
-    /// Every delivery the brokers have sent, in the order they sent it.
-    log: Vec<Sent>,
+    /// The publications, the routing tables and the deliveries so far.
+    log: DeliveryLog,
     ledger: TrafficLedger,
     lost_count: u64,
 }
@@ -216,25 +166,25 @@ impl Engine {
         let (regions, inter, topics, plan) = scenario.into_parts();
         let n_regions = regions.len();
         assert_indexable(topics.len(), "topics");
-        let mut routing = Vec::with_capacity(topics.len());
+        let mut tables = Vec::with_capacity(topics.len());
         for (index, topic) in topics.iter().enumerate() {
             topic.assert_rows_fit(n_regions);
             assert_fits(index, topic.configuration(), n_regions);
             let id = topic.id();
             assert_indexable(topic.publishers().len(), format_args!("publishers of topic {id}"));
             assert_indexable(topic.subscribers().len(), format_args!("subscribers of topic {id}"));
-            routing.push(TopicRouting::new(topic, topic.configuration(), n_regions));
+            tables.push(TopicRouting::new(topic, topic.configuration(), n_regions));
         }
         Engine {
             n_regions,
+            // Topic `t` starts on table `t`; the topic count fits a `u32`.
+            current: (0..topics.len() as u32).collect(),
             topics,
             inter,
-            routing,
             queue: EventQueue::new(),
             jitter: JitterSource::new(jitter, seed),
             faults: FaultInjector::new(plan, seed),
-            publications: Vec::new(),
-            log: Vec::new(),
+            log: DeliveryLog { tables, ..DeliveryLog::default() },
             ledger: TrafficLedger::new(n_regions),
             lost_count: 0,
         }
@@ -284,14 +234,14 @@ impl Engine {
             events += 1;
             self.handle(now, event);
         }
-        let Engine { topics, publications, log, ledger, lost_count, .. } = self;
-        let report = SimReport::new(topics, publications, log, ledger, lost_count, duration_ms);
+        let Engine { topics, log, ledger, lost_count, .. } = self;
+        let report = SimReport::new(topics, log, ledger, lost_count, duration_ms);
         // The global metrics see the finished run once; the loop above
         // touches no shared atomic. A delivery counts as an event: it was
         // one until it became a line of the log.
         multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + report.delivery_count());
         multipub_obs::counter!(NETSIM_LOST_TOTAL).add(lost_count);
-        multipub_obs::histogram!(NETSIM_DELIVERY_MS).record_all(report.latencies_ms());
+        multipub_obs::histogram!(NETSIM_DELIVERY_MS).add(report.latency_tally());
         report
     }
 
@@ -301,7 +251,7 @@ impl Engine {
     /// sized for the whole batch.
     fn schedule_publications(&mut self, duration_ms: f64) {
         assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
-        let Engine { topics, queue, faults, publications, .. } = self;
+        let Engine { topics, queue, faults, log, .. } = self;
         let plan = faults.plan();
         let scheduled = queue.len();
         queue.schedule_all(topics.iter().enumerate().flat_map(|(topic, scenario)| {
@@ -316,14 +266,21 @@ impl Engine {
         }));
         let count = queue.len() - scheduled;
         assert_indexable(count, "publications");
-        publications.reserve_exact(count);
+        log.publications.reserve_exact(count);
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
         match event {
             Event::Reconfigure { topic, configuration } => {
-                self.routing[topic] =
-                    TopicRouting::new(&self.topics[topic], configuration, self.n_regions);
+                // Tables are kept for the report, which expands quiet
+                // arrivals from them: a new configuration gets a new table,
+                // and the one the topic already runs needs none.
+                let Engine { topics, current, log, n_regions, .. } = self;
+                if log.tables[current[topic] as usize].configuration() != configuration {
+                    log.tables.push(TopicRouting::new(&topics[topic], configuration, *n_regions));
+                    assert_indexable(log.tables.len(), "routing tables");
+                    current[topic] = (log.tables.len() - 1) as u32;
+                }
             }
             Event::Publish { topic, publisher } => self.on_publish(now, topic, publisher),
             Event::RegionReceive { message, region, deliver_only } => {
@@ -333,23 +290,23 @@ impl Engine {
     }
 
     fn on_publish(&mut self, now: SimTime, topic: usize, publisher: usize) {
-        let Engine { topics, routing, queue, jitter, faults, publications, lost_count, .. } = self;
+        let Engine { topics, current, queue, jitter, faults, log, lost_count, .. } = self;
         // `Engine::new` and `schedule_publications` checked that these
         // indices fit a `u32`.
-        let message = Message { publication: publications.len() as u32 };
-        publications.push(Publication {
+        let message = Message { publication: log.publications.len() as u32 };
+        log.publications.push(Publication {
             topic: topic as u32,
             publisher: publisher as u32,
             published_at: now,
         });
-        let routing = &routing[topic];
+        let routing = &log.tables[current[topic] as usize];
         let latencies = topics[topic].publishers()[publisher].latencies();
         // Direct: the publisher uploads to every serving region itself.
         // Routed: only to its closest one, which forwards. Inbound traffic
         // is free either way, so nothing is billed here.
-        let deliver_only = routing.mode == DeliveryMode::Direct;
+        let deliver_only = routing.mode() == DeliveryMode::Direct;
         let home = routing.publisher_home(publisher);
-        for region in routing.assignment.iter().filter(|&region| deliver_only || region == home) {
+        for region in routing.assignment().iter().filter(|&region| deliver_only || region == home) {
             if faults.drop_packet() {
                 *lost_count += 1;
                 continue;
@@ -367,17 +324,7 @@ impl Engine {
         deliver_only: bool,
     ) {
         let Engine {
-            topics,
-            inter,
-            routing,
-            queue,
-            jitter,
-            faults,
-            publications,
-            log,
-            ledger,
-            lost_count,
-            ..
+            topics, inter, current, queue, jitter, faults, log, ledger, lost_count, ..
         } = self;
         // A region inside an outage window has no broker: the arriving
         // copy (and everything it would have produced downstream) dies.
@@ -385,8 +332,10 @@ impl Engine {
             *lost_count += 1;
             return;
         }
-        let Publication { topic, publisher, .. } = publications[message.publication as usize];
-        let routing = &routing[topic as usize];
+        let Publication { topic, publisher, published_at } =
+            log.publications[message.publication as usize];
+        let table = current[topic as usize];
+        let routing = &log.tables[table as usize];
         let clients = &topics[topic as usize];
         let size = clients.publishers()[publisher as usize].size_bytes();
 
@@ -394,7 +343,7 @@ impl Engine {
         // inter-region egress at this region's α rate. Egress is billed at
         // send time, so copies lost in flight still cost money.
         if !deliver_only {
-            for peer in routing.assignment.iter().filter(|&peer| peer != region) {
+            for peer in routing.assignment().iter().filter(|&peer| peer != region) {
                 ledger.record_inter_region(region, size);
                 if faults.drop_packet() {
                     *lost_count += 1;
@@ -412,13 +361,40 @@ impl Engine {
         // Internet egress at this region's β rate. A duplicate-delivery
         // window fans each delivery into several copies — an
         // at-least-once redelivery storm — and each copy is billed,
-        // lost and delayed independently. A copy that is not lost is a
-        // line of the log from here on: nothing happens when it lands.
+        // lost and delayed independently. Every copy is billed whether or
+        // not it arrives, so the bill is one sum. A copy that is not lost
+        // is a line of the log from here on: nothing happens when it lands.
+        let subscribers = routing.local_subscribers(region);
+        if subscribers.is_empty() {
+            return;
+        }
         let copies = faults.plan().duplicate_copies(now);
-        for &subscriber in routing.local_subscribers(region) {
-            let client = &clients.subscribers()[subscriber as usize];
+        ledger.record_internet(region, size * copies * subscribers.len() as u64);
+        let subscribers_of_topic = clients.subscribers();
+        if jitter.is_disabled() && faults.plan().leaves_deliveries_alone(now) {
+            // A quiet arrival: one copy each, no draw, no stall, so each
+            // lands exactly its latency to this region after `now`. The
+            // log keeps the arrival once; only the tally sees each copy.
+            // The arrival's position is numbered by a `u32` too.
+            assert_indexable(log.sent.len(), "deliveries sent on their own");
+            let arrival = Arrival {
+                publication: message.publication,
+                table,
+                position: log.sent.len() as u32,
+                region,
+                arrived_at: now,
+            };
+            for &subscriber in subscribers {
+                let delivered_at = arrival.landing(&subscribers_of_topic[subscriber as usize]);
+                log.latencies.record(delivered_at - published_at);
+            }
+            log.delivered += subscribers.len() as u64;
+            log.arrivals.push(arrival);
+            return;
+        }
+        for &subscriber in subscribers {
+            let client = &subscribers_of_topic[subscriber as usize];
             for _ in 0..copies {
-                ledger.record_internet(region, size);
                 if faults.drop_packet() {
                     *lost_count += 1;
                     continue;
@@ -432,7 +408,9 @@ impl Engine {
                 // window ends — the simulated slow consumer.
                 let delivered_at = faults.plan().stall_release(client.client(), now + latency);
                 debug_assert!(delivered_at >= now, "a delivery cannot land before it is sent");
-                log.push(Sent { publication: message.publication, subscriber, delivered_at });
+                log.latencies.record(delivered_at - published_at);
+                log.sent.push(Sent { publication: message.publication, subscriber, delivered_at });
+                log.delivered += 1;
             }
         }
     }
@@ -690,6 +668,70 @@ mod tests {
                 d.latency_ms()
             );
         }
+    }
+
+    #[test]
+    fn an_equal_reconfiguration_builds_no_table() {
+        let run = |reconfigure: Option<Configuration>| {
+            let mut engine =
+                Engine::new(two_region_scenario(DeliveryMode::Routed), Jitter::disabled(), 0);
+            if let Some(configuration) = reconfigure {
+                engine.schedule_reconfiguration(500.0, 0, configuration);
+            }
+            engine.run(1000.0)
+        };
+        let running = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Routed);
+        let untouched = run(None);
+        let equal = run(Some(running));
+        assert_eq!(equal.log.tables.len(), 1);
+        assert_eq!(equal, untouched);
+        // A different configuration gets a table of its own, and the
+        // arrivals after it name that table.
+        let direct = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct);
+        let changed = run(Some(direct));
+        assert_eq!(changed.log.tables.len(), 2);
+        assert!(changed.log.arrivals.iter().any(|arrival| arrival.table == 1));
+    }
+
+    /// A stall on a client the two-region scenario does not hold: it delays
+    /// nothing and draws nothing, but every arrival sends its copies one by
+    /// one.
+    fn absent_stall() -> crate::faults::FaultPlan {
+        let stall = crate::faults::SubscriberStall::new(ClientId(99), 0.0, 1.0);
+        crate::faults::FaultPlan::none().with_stall(stall)
+    }
+
+    #[test]
+    fn quiet_and_per_copy_arrivals_merge_in_send_order() {
+        // A duplicate window over [300, 600) sends those arrivals' copies one
+        // by one; the arrivals before and after it are quiet.
+        let duplicate = crate::faults::DuplicateDelivery::new(2, 300.0, 600.0);
+        let run = |plan: crate::faults::FaultPlan| {
+            let scenario = two_region_scenario(DeliveryMode::Routed)
+                .with_fault_plan(plan.with_duplicate(duplicate));
+            Engine::new(scenario, Jitter::disabled(), 0).run(1000.0)
+        };
+        let mixed = run(crate::faults::FaultPlan::none());
+        let per_copy = run(absent_stall());
+        assert!(!mixed.log.arrivals.is_empty() && !mixed.log.sent.is_empty());
+        assert!(per_copy.log.arrivals.is_empty());
+        assert_eq!(mixed.deliveries().len(), 26);
+        assert!(mixed.deliveries().eq(per_copy.deliveries()));
+        assert_eq!(mixed.delivery_count(), per_copy.delivery_count());
+        assert_eq!(mixed.ledger(), per_copy.ledger());
+        assert_eq!(mixed.latency_tally(), per_copy.latency_tally());
+    }
+
+    #[test]
+    fn the_latency_tally_is_the_read_back_deliveries() {
+        let duplicate = crate::faults::DuplicateDelivery::new(3, 200.0, 500.0);
+        let plan = crate::faults::FaultPlan::none().with_duplicate(duplicate);
+        let scenario = two_region_scenario(DeliveryMode::Routed).with_fault_plan(plan);
+        let report = Engine::new(scenario, Jitter::disabled(), 0).run(1000.0);
+        let mut read_back = multipub_obs::Tally::new();
+        report.deliveries().for_each(|d| read_back.record(d.latency_ms()));
+        assert_eq!(report.latency_tally(), &read_back);
+        assert_eq!(read_back.count(), report.delivery_count());
     }
 
     #[test]

@@ -378,6 +378,17 @@ impl FaultPlan {
             .fold(1u64, u64::saturating_mul)
     }
 
+    /// Whether deliveries sent at `at` are left alone: no loss rate, no
+    /// stall to queue behind, no reorder window and no duplicate window
+    /// active. Sending such a delivery draws nothing, and it lands alone,
+    /// exactly its latency after `at`.
+    pub(crate) fn leaves_deliveries_alone(&self, at: SimTime) -> bool {
+        self.loss_rate == 0.0
+            && self.stalls.is_empty()
+            && self.reorder_span_ms(at) <= 0.0
+            && self.duplicate_copies(at) == 1
+    }
+
     /// The maximum extra reorder delay for a delivery scheduled at `at`:
     /// the sum of all active reorder-window spans, 0 outside every
     /// window.
@@ -634,6 +645,29 @@ mod tests {
     #[should_panic(expected = "duplicate copies must be at least 1")]
     fn zero_duplicate_copies_rejected() {
         let _ = DuplicateDelivery::new(0, 0.0, 100.0);
+    }
+
+    #[test]
+    fn only_a_plan_that_draws_stalls_and_copies_nothing_leaves_deliveries_alone() {
+        let at = SimTime::from_ms(200.0);
+        assert!(FaultPlan::none().leaves_deliveries_alone(at));
+        // Shapes that act on hops or publications, not on deliveries.
+        let elsewhere = FaultPlan::none()
+            .with_outage(RegionOutage::new(RegionId(0), 0.0, 1000.0))
+            .with_degradation(LinkDegradation::new(RegionId(0), RegionId(1), 0.0, 1000.0, 5.0))
+            .with_burst(PublishBurst::new(3, 0.0, 1000.0))
+            .with_duplicate(DuplicateDelivery::new(1, 0.0, 1000.0))
+            .with_duplicate(DuplicateDelivery::new(2, 500.0, 1000.0))
+            .with_reorder(ReorderWindow::new(5.0, 500.0, 1000.0));
+        assert!(elsewhere.leaves_deliveries_alone(at));
+        for touches in [
+            FaultPlan::none().with_loss_rate(0.01),
+            FaultPlan::none().with_stall(SubscriberStall::new(ClientId(9), 900.0, 1000.0)),
+            FaultPlan::none().with_duplicate(DuplicateDelivery::new(2, 100.0, 300.0)),
+            FaultPlan::none().with_reorder(ReorderWindow::new(5.0, 100.0, 300.0)),
+        ] {
+            assert!(!touches.leaves_deliveries_alone(at), "{touches:?}");
+        }
     }
 
     #[test]

@@ -57,6 +57,11 @@ impl JitterSource {
         JitterSource { jitter, rng: StdRng::seed_from_u64(seed) }
     }
 
+    /// Whether every sample is 0.0, drawn from no random number.
+    pub(crate) fn is_disabled(&self) -> bool {
+        self.jitter == Jitter::Disabled
+    }
+
     /// The extra delay for one hop, in milliseconds.
     pub fn sample(&mut self) -> f64 {
         match self.jitter {

@@ -28,11 +28,17 @@
 //!   shared by `Arc`, so a clone or a topic's analytic workload copies none.
 //! * [`engine`] — the event loop over publications and broker arrivals,
 //!   the publication table it appends to as publishers emit, and the
-//!   delivery log the brokers append to as they send: 16 bytes a delivery,
-//!   indices into the publication table and the topic's subscribers.
+//!   delivery log the brokers append to as they send: 24 bytes a quiet
+//!   arrival, whose copies all land exactly their latency after it, and
+//!   16 bytes a delivery sent on its own, indices into the publication
+//!   table, the routing tables and the topic's subscribers.
+//! * `routing` — a topic's routing table, its subscribers grouped by the
+//!   serving region that delivers to them; append-only for a run, so a
+//!   quiet arrival can name the table it was served under.
 //! * [`metrics`] — the per-region traffic ledger and the final
-//!   [`metrics::SimReport`], which holds the log in send order and builds
-//!   each [`metrics::DeliveryRecord`] when it is read.
+//!   [`metrics::SimReport`], which holds the log and the tables, merges
+//!   the two kinds of line in send order and builds each
+//!   [`metrics::DeliveryRecord`] when it is read.
 //!
 //! ## Example
 //!
@@ -75,5 +81,6 @@ pub mod faults;
 pub mod jitter;
 pub mod metrics;
 pub mod queue;
+mod routing;
 pub mod scenario;
 pub mod time;

@@ -1,16 +1,26 @@
 //! Measurement collection: the delivery log, the per-region traffic ledger
 //! and the final simulation report.
 //!
-//! The log keeps each delivery as a 16-byte `Sent` entry beside one
-//! `Publication` per publication; the report builds a full
-//! [`DeliveryRecord`] only when one is read.
+//! The log keeps one `Publication` per publication and, in send order, two
+//! kinds of line. A copy sent on its own — one that could be lost,
+//! jittered, reordered, duplicated or stalled — is a 16-byte `Sent` entry.
+//! A quiet arrival, whose copies all land exactly their subscriber's
+//! latency after it, is one 24-byte `Arrival`: the publication, the routing
+//! table it was served under, the region and when it arrived, and its
+//! position among the `Sent` entries. The report builds a full
+//! [`DeliveryRecord`] only when one is read, expanding an arrival into one
+//! record per subscriber of its table's group for that region, and merges
+//! the two kinds of line back into send order by position.
 
-// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every log entry's publication, topic, publisher and subscriber index was taken by the engine from the tables the report holds
+// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every log entry's publication, topic, publisher and subscriber index, every arrival's table index and region, and every group's subscriber index was taken by the engine from the tables the report holds, and an arrival's position is the length the `Sent` entries had when it was written
 
-use crate::scenario::TopicScenario;
+use crate::routing::TopicRouting;
+use crate::scenario::{SimSubscriber, TopicScenario};
 use crate::time::SimTime;
 use multipub_core::ids::{ClientId, RegionId};
 use multipub_core::region::RegionSet;
+use multipub_obs::histogram::Tally;
+use multipub_obs::quantile::percentile_exact;
 
 /// One completed delivery of a publication to a subscriber.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,14 +53,53 @@ pub(crate) struct Publication {
     pub(crate) published_at: SimTime,
 }
 
-/// One delivery as the log keeps it: the publication's index in the
-/// publication table, the subscriber's index in its topic, and when the
-/// copy lands.
+/// One delivery sent on its own, as the log keeps it: the publication's
+/// index in the publication table, the subscriber's index in its topic,
+/// and when the copy lands.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Sent {
     pub(crate) publication: u32,
     pub(crate) subscriber: u32,
     pub(crate) delivered_at: SimTime,
+}
+
+/// A quiet arrival as the log keeps it: publication `publication` reached
+/// `region` at `arrived_at`, and the broker sent one copy to each
+/// subscriber in routing table `table`'s group for that region, each
+/// landing exactly its latency to the region later. The copies come after
+/// the first `position` `Sent` entries in send order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Arrival {
+    pub(crate) publication: u32,
+    pub(crate) table: u32,
+    pub(crate) position: u32,
+    pub(crate) region: RegionId,
+    pub(crate) arrived_at: SimTime,
+}
+
+impl Arrival {
+    /// When this arrival's copy to `subscriber` lands. The engine tallies
+    /// and the report reads the same sum, so both see the same bits.
+    pub(crate) fn landing(&self, subscriber: &SimSubscriber) -> SimTime {
+        self.arrived_at + subscriber.latencies()[self.region.index()]
+    }
+}
+
+/// Everything a run writes down about its deliveries.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct DeliveryLog {
+    /// Every publication emitted, in the order it was emitted.
+    pub(crate) publications: Vec<Publication>,
+    /// Every routing table the run built, in the order it built them.
+    pub(crate) tables: Vec<TopicRouting>,
+    /// The deliveries sent on their own, in the order the brokers sent them.
+    pub(crate) sent: Vec<Sent>,
+    /// The quiet arrivals, in the order the brokers received them.
+    pub(crate) arrivals: Vec<Arrival>,
+    /// How many deliveries the two kinds of line hold between them.
+    pub(crate) delivered: u64,
+    /// Every delivery's end-to-end time, tallied as it was sent.
+    pub(crate) latencies: Tally,
 }
 
 /// Billable egress bytes per region, split by destination class exactly
@@ -106,10 +155,7 @@ pub struct SimReport {
     /// The scenario's topics, whose client lists turn the log's indices
     /// back into client ids.
     topics: Vec<TopicScenario>,
-    /// Every publication emitted, in the order it was emitted.
-    publications: Vec<Publication>,
-    /// Every delivery, in the order the brokers sent it.
-    log: Vec<Sent>,
+    pub(crate) log: DeliveryLog,
     ledger: TrafficLedger,
     lost_count: u64,
     duration_ms: f64,
@@ -118,13 +164,12 @@ pub struct SimReport {
 impl SimReport {
     pub(crate) fn new(
         topics: Vec<TopicScenario>,
-        publications: Vec<Publication>,
-        log: Vec<Sent>,
+        log: DeliveryLog,
         ledger: TrafficLedger,
         lost_count: u64,
         duration_ms: f64,
     ) -> Self {
-        SimReport { topics, publications, log, ledger, lost_count, duration_ms }
+        SimReport { topics, log, ledger, lost_count, duration_ms }
     }
 
     /// All delivery records, in the order the brokers sent them, each built
@@ -132,36 +177,77 @@ impl SimReport {
     /// delivery-time order, deliveries landing at the same instant still in
     /// send order.
     pub fn deliveries(&self) -> impl ExactSizeIterator<Item = DeliveryRecord> + '_ {
-        self.log.iter().map(|sent| {
-            let publication = self.publications[sent.publication as usize];
-            let topic = &self.topics[publication.topic as usize];
-            DeliveryRecord {
-                topic_index: publication.topic as usize,
-                publisher: topic.publishers()[publication.publisher as usize].client(),
-                subscriber: topic.subscribers()[sent.subscriber as usize].client(),
-                published_at: publication.published_at,
-                delivered_at: sent.delivered_at,
+        Deliveries {
+            report: self,
+            next_sent: 0,
+            arrivals: &self.log.arrivals,
+            arrival: None,
+            group: [].iter(),
+            // A `u64` count of values held in memory fits a `usize`.
+            remaining: self.log.delivered as usize,
+        }
+    }
+
+    /// The record of a copy of publication `publication` to subscriber
+    /// `subscriber` of its topic, landing when `landing` says.
+    fn record(
+        &self,
+        publication: u32,
+        subscriber: u32,
+        landing: impl FnOnce(&SimSubscriber) -> SimTime,
+    ) -> DeliveryRecord {
+        let publication = self.log.publications[publication as usize];
+        let topic = &self.topics[publication.topic as usize];
+        let subscriber = &topic.subscribers()[subscriber as usize];
+        DeliveryRecord {
+            topic_index: publication.topic as usize,
+            publisher: topic.publishers()[publication.publisher as usize].client(),
+            subscriber: subscriber.client(),
+            published_at: publication.published_at,
+            delivered_at: landing(subscriber),
+        }
+    }
+
+    /// The end-to-end time of every delivery of the publications `keep`
+    /// accepts, in no particular order: the `Sent` entries', then each
+    /// quiet arrival's group's. `capacity` is how many are expected.
+    fn latencies_ms(&self, capacity: usize, keep: impl Fn(&Publication) -> bool) -> Vec<f64> {
+        let log = &self.log;
+        let mut latencies = Vec::with_capacity(capacity);
+        for sent in &log.sent {
+            let publication = &log.publications[sent.publication as usize];
+            if keep(publication) {
+                latencies.push(sent.delivered_at - publication.published_at);
             }
-        })
+        }
+        for arrival in &log.arrivals {
+            let publication = &log.publications[arrival.publication as usize];
+            if keep(publication) {
+                let subscribers = self.topics[publication.topic as usize].subscribers();
+                let group = log.tables[arrival.table as usize].local_subscribers(arrival.region);
+                latencies.extend(group.iter().map(|&subscriber| {
+                    arrival.landing(&subscribers[subscriber as usize]) - publication.published_at
+                }));
+            }
+        }
+        latencies
     }
 
-    /// Every delivery's end-to-end time in milliseconds, in send order.
-    pub(crate) fn latencies_ms(&self) -> impl Iterator<Item = f64> + '_ {
-        self.log.iter().map(|sent| self.latency_ms(sent))
-    }
-
-    fn latency_ms(&self, sent: &Sent) -> f64 {
-        sent.delivered_at - self.publications[sent.publication as usize].published_at
+    /// Every delivery's end-to-end time, tallied as the brokers sent it —
+    /// what [`crate::engine::Engine::run`] adds to the
+    /// `multipub_netsim_delivery_ms` histogram.
+    pub fn latency_tally(&self) -> &Tally {
+        &self.log.latencies
     }
 
     /// Number of deliveries completed.
     pub fn delivery_count(&self) -> u64 {
-        self.log.len() as u64
+        self.log.delivered
     }
 
     /// Number of publications emitted.
     pub fn published_count(&self) -> u64 {
-        self.publications.len() as u64
+        self.log.publications.len() as u64
     }
 
     /// Number of in-flight message copies destroyed by injected faults
@@ -182,7 +268,8 @@ impl SimReport {
     /// Uses the same ceiling-rank definition as the analytic model
     /// (Eq. 5), so jitter-free runs agree with it exactly.
     pub fn percentile_ms(&self, ratio_percent: f64) -> f64 {
-        percentile_of(self.latencies_ms(), ratio_percent)
+        let mut latencies = self.latencies_ms(self.deliveries().len(), |_| true);
+        percentile_exact(&mut latencies, ratio_percent)
     }
 
     /// The measured percentile for a single topic (0.0 when the topic had
@@ -200,13 +287,8 @@ impl SimReport {
         );
         // The engine checked that every topic index fits a `u32`.
         let topic = topic_index as u32;
-        percentile_of(
-            self.log
-                .iter()
-                .filter(|sent| self.publications[sent.publication as usize].topic == topic)
-                .map(|sent| self.latency_ms(sent)),
-            ratio_percent,
-        )
+        let mut latencies = self.latencies_ms(0, |publication| publication.topic == topic);
+        percentile_exact(&mut latencies, ratio_percent)
     }
 
     /// The measured billable cost in dollars under `regions` prices.
@@ -224,10 +306,58 @@ impl SimReport {
     }
 }
 
-fn percentile_of(latencies: impl Iterator<Item = f64>, ratio_percent: f64) -> f64 {
-    let mut values: Vec<f64> = latencies.collect();
-    multipub_obs::quantile::percentile_exact(&mut values, ratio_percent)
+/// A report's deliveries in send order: the `Sent` entries up to each quiet
+/// arrival's position, then that arrival's group, then the entries after
+/// the last arrival.
+struct Deliveries<'a> {
+    report: &'a SimReport,
+    /// The next `Sent` entry to read.
+    next_sent: usize,
+    /// The arrivals not yet expanded.
+    arrivals: &'a [Arrival],
+    /// The arrival being expanded, and what is left of its group.
+    arrival: Option<&'a Arrival>,
+    group: std::slice::Iter<'a, u32>,
+    remaining: usize,
 }
+
+impl Iterator for Deliveries<'_> {
+    type Item = DeliveryRecord;
+
+    fn next(&mut self) -> Option<DeliveryRecord> {
+        let (report, log) = (self.report, &self.report.log);
+        loop {
+            if let Some(arrival) = self.arrival {
+                if let Some(&subscriber) = self.group.next() {
+                    self.remaining -= 1;
+                    return Some(report.record(arrival.publication, subscriber, |subscriber| {
+                        arrival.landing(subscriber)
+                    }));
+                }
+            }
+            let until = self.arrivals.first().map_or(log.sent.len(), |next| next.position as usize);
+            if self.next_sent < until {
+                let sent = log.sent[self.next_sent];
+                self.next_sent += 1;
+                self.remaining -= 1;
+                return Some(
+                    report.record(sent.publication, sent.subscriber, |_| sent.delivered_at),
+                );
+            }
+            let (arrival, later) = self.arrivals.split_first()?;
+            self.arrivals = later;
+            self.arrival = Some(arrival);
+            self.group =
+                log.tables[arrival.table as usize].local_subscribers(arrival.region).iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Deliveries<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -254,7 +384,7 @@ mod tests {
             .iter()
             .map(|&(topic, _)| Publication { topic, publisher: 0, published_at: SimTime::ZERO })
             .collect();
-        let log = (0..)
+        let sent = (0..)
             .zip(deliveries)
             .map(|(publication, &(_, latency))| Sent {
                 publication,
@@ -263,13 +393,90 @@ mod tests {
             })
             .collect();
         let topics = (0..topics).map(topic).collect();
-        SimReport::new(topics, publications, log, TrafficLedger::new(1), 0, 1000.0)
+        let log = DeliveryLog {
+            publications,
+            sent,
+            delivered: deliveries.len() as u64,
+            ..DeliveryLog::default()
+        };
+        SimReport::new(topics, log, TrafficLedger::new(1), 0, 1000.0)
     }
 
     #[test]
     fn a_log_entry_is_16_bytes() {
         assert_eq!(std::mem::size_of::<Sent>(), 16);
         assert_eq!(std::mem::size_of::<Publication>(), 16);
+    }
+
+    #[test]
+    fn an_arrival_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Arrival>(), 24);
+    }
+
+    #[test]
+    fn arrivals_merge_with_sent_entries_by_position() {
+        // One topic of three subscribers, two homed at region 0 (latencies
+        // 3 and 4) and one at region 1 (latency 5); publications 0 and 1
+        // emitted at 0 and 10.
+        let topic = TopicScenario::new(
+            TopicId::new("t"),
+            Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct),
+            vec![SimPublisher::new(ClientId(0), vec![0.0, 0.0], 1.0, 1)],
+            vec![
+                SimSubscriber::new(ClientId(1), vec![3.0, 9.0]),
+                SimSubscriber::new(ClientId(2), vec![9.0, 5.0]),
+                SimSubscriber::new(ClientId(3), vec![4.0, 9.0]),
+            ],
+        );
+        let table = TopicRouting::new(&topic, topic.configuration(), 2);
+        let at = SimTime::from_ms;
+        let publication = |published_at| Publication { topic: 0, publisher: 0, published_at };
+        let sent = |publication, subscriber, delivered_at| Sent {
+            publication,
+            subscriber,
+            delivered_at: at(delivered_at),
+        };
+        let arrival = |publication, position, region, arrived_at| Arrival {
+            publication,
+            table: 0,
+            position,
+            region: RegionId(region),
+            arrived_at: at(arrived_at),
+        };
+        let log = DeliveryLog {
+            publications: vec![publication(at(0.0)), publication(at(10.0))],
+            tables: vec![table],
+            // Sent first, an arrival at region 0, two more sent entries, an
+            // arrival at region 1, then one last sent entry.
+            sent: vec![sent(0, 1, 50.0), sent(1, 0, 60.0), sent(1, 2, 61.0), sent(0, 0, 70.0)],
+            arrivals: vec![arrival(0, 1, 0, 1.0), arrival(1, 3, 1, 11.0)],
+            delivered: 7,
+            ..DeliveryLog::default()
+        };
+        let report = SimReport::new(vec![topic], log, TrafficLedger::new(2), 0, 1000.0);
+        let deliveries = report.deliveries();
+        assert_eq!(deliveries.len(), 7);
+        let rows: Vec<(ClientId, f64, f64)> = deliveries
+            .map(|d| (d.subscriber, d.published_at.as_ms(), d.delivered_at.as_ms()))
+            .collect();
+        let (one, two, three) = (ClientId(1), ClientId(2), ClientId(3));
+        assert_eq!(
+            rows,
+            [
+                (two, 0.0, 50.0),
+                (one, 0.0, 4.0), // region 0's group: subscribers 0 and 2
+                (three, 0.0, 5.0),
+                (one, 10.0, 60.0),
+                (three, 10.0, 61.0),
+                (two, 10.0, 16.0), // region 1's group: subscriber 1
+                (one, 0.0, 70.0),
+            ]
+        );
+        // Percentiles read the arrivals' groups too: sorted latencies are
+        // 4 5 6 50 50 51 70.
+        assert_eq!(report.percentile_ms(50.0), 50.0);
+        assert_eq!(report.percentile_ms(30.0), 6.0);
+        assert_eq!(report.topic_percentile_ms(0, 100.0), 70.0);
     }
 
     #[test]
@@ -317,14 +524,14 @@ mod tests {
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         let mut ledger = TrafficLedger::new(1);
         ledger.record_internet(RegionId(0), 1_000_000_000);
-        let report = SimReport::new(vec![], vec![], vec![], ledger, 0, 60_000.0);
+        let report = SimReport::new(vec![], DeliveryLog::default(), ledger, 0, 60_000.0);
         let per_day = report.cost_dollars_per(&regions, 86_400_000.0);
         assert!((per_day - 0.09 * 1440.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_defaults() {
-        let report = SimReport::new(vec![], vec![], vec![], TrafficLedger::new(1), 0, 0.0);
+        let report = SimReport::new(vec![], DeliveryLog::default(), TrafficLedger::new(1), 0, 0.0);
         assert_eq!(report.percentile_ms(95.0), 0.0);
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         assert_eq!(report.cost_dollars_per(&regions, 1000.0), 0.0);

@@ -12,6 +12,10 @@
 //! reconfiguration, and a many-small-topics population with whole-
 //! millisecond latencies whose deliveries tie heavily. No scenario stalls
 //! one subscriber twice.
+//!
+//! A second test reruns each quiet scenario with a stall on a client it
+//! does not hold, which makes every broker send its copies one by one, and
+//! checks that both runs report the same deliveries in the same order.
 
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::ids::{ClientId, RegionId, TopicId};
@@ -230,4 +234,46 @@ fn reports_match_the_committed_digests() {
         "reports differ from crates/netsim/tests/report_digests.txt; a change that moves \
          reports on purpose replaces that file with this table:\n{table}"
     );
+}
+
+#[test]
+fn quiet_arrivals_read_back_like_copies_sent_one_by_one() {
+    // Stalls no client of any scenario and draws nothing, but with a stall
+    // in the plan no arrival is quiet.
+    let absent = ClientId(u64::MAX);
+    let per_copy = FaultPlan::none().with_stall(SubscriberStall::new(absent, 0.0, DURATION_MS));
+    for (name, scenario, seed) in [
+        ("direct", scenario(&FEEDS, direct), 1),
+        ("routed", scenario(&FEEDS, routed), 1),
+        ("small_topics_ties", scenario(&SMALL_TOPICS, mixed), 9),
+    ] {
+        assert!(scenario.topics().iter().all(|topic| {
+            let clients = topic.publishers().iter().map(SimPublisher::client);
+            clients
+                .chain(topic.subscribers().iter().map(SimSubscriber::client))
+                .all(|c| c != absent)
+        }));
+        let quiet = Engine::new(scenario.clone(), Jitter::disabled(), seed).run(DURATION_MS);
+        let one_by_one =
+            Engine::new(scenario.with_fault_plan(per_copy.clone()), Jitter::disabled(), seed)
+                .run(DURATION_MS);
+        assert_eq!(quiet.deliveries().len(), one_by_one.deliveries().len(), "{name}");
+        assert!(
+            quiet.deliveries().eq(one_by_one.deliveries()),
+            "{name}: delivery sequences differ"
+        );
+        assert_eq!(quiet.ledger(), one_by_one.ledger(), "{name}");
+        assert_eq!(quiet.published_count(), one_by_one.published_count(), "{name}");
+        assert_eq!(quiet.lost_count(), one_by_one.lost_count(), "{name}");
+        assert_eq!(quiet.delivery_count(), one_by_one.delivery_count(), "{name}");
+        assert_eq!(quiet.latency_tally(), one_by_one.latency_tally(), "{name}");
+        for ratio in [50.0, 95.0, 100.0] {
+            assert_eq!(quiet.percentile_ms(ratio), one_by_one.percentile_ms(ratio), "{name}");
+            assert_eq!(
+                quiet.topic_percentile_ms(1, ratio),
+                one_by_one.topic_percentile_ms(1, ratio),
+                "{name}"
+            );
+        }
+    }
 }

@@ -8,8 +8,10 @@
 //! overflow bucket whose representative is the observed maximum.
 //! Recording is a handful of relaxed atomic adds plus one table lookup and
 //! one comparison to find the bucket, so histograms are safe on broker hot
-//! paths; a caller holding many values at once flushes them through
-//! [`Histogram::record_all`], which pays the atomics once per batch.
+//! paths. A caller with many values to record fills a [`Tally`], which is
+//! the same bookkeeping without atomics, and adds it with
+//! [`Histogram::add`], paying the atomics once per batch;
+//! [`Histogram::record_all`] does both for an iterator.
 //!
 //! The atomics come from `multipub_sync` so loom can model them; two
 //! things stay on `std` under loom too: the `OnceLock` around the
@@ -123,13 +125,18 @@ pub(crate) fn bucket_upper_bound(index: usize) -> f64 {
 /// wrap the `u64` sum — that takes 2 048 of them.
 const MAX_OBSERVATION_MICROS: u64 = 1 << 53;
 
+/// A positive value in whole microseconds, halves rounded up, at most
+/// [`MAX_OBSERVATION_MICROS`]: `(value_ms * 1000.0).round()`, clamped, but
+/// without `f64::round`, which is a libm call on baseline x86-64.
 fn to_micros(value_ms: f64) -> u64 {
     if value_ms <= 0.0 {
-        0
-    } else {
-        // `as` saturates at u64::MAX for huge values.
-        ((value_ms * 1000.0).round() as u64).min(MAX_OBSERVATION_MICROS)
+        return 0;
     }
+    // Below the clamp, `micros - whole` is the exact fractional part of
+    // `micros` and `whole` is exactly representable.
+    let micros = (value_ms * 1000.0).min(MAX_OBSERVATION_MICROS as f64);
+    let whole = micros as u64;
+    whole + u64::from(micros - whole as f64 >= 0.5)
 }
 
 /// A concurrent log-bucketed histogram of millisecond values.
@@ -169,33 +176,28 @@ impl Histogram {
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Records every observation of `values_ms` as [`Histogram::record`]
-    /// would one by one — same buckets, same micro rounding, NaN and ±∞
-    /// ignored, the same 2^53 µs clamp — but accumulates in locals and
-    /// publishes once: one atomic add per touched bucket and one each for
-    /// count, sum and maximum. For a finished run's worth of latencies,
-    /// where four atomics per value would be most of the cost.
-    pub fn record_all(&self, values_ms: impl IntoIterator<Item = f64>) {
-        let mut buckets = [0u64; BUCKET_COUNT];
-        let (mut count, mut sum_micros, mut max_micros) = (0u64, 0u64, 0u64);
-        for value_ms in values_ms.into_iter().filter(|value_ms| value_ms.is_finite()) {
-            if let Some(bucket) = buckets.get_mut(bucket_index(value_ms)) {
-                *bucket += 1;
-            }
-            count += 1;
-            let micros = to_micros(value_ms);
-            // The shared sum wraps (`fetch_add`), so the local one does too.
-            sum_micros = sum_micros.wrapping_add(micros);
-            max_micros = max_micros.max(micros);
-        }
-        for (shared, local) in self.buckets.iter().zip(buckets) {
+    /// Adds every observation of `tally`: one atomic add per touched bucket
+    /// and one each for count, sum and maximum. The snapshot is then what
+    /// [`Histogram::record`] would have made of the tally's values one by one.
+    pub fn add(&self, tally: &Tally) {
+        for (shared, &local) in self.buckets.iter().zip(&tally.buckets) {
             if local > 0 {
                 shared.fetch_add(local, Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(count, Ordering::Relaxed);
-        self.sum_micros.fetch_add(sum_micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(max_micros, Ordering::Relaxed);
+        self.count.fetch_add(tally.count, Ordering::Relaxed);
+        self.sum_micros.fetch_add(tally.sum_micros, Ordering::Relaxed);
+        self.max_micros.fetch_max(tally.max_micros, Ordering::Relaxed);
+    }
+
+    /// Records every observation of `values_ms` as [`Histogram::record`]
+    /// would one by one, by filling a [`Tally`] and adding it. For a
+    /// finished run's worth of latencies, where four atomics per value
+    /// would be most of the cost.
+    pub fn record_all(&self, values_ms: impl IntoIterator<Item = f64>) {
+        let mut tally = Tally::new();
+        values_ms.into_iter().for_each(|value_ms| tally.record(value_ms));
+        self.add(&tally);
     }
 
     /// Number of recorded observations.
@@ -221,6 +223,52 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
+    }
+}
+
+/// Observations counted without atomics, for one owner to fill and then
+/// add to a shared [`Histogram`] at once ([`Histogram::add`]). A value
+/// lands as [`Histogram::record`] would land it: the same bucket, the same
+/// micro rounding, NaN and ±∞ ignored, the same 2^53 µs clamp, and a sum
+/// that wraps like the shared one.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    buckets: [u64; BUCKET_COUNT],
+    count: u64,
+    sum_micros: u64,
+    max_micros: u64,
+}
+
+impl Tally {
+    /// An empty tally.
+    pub fn new() -> Self {
+        Tally { buckets: [0; BUCKET_COUNT], count: 0, sum_micros: 0, max_micros: 0 }
+    }
+
+    /// Counts one observation in milliseconds.
+    pub fn record(&mut self, value_ms: f64) {
+        if !value_ms.is_finite() {
+            return;
+        }
+        if let Some(bucket) = self.buckets.get_mut(bucket_index(value_ms)) {
+            *bucket += 1;
+        }
+        self.count += 1;
+        let micros = to_micros(value_ms);
+        // The shared sum wraps (`fetch_add`), so this one does too.
+        self.sum_micros = self.sum_micros.wrapping_add(micros);
+        self.max_micros = self.max_micros.max(micros);
+    }
+
+    /// Number of counted observations.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally::new()
     }
 }
 
@@ -480,6 +528,82 @@ mod tests {
         (0..2049).for_each(|_| one_by_one.record(1e300));
         batched.record_all(std::iter::repeat_n(1e300, 2049));
         assert_eq!(batched.snapshot(), one_by_one.snapshot());
+    }
+
+    #[test]
+    fn to_micros_rounds_like_f64_round() {
+        let reference = |value_ms: f64| {
+            if value_ms <= 0.0 {
+                0
+            } else {
+                ((value_ms * 1000.0).round() as u64).min(MAX_OBSERVATION_MICROS)
+            }
+        };
+        let check = |value_ms: f64| {
+            assert_eq!(
+                to_micros(value_ms),
+                reference(value_ms),
+                "{value_ms:e} ms ({:#x})",
+                value_ms.to_bits()
+            )
+        };
+        let two_52 = 2f64.powi(52) / 1000.0;
+        let two_53 = MAX_OBSERVATION_MICROS as f64 / 1000.0;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            -1.0,
+            0.49999999999999994,
+            0.49999999999999994 / 1000.0,
+            0.5 / 1000.0,
+            1.5 / 1000.0,
+            2.5 / 1000.0,
+            f64::from_bits(1), // the smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE,
+            two_52,
+            two_53,
+            two_53 * 2.0,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        // k + 0.5 µs, exact in binary, for small k and just below 2^52.
+        let halves = (0..64u64).chain((1u64 << 52) - 64..1 << 52);
+        edges.extend(halves.map(|k| (k as f64 + 0.5) / 1000.0));
+        // The 4 ulps on each side of 2^52 µs and of the 2^53 µs clamp.
+        for around in [two_52, two_53] {
+            edges.extend(
+                (-4i64..=4).map(|ulps| f64::from_bits(around.to_bits().wrapping_add_signed(ulps))),
+            );
+        }
+        edges.into_iter().for_each(check);
+        // Seeded draws: log-uniform from 1e-6 ms to past the clamp, and
+        // uniform over all bits of a positive finite value.
+        let mut next = crate::xorshift(0x3C6E_F372_FE94_F82B);
+        for draw in 0..100_000 {
+            let value_ms = if draw % 2 == 0 {
+                1e-6 * 10f64.powf((next() % 2_000_000) as f64 / 100_000.0)
+            } else {
+                f64::from_bits(next() % f64::MAX.to_bits())
+            };
+            check(value_ms);
+        }
+    }
+
+    #[test]
+    fn an_added_tally_snapshots_like_a_record_loop() {
+        let values = [f64::NAN, -2.0, 0.0004, 0.0005, 1.0, 37.5, 9.1e12, f64::INFINITY];
+        let (one_by_one, added) = (Histogram::new(), Histogram::new());
+        let mut tally = Tally::new();
+        values.iter().for_each(|&value| {
+            one_by_one.record(value);
+            tally.record(value);
+        });
+        assert_eq!(tally.count(), 6);
+        added.add(&tally);
+        added.add(&Tally::new());
+        assert_eq!(added.snapshot(), one_by_one.snapshot());
     }
 
     #[test]
