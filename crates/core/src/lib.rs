@@ -31,6 +31,8 @@
 //! * [`evaluate`] — evaluation of a single configuration against a workload.
 //! * [`optimizer`] — brute-force optimal search with the paper's
 //!   tie-breaking rules, plus the *One Region* and *All Regions* baselines.
+//! * [`parallel`] — the fan-out of independent topics over the cores that
+//!   the optimizer and the simulator share.
 //! * [`mitigation`] — high-latency client handling (paper §IV.D).
 //! * [`scaling`] — region pruning and proportional client bundling
 //!   heuristics for extra-large settings (paper §V.F).
@@ -94,6 +96,7 @@ pub mod ids;
 pub mod latency;
 pub mod mitigation;
 pub mod optimizer;
+pub mod parallel;
 pub mod region;
 pub mod scaling;
 pub mod topics;

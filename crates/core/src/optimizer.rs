@@ -29,7 +29,7 @@
 //! bit for bit.
 //!
 //! Topics are independent (§IV.C), so [`solve_topics`] solves many topics
-//! in parallel with scoped threads.
+//! in parallel with scoped threads ([`crate::parallel`]).
 
 use crate::assignment::{
     enumerate_configurations, AssignmentVector, Configuration, DeliveryMode, ModePolicy,
@@ -38,6 +38,7 @@ use crate::constraint::DeliveryConstraint;
 use crate::error::Error;
 use crate::evaluate::{Candidate, ConfigEvaluation, EvalScratch, TopicEvaluator};
 use crate::latency::InterRegionMatrix;
+use crate::parallel;
 use crate::region::RegionSet;
 use crate::workload::TopicWorkload;
 use std::cell::RefCell;
@@ -445,7 +446,7 @@ pub struct TopicProblem {
 
 /// Solves many topics in parallel. Topics are independent optimization
 /// problems (§IV.C), so this is an embarrassingly parallel fan-out over
-/// scoped threads (design decision **D4**).
+/// scoped threads, [`parallel::map_chunks`] (design decision **D4**).
 ///
 /// Results are returned in input order.
 ///
@@ -466,28 +467,12 @@ pub fn solve_topics(
         .iter()
         .map(|topic| Optimizer::new(regions, inter, &topic.workload))
         .collect::<Result<Vec<_>, Error>>()?;
-    if optimizers.is_empty() {
-        return Ok(Vec::new());
-    }
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(topics.len());
-    let chunk_len = topics.len().div_ceil(threads);
-    let solve_chunk = |(optimizers, topics): (&[Optimizer<'_>], &[TopicProblem])| {
-        let solutions = optimizers.iter().zip(topics);
-        solutions.map(|(optimizer, topic)| optimizer.solve(&topic.constraint)).collect::<Vec<_>>()
-    };
-    let mut chunks = optimizers.chunks(chunk_len).zip(topics.chunks(chunk_len));
-    // The calling thread solves the last chunk itself: one chunk spawns nothing.
-    let last = chunks.next_back();
-    let mut results = Vec::with_capacity(topics.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks.map(|chunk| scope.spawn(move || solve_chunk(chunk))).collect();
-        let last = last.map(solve_chunk);
-        for handle in handles {
-            // lint:allow(panic) a solver-thread panic is already a bug; re-raising it on the caller beats silently dropping that chunk's solutions
-            results.extend(handle.join().expect("solver thread panicked"));
-        }
-        results.extend(last.into_iter().flatten());
+    let solved = parallel::map_chunks(topics.len(), parallel::available_workers(), |chunk| {
+        let chunk = optimizers.iter().zip(topics).skip(chunk.start).take(chunk.len());
+        chunk.map(|(optimizer, topic)| optimizer.solve(&topic.constraint)).collect::<Vec<_>>()
     });
+    let mut results = Vec::with_capacity(topics.len());
+    results.extend(solved.into_iter().flatten());
     Ok(results)
 }
 

@@ -1,9 +1,23 @@
-//! The discrete-event loop.
+//! The discrete-event loop, run topic by topic.
 //!
-//! The engine schedules every publication up front, as one sorted batch
-//! beside the event heap (`EventQueue::schedule_all`), then processes events
-//! in time order; the heap holds only broker arrivals and reconfigurations.
-//! There are two kinds of event, plus reconfiguration:
+//! **Topics run apart.** Topics share nothing in the model — not a broker
+//! queue, not a link, not a random draw — so [`Engine::run`] runs each
+//! topic on its own: its own event queue contents, its own jitter, loss and
+//! reorder streams, and its own stretch of the delivery log. The topics are
+//! split into contiguous chunks, one per core, exactly as the optimizer
+//! splits them ([`multipub_core::parallel::map_chunks`]); each worker runs
+//! its topics one after another, and the calling thread runs the last
+//! chunk. A topic's streams are seeded from the engine seed and the topic's
+//! index through one SplitMix64 step, so its draws depend on its own events
+//! alone, and the report is the same bit for bit however many workers ran:
+//! it lists topic 0's deliveries in send order, then topic 1's, and so on,
+//! and its counts are integer sums.
+//!
+//! A topic's run schedules its publications up front, as one sorted batch
+//! beside the event heap (`EventQueue::schedule_all`), then processes
+//! events in time order; the heap holds only the topic's broker arrivals
+//! and reconfigurations. There are two kinds of event, plus
+//! reconfiguration:
 //!
 //! 1. **Publish** — the publisher's message leaves for the serving
 //!    region(s): all of them under direct delivery, only the closest under
@@ -13,8 +27,8 @@
 //!    (billing inter-region egress); every receiving broker then delivers
 //!    to its local subscribers (billing Internet egress).
 //!
-//! A **Reconfigure** event installs a topic's new routing table; one to the
-//! configuration the topic already runs builds none.
+//! A **Reconfigure** event installs the topic's new routing table; one to
+//! the configuration the topic already runs builds none.
 //!
 //! **A delivery is written when it is sent.** It is not an event: when the
 //! broker sends a copy to a subscriber it already knows when the copy lands,
@@ -34,8 +48,8 @@
 //! each [`crate::metrics::DeliveryRecord`] when it is read. Every
 //! measurement the report makes — counts, sums, percentiles by selection —
 //! is order-free; a caller that wants delivery-time order sorts by
-//! `delivered_at` with a stable sort, which keeps deliveries landing at the
-//! same instant in send order.
+//! `delivered_at` and then `topic_index` with a stable sort, which keeps
+//! one topic's deliveries landing at the same instant in send order.
 //!
 //! Each hop takes its base latency from the matrices plus an optional
 //! jitter sample, so a jitter-free run reproduces the analytic model
@@ -50,31 +64,34 @@
 //! Duplicate-delivery windows fan each delivery into several independent
 //! copies, and reorder windows stretch deliveries by a seeded uniform
 //! draw that shuffles arrival order. All fault draws come from their own
-//! RNG streams, so a quiet plan reproduces fault-free runs bit for bit.
+//! RNG streams, so a quiet plan reproduces fault-free runs bit for bit. A
+//! broker arrival reads the plan's delivery windows once, however many
+//! copies it sends.
 //!
 //! **What allocates.** The event handlers read the routing tables, the
 //! latency rows and the fault plan in place, so handling a `Publish` or
-//! `RegionReceive` event allocates nothing of its own: a run's allocations
-//! are the publication batch (grown once, sorted once), the publication
-//! table (sized for the batch), the growth of the heap (broker arrivals and
-//! reconfigurations only) and of the delivery log (24 bytes a quiet arrival
-//! and 16 bytes a delivery sent on its own, kept for the report), plus one
-//! routing table per topic at construction and one per `Reconfigure` event
-//! that changes a configuration, each a single `Vec<u32>` kept for the
-//! report. The scenario the engine takes shares its client lists and
-//! latency rows by `Arc`, so cloning one for the next run copies no row,
-//! and the finished run hands its topics to the report, which turns the
-//! log's indices back into client ids. Events, lost copies and deliveries
-//! are counted in the engine only, and each delivery's latency is tallied
-//! into a plain [`multipub_obs::Tally`] as it is sent; [`Engine::run`] adds
-//! them to the global `multipub_netsim_*` metrics once, after the last
-//! event.
+//! `RegionReceive` event allocates nothing of its own. Each worker owns
+//! one event queue, reused from topic to topic (the publication batch and
+//! the heap grow to the largest topic's and stay), one delivery log for its
+//! topics (the publication table, 24 bytes a quiet arrival and 16 bytes a
+//! delivery sent on its own, and 16 bytes a topic marking where its
+//! stretch ends), and one set of totals — the traffic ledger, the lost and
+//! delivered counts and the latency [`multipub_obs::Tally`] — summed after
+//! the join. Each topic adds one routing table when its run starts and one
+//! per `Reconfigure` event that changes its configuration, each a single
+//! `Vec<u32>` kept for the report. A topic's draw streams are a few words
+//! on the worker's stack. The scenario the engine takes shares its client
+//! lists and latency rows by `Arc`, so cloning one for the next run copies
+//! no row, and the finished run hands its topics to the report, which
+//! turns the logs' indices back into client ids. Events, lost copies and
+//! deliveries are counted in the workers only; [`Engine::run`] adds them
+//! to the global `multipub_netsim_*` metrics once, after the join.
 
-// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the publication table, pushed before the message is sent), each topic's current table index is the index of a table already pushed, each routing table is laid out for its own topic's client counts and region count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
+// lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the worker's publication table, pushed before the message is sent), a topic's current table index is the index of a table already pushed to the same log, each routing table is laid out for its own topic's client counts and region count, every topic range comes from `map_chunks` over the topic count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
-use crate::faults::FaultInjector;
+use crate::faults::{FaultInjector, FaultPlan};
 use crate::jitter::{Jitter, JitterSource};
-use crate::metrics::{Arrival, DeliveryLog, Publication, Sent, SimReport, TrafficLedger};
+use crate::metrics::{Arrival, DeliveryLog, Publication, Sent, SimReport, Totals};
 use crate::queue::EventQueue;
 use crate::routing::TopicRouting;
 use crate::scenario::{Scenario, TopicScenario};
@@ -82,25 +99,26 @@ use crate::time::SimTime;
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
+use multipub_core::parallel;
 use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
+use std::ops::Range;
 
-/// One publication on its way: its index in the publication table.
+/// One publication on its way: its index in the worker's publication table.
 #[derive(Debug, Clone, Copy)]
 struct Message {
     publication: u32,
 }
 
+/// An event of one topic's run.
 #[derive(Debug)]
 enum Event {
-    /// Installs a new configuration for a topic — the simulated
+    /// Installs a new configuration for the topic — the simulated
     /// counterpart of a controller `ConfigUpdate` reaching every broker
     /// and client at once.
     Reconfigure {
-        topic: usize,
         configuration: Configuration,
     },
     Publish {
-        topic: usize,
         publisher: usize,
     },
     RegionReceive {
@@ -110,6 +128,14 @@ enum Event {
         /// direct fan-out) and must not be forwarded again.
         deliver_only: bool,
     },
+}
+
+/// A reconfiguration scheduled before the run.
+#[derive(Debug, Clone, Copy)]
+struct Reconfiguration {
+    at: SimTime,
+    topic: usize,
+    configuration: Configuration,
 }
 
 /// Panics unless every region `configuration` assigns exists in a
@@ -131,6 +157,18 @@ fn assert_indexable(count: usize, what: impl std::fmt::Display) {
     assert!(u32::try_from(count).is_ok(), "{count} {what} exceed the delivery log's u32 indices");
 }
 
+/// The seed of topic `topic`'s draw streams: the engine seed and the
+/// topic's index through one SplitMix64 step, so that neighbouring topics'
+/// streams share nothing and a topic's draws do not depend on any other
+/// topic's.
+fn topic_seed(seed: u64, topic: usize) -> u64 {
+    let mut z =
+        seed.wrapping_add((topic as u64).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// The simulation engine. Construct with a scenario, run once, read the
 /// report. See the crate-level example.
 #[derive(Debug)]
@@ -138,15 +176,20 @@ pub struct Engine {
     n_regions: usize,
     topics: Vec<TopicScenario>,
     inter: InterRegionMatrix,
-    /// Each topic's current routing table: its index in `log.tables`.
-    current: Vec<u32>,
-    queue: EventQueue<Event>,
-    jitter: JitterSource,
-    faults: FaultInjector,
-    /// The publications, the routing tables and the deliveries so far.
+    plan: FaultPlan,
+    jitter: Jitter,
+    seed: u64,
+    /// The reconfigurations scheduled so far, in the order they were.
+    reconfigurations: Vec<Reconfiguration>,
+}
+
+/// What one worker hands back: the log of its topics, what it counted and
+/// how many events it handled.
+#[derive(Debug)]
+struct WorkerRun {
     log: DeliveryLog,
-    ledger: TrafficLedger,
-    lost_count: u64,
+    totals: Totals,
+    events: u64,
 }
 
 impl Engine {
@@ -166,28 +209,14 @@ impl Engine {
         let (regions, inter, topics, plan) = scenario.into_parts();
         let n_regions = regions.len();
         assert_indexable(topics.len(), "topics");
-        let mut tables = Vec::with_capacity(topics.len());
         for (index, topic) in topics.iter().enumerate() {
             topic.assert_rows_fit(n_regions);
             assert_fits(index, topic.configuration(), n_regions);
             let id = topic.id();
             assert_indexable(topic.publishers().len(), format_args!("publishers of topic {id}"));
             assert_indexable(topic.subscribers().len(), format_args!("subscribers of topic {id}"));
-            tables.push(TopicRouting::new(topic, topic.configuration(), n_regions));
         }
-        Engine {
-            n_regions,
-            // Topic `t` starts on table `t`; the topic count fits a `u32`.
-            current: (0..topics.len() as u32).collect(),
-            topics,
-            inter,
-            queue: EventQueue::new(),
-            jitter: JitterSource::new(jitter, seed),
-            faults: FaultInjector::new(plan, seed),
-            log: DeliveryLog { tables, ..DeliveryLog::default() },
-            ledger: TrafficLedger::new(n_regions),
-            lost_count: 0,
-        }
+        Engine { n_regions, topics, inter, plan, jitter, seed, reconfigurations: Vec::new() }
     }
 
     /// Schedules a configuration change for a topic at a point in
@@ -208,15 +237,14 @@ impl Engine {
     ) {
         assert!(topic_index < self.topics.len(), "topic index out of bounds");
         assert_fits(topic_index, configuration, self.n_regions);
-        self.queue.schedule(
-            SimTime::from_ms(at_ms),
-            Event::Reconfigure { topic: topic_index, configuration },
-        );
+        let at = SimTime::from_ms(at_ms);
+        self.reconfigurations.push(Reconfiguration { at, topic: topic_index, configuration });
     }
 
     /// Runs the scenario for `duration_ms` of simulated time. Publications
     /// are emitted strictly before the deadline; messages already in
     /// flight at the deadline still complete, exactly like a real drain.
+    /// The topics run apart, fanned out over the available cores.
     ///
     /// The finished run is added to the global `multipub_netsim_*` metrics:
     /// one event per publication, per broker arrival and per delivery, one
@@ -224,83 +252,161 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics if `duration_ms` is negative or not finite, or the run emits
-    /// more than `u32::MAX` publications: the delivery log numbers them
-    /// with `u32` indices.
-    pub fn run(mut self, duration_ms: f64) -> SimReport {
+    /// Panics if `duration_ms` is negative or not finite, or the topics one
+    /// worker runs emit more than `u32::MAX` publications: its delivery log
+    /// numbers them with `u32` indices.
+    pub fn run(self, duration_ms: f64) -> SimReport {
+        self.run_on(duration_ms, parallel::available_workers())
+    }
+
+    /// [`Engine::run`] over `workers` workers.
+    pub(crate) fn run_on(mut self, duration_ms: f64, workers: usize) -> SimReport {
+        assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
+        // Each topic's reconfigurations side by side, still in the order
+        // they were scheduled.
+        self.reconfigurations.sort_by_key(|reconfiguration| reconfiguration.topic);
+        let runs = parallel::map_chunks(self.topics.len(), workers, |topics| {
+            self.run_topics(topics, duration_ms)
+        });
+        let mut totals = Totals::new(self.n_regions);
+        let mut events = 0;
+        let mut logs = Vec::with_capacity(runs.len());
+        for run in runs {
+            totals.add(&run.totals);
+            events += run.events;
+            logs.push(run.log);
+        }
+        // The global metrics see the finished run once; the workers touch
+        // no shared atomic. A delivery counts as an event: it was one until
+        // it became a line of the log.
+        multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + totals.delivered);
+        multipub_obs::counter!(NETSIM_LOST_TOTAL).add(totals.lost);
+        multipub_obs::histogram!(NETSIM_DELIVERY_MS).add(&totals.latencies);
+        SimReport::new(self.topics, logs, totals, duration_ms)
+    }
+
+    /// Runs topics `topics` one after another on one queue, into one log.
+    fn run_topics(&self, topics: Range<usize>, duration_ms: f64) -> WorkerRun {
+        let mut queue = EventQueue::new();
+        let mut log = DeliveryLog::starting_at(topics.start);
+        let mut totals = Totals::new(self.n_regions);
+        let mut events = 0;
+        let first = self.reconfigurations.partition_point(|r| r.topic < topics.start);
+        let mut reconfigurations = self.reconfigurations[first..].iter().peekable();
+        for topic in topics {
+            let scenario = &self.topics[topic];
+            log.tables.push(TopicRouting::new(scenario, scenario.configuration(), self.n_regions));
+            assert_indexable(log.tables.len(), "routing tables");
+            let seed = topic_seed(self.seed, topic);
+            let mut run = TopicRun {
+                topic: topic as u32,
+                scenario,
+                n_regions: self.n_regions,
+                inter: &self.inter,
+                // The table just pushed; its index fits a `u32`.
+                current: (log.tables.len() - 1) as u32,
+                jitter: JitterSource::new(self.jitter, seed),
+                faults: FaultInjector::new(&self.plan, seed),
+                queue: &mut queue,
+                log: &mut log,
+                totals: &mut totals,
+            };
+            // Reconfigurations go in first, so that one at the same instant
+            // as a publication installs its table before the publication.
+            while let Some(r) = reconfigurations.next_if(|r| r.topic == topic) {
+                run.queue.schedule(r.at, Event::Reconfigure { configuration: r.configuration });
+            }
+            events += run.run(duration_ms);
+            log.end_topic();
+        }
+        WorkerRun { log, totals, events }
+    }
+}
+
+/// One topic's run: the worker's queue and log, and the topic's own table
+/// index and draw streams.
+struct TopicRun<'a> {
+    topic: u32,
+    scenario: &'a TopicScenario,
+    n_regions: usize,
+    inter: &'a InterRegionMatrix,
+    /// The topic's current routing table: its index in `log.tables`.
+    current: u32,
+    jitter: JitterSource,
+    faults: FaultInjector<'a>,
+    queue: &'a mut EventQueue<Event>,
+    log: &'a mut DeliveryLog,
+    totals: &'a mut Totals,
+}
+
+impl TopicRun<'_> {
+    /// Schedules the topic's publications and handles its events until
+    /// none is left; returns how many there were.
+    fn run(&mut self, duration_ms: f64) -> u64 {
         self.schedule_publications(duration_ms);
         let mut events = 0u64;
         while let Some((now, event)) = self.queue.pop() {
             events += 1;
             self.handle(now, event);
         }
-        let Engine { topics, log, ledger, lost_count, .. } = self;
-        let report = SimReport::new(topics, log, ledger, lost_count, duration_ms);
-        // The global metrics see the finished run once; the loop above
-        // touches no shared atomic. A delivery counts as an event: it was
-        // one until it became a line of the log.
-        multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + report.delivery_count());
-        multipub_obs::counter!(NETSIM_LOST_TOTAL).add(lost_count);
-        multipub_obs::histogram!(NETSIM_DELIVERY_MS).add(report.latency_tally());
-        report
+        events
     }
 
-    /// Schedules every publication of the run as one batch, in the order
-    /// topic, publisher, time: the queue numbers them in that order, so
-    /// publications at equal times pop in it. The publication table is
-    /// sized for the whole batch.
+    /// Schedules every publication of the topic as one batch, in the order
+    /// publisher, time: the queue numbers them in that order, so
+    /// publications at equal times pop in it. The publication table grows
+    /// to hold the batch.
     fn schedule_publications(&mut self, duration_ms: f64) {
-        assert!(duration_ms >= 0.0 && duration_ms.is_finite(), "duration must be non-negative");
-        let Engine { topics, queue, faults, log, .. } = self;
+        let TopicRun { scenario, queue, faults, log, .. } = self;
         let plan = faults.plan();
         let scheduled = queue.len();
-        queue.schedule_all(topics.iter().enumerate().flat_map(|(topic, scenario)| {
-            scenario.publishers().iter().enumerate().flat_map(move |(publisher, client)| {
+        queue.schedule_all(scenario.publishers().iter().enumerate().flat_map(
+            |(publisher, client)| {
                 client.publish_times_ms(duration_ms).flat_map(move |t| {
                     let at = SimTime::from_ms(t);
                     // A publish-burst window multiplies the in-window load.
                     let copies = 0..plan.burst_multiplier(at);
-                    copies.map(move |_| (at, Event::Publish { topic, publisher }))
+                    copies.map(move |_| (at, Event::Publish { publisher }))
                 })
-            })
-        }));
+            },
+        ));
         let count = queue.len() - scheduled;
-        assert_indexable(count, "publications");
-        log.publications.reserve_exact(count);
+        assert_indexable(log.publications.len() + count, "publications");
+        log.publications.reserve(count);
     }
 
     fn handle(&mut self, now: SimTime, event: Event) {
         match event {
-            Event::Reconfigure { topic, configuration } => {
+            Event::Reconfigure { configuration } => {
                 // Tables are kept for the report, which expands quiet
                 // arrivals from them: a new configuration gets a new table,
                 // and the one the topic already runs needs none.
-                let Engine { topics, current, log, n_regions, .. } = self;
-                if log.tables[current[topic] as usize].configuration() != configuration {
-                    log.tables.push(TopicRouting::new(&topics[topic], configuration, *n_regions));
+                let TopicRun { scenario, log, current, n_regions, .. } = self;
+                if log.tables[*current as usize].configuration() != configuration {
+                    log.tables.push(TopicRouting::new(scenario, configuration, *n_regions));
                     assert_indexable(log.tables.len(), "routing tables");
-                    current[topic] = (log.tables.len() - 1) as u32;
+                    *current = (log.tables.len() - 1) as u32;
                 }
             }
-            Event::Publish { topic, publisher } => self.on_publish(now, topic, publisher),
+            Event::Publish { publisher } => self.on_publish(now, publisher),
             Event::RegionReceive { message, region, deliver_only } => {
                 self.on_region_receive(now, message, region, deliver_only)
             }
         }
     }
 
-    fn on_publish(&mut self, now: SimTime, topic: usize, publisher: usize) {
-        let Engine { topics, current, queue, jitter, faults, log, lost_count, .. } = self;
+    fn on_publish(&mut self, now: SimTime, publisher: usize) {
+        let TopicRun { topic, scenario, current, queue, jitter, faults, log, totals, .. } = self;
         // `Engine::new` and `schedule_publications` checked that these
         // indices fit a `u32`.
         let message = Message { publication: log.publications.len() as u32 };
         log.publications.push(Publication {
-            topic: topic as u32,
+            topic: *topic,
             publisher: publisher as u32,
             published_at: now,
         });
-        let routing = &log.tables[current[topic] as usize];
-        let latencies = topics[topic].publishers()[publisher].latencies();
+        let routing = &log.tables[*current as usize];
+        let latencies = scenario.publishers()[publisher].latencies();
         // Direct: the publisher uploads to every serving region itself.
         // Routed: only to its closest one, which forwards. Inbound traffic
         // is free either way, so nothing is billed here.
@@ -308,7 +414,7 @@ impl Engine {
         let home = routing.publisher_home(publisher);
         for region in routing.assignment().iter().filter(|&region| deliver_only || region == home) {
             if faults.drop_packet() {
-                *lost_count += 1;
+                totals.lost += 1;
                 continue;
             }
             let hop = latencies[region.index()] + jitter.sample();
@@ -323,30 +429,27 @@ impl Engine {
         region: RegionId,
         deliver_only: bool,
     ) {
-        let Engine {
-            topics, inter, current, queue, jitter, faults, log, ledger, lost_count, ..
-        } = self;
+        let TopicRun { scenario, inter, current, queue, jitter, faults, log, totals, .. } = self;
         // A region inside an outage window has no broker: the arriving
         // copy (and everything it would have produced downstream) dies.
         if faults.plan().region_down(region, now) {
-            *lost_count += 1;
+            totals.lost += 1;
             return;
         }
-        let Publication { topic, publisher, published_at } =
+        let Publication { publisher, published_at, .. } =
             log.publications[message.publication as usize];
-        let table = current[topic as usize];
+        let table = *current;
         let routing = &log.tables[table as usize];
-        let clients = &topics[topic as usize];
-        let size = clients.publishers()[publisher as usize].size_bytes();
+        let size = scenario.publishers()[publisher as usize].size_bytes();
 
         // Routed first hop: forward to the other serving regions, billing
         // inter-region egress at this region's α rate. Egress is billed at
         // send time, so copies lost in flight still cost money.
         if !deliver_only {
             for peer in routing.assignment().iter().filter(|&peer| peer != region) {
-                ledger.record_inter_region(region, size);
+                totals.ledger.record_inter_region(region, size);
                 if faults.drop_packet() {
-                    *lost_count += 1;
+                    totals.lost += 1;
                     continue;
                 }
                 let hop = inter.latency(region, peer)
@@ -368,10 +471,10 @@ impl Engine {
         if subscribers.is_empty() {
             return;
         }
-        let copies = faults.plan().duplicate_copies(now);
-        ledger.record_internet(region, size * copies * subscribers.len() as u64);
-        let subscribers_of_topic = clients.subscribers();
-        if jitter.is_disabled() && faults.plan().leaves_deliveries_alone(now) {
+        let delivery = faults.plan().deliveries_at(now);
+        totals.ledger.record_internet(region, size * delivery.copies * subscribers.len() as u64);
+        let subscribers_of_topic = scenario.subscribers();
+        if jitter.is_disabled() && delivery.leaves_deliveries_alone {
             // A quiet arrival: one copy each, no draw, no stall, so each
             // lands exactly its latency to this region after `now`. The
             // log keeps the arrival once; only the tally sees each copy.
@@ -386,31 +489,31 @@ impl Engine {
             };
             for &subscriber in subscribers {
                 let delivered_at = arrival.landing(&subscribers_of_topic[subscriber as usize]);
-                log.latencies.record(delivered_at - published_at);
+                totals.latencies.record(delivered_at - published_at);
             }
-            log.delivered += subscribers.len() as u64;
+            totals.delivered += subscribers.len() as u64;
             log.arrivals.push(arrival);
             return;
         }
         for &subscriber in subscribers {
             let client = &subscribers_of_topic[subscriber as usize];
-            for _ in 0..copies {
+            for _ in 0..delivery.copies {
                 if faults.drop_packet() {
-                    *lost_count += 1;
+                    totals.lost += 1;
                     continue;
                 }
                 let latency = client.latencies()[region.index()]
                     + jitter.sample()
                     // An active reorder window stretches this copy by a
                     // seeded uniform draw, shuffling arrival order.
-                    + faults.reorder_extra_ms(now);
+                    + faults.reorder_extra_ms(delivery.reorder_span_ms);
                 // A stalled subscriber queues the delivery until its stall
                 // window ends — the simulated slow consumer.
                 let delivered_at = faults.plan().stall_release(client.client(), now + latency);
                 debug_assert!(delivered_at >= now, "a delivery cannot land before it is sent");
-                log.latencies.record(delivered_at - published_at);
+                totals.latencies.record(delivered_at - published_at);
                 log.sent.push(Sent { publication: message.publication, subscriber, delivered_at });
-                log.delivered += 1;
+                totals.delivered += 1;
             }
         }
     }
@@ -443,6 +546,12 @@ mod tests {
             ],
         );
         Scenario::new(regions, inter, vec![topic])
+    }
+
+    /// The only log of a one-topic run.
+    fn only_log(report: &SimReport) -> &DeliveryLog {
+        assert_eq!(report.logs.len(), 1, "one topic, one worker");
+        &report.logs[0]
     }
 
     /// The report's deliveries in delivery-time order: one stable sort of
@@ -683,14 +792,14 @@ mod tests {
         let running = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Routed);
         let untouched = run(None);
         let equal = run(Some(running));
-        assert_eq!(equal.log.tables.len(), 1);
+        assert_eq!(only_log(&equal).tables.len(), 1);
         assert_eq!(equal, untouched);
         // A different configuration gets a table of its own, and the
         // arrivals after it name that table.
         let direct = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct);
         let changed = run(Some(direct));
-        assert_eq!(changed.log.tables.len(), 2);
-        assert!(changed.log.arrivals.iter().any(|arrival| arrival.table == 1));
+        assert_eq!(only_log(&changed).tables.len(), 2);
+        assert!(only_log(&changed).arrivals.iter().any(|arrival| arrival.table == 1));
     }
 
     /// A stall on a client the two-region scenario does not hold: it delays
@@ -713,8 +822,8 @@ mod tests {
         };
         let mixed = run(crate::faults::FaultPlan::none());
         let per_copy = run(absent_stall());
-        assert!(!mixed.log.arrivals.is_empty() && !mixed.log.sent.is_empty());
-        assert!(per_copy.log.arrivals.is_empty());
+        assert!(!only_log(&mixed).arrivals.is_empty() && !only_log(&mixed).sent.is_empty());
+        assert!(only_log(&per_copy).arrivals.is_empty());
         assert_eq!(mixed.deliveries().len(), 26);
         assert!(mixed.deliveries().eq(per_copy.deliveries()));
         assert_eq!(mixed.delivery_count(), per_copy.delivery_count());
@@ -1181,6 +1290,49 @@ mod tests {
             .map(|d| d.published_at.as_ms())
             .collect();
         assert_eq!(queued, [0.0, 100.0, 200.0, 300.0, 400.0, 500.0, 600.0, 700.0]);
+    }
+
+    #[test]
+    fn any_worker_count_writes_the_same_report() {
+        use crate::digest_cases::{cases, DURATION_MS};
+        for case in cases() {
+            let name = case.name;
+            let topics = case.scenario.topics().len();
+            let one = case.engine().run_on(DURATION_MS, 1);
+            assert_eq!(one.logs.len(), 1);
+            for workers in [2, 3, 7] {
+                let many = case.engine().run_on(DURATION_MS, workers);
+                assert_eq!(many.logs.len(), topics.div_ceil(topics.div_ceil(workers)), "{name}");
+                assert_eq!(one.deliveries().len(), many.deliveries().len(), "{name}");
+                assert!(one.deliveries().eq(many.deliveries()), "{name} on {workers} workers");
+                assert_eq!(one.ledger(), many.ledger(), "{name}");
+                assert_eq!(one.published_count(), many.published_count(), "{name}");
+                assert_eq!(one.lost_count(), many.lost_count(), "{name}");
+                assert_eq!(one.delivery_count(), many.delivery_count(), "{name}");
+                assert_eq!(one.latency_tally(), many.latency_tally(), "{name}");
+                for ratio in [50.0, 95.0, 100.0] {
+                    assert_eq!(one.percentile_ms(ratio), many.percentile_ms(ratio), "{name}");
+                }
+                for topic in 0..topics {
+                    let (a, b) = (
+                        one.topic_percentile_ms(topic, 95.0),
+                        many.topic_percentile_ms(topic, 95.0),
+                    );
+                    assert_eq!(a, b, "{name} topic {topic}");
+                }
+                assert_eq!(one, many, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn topic_seeds_differ_by_topic_and_by_engine_seed() {
+        let seeds: Vec<u64> =
+            (0..4).flat_map(|seed| (0..64).map(move |topic| topic_seed(seed, topic))).collect();
+        let mut distinct = seeds.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), seeds.len());
     }
 
     #[test]

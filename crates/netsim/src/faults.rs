@@ -28,12 +28,16 @@
 //!   arrival order without losing anything.
 //!
 //! The engine asks the plan about the draw-free shapes directly and goes
-//! through a `FaultInjector` (plan + two `StdRng` streams) for the two
-//! that sample: loss and reorder. With the default quiet plan no RNG
-//! draws happen at all, so a fault-free run is bit for bit what it is
-//! without fault injection. Loss and reorder delays each have their own
-//! stream, both decorrelated from the jitter stream, so adding a reorder
-//! window never changes *which* messages the loss stream drops.
+//! through a `FaultInjector` (the plan, borrowed, + two `StdRng` streams)
+//! for the two that sample: loss and reorder. Each topic runs with its own
+//! injector, seeded from the topic's seed, so a topic's draws depend on its
+//! own events alone. With the default quiet plan no RNG draws happen at
+//! all, so a fault-free run is bit for bit what it is without fault
+//! injection. Loss and reorder delays each have their own stream, both
+//! decorrelated from the jitter stream, so adding a reorder window never
+//! changes *which* messages the loss stream drops. A broker arrival reads
+//! the delivery windows once ([`FaultPlan`]'s `deliveries_at`), whatever
+//! number of copies it sends.
 
 use crate::time::SimTime;
 use multipub_core::ids::{ClientId, RegionId};
@@ -378,15 +382,16 @@ impl FaultPlan {
             .fold(1u64, u64::saturating_mul)
     }
 
-    /// Whether deliveries sent at `at` are left alone: no loss rate, no
-    /// stall to queue behind, no reorder window and no duplicate window
-    /// active. Sending such a delivery draws nothing, and it lands alone,
-    /// exactly its latency after `at`.
-    pub(crate) fn leaves_deliveries_alone(&self, at: SimTime) -> bool {
-        self.loss_rate == 0.0
+    /// What the plan does to the deliveries a broker sends at `at`, read
+    /// once per arrival: each window list is scanned once, however many
+    /// copies the arrival sends.
+    pub(crate) fn deliveries_at(&self, at: SimTime) -> DeliveryFaults {
+        let (copies, reorder_span_ms) = (self.duplicate_copies(at), self.reorder_span_ms(at));
+        let leaves_deliveries_alone = self.loss_rate == 0.0
             && self.stalls.is_empty()
-            && self.reorder_span_ms(at) <= 0.0
-            && self.duplicate_copies(at) == 1
+            && reorder_span_ms <= 0.0
+            && copies == 1;
+        DeliveryFaults { copies, reorder_span_ms, leaves_deliveries_alone }
     }
 
     /// The maximum extra reorder delay for a delivery scheduled at `at`:
@@ -397,6 +402,20 @@ impl FaultPlan {
     }
 }
 
+/// What a [`FaultPlan`] does to the deliveries sent at one instant.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct DeliveryFaults {
+    /// How many copies of each delivery are sent.
+    pub(crate) copies: u64,
+    /// The active reorder-window total, 0 outside every window.
+    pub(crate) reorder_span_ms: f64,
+    /// Whether the deliveries are left alone: no loss rate, no stall to
+    /// queue behind, no reorder window and no duplicate window active.
+    /// Sending such a delivery draws nothing, and it lands alone, exactly
+    /// its latency after it is sent.
+    pub(crate) leaves_deliveries_alone: bool,
+}
+
 /// A [`FaultPlan`] paired with the two seeded RNG streams its sampling
 /// shapes need: one for loss, one for reorder delays.
 ///
@@ -404,25 +423,24 @@ impl FaultPlan {
 /// jitter or adding a reorder window does not change *which* messages
 /// are lost. The draw-free shapes are asked of [`FaultInjector::plan`].
 #[derive(Debug)]
-pub(crate) struct FaultInjector {
-    plan: FaultPlan,
+pub(crate) struct FaultInjector<'p> {
+    plan: &'p FaultPlan,
     loss_rng: StdRng,
     reorder_rng: StdRng,
 }
 
-impl FaultInjector {
+impl<'p> FaultInjector<'p> {
     /// Creates an injector for `plan`, deriving both streams from `seed`.
-    pub(crate) fn new(plan: FaultPlan, seed: u64) -> Self {
-        // Decorrelate from the jitter stream, which is seeded with the raw
-        // engine seed.
+    pub(crate) fn new(plan: &'p FaultPlan, seed: u64) -> Self {
+        // Decorrelate from the jitter stream, which takes `seed` as it is.
         let loss_rng = StdRng::seed_from_u64(seed ^ 0xFA17_7013_u64);
         let reorder_rng = StdRng::seed_from_u64(seed ^ 0x2E02_DE21_u64);
         FaultInjector { plan, loss_rng, reorder_rng }
     }
 
     /// The underlying plan.
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
+    pub(crate) fn plan(&self) -> &'p FaultPlan {
+        self.plan
     }
 
     /// Samples whether the next hop drops its packet. Draws from the loss
@@ -432,16 +450,15 @@ impl FaultInjector {
         self.plan.loss_rate > 0.0 && self.loss_rng.random::<f64>() < self.plan.loss_rate
     }
 
-    /// Extra delay for a delivery scheduled at `at`: a uniform draw in
-    /// `[0, span)` where `span` is the active reorder-window total.
-    /// Draws from the reorder RNG only when a window is active, so quiet
-    /// plans make no draws at all.
-    pub(crate) fn reorder_extra_ms(&mut self, at: SimTime) -> f64 {
-        let span = self.plan.reorder_span_ms(at);
-        if span <= 0.0 {
+    /// Extra delay for a delivery: a uniform draw in `[0, span_ms)`, where
+    /// `span_ms` is the reorder-window total active when it is sent
+    /// ([`DeliveryFaults::reorder_span_ms`]). Draws from the reorder RNG
+    /// only when a window is active, so quiet plans make no draws at all.
+    pub(crate) fn reorder_extra_ms(&mut self, span_ms: f64) -> f64 {
+        if span_ms <= 0.0 {
             return 0.0;
         }
-        self.reorder_rng.random::<f64>() * span
+        self.reorder_rng.random::<f64>() * span_ms
     }
 }
 
@@ -455,7 +472,7 @@ mod tests {
         assert!(plan.is_quiet());
         assert!(!plan.region_down(RegionId(0), SimTime::from_ms(100.0)));
         assert_eq!(plan.extra_link_ms(RegionId(0), RegionId(1), SimTime::from_ms(100.0)), 0.0);
-        let mut injector = FaultInjector::new(plan, 7);
+        let mut injector = FaultInjector::new(&plan, 7);
         for _ in 0..100 {
             assert!(!injector.drop_packet());
         }
@@ -534,7 +551,8 @@ mod tests {
     #[test]
     fn loss_sampling_is_deterministic_per_seed() {
         let draws = |seed: u64| {
-            let mut injector = FaultInjector::new(FaultPlan::none().with_loss_rate(0.5), seed);
+            let plan = FaultPlan::none().with_loss_rate(0.5);
+            let mut injector = FaultInjector::new(&plan, seed);
             (0..64).map(|_| injector.drop_packet()).collect::<Vec<bool>>()
         };
         assert_eq!(draws(3), draws(3));
@@ -545,7 +563,8 @@ mod tests {
 
     #[test]
     fn full_loss_drops_everything() {
-        let mut injector = FaultInjector::new(FaultPlan::none().with_loss_rate(1.0), 0);
+        let plan = FaultPlan::none().with_loss_rate(1.0);
+        let mut injector = FaultInjector::new(&plan, 0);
         for _ in 0..32 {
             assert!(injector.drop_packet());
         }
@@ -650,7 +669,7 @@ mod tests {
     #[test]
     fn only_a_plan_that_draws_stalls_and_copies_nothing_leaves_deliveries_alone() {
         let at = SimTime::from_ms(200.0);
-        assert!(FaultPlan::none().leaves_deliveries_alone(at));
+        assert!(FaultPlan::none().deliveries_at(at).leaves_deliveries_alone);
         // Shapes that act on hops or publications, not on deliveries.
         let elsewhere = FaultPlan::none()
             .with_outage(RegionOutage::new(RegionId(0), 0.0, 1000.0))
@@ -659,14 +678,14 @@ mod tests {
             .with_duplicate(DuplicateDelivery::new(1, 0.0, 1000.0))
             .with_duplicate(DuplicateDelivery::new(2, 500.0, 1000.0))
             .with_reorder(ReorderWindow::new(5.0, 500.0, 1000.0));
-        assert!(elsewhere.leaves_deliveries_alone(at));
+        assert!(elsewhere.deliveries_at(at).leaves_deliveries_alone);
         for touches in [
             FaultPlan::none().with_loss_rate(0.01),
             FaultPlan::none().with_stall(SubscriberStall::new(ClientId(9), 900.0, 1000.0)),
             FaultPlan::none().with_duplicate(DuplicateDelivery::new(2, 100.0, 300.0)),
             FaultPlan::none().with_reorder(ReorderWindow::new(5.0, 100.0, 300.0)),
         ] {
-            assert!(!touches.leaves_deliveries_alone(at), "{touches:?}");
+            assert!(!touches.deliveries_at(at).leaves_deliveries_alone, "{touches:?}");
         }
     }
 
@@ -694,10 +713,11 @@ mod tests {
     fn reorder_draws_are_seeded_bounded_and_quiet_outside_windows() {
         let plan = FaultPlan::none().with_reorder(ReorderWindow::new(20.0, 100.0, 400.0));
         let draws = |seed: u64| {
-            let mut injector = FaultInjector::new(plan.clone(), seed);
+            let mut injector = FaultInjector::new(&plan, seed);
             // Outside a window: no draw at all, zero delay.
-            assert_eq!(injector.reorder_extra_ms(SimTime::from_ms(50.0)), 0.0);
-            (0..32).map(|_| injector.reorder_extra_ms(SimTime::from_ms(200.0))).collect::<Vec<_>>()
+            let span = |ms| plan.deliveries_at(SimTime::from_ms(ms)).reorder_span_ms;
+            assert_eq!(injector.reorder_extra_ms(span(50.0)), 0.0);
+            (0..32).map(|_| injector.reorder_extra_ms(span(200.0))).collect::<Vec<_>>()
         };
         let a = draws(9);
         assert_eq!(a, draws(9), "reorder draws must be reproducible per seed");
@@ -711,12 +731,12 @@ mod tests {
         // loss draw sequence byte-identical.
         let loss_only = FaultPlan::none().with_loss_rate(0.5);
         let with_reorder = loss_only.clone().with_reorder(ReorderWindow::new(10.0, 0.0, 1000.0));
-        let mut a = FaultInjector::new(loss_only, 3);
-        let mut b = FaultInjector::new(with_reorder, 3);
+        let mut a = FaultInjector::new(&loss_only, 3);
+        let mut b = FaultInjector::new(&with_reorder, 3);
         for i in 0..64 {
             // Interleave reorder draws on one side only.
             if i % 2 == 0 {
-                b.reorder_extra_ms(SimTime::from_ms(500.0));
+                b.reorder_extra_ms(10.0);
             }
             assert_eq!(a.drop_packet(), b.drop_packet(), "loss draw {i} diverged");
         }

@@ -27,7 +27,9 @@
 //!   publishers with rates/sizes, subscribers; client lists and latency rows
 //!   shared by `Arc`, so a clone or a topic's analytic workload copies none.
 //! * [`engine`] — the event loop over publications and broker arrivals,
-//!   the publication table it appends to as publishers emit, and the
+//!   run topic by topic, each topic with its own queue contents and draw
+//!   streams, the topics fanned out over the cores in contiguous chunks;
+//!   the publication table a worker appends to as publishers emit, and the
 //!   delivery log the brokers append to as they send: 24 bytes a quiet
 //!   arrival, whose copies all land exactly their latency after it, and
 //!   16 bytes a delivery sent on its own, indices into the publication
@@ -36,9 +38,9 @@
 //!   serving region that delivers to them; append-only for a run, so a
 //!   quiet arrival can name the table it was served under.
 //! * [`metrics`] — the per-region traffic ledger and the final
-//!   [`metrics::SimReport`], which holds the log and the tables, merges
-//!   the two kinds of line in send order and builds each
-//!   [`metrics::DeliveryRecord`] when it is read.
+//!   [`metrics::SimReport`], which holds the workers' logs and tables,
+//!   merges the two kinds of line in send order, topic by topic, and
+//!   builds each [`metrics::DeliveryRecord`] when it is read.
 //!
 //! ## Example
 //!
@@ -84,3 +86,9 @@ pub mod queue;
 mod routing;
 pub mod scenario;
 pub mod time;
+
+/// The fixed scenarios of `tests/report_digests.rs`, for the engine's own
+/// tests.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod digest_cases;

@@ -11,6 +11,13 @@
 //! [`DeliveryRecord`] only when one is read, expanding an arrival into one
 //! record per subscriber of its table's group for that region, and merges
 //! the two kinds of line back into send order by position.
+//!
+//! Topics run apart, so there is one log per worker, holding a contiguous
+//! range of topics topic by topic, and each log marks where each of its
+//! topics' lines end. The report reads the logs in topic order; a topic's
+//! percentile reads that topic's stretch alone. What is counted as it
+//! goes — the ledger, the lost and delivered counts, the latency tally —
+//! is one `Totals` per worker, summed after the join.
 
 // lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every log entry's publication, topic, publisher and subscriber index, every arrival's table index and region, and every group's subscriber index was taken by the engine from the tables the report holds, and an arrival's position is the length the `Sent` entries had when it was written
 
@@ -85,21 +92,116 @@ impl Arrival {
     }
 }
 
-/// Everything a run writes down about its deliveries.
+/// Everything one worker writes down about the deliveries of its topics,
+/// a contiguous range of the scenario's, topic by topic: the first topic's
+/// publications, tables and lines, then the second's, and so on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DeliveryLog {
-    /// Every publication emitted, in the order it was emitted.
+    /// The first of the log's topics.
+    pub(crate) first_topic: usize,
+    /// Every publication its topics emitted, in the order they were.
     pub(crate) publications: Vec<Publication>,
-    /// Every routing table the run built, in the order it built them.
+    /// Every routing table its topics' runs built, in the order they were.
     pub(crate) tables: Vec<TopicRouting>,
     /// The deliveries sent on their own, in the order the brokers sent them.
     pub(crate) sent: Vec<Sent>,
     /// The quiet arrivals, in the order the brokers received them.
     pub(crate) arrivals: Vec<Arrival>,
-    /// How many deliveries the two kinds of line hold between them.
+    /// Where each topic's lines end, in topic order; they begin where the
+    /// previous topic's end.
+    pub(crate) stretches: Vec<Stretch>,
+}
+
+/// Where one topic's lines end in its log: its `Sent` entries end before
+/// index `sent`, its quiet arrivals before index `arrivals`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Stretch {
+    pub(crate) sent: usize,
+    pub(crate) arrivals: usize,
+}
+
+impl DeliveryLog {
+    /// An empty log whose first topic is `first_topic`.
+    pub(crate) fn starting_at(first_topic: usize) -> Self {
+        DeliveryLog { first_topic, ..DeliveryLog::default() }
+    }
+
+    /// Closes the stretch of the topic whose lines were written last.
+    pub(crate) fn end_topic(&mut self) {
+        self.stretches.push(Stretch { sent: self.sent.len(), arrivals: self.arrivals.len() });
+    }
+
+    /// The stretch of topic `topic`, if this log holds it: where its `Sent`
+    /// entries and its quiet arrivals begin and end.
+    fn stretch(&self, topic: usize) -> Option<(Stretch, Stretch)> {
+        let index = topic.checked_sub(self.first_topic)?;
+        let end = *self.stretches.get(index)?;
+        let start =
+            index.checked_sub(1).map_or(Stretch::default(), |before| self.stretches[before]);
+        Some((start, end))
+    }
+
+    /// Appends the end-to-end time of every delivery written between
+    /// `start` and `end` to `latencies`: the `Sent` entries', then each
+    /// quiet arrival's group's.
+    fn latencies_ms(
+        &self,
+        topics: &[TopicScenario],
+        (start, end): (Stretch, Stretch),
+        latencies: &mut Vec<f64>,
+    ) {
+        for sent in &self.sent[start.sent..end.sent] {
+            let publication = &self.publications[sent.publication as usize];
+            latencies.push(sent.delivered_at - publication.published_at);
+        }
+        for arrival in &self.arrivals[start.arrivals..end.arrivals] {
+            let publication = &self.publications[arrival.publication as usize];
+            let subscribers = topics[publication.topic as usize].subscribers();
+            let group = self.tables[arrival.table as usize].local_subscribers(arrival.region);
+            latencies.extend(group.iter().map(|&subscriber| {
+                arrival.landing(&subscribers[subscriber as usize]) - publication.published_at
+            }));
+        }
+    }
+
+    /// The stretch of every line of the log.
+    fn whole(&self) -> (Stretch, Stretch) {
+        (Stretch::default(), Stretch { sent: self.sent.len(), arrivals: self.arrivals.len() })
+    }
+}
+
+/// What a run counts as it goes. Each worker keeps one for all its topics,
+/// and they are summed after the join: every field is an integer sum (or a
+/// maximum), so the total is the same however the topics were split.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Totals {
+    pub(crate) ledger: TrafficLedger,
+    /// Message copies destroyed by injected faults.
+    pub(crate) lost: u64,
+    /// Deliveries written to the log.
     pub(crate) delivered: u64,
     /// Every delivery's end-to-end time, tallied as it was sent.
     pub(crate) latencies: Tally,
+}
+
+impl Totals {
+    /// Nothing counted yet, over `n_regions` regions.
+    pub(crate) fn new(n_regions: usize) -> Self {
+        Totals {
+            ledger: TrafficLedger::new(n_regions),
+            lost: 0,
+            delivered: 0,
+            latencies: Tally::new(),
+        }
+    }
+
+    /// Adds what `other` counted.
+    pub(crate) fn add(&mut self, other: &Totals) {
+        self.ledger.add(&other.ledger);
+        self.lost += other.lost;
+        self.delivered += other.delivered;
+        self.latencies.merge(&other.latencies);
+    }
 }
 
 /// Billable egress bytes per region, split by destination class exactly
@@ -114,6 +216,15 @@ impl TrafficLedger {
     /// An empty ledger over `n_regions` regions.
     pub(crate) fn new(n_regions: usize) -> Self {
         TrafficLedger { internet_bytes: vec![0; n_regions], inter_region_bytes: vec![0; n_regions] }
+    }
+
+    /// Adds every byte `other` recorded.
+    fn add(&mut self, other: &TrafficLedger) {
+        let pairs = self.internet_bytes.iter_mut().zip(&other.internet_bytes);
+        let inter_region = self.inter_region_bytes.iter_mut().zip(&other.inter_region_bytes);
+        for (bytes, &more) in pairs.chain(inter_region) {
+            *bytes += more;
+        }
     }
 
     /// Records `bytes` sent from `region` to an Internet client.
@@ -150,53 +261,69 @@ impl TrafficLedger {
 }
 
 /// Everything measured during one simulation run.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two reports are equal when they hold the same topics, the same
+/// deliveries in the same order, the same counts and the same duration,
+/// however many workers wrote their logs.
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// The scenario's topics, whose client lists turn the log's indices
     /// back into client ids.
     topics: Vec<TopicScenario>,
-    pub(crate) log: DeliveryLog,
-    ledger: TrafficLedger,
-    lost_count: u64,
+    /// One log per worker, in topic order.
+    pub(crate) logs: Vec<DeliveryLog>,
+    totals: Totals,
     duration_ms: f64,
+}
+
+impl PartialEq for SimReport {
+    fn eq(&self, other: &SimReport) -> bool {
+        self.topics == other.topics
+            && self.totals == other.totals
+            && self.duration_ms == other.duration_ms
+            && self.deliveries().eq(other.deliveries())
+    }
 }
 
 impl SimReport {
     pub(crate) fn new(
         topics: Vec<TopicScenario>,
-        log: DeliveryLog,
-        ledger: TrafficLedger,
-        lost_count: u64,
+        logs: Vec<DeliveryLog>,
+        totals: Totals,
         duration_ms: f64,
     ) -> Self {
-        SimReport { topics, log, ledger, lost_count, duration_ms }
+        SimReport { topics, logs, totals, duration_ms }
     }
 
-    /// All delivery records, in the order the brokers sent them, each built
-    /// when it is read. A stable sort by `delivered_at` puts them in
-    /// delivery-time order, deliveries landing at the same instant still in
-    /// send order.
+    /// All delivery records, topic by topic in topic order, each topic's in
+    /// the order its brokers sent them, each built when it is read. A stable
+    /// sort by `delivered_at` and then `topic_index` puts them in
+    /// delivery-time order, one topic's deliveries landing at the same
+    /// instant still in send order.
     pub fn deliveries(&self) -> impl ExactSizeIterator<Item = DeliveryRecord> + '_ {
         Deliveries {
             report: self,
+            logs: self.logs.iter(),
+            log: None,
             next_sent: 0,
-            arrivals: &self.log.arrivals,
+            arrivals: &[],
             arrival: None,
             group: [].iter(),
             // A `u64` count of values held in memory fits a `usize`.
-            remaining: self.log.delivered as usize,
+            remaining: self.totals.delivered as usize,
         }
     }
 
-    /// The record of a copy of publication `publication` to subscriber
-    /// `subscriber` of its topic, landing when `landing` says.
+    /// The record of a copy of `log`'s publication `publication` to
+    /// subscriber `subscriber` of its topic, landing when `landing` says.
     fn record(
         &self,
+        log: &DeliveryLog,
         publication: u32,
         subscriber: u32,
         landing: impl FnOnce(&SimSubscriber) -> SimTime,
     ) -> DeliveryRecord {
-        let publication = self.log.publications[publication as usize];
+        let publication = log.publications[publication as usize];
         let topic = &self.topics[publication.topic as usize];
         let subscriber = &topic.subscribers()[subscriber as usize];
         DeliveryRecord {
@@ -208,58 +335,33 @@ impl SimReport {
         }
     }
 
-    /// The end-to-end time of every delivery of the publications `keep`
-    /// accepts, in no particular order: the `Sent` entries', then each
-    /// quiet arrival's group's. `capacity` is how many are expected.
-    fn latencies_ms(&self, capacity: usize, keep: impl Fn(&Publication) -> bool) -> Vec<f64> {
-        let log = &self.log;
-        let mut latencies = Vec::with_capacity(capacity);
-        for sent in &log.sent {
-            let publication = &log.publications[sent.publication as usize];
-            if keep(publication) {
-                latencies.push(sent.delivered_at - publication.published_at);
-            }
-        }
-        for arrival in &log.arrivals {
-            let publication = &log.publications[arrival.publication as usize];
-            if keep(publication) {
-                let subscribers = self.topics[publication.topic as usize].subscribers();
-                let group = log.tables[arrival.table as usize].local_subscribers(arrival.region);
-                latencies.extend(group.iter().map(|&subscriber| {
-                    arrival.landing(&subscribers[subscriber as usize]) - publication.published_at
-                }));
-            }
-        }
-        latencies
-    }
-
     /// Every delivery's end-to-end time, tallied as the brokers sent it —
     /// what [`crate::engine::Engine::run`] adds to the
     /// `multipub_netsim_delivery_ms` histogram.
     pub fn latency_tally(&self) -> &Tally {
-        &self.log.latencies
+        &self.totals.latencies
     }
 
     /// Number of deliveries completed.
     pub fn delivery_count(&self) -> u64 {
-        self.log.delivered
+        self.totals.delivered
     }
 
     /// Number of publications emitted.
     pub fn published_count(&self) -> u64 {
-        self.log.publications.len() as u64
+        self.logs.iter().map(|log| log.publications.len() as u64).sum()
     }
 
     /// Number of in-flight message copies destroyed by injected faults
     /// (packet loss or arrival at a region inside an outage window). Zero
     /// for fault-free runs.
     pub fn lost_count(&self) -> u64 {
-        self.lost_count
+        self.totals.lost
     }
 
     /// The traffic ledger.
     pub fn ledger(&self) -> &TrafficLedger {
-        &self.ledger
+        &self.totals.ledger
     }
 
     /// The measured `ratio`-th percentile of delivery times across all
@@ -268,12 +370,15 @@ impl SimReport {
     /// Uses the same ceiling-rank definition as the analytic model
     /// (Eq. 5), so jitter-free runs agree with it exactly.
     pub fn percentile_ms(&self, ratio_percent: f64) -> f64 {
-        let mut latencies = self.latencies_ms(self.deliveries().len(), |_| true);
+        let mut latencies = Vec::with_capacity(self.deliveries().len());
+        for log in &self.logs {
+            log.latencies_ms(&self.topics, log.whole(), &mut latencies);
+        }
         percentile_exact(&mut latencies, ratio_percent)
     }
 
     /// The measured percentile for a single topic (0.0 when the topic had
-    /// no deliveries).
+    /// no deliveries). Reads only the topic's own stretch of its log.
     ///
     /// # Panics
     ///
@@ -285,15 +390,18 @@ impl SimReport {
             topic_index < topics,
             "topic index {topic_index} out of range for a report of {topics} topics"
         );
-        // The engine checked that every topic index fits a `u32`.
-        let topic = topic_index as u32;
-        let mut latencies = self.latencies_ms(0, |publication| publication.topic == topic);
+        let mut latencies = Vec::new();
+        for log in &self.logs {
+            if let Some(stretch) = log.stretch(topic_index) {
+                log.latencies_ms(&self.topics, stretch, &mut latencies);
+            }
+        }
         percentile_exact(&mut latencies, ratio_percent)
     }
 
     /// The measured billable cost in dollars under `regions` prices.
     pub fn cost_dollars(&self, regions: &RegionSet) -> f64 {
-        self.ledger.cost_dollars(regions)
+        self.totals.ledger.cost_dollars(regions)
     }
 
     /// Extrapolates the measured cost to a different wall-clock horizon,
@@ -306,14 +414,18 @@ impl SimReport {
     }
 }
 
-/// A report's deliveries in send order: the `Sent` entries up to each quiet
-/// arrival's position, then that arrival's group, then the entries after
-/// the last arrival.
+/// A report's deliveries in send order, log by log: in each log, the `Sent`
+/// entries up to each quiet arrival's position, then that arrival's group,
+/// then the entries after the last arrival.
 struct Deliveries<'a> {
     report: &'a SimReport,
-    /// The next `Sent` entry to read.
+    /// The logs not yet started.
+    logs: std::slice::Iter<'a, DeliveryLog>,
+    /// The log being read.
+    log: Option<&'a DeliveryLog>,
+    /// The next `Sent` entry of `log` to read.
     next_sent: usize,
-    /// The arrivals not yet expanded.
+    /// The arrivals of `log` not yet expanded.
     arrivals: &'a [Arrival],
     /// The arrival being expanded, and what is left of its group.
     arrival: Option<&'a Arrival>,
@@ -325,14 +437,22 @@ impl Iterator for Deliveries<'_> {
     type Item = DeliveryRecord;
 
     fn next(&mut self) -> Option<DeliveryRecord> {
-        let (report, log) = (self.report, &self.report.log);
+        let report = self.report;
         loop {
+            let Some(log) = self.log else {
+                let log = self.logs.next()?;
+                (self.log, self.next_sent, self.arrivals) = (Some(log), 0, &log.arrivals);
+                continue;
+            };
             if let Some(arrival) = self.arrival {
                 if let Some(&subscriber) = self.group.next() {
                     self.remaining -= 1;
-                    return Some(report.record(arrival.publication, subscriber, |subscriber| {
-                        arrival.landing(subscriber)
-                    }));
+                    return Some(report.record(
+                        log,
+                        arrival.publication,
+                        subscriber,
+                        |subscriber| arrival.landing(subscriber),
+                    ));
                 }
             }
             let until = self.arrivals.first().map_or(log.sent.len(), |next| next.position as usize);
@@ -341,14 +461,18 @@ impl Iterator for Deliveries<'_> {
                 self.next_sent += 1;
                 self.remaining -= 1;
                 return Some(
-                    report.record(sent.publication, sent.subscriber, |_| sent.delivered_at),
+                    report.record(log, sent.publication, sent.subscriber, |_| sent.delivered_at),
                 );
             }
-            let (arrival, later) = self.arrivals.split_first()?;
-            self.arrivals = later;
-            self.arrival = Some(arrival);
-            self.group =
-                log.tables[arrival.table as usize].local_subscribers(arrival.region).iter();
+            match self.arrivals.split_first() {
+                Some((arrival, later)) => {
+                    self.arrivals = later;
+                    self.arrival = Some(arrival);
+                    self.group =
+                        log.tables[arrival.table as usize].local_subscribers(arrival.region).iter();
+                }
+                None => (self.log, self.arrival) = (None, None),
+            }
         }
     }
 
@@ -367,10 +491,15 @@ mod tests {
     use multipub_core::ids::TopicId;
     use multipub_core::region::Region;
 
+    /// Totals of `delivered` deliveries over `n_regions` regions.
+    fn delivered(delivered: u64, n_regions: usize) -> Totals {
+        Totals { delivered, ..Totals::new(n_regions) }
+    }
+
     /// A report over `topics` topics of one publisher (C0) and one
-    /// subscriber (C1) each. Every `(topic, latency)` delivery is its own
-    /// publication on that topic, emitted at 0 and landing `latency` ms
-    /// later.
+    /// subscriber (C1) each, in one log. Every `(topic, latency)` delivery
+    /// is its own publication on that topic, emitted at 0 and landing
+    /// `latency` ms later; the deliveries come topic by topic.
     fn report(topics: usize, deliveries: &[(u32, f64)]) -> SimReport {
         let topic = |t: usize| {
             TopicScenario::new(
@@ -392,14 +521,16 @@ mod tests {
                 delivered_at: SimTime::from_ms(latency),
             })
             .collect();
-        let topics = (0..topics).map(topic).collect();
-        let log = DeliveryLog {
-            publications,
-            sent,
-            delivered: deliveries.len() as u64,
-            ..DeliveryLog::default()
-        };
-        SimReport::new(topics, log, TrafficLedger::new(1), 0, 1000.0)
+        assert!(deliveries.is_sorted_by_key(|&(topic, _)| topic));
+        let stretches = (0..topics as u32)
+            .map(|t| {
+                let sent = deliveries.iter().filter(|&&(topic, _)| topic <= t).count();
+                Stretch { sent, arrivals: 0 }
+            })
+            .collect();
+        let log = DeliveryLog { publications, sent, stretches, ..DeliveryLog::default() };
+        let totals = delivered(deliveries.len() as u64, 1);
+        SimReport::new((0..topics).map(topic).collect(), vec![log], totals, 1000.0)
     }
 
     #[test]
@@ -450,10 +581,10 @@ mod tests {
             // arrival at region 1, then one last sent entry.
             sent: vec![sent(0, 1, 50.0), sent(1, 0, 60.0), sent(1, 2, 61.0), sent(0, 0, 70.0)],
             arrivals: vec![arrival(0, 1, 0, 1.0), arrival(1, 3, 1, 11.0)],
-            delivered: 7,
+            stretches: vec![Stretch { sent: 4, arrivals: 2 }],
             ..DeliveryLog::default()
         };
-        let report = SimReport::new(vec![topic], log, TrafficLedger::new(2), 0, 1000.0);
+        let report = SimReport::new(vec![topic], vec![log], delivered(7, 2), 1000.0);
         let deliveries = report.deliveries();
         assert_eq!(deliveries.len(), 7);
         let rows: Vec<(ClientId, f64, f64)> = deliveries
@@ -524,14 +655,15 @@ mod tests {
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         let mut ledger = TrafficLedger::new(1);
         ledger.record_internet(RegionId(0), 1_000_000_000);
-        let report = SimReport::new(vec![], DeliveryLog::default(), ledger, 0, 60_000.0);
+        let totals = Totals { ledger, ..Totals::new(1) };
+        let report = SimReport::new(vec![], vec![], totals, 60_000.0);
         let per_day = report.cost_dollars_per(&regions, 86_400_000.0);
         assert!((per_day - 0.09 * 1440.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_defaults() {
-        let report = SimReport::new(vec![], DeliveryLog::default(), TrafficLedger::new(1), 0, 0.0);
+        let report = SimReport::new(vec![], vec![], Totals::new(1), 0.0);
         assert_eq!(report.percentile_ms(95.0), 0.0);
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         assert_eq!(report.cost_dollars_per(&regions, 1000.0), 0.0);

@@ -1,148 +1,36 @@
 //! One line per fixed scenario with everything a `SimReport` holds, the
 //! delivery log folded into an FNV-1a digest in delivery-time order (one
-//! stable sort of the send order), diffed against `report_digests.txt` —
-//! the check that a change to the engine leaves reports bit for bit what
-//! they were. A changed `log=` digest with equal counts means the
-//! time-sorted sequence changed: deliveries moved in time, or deliveries
-//! landing together were sent in a different order.
+//! stable sort of the send order by delivery time, then topic index),
+//! diffed against `report_digests.txt` — the check that a change to the
+//! engine leaves reports bit for bit what they were. A changed `log=`
+//! digest with equal counts means the time-sorted sequence changed:
+//! deliveries moved in time, or one topic's deliveries landing together
+//! were sent in a different order. Which topic's deliveries come first
+//! among those landing together is the topic index's business, not the
+//! engine's: topics run apart.
 //!
-//! The scenarios are King populations from `multipub-data` over the first
-//! six EC2 regions; between them they cover both delivery modes, every
-//! fault shape alone, all of them at once under jitter with a mid-run
-//! reconfiguration, and a many-small-topics population with whole-
-//! millisecond latencies whose deliveries tie heavily. No scenario stalls
-//! one subscriber twice.
+//! The scenarios are in `common/mod.rs`, shared with the engine's own
+//! tests.
 //!
 //! A second test reruns each quiet scenario with a stall on a client it
 //! does not hold, which makes every broker send its copies one by one, and
 //! checks that both runs report the same deliveries in the same order.
+//! The others check what running topics apart promises: a topic's
+//! percentile reads its own deliveries, a topic's draws are its own, and
+//! the loss stream still loses at its rate.
 
+mod common;
+
+use common::{cases, direct, mixed, routed, scenario, DURATION_MS, FEEDS, N_REGIONS, SMALL_TOPICS};
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
-use multipub_core::ids::{ClientId, RegionId, TopicId};
-use multipub_data::ec2;
-use multipub_data::king::ClientLatencyModel;
+use multipub_core::ids::{ClientId, RegionId};
 use multipub_netsim::engine::Engine;
-use multipub_netsim::faults::{
-    DuplicateDelivery, FaultPlan, LinkDegradation, PublishBurst, RegionOutage, ReorderWindow,
-    SubscriberStall,
-};
+use multipub_netsim::faults::{FaultPlan, ReorderWindow, SubscriberStall};
 use multipub_netsim::jitter::Jitter;
-use multipub_netsim::metrics::SimReport;
-use multipub_netsim::scenario::{Scenario, SimPublisher, SimSubscriber, TopicScenario};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-const N_REGIONS: usize = 6;
-const DURATION_MS: f64 = 2_000.0;
-
-/// The shape of a scenario's population; the latency rows are drawn from
-/// `seed`.
-struct Population {
-    seed: u64,
-    topics: usize,
-    publishers: usize,
-    subscribers: usize,
-    rate_per_sec: f64,
-    /// Whole-millisecond latencies and unphased publishers, so deliveries tie.
-    integral: bool,
-}
-
-/// 12 × 3 × 25 clients at 20 msg/s: 36 000 deliveries over two seconds.
-const FEEDS: Population = Population {
-    seed: 2017,
-    topics: 12,
-    publishers: 3,
-    subscribers: 25,
-    rate_per_sec: 20.0,
-    integral: false,
-};
-
-/// 400 × 2 × 6 clients at 10 msg/s: 96 000 deliveries, most sharing their
-/// delivery time with others.
-const SMALL_TOPICS: Population = Population {
-    seed: 5,
-    topics: 400,
-    publishers: 2,
-    subscribers: 6,
-    rate_per_sec: 10.0,
-    integral: true,
-};
-
-/// Subscriber ids start here; publisher ids count up from zero.
-const FIRST_SUBSCRIBER: u64 = 1_000_000;
-
-fn configuration(mask: u32, mode: DeliveryMode) -> Configuration {
-    let assignment = AssignmentVector::from_mask(mask, N_REGIONS).expect("mask fits six regions");
-    Configuration::new(assignment, mode)
-}
-
-fn direct(_topic: usize) -> Configuration {
-    configuration(0b11_1111, DeliveryMode::Direct)
-}
-
-fn routed(_topic: usize) -> Configuration {
-    configuration(0b11_1111, DeliveryMode::Routed)
-}
-
-/// Topic `t` of a mixed population: every other topic direct, the serving
-/// set cycling through all six regions, three of them and one.
-fn mixed(t: usize) -> Configuration {
-    let mask = [0b11_1111, 0b01_0101, 0b00_1000][t % 3];
-    configuration(
-        mask,
-        if t.is_multiple_of(2) { DeliveryMode::Direct } else { DeliveryMode::Routed },
-    )
-}
-
-fn scenario(population: &Population, configure: fn(usize) -> Configuration) -> Scenario {
-    let (regions, inter) = ec2::restricted_deployment(N_REGIONS);
-    let model = ClientLatencyModel::new(&inter);
-    let mut rng = StdRng::seed_from_u64(population.seed);
-    let mut row = |home: usize| {
-        let row = model.sample(RegionId(home as u8), &mut rng);
-        if population.integral {
-            row.iter().map(|latency| latency.round()).collect()
-        } else {
-            row
-        }
-    };
-    let (mut next_publisher, mut next_subscriber) = (0, FIRST_SUBSCRIBER);
-    let topics = (0..population.topics)
-        .map(|t| {
-            let period_ms = 1000.0 / population.rate_per_sec;
-            let publishers = (0..population.publishers)
-                .map(|i| {
-                    next_publisher += 1;
-                    let phase_ms = if population.integral {
-                        0.0
-                    } else {
-                        (i as f64 * 0.37).fract() * period_ms
-                    };
-                    SimPublisher::with_phase(
-                        ClientId(next_publisher),
-                        row((t + i) % N_REGIONS),
-                        population.rate_per_sec,
-                        512,
-                        phase_ms,
-                    )
-                })
-                .collect();
-            let subscribers = (0..population.subscribers)
-                .map(|i| {
-                    next_subscriber += 1;
-                    SimSubscriber::new(ClientId(next_subscriber), row((t + 2 * i) % N_REGIONS))
-                })
-                .collect();
-            TopicScenario::new(
-                TopicId::new(format!("t{t:03}")),
-                configure(t),
-                publishers,
-                subscribers,
-            )
-        })
-        .collect();
-    Scenario::new(regions, inter, topics)
-}
+use multipub_netsim::metrics::{DeliveryRecord, SimReport};
+use multipub_netsim::scenario::{SimPublisher, SimSubscriber, TopicScenario};
+use multipub_netsim::{engine, faults, jitter, scenario};
+use multipub_obs::quantile::percentile_exact;
 
 /// FNV-1a over the log in delivery-time order: every field of every
 /// record, deliveries landing together in send order.
@@ -154,7 +42,10 @@ fn log_digest(report: &SimReport) -> u64 {
         }
     };
     let mut by_time: Vec<_> = report.deliveries().collect();
-    by_time.sort_by(|a, b| a.delivered_at.as_ms().total_cmp(&b.delivered_at.as_ms()));
+    by_time.sort_by(|a, b| {
+        let at = a.delivered_at.as_ms().total_cmp(&b.delivered_at.as_ms());
+        at.then(a.topic_index.cmp(&b.topic_index))
+    });
     for d in by_time {
         write(d.topic_index as u64);
         write(d.publisher.0);
@@ -179,56 +70,10 @@ fn line(name: &str, report: &SimReport) -> String {
     )
 }
 
-fn run(name: &str, scenario: Scenario, jitter: Jitter, seed: u64) -> String {
-    line(name, &Engine::new(scenario, jitter, seed).run(DURATION_MS))
-}
-
 #[test]
 fn reports_match_the_committed_digests() {
-    let quiet = Jitter::disabled();
-    let subscriber = |n: u64| ClientId(FIRST_SUBSCRIBER + n);
-    let mut table = String::new();
-
-    table += &run("direct", scenario(&FEEDS, direct), quiet, 1);
-    table += &run("routed", scenario(&FEEDS, routed), quiet, 1);
-    table += &run("jitter", scenario(&FEEDS, mixed), Jitter::uniform(5.0), 2);
-
-    let plan = FaultPlan::none;
-    let faulted = |configure: fn(usize) -> Configuration, faults: FaultPlan| {
-        scenario(&FEEDS, configure).with_fault_plan(faults)
-    };
-    table += &run("loss", faulted(mixed, plan().with_loss_rate(0.02)), quiet, 3);
-    let reorder = plan().with_reorder(ReorderWindow::new(20.0, 500.0, 1_200.0));
-    table += &run("reorder", faulted(mixed, reorder), quiet, 4);
-    let duplicate = plan().with_duplicate(DuplicateDelivery::new(3, 800.0, 1_100.0));
-    table += &run("duplicate", faulted(mixed, duplicate), quiet, 5);
-    let outage = plan()
-        .with_outage(RegionOutage::new(RegionId(2), 600.0, 900.0))
-        .with_degradation(LinkDegradation::new(RegionId(0), RegionId(1), 0.0, 1_000.0, 30.0));
-    table += &run("outage_degradation", faulted(routed, outage), quiet, 6);
-    // One subscriber per stall; the long one carries deliveries for 1.2 s.
-    let stall = plan()
-        .with_stall(SubscriberStall::new(subscriber(1), 300.0, 1_500.0))
-        .with_stall(SubscriberStall::new(subscriber(40), 1_900.0, 2_600.0))
-        .with_burst(PublishBurst::new(4, 1_000.0, 1_200.0));
-    table += &run("stall_burst", faulted(mixed, stall), quiet, 7);
-
-    let everything = plan()
-        .with_loss_rate(0.01)
-        .with_reorder(ReorderWindow::new(20.0, 300.0, 700.0))
-        .with_duplicate(DuplicateDelivery::new(2, 1_400.0, 1_600.0))
-        .with_outage(RegionOutage::new(RegionId(2), 800.0, 1_000.0))
-        .with_degradation(LinkDegradation::new(RegionId(0), RegionId(3), 0.0, 2_000.0, 25.0))
-        .with_stall(SubscriberStall::new(subscriber(7), 200.0, 1_700.0))
-        .with_burst(PublishBurst::new(3, 1_100.0, 1_300.0));
-    let mut engine = Engine::new(faulted(routed, everything), Jitter::uniform(5.0), 8);
-    for t in 0..FEEDS.topics {
-        engine.schedule_reconfiguration(1_000.0, t, mixed(t));
-    }
-    table += &line("everything_reconfigured", &engine.run(DURATION_MS));
-
-    table += &run("small_topics_ties", scenario(&SMALL_TOPICS, mixed), quiet, 9);
-
+    let table: String =
+        cases().iter().map(|case| line(case.name, &case.engine().run(DURATION_MS))).collect();
     assert!(
         table == include_str!("report_digests.txt"),
         "reports differ from crates/netsim/tests/report_digests.txt; a change that moves \
@@ -276,4 +121,119 @@ fn quiet_arrivals_read_back_like_copies_sent_one_by_one() {
             );
         }
     }
+}
+
+#[test]
+fn a_topic_percentile_is_the_percentile_of_its_own_deliveries() {
+    for case in cases() {
+        if !matches!(case.name, "small_topics_ties" | "everything_reconfigured") {
+            continue;
+        }
+        let report = case.engine().run(DURATION_MS);
+        let mut by_topic = vec![Vec::new(); case.scenario.topics().len()];
+        for d in report.deliveries() {
+            by_topic[d.topic_index].push(d.latency_ms());
+        }
+        for (topic, latencies) in by_topic.iter_mut().enumerate() {
+            for ratio in [50.0, 95.0, 99.0, 100.0] {
+                assert_eq!(
+                    report.topic_percentile_ms(topic, ratio).to_bits(),
+                    percentile_exact(latencies, ratio).to_bits(),
+                    "{} topic {topic} at {ratio} %",
+                    case.name
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_topic_draws_alone() {
+    // Jitter, loss and reordering all draw; topic 0 then changes its
+    // configuration, or loses a publisher, and no other topic may notice.
+    let plan =
+        FaultPlan::none().with_loss_rate(0.05).with_reorder(ReorderWindow::new(20.0, 0.0, 1_500.0));
+    let base = scenario(&FEEDS, mixed).with_fault_plan(plan);
+    let run = |scenario| Engine::new(scenario, Jitter::uniform(5.0), 11).run(DURATION_MS);
+    let others = |report: &SimReport| -> Vec<DeliveryRecord> {
+        report.deliveries().filter(|d| d.topic_index != 0).collect()
+    };
+    let untouched = run(base.clone());
+    assert!(untouched.lost_count() > 0);
+
+    let mut reconfigured = base.clone();
+    let single = AssignmentVector::single(RegionId(4), N_REGIONS).expect("region 4 exists");
+    reconfigured.topics_mut()[0]
+        .set_configuration(Configuration::new(single, DeliveryMode::Direct));
+    let mut quieter = base.clone();
+    let topic = &quieter.topics()[0];
+    let one_publisher = TopicScenario::new(
+        topic.id().clone(),
+        topic.configuration(),
+        topic.publishers()[..1].to_vec(),
+        topic.subscribers().to_vec(),
+    );
+    quieter.topics_mut()[0] = one_publisher;
+
+    for (name, changed) in [("reconfigured", reconfigured), ("quieter", quieter)] {
+        let changed = run(changed);
+        let topic_0 =
+            |report: &SimReport| report.deliveries().filter(|d| d.topic_index == 0).count();
+        assert_ne!(topic_0(&changed), topic_0(&untouched), "{name}: topic 0 did not change");
+        // Times are compared by their bits, which `f64`'s `==` is not.
+        let (before, after) = (others(&untouched), others(&changed));
+        assert_eq!(before.len(), after.len(), "{name}");
+        for (b, a) in before.iter().zip(&after) {
+            assert_eq!(
+                (b.topic_index, b.publisher, b.subscriber),
+                (a.topic_index, a.publisher, a.subscriber),
+                "{name}"
+            );
+            assert_eq!(b.published_at.as_ms().to_bits(), a.published_at.as_ms().to_bits());
+            assert_eq!(b.delivered_at.as_ms().to_bits(), a.delivered_at.as_ms().to_bits());
+        }
+    }
+}
+
+#[test]
+fn the_loss_scenario_loses_at_its_rate() {
+    // Every hop draws once: an uplink to each serving region (direct) or
+    // to the closest one (routed), each billed forward and each billed
+    // delivery copy. Over 200 seeds the share lost must fall within four
+    // binomial standard deviations of the rate.
+    const SEEDS: u64 = 200;
+    const SHORT_MS: f64 = 500.0;
+    let case = cases().into_iter().find(|case| case.name == "loss").expect("a loss case");
+    let size = 512;
+    let uplinks_per_publication: Vec<u64> = case
+        .scenario
+        .topics()
+        .iter()
+        .map(|topic| match topic.configuration().mode() {
+            DeliveryMode::Direct => u64::from(topic.configuration().region_count()),
+            DeliveryMode::Routed => 1,
+        })
+        .collect();
+    let (mut lost, mut hops) = (0u64, 0u64);
+    for seed in 0..SEEDS {
+        let report = Engine::new(case.scenario.clone(), case.jitter, seed).run(SHORT_MS);
+        let billed: u64 = (0..N_REGIONS as u8)
+            .map(RegionId)
+            .map(|r| report.ledger().internet_bytes(r) + report.ledger().inter_region_bytes(r))
+            .sum();
+        assert_eq!(billed % size, 0);
+        // Every topic publishes the same count.
+        let topics = uplinks_per_publication.len() as u64;
+        assert_eq!(report.published_count() % topics, 0);
+        let per_topic = report.published_count() / topics;
+        hops += billed / size + per_topic * uplinks_per_publication.iter().sum::<u64>();
+        lost += report.lost_count();
+    }
+    let rate = common::LOSS_RATE;
+    let sigma = (rate * (1.0 - rate) / hops as f64).sqrt();
+    let share = lost as f64 / hops as f64;
+    assert!(
+        (share - rate).abs() <= 4.0 * sigma,
+        "lost {lost} of {hops} hops: share {share}, rate {rate} ± 4 × {sigma}"
+    );
 }

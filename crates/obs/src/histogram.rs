@@ -264,6 +264,17 @@ impl Tally {
     pub fn count(&self) -> u64 {
         self.count
     }
+
+    /// Counts every observation of `other` too: the tally is then what one
+    /// tally of both value sequences would be, in either order.
+    pub fn merge(&mut self, other: &Tally) {
+        for (bucket, &more) in self.buckets.iter_mut().zip(&other.buckets) {
+            *bucket += more;
+        }
+        self.count += other.count;
+        self.sum_micros = self.sum_micros.wrapping_add(other.sum_micros);
+        self.max_micros = self.max_micros.max(other.max_micros);
+    }
 }
 
 impl Default for Tally {
@@ -604,6 +615,20 @@ mod tests {
         added.add(&tally);
         added.add(&Tally::new());
         assert_eq!(added.snapshot(), one_by_one.snapshot());
+    }
+
+    #[test]
+    fn merged_tallies_equal_one_tally_of_both() {
+        let (first, second) = ([0.0004, 1.0, 37.5, f64::NAN], [9.1e12, 0.0005, 37.5]);
+        let (mut whole, mut left, mut right) = (Tally::new(), Tally::new(), Tally::new());
+        first.iter().chain(&second).for_each(|&value| whole.record(value));
+        first.iter().for_each(|&value| left.record(value));
+        second.iter().for_each(|&value| right.record(value));
+        let mut merged = right.clone();
+        merged.merge(&left);
+        left.merge(&right);
+        assert_eq!(left, whole);
+        assert_eq!(merged, whole);
     }
 
     #[test]
