@@ -28,6 +28,7 @@
 //! * [`delivery`] — delivery-time equations (paper Eq. 1–2) and the
 //!   delivery-time percentile (Eq. 5–6).
 //! * [`cost`] — the bandwidth cost model (Eq. 3–4).
+//! * [`draw`] — SplitMix64, and the simulator's draws keyed by their copy.
 //! * [`evaluate`] — evaluation of a single configuration against a workload.
 //! * [`optimizer`] — brute-force optimal search with the paper's
 //!   tie-breaking rules, plus the *One Region* and *All Regions* baselines.
@@ -89,6 +90,7 @@ pub mod assignment;
 pub mod constraint;
 pub mod cost;
 pub mod delivery;
+pub mod draw;
 pub mod error;
 pub mod evaluate;
 pub mod heuristic;
@@ -117,8 +119,9 @@ pub mod prelude {
     pub use crate::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
 }
 
-/// Seeded generators for the crate's differential tests. Inline, so the
-/// tests need no `rand` and run wherever this crate alone builds.
+/// Seeded generators for the crate's differential tests. They step the
+/// crate's own generator (`crate::draw`), so the tests need no `rand` and
+/// run wherever this crate alone builds.
 #[cfg(test)]
 pub(crate) mod testing {
     use crate::ids::ClientId;
@@ -126,16 +129,12 @@ pub(crate) mod testing {
     use crate::region::{Region, RegionSet};
     use crate::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
 
-    /// SplitMix64.
+    /// SplitMix64, stepped by [`crate::draw::step`].
     pub(crate) struct SplitMix64(pub(crate) u64);
 
     impl SplitMix64 {
         pub(crate) fn next_u64(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            crate::draw::step(&mut self.0)
         }
 
         /// Uniform integer in `lo..=hi`.

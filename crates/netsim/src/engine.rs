@@ -2,16 +2,14 @@
 //!
 //! **Topics run apart.** Topics share nothing in the model — not a broker
 //! queue, not a link, not a random draw — so [`Engine::run`] runs each
-//! topic on its own: its own event queue contents, its own jitter, loss and
-//! reorder streams, and its own stretch of the delivery log. The topics are
-//! split into contiguous chunks, one per core, exactly as the optimizer
-//! splits them ([`multipub_core::parallel::map_chunks`]); each worker runs
-//! its topics one after another, and the calling thread runs the last
-//! chunk. A topic's streams are seeded from the engine seed and the topic's
-//! index through one SplitMix64 step, so its draws depend on its own events
-//! alone, and the report is the same bit for bit however many workers ran:
-//! it lists topic 0's deliveries in send order, then topic 1's, and so on,
-//! and its counts are integer sums.
+//! topic on its own: its own event queue contents and its own stretch of
+//! the delivery log. The topics are split into contiguous chunks, one per
+//! core, exactly as the optimizer splits them
+//! ([`multipub_core::parallel::map_chunks`]); each worker runs its topics
+//! one after another, and the calling thread runs the last chunk. The
+//! report is the same bit for bit however many workers ran: it lists topic
+//! 0's deliveries in send order, then topic 1's, and so on, and its counts
+//! are integer sums.
 //!
 //! A topic's run schedules its publications up front, as one sorted batch
 //! beside the event heap (`EventQueue::schedule_all`), then processes
@@ -63,10 +61,17 @@
 //! arriving at a stalled subscriber queue until the stall ends.
 //! Duplicate-delivery windows fan each delivery into several independent
 //! copies, and reorder windows stretch deliveries by a seeded uniform
-//! draw that shuffles arrival order. All fault draws come from their own
-//! RNG streams, so a quiet plan reproduces fault-free runs bit for bit. A
-//! broker arrival reads the plan's delivery windows once, however many
-//! copies it sends.
+//! draw that shuffles arrival order. A broker arrival reads the plan's
+//! delivery windows once, however many copies it sends.
+//!
+//! **A draw is keyed by the copy it decides** ([`multipub_core::draw`]):
+//! the engine seed, what it decides (its stream), the topic, the
+//! publication's position in its topic, the region, the subscriber or peer
+//! and the copy. No draw depends on event order, on another draw or on how
+//! the topics were split, so a reorder window never changes which copies
+//! are lost, one more subscriber moves no other delivery, and a quiet plan
+//! draws nothing. A run folds the seed and the topic once, an arrival that
+//! draws its publication and region once, so each draw is one finalizer.
 //!
 //! **What allocates.** The event handlers read the routing tables, the
 //! latency rows and the fault plan in place, so handling a `Publish` or
@@ -79,8 +84,8 @@
 //! delivered counts and the latency [`multipub_obs::Tally`] — summed after
 //! the join. Each topic adds one routing table when its run starts and one
 //! per `Reconfigure` event that changes its configuration, each a single
-//! `Vec<u32>` kept for the report. A topic's draw streams are a few words
-//! on the worker's stack. The scenario the engine takes shares its client
+//! `Vec<u32>` kept for the report. A topic's draw key is two words on the
+//! worker's stack. The scenario the engine takes shares its client
 //! lists and latency rows by `Arc`, so cloning one for the next run copies
 //! no row, and the finished run hands its topics to the report, which
 //! turns the logs' indices back into client ids. Events, lost copies and
@@ -89,18 +94,20 @@
 
 // lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the worker's publication table, pushed before the message is sent), a topic's current table index is the index of a table already pushed to the same log, each routing table is laid out for its own topic's client counts and region count, every topic range comes from `map_chunks` over the topic count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
-use crate::faults::{FaultInjector, FaultPlan};
-use crate::jitter::{Jitter, JitterSource};
+use crate::faults::FaultPlan;
+use crate::jitter::Jitter;
 use crate::metrics::{Arrival, DeliveryLog, Publication, Sent, SimReport, Totals};
 use crate::queue::EventQueue;
 use crate::routing::TopicRouting;
 use crate::scenario::{Scenario, TopicScenario};
 use crate::time::SimTime;
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
+use multipub_core::draw::{Key, COPIES};
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
 use multipub_core::parallel;
 use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
+use std::cell::LazyCell;
 use std::ops::Range;
 
 /// One publication on its way: its index in the worker's publication table.
@@ -157,16 +164,33 @@ fn assert_indexable(count: usize, what: impl std::fmt::Display) {
     assert!(u32::try_from(count).is_ok(), "{count} {what} exceed the delivery log's u32 indices");
 }
 
-/// The seed of topic `topic`'s draw streams: the engine seed and the
-/// topic's index through one SplitMix64 step, so that neighbouring topics'
-/// streams share nothing and a topic's draws do not depend on any other
-/// topic's.
-fn topic_seed(seed: u64, topic: usize) -> u64 {
-    let mut z =
-        seed.wrapping_add((topic as u64).wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+// What a draw decides, its stream: no two decisions about one copy share
+// a draw.
+const UPLINK_LOSS: u8 = 0;
+const UPLINK_JITTER: u8 = 1;
+const FORWARD_LOSS: u8 = 2;
+const FORWARD_JITTER: u8 = 3;
+const DELIVERY_LOSS: u8 = 4;
+const DELIVERY_JITTER: u8 = 5;
+const REORDER: u8 = 6;
+
+/// A topic's draws: the engine seed and the topic folded, and the index of
+/// the topic's first publication in the worker's table.
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    topic: Key,
+    first_publication: u32,
+}
+
+impl Draws {
+    /// The key of the draws about publication `publication` (its index in
+    /// the worker's table) at `region`: its position in its topic, which no
+    /// split of the topics over workers changes, and the region, side by
+    /// side in one word.
+    fn at(self, publication: u32, region: RegionId) -> Key {
+        let publication = u64::from(publication - self.first_publication);
+        self.topic.fold(publication << 8 | u64::from(region.0))
+    }
 }
 
 /// The simulation engine. Construct with a scenario, run once, read the
@@ -297,16 +321,20 @@ impl Engine {
             let scenario = &self.topics[topic];
             log.tables.push(TopicRouting::new(scenario, scenario.configuration(), self.n_regions));
             assert_indexable(log.tables.len(), "routing tables");
-            let seed = topic_seed(self.seed, topic);
             let mut run = TopicRun {
                 topic: topic as u32,
                 scenario,
                 n_regions: self.n_regions,
                 inter: &self.inter,
-                // The table just pushed; its index fits a `u32`.
+                // The table just pushed; its index fits a `u32`, and so
+                // does every publication index written so far.
                 current: (log.tables.len() - 1) as u32,
-                jitter: JitterSource::new(self.jitter, seed),
-                faults: FaultInjector::new(&self.plan, seed),
+                draws: Draws {
+                    topic: Key::new(self.seed).fold(topic as u64),
+                    first_publication: log.publications.len() as u32,
+                },
+                jitter: self.jitter,
+                plan: &self.plan,
                 queue: &mut queue,
                 log: &mut log,
                 totals: &mut totals,
@@ -324,7 +352,7 @@ impl Engine {
 }
 
 /// One topic's run: the worker's queue and log, and the topic's own table
-/// index and draw streams.
+/// index and draw key.
 struct TopicRun<'a> {
     topic: u32,
     scenario: &'a TopicScenario,
@@ -332,8 +360,9 @@ struct TopicRun<'a> {
     inter: &'a InterRegionMatrix,
     /// The topic's current routing table: its index in `log.tables`.
     current: u32,
-    jitter: JitterSource,
-    faults: FaultInjector<'a>,
+    draws: Draws,
+    jitter: Jitter,
+    plan: &'a FaultPlan,
     queue: &'a mut EventQueue<Event>,
     log: &'a mut DeliveryLog,
     totals: &'a mut Totals,
@@ -357,8 +386,8 @@ impl TopicRun<'_> {
     /// publications at equal times pop in it. The publication table grows
     /// to hold the batch.
     fn schedule_publications(&mut self, duration_ms: f64) {
-        let TopicRun { scenario, queue, faults, log, .. } = self;
-        let plan = faults.plan();
+        let TopicRun { scenario, queue, log, .. } = self;
+        let plan = self.plan;
         let scheduled = queue.len();
         queue.schedule_all(scenario.publishers().iter().enumerate().flat_map(
             |(publisher, client)| {
@@ -396,7 +425,8 @@ impl TopicRun<'_> {
     }
 
     fn on_publish(&mut self, now: SimTime, publisher: usize) {
-        let TopicRun { topic, scenario, current, queue, jitter, faults, log, totals, .. } = self;
+        let TopicRun { topic, scenario, current, queue, log, totals, .. } = self;
+        let (jitter, plan, draws) = (self.jitter, self.plan, self.draws);
         // `Engine::new` and `schedule_publications` checked that these
         // indices fit a `u32`.
         let message = Message { publication: log.publications.len() as u32 };
@@ -413,11 +443,14 @@ impl TopicRun<'_> {
         let deliver_only = routing.mode() == DeliveryMode::Direct;
         let home = routing.publisher_home(publisher);
         for region in routing.assignment().iter().filter(|&region| deliver_only || region == home) {
-            if faults.drop_packet() {
+            // The key of this upload's draws, folded once if anything draws.
+            let keyed = LazyCell::new(|| draws.at(message.publication, region));
+            if plan.drops(|| keyed.draw(UPLINK_LOSS, 0, 0)) {
                 totals.lost += 1;
                 continue;
             }
-            let hop = latencies[region.index()] + jitter.sample();
+            let hop =
+                latencies[region.index()] + jitter.delay_ms(|| keyed.draw(UPLINK_JITTER, 0, 0));
             queue.schedule(now + hop, Event::RegionReceive { message, region, deliver_only });
         }
     }
@@ -429,10 +462,11 @@ impl TopicRun<'_> {
         region: RegionId,
         deliver_only: bool,
     ) {
-        let TopicRun { scenario, inter, current, queue, jitter, faults, log, totals, .. } = self;
+        let TopicRun { scenario, inter, current, queue, log, totals, .. } = self;
+        let (jitter, plan, draws) = (self.jitter, self.plan, self.draws);
         // A region inside an outage window has no broker: the arriving
         // copy (and everything it would have produced downstream) dies.
-        if faults.plan().region_down(region, now) {
+        if plan.region_down(region, now) {
             totals.lost += 1;
             return;
         }
@@ -441,6 +475,8 @@ impl TopicRun<'_> {
         let table = *current;
         let routing = &log.tables[table as usize];
         let size = scenario.publishers()[publisher as usize].size_bytes();
+        // The key of this arrival's draws, folded once if anything draws.
+        let keyed = LazyCell::new(|| draws.at(message.publication, region));
 
         // Routed first hop: forward to the other serving regions, billing
         // inter-region egress at this region's α rate. Egress is billed at
@@ -448,13 +484,13 @@ impl TopicRun<'_> {
         if !deliver_only {
             for peer in routing.assignment().iter().filter(|&peer| peer != region) {
                 totals.ledger.record_inter_region(region, size);
-                if faults.drop_packet() {
+                if plan.drops(|| keyed.draw(FORWARD_LOSS, peer.0.into(), 0)) {
                     totals.lost += 1;
                     continue;
                 }
                 let hop = inter.latency(region, peer)
-                    + faults.plan().extra_link_ms(region, peer, now)
-                    + jitter.sample();
+                    + plan.extra_link_ms(region, peer, now)
+                    + jitter.delay_ms(|| keyed.draw(FORWARD_JITTER, peer.0.into(), 0));
                 let forwarded = Event::RegionReceive { message, region: peer, deliver_only: true };
                 queue.schedule(now + hop, forwarded);
             }
@@ -471,10 +507,10 @@ impl TopicRun<'_> {
         if subscribers.is_empty() {
             return;
         }
-        let delivery = faults.plan().deliveries_at(now);
+        let delivery = plan.deliveries_at(now);
         totals.ledger.record_internet(region, size * delivery.copies * subscribers.len() as u64);
         let subscribers_of_topic = scenario.subscribers();
-        if jitter.is_disabled() && delivery.leaves_deliveries_alone {
+        if jitter == Jitter::Disabled && delivery.leaves_deliveries_alone {
             // A quiet arrival: one copy each, no draw, no stall, so each
             // lands exactly its latency to this region after `now`. The
             // log keeps the arrival once; only the tally sees each copy.
@@ -495,21 +531,25 @@ impl TopicRun<'_> {
             log.arrivals.push(arrival);
             return;
         }
+        // Each copy's draws sit at positions of their own in the arrival's
+        // key sequence, which number the copies with 29 bits.
+        assert!(delivery.copies <= COPIES, "{} copies of one delivery", delivery.copies);
+        let keyed = *keyed;
         for &subscriber in subscribers {
             let client = &subscribers_of_topic[subscriber as usize];
-            for _ in 0..delivery.copies {
-                if faults.drop_packet() {
+            for copy in 0..delivery.copies as u32 {
+                if plan.drops(|| keyed.draw(DELIVERY_LOSS, subscriber, copy)) {
                     totals.lost += 1;
                     continue;
                 }
                 let latency = client.latencies()[region.index()]
-                    + jitter.sample()
-                    // An active reorder window stretches this copy by a
-                    // seeded uniform draw, shuffling arrival order.
-                    + faults.reorder_extra_ms(delivery.reorder_span_ms);
+                    + jitter.delay_ms(|| keyed.draw(DELIVERY_JITTER, subscriber, copy))
+                    // An active reorder window stretches this copy by its
+                    // uniform draw, shuffling arrival order.
+                    + delivery.reorder_extra_ms(|| keyed.draw(REORDER, subscriber, copy));
                 // A stalled subscriber queues the delivery until its stall
                 // window ends — the simulated slow consumer.
-                let delivered_at = faults.plan().stall_release(client.client(), now + latency);
+                let delivered_at = plan.stall_release(client.client(), now + latency);
                 debug_assert!(delivered_at >= now, "a delivery cannot land before it is sent");
                 totals.latencies.record(delivered_at - published_at);
                 log.sent.push(Sent { publication: message.publication, subscriber, delivered_at });
@@ -1164,21 +1204,35 @@ mod tests {
 
     #[test]
     fn duplicates_and_reorder_leave_loss_pattern_unchanged() {
-        // The loss stream must be independent of the new fault shapes:
-        // with full duplication the per-copy loss draws change which
-        // *copies* die, but a loss-only run and a loss+reorder run make
-        // identical draws.
+        // A copy's loss draw is keyed by the copy: a reorder window leaves
+        // every loss decision as it was, and a duplicate window adds copies
+        // whose first is decided exactly as the lone copy was.
         let run = |plan: crate::faults::FaultPlan| {
             let scenario = two_region_scenario(DeliveryMode::Routed).with_fault_plan(plan);
             Engine::new(scenario, Jitter::disabled(), 11).run(1000.0)
         };
+        // The (publication, subscriber) pair of every delivery, in send order.
+        let pairs = |report: &SimReport| -> Vec<(u64, u64, ClientId)> {
+            let pair =
+                |d: DeliveryRecord| (d.published_at.as_ms().to_bits(), d.publisher.0, d.subscriber);
+            report.deliveries().map(pair).collect()
+        };
         let loss_only = crate::faults::FaultPlan::none().with_loss_rate(0.4);
         let with_reorder =
             loss_only.clone().with_reorder(crate::faults::ReorderWindow::new(15.0, 0.0, 2000.0));
-        let a = run(loss_only);
-        let b = run(with_reorder);
+        let with_duplicate =
+            loss_only.clone().with_duplicate(crate::faults::DuplicateDelivery::new(2, 0.0, 2000.0));
+        let (a, b, c) = (run(loss_only), run(with_reorder), run(with_duplicate));
+        assert!(a.lost_count() > 0 && a.delivery_count() > 0);
         assert_eq!(a.lost_count(), b.lost_count());
-        assert_eq!(a.delivery_count(), b.delivery_count());
+        assert_eq!(pairs(&a), pairs(&b), "a reorder window changed which copies survive");
+        // Every pair the lone copy reached, a first or second copy reaches;
+        // a pair both copies reach, the lone copy reached.
+        let (lone, doubled) = (pairs(&a), pairs(&c));
+        let count = |pair| doubled.iter().filter(|&&p| p == pair).count();
+        assert!(lone.iter().all(|&pair| count(pair) >= 1));
+        assert!(doubled.iter().all(|&pair| count(pair) == 1 || lone.contains(&pair)));
+        assert!(doubled.iter().any(|&pair| count(pair) == 1), "some second copy is lost");
     }
 
     #[test]
@@ -1323,16 +1377,6 @@ mod tests {
                 assert_eq!(one, many, "{name}");
             }
         }
-    }
-
-    #[test]
-    fn topic_seeds_differ_by_topic_and_by_engine_seed() {
-        let seeds: Vec<u64> =
-            (0..4).flat_map(|seed| (0..64).map(move |topic| topic_seed(seed, topic))).collect();
-        let mut distinct = seeds.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), seeds.len());
     }
 
     #[test]

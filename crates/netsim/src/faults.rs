@@ -4,9 +4,9 @@
 //! but the loss rate is active over a half-open window `[start_ms, end_ms)`
 //! of simulated time, so "is this fault active at `t`" has one definition:
 //!
-//! * a uniform per-hop **packet-loss rate**, sampled from a dedicated
-//!   seeded RNG so loss patterns are reproducible and independent of the
-//!   jitter stream;
+//! * a uniform per-hop **packet-loss rate**, decided by each hop's own
+//!   keyed draw, so loss patterns are reproducible and independent of
+//!   every other draw;
 //! * **region-outage windows** ([`RegionOutage`]) — while a region is
 //!   down, every message copy arriving at its broker is dropped, exactly
 //!   as if the process had been killed;
@@ -24,25 +24,22 @@
 //!   copies, modelling an at-least-once redelivery storm against
 //!   subscriber-side dedup;
 //! * **reorder windows** ([`ReorderWindow`]) — deliveries scheduled
-//!   inside the window pick up an extra seeded uniform delay, shuffling
-//!   arrival order without losing anything.
+//!   inside the window pick up an extra uniform delay from their own keyed
+//!   draw, shuffling arrival order without losing anything.
 //!
-//! The engine asks the plan about the draw-free shapes directly and goes
-//! through a `FaultInjector` (the plan, borrowed, + two `StdRng` streams)
-//! for the two that sample: loss and reorder. Each topic runs with its own
-//! injector, seeded from the topic's seed, so a topic's draws depend on its
-//! own events alone. With the default quiet plan no RNG draws happen at
-//! all, so a fault-free run is bit for bit what it is without fault
-//! injection. Loss and reorder delays each have their own stream, both
-//! decorrelated from the jitter stream, so adding a reorder window never
-//! changes *which* messages the loss stream drops. A broker arrival reads
-//! the delivery windows once ([`FaultPlan`]'s `deliveries_at`), whatever
-//! number of copies it sends.
+//! The two shapes that sample, loss and reorder, take the draw as a
+//! closure and call it only when they are active, so the default quiet
+//! plan draws nothing and a fault-free run is bit for bit what it is
+//! without fault injection. Each draw is keyed by the copy it decides
+//! ([`multipub_core::draw`]), in a stream of its own, so adding a reorder
+//! window never changes *which* copies are lost, and a topic's draws depend
+//! on its own copies alone. A broker arrival reads the delivery windows
+//! once ([`FaultPlan`]'s `deliveries_at`), whatever number of copies it
+//! sends.
 
 use crate::time::SimTime;
+use multipub_core::draw::unit;
 use multipub_core::ids::{ClientId, RegionId};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// A half-open window `[start_ms, end_ms)` of simulated time: when a
 /// fault is active. Every windowed fault shape embeds one, so the bounds
@@ -212,8 +209,8 @@ impl DuplicateDelivery {
 }
 
 /// A reorder window: deliveries scheduled inside it pick up an extra
-/// uniform delay in `[0, span_ms)`, drawn from a dedicated seeded RNG
-/// stream. Arrival *order* is shuffled; nothing is lost — the simulated
+/// uniform delay in `[0, span_ms)`, each copy from its own keyed draw.
+/// Arrival *order* is shuffled; nothing is lost — the simulated
 /// counterpart of retransmit-induced reordering that sequence-number
 /// discipline must tolerate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,7 +239,9 @@ impl ReorderWindow {
 /// stalls, no bursts, no duplicates, no reordering.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
-    loss_rate: f64,
+    /// The loss rate times 2^53, rounded up: a hop is lost exactly when its
+    /// draw's top 53 bits are below it, that is when `unit(draw) < rate`.
+    loss_below: u64,
     outages: Vec<RegionOutage>,
     degradations: Vec<LinkDegradation>,
     stalls: Vec<SubscriberStall>,
@@ -264,7 +263,7 @@ impl FaultPlan {
     /// Panics if `rate` is outside `[0, 1]`.
     pub fn with_loss_rate(mut self, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "loss rate must be within [0, 1]");
-        self.loss_rate = rate;
+        self.loss_below = (rate * (1u64 << 53) as f64).ceil() as u64;
         self
     }
 
@@ -322,6 +321,12 @@ impl FaultPlan {
     /// `true` when the plan schedules nothing at all.
     pub fn is_quiet(&self) -> bool {
         *self == FaultPlan::default()
+    }
+
+    /// Whether a hop whose loss draw `draw` returns drops its packet.
+    /// Calls `draw` only when the loss rate is positive.
+    pub(crate) fn drops(&self, draw: impl FnOnce() -> u64) -> bool {
+        self.loss_below > 0 && draw() >> 11 < self.loss_below
     }
 
     /// Whether `region` is inside any outage window at time `at`.
@@ -387,10 +392,8 @@ impl FaultPlan {
     /// copies the arrival sends.
     pub(crate) fn deliveries_at(&self, at: SimTime) -> DeliveryFaults {
         let (copies, reorder_span_ms) = (self.duplicate_copies(at), self.reorder_span_ms(at));
-        let leaves_deliveries_alone = self.loss_rate == 0.0
-            && self.stalls.is_empty()
-            && reorder_span_ms <= 0.0
-            && copies == 1;
+        let leaves_deliveries_alone =
+            self.loss_below == 0 && self.stalls.is_empty() && reorder_span_ms <= 0.0 && copies == 1;
         DeliveryFaults { copies, reorder_span_ms, leaves_deliveries_alone }
     }
 
@@ -416,55 +419,22 @@ pub(crate) struct DeliveryFaults {
     pub(crate) leaves_deliveries_alone: bool,
 }
 
-/// A [`FaultPlan`] paired with the two seeded RNG streams its sampling
-/// shapes need: one for loss, one for reorder delays.
-///
-/// Both are independent of the jitter RNG and of each other, so enabling
-/// jitter or adding a reorder window does not change *which* messages
-/// are lost. The draw-free shapes are asked of [`FaultInjector::plan`].
-#[derive(Debug)]
-pub(crate) struct FaultInjector<'p> {
-    plan: &'p FaultPlan,
-    loss_rng: StdRng,
-    reorder_rng: StdRng,
-}
-
-impl<'p> FaultInjector<'p> {
-    /// Creates an injector for `plan`, deriving both streams from `seed`.
-    pub(crate) fn new(plan: &'p FaultPlan, seed: u64) -> Self {
-        // Decorrelate from the jitter stream, which takes `seed` as it is.
-        let loss_rng = StdRng::seed_from_u64(seed ^ 0xFA17_7013_u64);
-        let reorder_rng = StdRng::seed_from_u64(seed ^ 0x2E02_DE21_u64);
-        FaultInjector { plan, loss_rng, reorder_rng }
-    }
-
-    /// The underlying plan.
-    pub(crate) fn plan(&self) -> &'p FaultPlan {
-        self.plan
-    }
-
-    /// Samples whether the next hop drops its packet. Draws from the loss
-    /// RNG only when the loss rate is positive, so quiet plans stay
-    /// deterministic regardless of seed.
-    pub(crate) fn drop_packet(&mut self) -> bool {
-        self.plan.loss_rate > 0.0 && self.loss_rng.random::<f64>() < self.plan.loss_rate
-    }
-
-    /// Extra delay for a delivery: a uniform draw in `[0, span_ms)`, where
-    /// `span_ms` is the reorder-window total active when it is sent
-    /// ([`DeliveryFaults::reorder_span_ms`]). Draws from the reorder RNG
-    /// only when a window is active, so quiet plans make no draws at all.
-    pub(crate) fn reorder_extra_ms(&mut self, span_ms: f64) -> f64 {
-        if span_ms <= 0.0 {
+impl DeliveryFaults {
+    /// Extra delay for a copy whose reorder draw `draw` returns: a uniform
+    /// value in `[0, reorder_span_ms)`. Calls `draw` only when a reorder
+    /// window is active.
+    pub(crate) fn reorder_extra_ms(&self, draw: impl FnOnce() -> u64) -> f64 {
+        if self.reorder_span_ms <= 0.0 {
             return 0.0;
         }
-        self.reorder_rng.random::<f64>() * span_ms
+        unit(draw()) * self.reorder_span_ms
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use multipub_core::draw::Key;
 
     #[test]
     fn quiet_plan_injects_nothing() {
@@ -472,10 +442,9 @@ mod tests {
         assert!(plan.is_quiet());
         assert!(!plan.region_down(RegionId(0), SimTime::from_ms(100.0)));
         assert_eq!(plan.extra_link_ms(RegionId(0), RegionId(1), SimTime::from_ms(100.0)), 0.0);
-        let mut injector = FaultInjector::new(&plan, 7);
-        for _ in 0..100 {
-            assert!(!injector.drop_packet());
-        }
+        assert!(!plan.drops(|| unreachable!("a quiet plan draws nothing")));
+        let delivery = plan.deliveries_at(SimTime::from_ms(100.0));
+        assert_eq!(delivery.reorder_extra_ms(|| unreachable!("nor delays anything")), 0.0);
     }
 
     #[test]
@@ -550,10 +519,10 @@ mod tests {
 
     #[test]
     fn loss_sampling_is_deterministic_per_seed() {
+        let plan = FaultPlan::none().with_loss_rate(0.5);
         let draws = |seed: u64| {
-            let plan = FaultPlan::none().with_loss_rate(0.5);
-            let mut injector = FaultInjector::new(&plan, seed);
-            (0..64).map(|_| injector.drop_packet()).collect::<Vec<bool>>()
+            let key = Key::new(seed);
+            (0..64).map(|i| plan.drops(|| key.at(i))).collect::<Vec<bool>>()
         };
         assert_eq!(draws(3), draws(3));
         assert_ne!(draws(3), draws(4));
@@ -564,9 +533,10 @@ mod tests {
     #[test]
     fn full_loss_drops_everything() {
         let plan = FaultPlan::none().with_loss_rate(1.0);
-        let mut injector = FaultInjector::new(&plan, 0);
-        for _ in 0..32 {
-            assert!(injector.drop_packet());
+        let key = Key::new(0);
+        assert!(plan.drops(|| u64::MAX), "the largest draw is still below 1");
+        for i in 0..32 {
+            assert!(plan.drops(|| key.at(i)));
         }
     }
 
@@ -713,11 +683,11 @@ mod tests {
     fn reorder_draws_are_seeded_bounded_and_quiet_outside_windows() {
         let plan = FaultPlan::none().with_reorder(ReorderWindow::new(20.0, 100.0, 400.0));
         let draws = |seed: u64| {
-            let mut injector = FaultInjector::new(&plan, seed);
+            let key = Key::new(seed);
+            let at = |ms| plan.deliveries_at(SimTime::from_ms(ms));
             // Outside a window: no draw at all, zero delay.
-            let span = |ms| plan.deliveries_at(SimTime::from_ms(ms)).reorder_span_ms;
-            assert_eq!(injector.reorder_extra_ms(span(50.0)), 0.0);
-            (0..32).map(|_| injector.reorder_extra_ms(span(200.0))).collect::<Vec<_>>()
+            assert_eq!(at(50.0).reorder_extra_ms(|| unreachable!("no window, no draw")), 0.0);
+            (0..32).map(|i| at(200.0).reorder_extra_ms(|| key.at(i))).collect::<Vec<_>>()
         };
         let a = draws(9);
         assert_eq!(a, draws(9), "reorder draws must be reproducible per seed");
@@ -727,18 +697,19 @@ mod tests {
 
     #[test]
     fn reorder_stream_does_not_disturb_loss_stream() {
-        // Same seed, same loss rate; the reorder window must leave the
-        // loss draw sequence byte-identical.
+        // Same draws, same loss rate; the reorder window must leave every
+        // loss decision as it was, whatever reorder draws come between.
         let loss_only = FaultPlan::none().with_loss_rate(0.5);
         let with_reorder = loss_only.clone().with_reorder(ReorderWindow::new(10.0, 0.0, 1000.0));
-        let mut a = FaultInjector::new(&loss_only, 3);
-        let mut b = FaultInjector::new(&with_reorder, 3);
+        let key = Key::new(3);
+        let reorder = with_reorder.deliveries_at(SimTime::from_ms(500.0));
         for i in 0..64 {
             // Interleave reorder draws on one side only.
             if i % 2 == 0 {
-                b.reorder_extra_ms(10.0);
+                assert!((0.0..10.0).contains(&reorder.reorder_extra_ms(|| key.at(i))));
             }
-            assert_eq!(a.drop_packet(), b.drop_packet(), "loss draw {i} diverged");
+            let (a, b) = (loss_only.drops(|| key.at(i)), with_reorder.drops(|| key.at(i)));
+            assert_eq!(a, b, "loss draw {i} diverged");
         }
     }
 }

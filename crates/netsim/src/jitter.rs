@@ -1,12 +1,12 @@
 //! Optional per-hop latency noise.
 //!
 //! Real WAN hops vary around their base latency. The engine asks the
-//! jitter model for an extra delay on every hop; with [`Jitter::disabled`]
-//! the simulation is exactly the analytic model, which is how the
-//! integration tests cross-validate the two.
+//! jitter model for an extra delay on every hop, scaling the hop's keyed
+//! draw ([`multipub_core::draw`]); with [`Jitter::disabled`] it draws
+//! nothing and the simulation is exactly the analytic model, which is how
+//! the integration tests cross-validate the two.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use multipub_core::draw::{unit, Key};
 
 /// Per-hop jitter configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,32 +42,36 @@ impl Jitter {
             Jitter::Uniform { amplitude_ms }
         }
     }
+
+    /// The extra delay of a hop whose draw `draw` returns, in
+    /// milliseconds. Calls `draw` only when jitter is enabled.
+    pub(crate) fn delay_ms(self, draw: impl FnOnce() -> u64) -> f64 {
+        match self {
+            Jitter::Disabled => 0.0,
+            Jitter::Uniform { amplitude_ms } => unit(draw()) * amplitude_ms,
+        }
+    }
 }
 
-/// A seeded source of per-hop jitter samples.
+/// A seeded sequence of jitter samples: sample `n` scales the draw at
+/// position `n` of the seed's key.
 #[derive(Debug)]
 pub struct JitterSource {
     jitter: Jitter,
-    rng: StdRng,
+    key: Key,
+    drawn: u64,
 }
 
 impl JitterSource {
     /// Creates a source with the given model and seed.
     pub fn new(jitter: Jitter, seed: u64) -> Self {
-        JitterSource { jitter, rng: StdRng::seed_from_u64(seed) }
-    }
-
-    /// Whether every sample is 0.0, drawn from no random number.
-    pub(crate) fn is_disabled(&self) -> bool {
-        self.jitter == Jitter::Disabled
+        JitterSource { jitter, key: Key::new(seed), drawn: 0 }
     }
 
     /// The extra delay for one hop, in milliseconds.
     pub fn sample(&mut self) -> f64 {
-        match self.jitter {
-            Jitter::Disabled => 0.0,
-            Jitter::Uniform { amplitude_ms } => self.rng.random_range(0.0..amplitude_ms),
-        }
+        self.drawn += 1;
+        self.jitter.delay_ms(|| self.key.at(self.drawn - 1))
     }
 }
 
@@ -98,6 +102,14 @@ mod tests {
         let mut b = JitterSource::new(Jitter::uniform(3.0), 9);
         for _ in 0..100 {
             assert_eq!(a.sample(), b.sample());
+        }
+    }
+
+    #[test]
+    fn sample_n_scales_the_keyed_draw_at_position_n() {
+        let mut s = JitterSource::new(Jitter::uniform(3.0), 9);
+        for n in 0..100 {
+            assert_eq!(s.sample(), unit(Key::new(9).at(n)) * 3.0);
         }
     }
 

@@ -27,8 +27,9 @@
 //!   publishers with rates/sizes, subscribers; client lists and latency rows
 //!   shared by `Arc`, so a clone or a topic's analytic workload copies none.
 //! * [`engine`] — the event loop over publications and broker arrivals,
-//!   run topic by topic, each topic with its own queue contents and draw
-//!   streams, the topics fanned out over the cores in contiguous chunks;
+//!   run topic by topic, each topic with its own queue contents, every draw
+//!   keyed by the copy it decides, the topics fanned out over the cores in
+//!   contiguous chunks;
 //!   the publication table a worker appends to as publishers emit, and the
 //!   delivery log the brokers append to as they send: 24 bytes a quiet
 //!   arrival, whose copies all land exactly their latency after it, and

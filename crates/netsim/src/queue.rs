@@ -169,19 +169,22 @@ mod tests {
     /// `(time, sequence)` order by hand.
     #[test]
     fn batches_pop_like_one_heap_of_everything() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use multipub_core::draw::step;
+        /// A uniform index in `0..n`.
+        fn below(rng: &mut u64, n: u64) -> u64 {
+            step(rng) % n
+        }
         for seed in 0..200 {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = seed;
             let mut queue = EventQueue::new();
             // (time, sequence), the event being its own sequence number.
             let mut reference: Vec<(SimTime, u64)> = Vec::new();
             let mut next = 0u64;
-            let time = |rng: &mut StdRng| SimTime::from_ms(rng.random_range(0..6usize) as f64);
+            let time = |rng: &mut u64| SimTime::from_ms(below(rng, 6) as f64);
             for _ in 0..400 {
-                match rng.random_range(0..10usize) {
+                match below(&mut rng, 10) {
                     0 => {
-                        let batch: Vec<(SimTime, u64)> = (0..rng.random_range(0..40usize))
+                        let batch: Vec<(SimTime, u64)> = (0..below(&mut rng, 40))
                             .map(|_| {
                                 next += 1;
                                 (time(&mut rng), next - 1)

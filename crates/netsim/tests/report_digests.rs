@@ -15,9 +15,10 @@
 //! A second test reruns each quiet scenario with a stall on a client it
 //! does not hold, which makes every broker send its copies one by one, and
 //! checks that both runs report the same deliveries in the same order.
-//! The others check what running topics apart promises: a topic's
-//! percentile reads its own deliveries, a topic's draws are its own, and
-//! the loss stream still loses at its rate.
+//! The others check what running topics apart and keying every draw by
+//! its copy promise: a topic's percentile reads its own deliveries, a
+//! topic's draws and a copy's draws are their own, and loss hits every
+//! hop, and each copy of a duplicated delivery apart, at its rate.
 
 mod common;
 
@@ -25,7 +26,7 @@ use common::{cases, direct, mixed, routed, scenario, DURATION_MS, FEEDS, N_REGIO
 use multipub_core::assignment::{AssignmentVector, Configuration, DeliveryMode};
 use multipub_core::ids::{ClientId, RegionId};
 use multipub_netsim::engine::Engine;
-use multipub_netsim::faults::{FaultPlan, ReorderWindow, SubscriberStall};
+use multipub_netsim::faults::{DuplicateDelivery, FaultPlan, ReorderWindow, SubscriberStall};
 use multipub_netsim::jitter::Jitter;
 use multipub_netsim::metrics::{DeliveryRecord, SimReport};
 use multipub_netsim::scenario::{SimPublisher, SimSubscriber, TopicScenario};
@@ -196,17 +197,64 @@ fn a_topic_draws_alone() {
 }
 
 #[test]
+fn a_copy_draws_alone() {
+    // Jitter, loss and reordering all draw; one more subscriber of topic 0
+    // draws its own copies, and every other delivery, topic 0's included,
+    // stays what it was.
+    let plan =
+        FaultPlan::none().with_loss_rate(0.05).with_reorder(ReorderWindow::new(20.0, 0.0, 1_500.0));
+    let base = scenario(&FEEDS, mixed).with_fault_plan(plan);
+    let run = |scenario| Engine::new(scenario, Jitter::uniform(5.0), 11).run(DURATION_MS);
+    let newcomer = ClientId(u64::MAX);
+    let mut grown = base.clone();
+    let topic = &grown.topics()[0];
+    let mut subscribers = topic.subscribers().to_vec();
+    subscribers.push(SimSubscriber::new(newcomer, subscribers[0].latencies().to_vec()));
+    let one_more = TopicScenario::new(
+        topic.id().clone(),
+        topic.configuration(),
+        topic.publishers().to_vec(),
+        subscribers,
+    );
+    grown.topics_mut()[0] = one_more;
+
+    let (before, after) = (run(base), run(grown));
+    assert!(before.lost_count() > 0);
+    assert!(after.deliveries().any(|d| d.subscriber == newcomer), "the newcomer got nothing");
+    let after: Vec<DeliveryRecord> =
+        after.deliveries().filter(|d| d.subscriber != newcomer).collect();
+    assert_eq!(before.deliveries().len(), after.len());
+    // Times are compared by their bits, which `f64`'s `==` is not.
+    for (b, a) in before.deliveries().zip(&after) {
+        assert_eq!(
+            (b.topic_index, b.publisher, b.subscriber),
+            (a.topic_index, a.publisher, a.subscriber)
+        );
+        assert_eq!(b.published_at.as_ms().to_bits(), a.published_at.as_ms().to_bits());
+        assert_eq!(b.delivered_at.as_ms().to_bits(), a.delivered_at.as_ms().to_bits());
+    }
+}
+
+#[test]
 fn the_loss_scenario_loses_at_its_rate() {
-    // Every hop draws once: an uplink to each serving region (direct) or
-    // to the closest one (routed), each billed forward and each billed
-    // delivery copy. Over 200 seeds the share lost must fall within four
-    // binomial standard deviations of the rate.
-    const SEEDS: u64 = 200;
-    const SHORT_MS: f64 = 500.0;
+    // The `loss` scenario with every delivery doubled by a duplicate
+    // window, over 1 000 seeds of a short run. Every hop draws once: an
+    // uplink to each serving region (direct) or to the closest one
+    // (routed), each billed forward and each billed delivery copy. The
+    // share lost must fall within four binomial standard deviations of the
+    // rate p. So must the share of delivered (publication, subscriber)
+    // pairs that both copies reach, (1 − p)² / (1 − p²) = (1 − p) / (1 + p)
+    // if the two copies are lost apart.
+    const SEEDS: u64 = 1_000;
+    const SHORT_MS: f64 = 20.0;
     let case = cases().into_iter().find(|case| case.name == "loss").expect("a loss case");
+    let rate = common::LOSS_RATE;
+    // The window is open until long after the last copy is sent.
+    let everything_twice = DuplicateDelivery::new(2, 0.0, 60_000.0);
+    let doubled = FaultPlan::none().with_loss_rate(rate).with_duplicate(everything_twice);
+    let scenario = case.scenario.clone().with_fault_plan(doubled);
     let size = 512;
-    let uplinks_per_publication: Vec<u64> = case
-        .scenario
+    let uplinks_per_publication: Vec<u64> = scenario
         .topics()
         .iter()
         .map(|topic| match topic.configuration().mode() {
@@ -215,8 +263,9 @@ fn the_loss_scenario_loses_at_its_rate() {
         })
         .collect();
     let (mut lost, mut hops) = (0u64, 0u64);
+    let (mut both, mut pairs) = (0u64, 0u64);
     for seed in 0..SEEDS {
-        let report = Engine::new(case.scenario.clone(), case.jitter, seed).run(SHORT_MS);
+        let report = Engine::new(scenario.clone(), case.jitter, seed).run(SHORT_MS);
         let billed: u64 = (0..N_REGIONS as u8)
             .map(RegionId)
             .map(|r| report.ledger().internet_bytes(r) + report.ledger().inter_region_bytes(r))
@@ -228,12 +277,28 @@ fn the_loss_scenario_loses_at_its_rate() {
         let per_topic = report.published_count() / topics;
         hops += billed / size + per_topic * uplinks_per_publication.iter().sum::<u64>();
         lost += report.lost_count();
+        // A delivery's copies are sent one after the other, so the copies
+        // of one pair that arrive are neighbours in send order.
+        let mut previous = None;
+        for d in report.deliveries() {
+            let pair = Some((d.topic_index, d.publisher, d.subscriber, d.published_at));
+            if pair == previous {
+                both += 1;
+                previous = None;
+            } else {
+                pairs += 1;
+                previous = pair;
+            }
+        }
     }
-    let rate = common::LOSS_RATE;
-    let sigma = (rate * (1.0 - rate) / hops as f64).sqrt();
-    let share = lost as f64 / hops as f64;
-    assert!(
-        (share - rate).abs() <= 4.0 * sigma,
-        "lost {lost} of {hops} hops: share {share}, rate {rate} ± 4 × {sigma}"
-    );
+    let within = |what: &str, hits: u64, n: u64, p: f64| {
+        let sigma = (p * (1.0 - p) / n as f64).sqrt();
+        let share = hits as f64 / n as f64;
+        assert!(
+            (share - p).abs() <= 4.0 * sigma,
+            "{what}: {hits} of {n}, share {share}, expected {p} ± 4 × {sigma}"
+        );
+    };
+    within("lost hops", lost, hops, rate);
+    within("pairs both copies reach", both, pairs, (1.0 - rate) / (1.0 + rate));
 }

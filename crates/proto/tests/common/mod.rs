@@ -2,16 +2,13 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-/// SplitMix64 (Steele et al.): the whole random source of these tests.
+/// SplitMix64 (Steele et al.), stepped by `multipub_core::draw::step`:
+/// the whole random source of these tests.
 pub struct SplitMix64(pub u64);
 
 impl SplitMix64 {
     pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        multipub_core::draw::step(&mut self.0)
     }
 
     /// Uniform index in `0..n`.
