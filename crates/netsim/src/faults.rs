@@ -38,7 +38,7 @@
 //! sends.
 
 use crate::time::SimTime;
-use multipub_core::draw::unit;
+use multipub_core::draw::{unit, COPIES};
 use multipub_core::ids::{ClientId, RegionId};
 
 /// A half-open window `[start_ms, end_ms)` of simulated time: when a
@@ -389,9 +389,12 @@ impl FaultPlan {
 
     /// What the plan does to the deliveries a broker sends at `at`, read
     /// once per arrival: each window list is scanned once, however many
-    /// copies the arrival sends.
+    /// copies the arrival sends. Panics, before any copy is billed, if the
+    /// duplicate windows fan a delivery into more than [`COPIES`] copies,
+    /// the most an arrival's draw key tells apart.
     pub(crate) fn deliveries_at(&self, at: SimTime) -> DeliveryFaults {
         let (copies, reorder_span_ms) = (self.duplicate_copies(at), self.reorder_span_ms(at));
+        assert!(copies <= COPIES, "{copies} copies of one delivery");
         let leaves_deliveries_alone =
             self.loss_below == 0 && self.stalls.is_empty() && reorder_span_ms <= 0.0 && copies == 1;
         DeliveryFaults { copies, reorder_span_ms, leaves_deliveries_alone }

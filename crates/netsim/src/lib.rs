@@ -31,17 +31,18 @@
 //!   keyed by the copy it decides, the topics fanned out over the cores in
 //!   contiguous chunks;
 //!   the publication table a worker appends to as publishers emit, and the
-//!   delivery log the brokers append to as they send: 24 bytes a quiet
-//!   arrival, whose copies all land exactly their latency after it, and
-//!   16 bytes a delivery sent on its own, indices into the publication
-//!   table, the routing tables and the topic's subscribers.
+//!   delivery log the brokers append to as they receive: 16 bytes an
+//!   arrival, indices into the publication table and the routing tables;
+//!   and the one function that decides which of an arrival's copies land,
+//!   and when.
 //! * `routing` — a topic's routing table, its subscribers grouped by the
-//!   serving region that delivers to them; append-only for a run, so a
-//!   quiet arrival can name the table it was served under.
+//!   serving region that delivers to them; append-only for a run, so an
+//!   arrival can name the table it was served under.
 //! * [`metrics`] — the per-region traffic ledger and the final
-//!   [`metrics::SimReport`], which holds the workers' logs and tables,
-//!   merges the two kinds of line in send order, topic by topic, and
-//!   builds each [`metrics::DeliveryRecord`] when it is read.
+//!   [`metrics::SimReport`], which holds the workers' logs and tables and
+//!   the run's fault plan, jitter model and seed, derives each arrival's
+//!   copies again in send order, topic by topic, and builds each
+//!   [`metrics::DeliveryRecord`] when it is read.
 //!
 //! ## Example
 //!

@@ -1,28 +1,32 @@
 //! Measurement collection: the delivery log, the per-region traffic ledger
 //! and the final simulation report.
 //!
-//! The log keeps one `Publication` per publication and, in send order, two
-//! kinds of line. A copy sent on its own — one that could be lost,
-//! jittered, reordered, duplicated or stalled — is a 16-byte `Sent` entry.
-//! A quiet arrival, whose copies all land exactly their subscriber's
-//! latency after it, is one 24-byte `Arrival`: the publication, the routing
-//! table it was served under, the region and when it arrived, and its
-//! position among the `Sent` entries. The report builds a full
-//! [`DeliveryRecord`] only when one is read, expanding an arrival into one
-//! record per subscriber of its table's group for that region, and merges
-//! the two kinds of line back into send order by position.
+//! The log keeps one `Publication` per publication and, in the order the
+//! brokers received them, one 16-byte `Arrival` per broker arrival that
+//! sent copies: the publication, when it arrived, and the routing table and
+//! region it was served under, whose group names its subscribers. The
+//! report builds a [`DeliveryRecord`] only when one is read, asking the
+//! engine's one copy function which of an arrival's copies landed and when.
+//! It asks with what the engine asked with — the arrival line, the group,
+//! the run's fault plan and jitter model, and the arrival's draw key — and
+//! every draw is a pure function of the copy it decides, so every copy
+//! comes back as it was sent, bit for bit; none is sampled.
 //!
 //! Topics run apart, so there is one log per worker, holding a contiguous
 //! range of topics topic by topic, and each log marks where each of its
-//! topics' lines end. The report reads the logs in topic order; a topic's
-//! percentile reads that topic's stretch alone. What is counted as it
-//! goes — the ledger, the lost and delivered counts, the latency tally —
-//! is one `Totals` per worker, summed after the join.
+//! topics' publications and arrivals end: a topic's percentile reads its
+//! stretch alone, and its draw keys count publications from the stretch's
+//! start. What is counted as it goes — the ledger, the lost and delivered
+//! counts, the latency tally — is one `Totals` per worker, summed after the
+//! join.
 
-// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every log entry's publication, topic, publisher and subscriber index, every arrival's table index and region, and every group's subscriber index was taken by the engine from the tables the report holds, and an arrival's position is the length the `Sent` entries had when it was written
+// lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every publication's topic and publisher index, every arrival's publication, table and region, every group's subscriber index and every stretch's bounds were taken by the engine from the tables and lines the report holds
 
+use crate::engine::{landed_copies, Draws};
+use crate::faults::FaultPlan;
+use crate::jitter::Jitter;
 use crate::routing::TopicRouting;
-use crate::scenario::{SimSubscriber, TopicScenario};
+use crate::scenario::TopicScenario;
 use crate::time::SimTime;
 use multipub_core::ids::{ClientId, RegionId};
 use multipub_core::region::RegionSet;
@@ -60,41 +64,41 @@ pub(crate) struct Publication {
     pub(crate) published_at: SimTime,
 }
 
-/// One delivery sent on its own, as the log keeps it: the publication's
-/// index in the publication table, the subscriber's index in its topic,
-/// and when the copy lands.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct Sent {
-    pub(crate) publication: u32,
-    pub(crate) subscriber: u32,
-    pub(crate) delivered_at: SimTime,
-}
-
-/// A quiet arrival as the log keeps it: publication `publication` reached
-/// `region` at `arrived_at`, and the broker sent one copy to each
-/// subscriber in routing table `table`'s group for that region, each
-/// landing exactly its latency to the region later. The copies come after
-/// the first `position` `Sent` entries in send order.
+/// An arrival as the log keeps it: publication `publication` reached a
+/// region at `arrived_at`, and the broker sent copies to that region's group
+/// of one routing table. The table's index sits above the region's 8 bits.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Arrival {
-    pub(crate) publication: u32,
-    pub(crate) table: u32,
-    pub(crate) position: u32,
-    pub(crate) region: RegionId,
     pub(crate) arrived_at: SimTime,
+    pub(crate) publication: u32,
+    table_region: u32,
 }
 
+/// How many routing tables one log numbers: an arrival's table index has
+/// 24 bits.
+const TABLES: usize = 1 << 24;
+
 impl Arrival {
-    /// When this arrival's copy to `subscriber` lands. The engine tallies
-    /// and the report reads the same sum, so both see the same bits.
-    pub(crate) fn landing(&self, subscriber: &SimSubscriber) -> SimTime {
-        self.arrived_at + subscriber.latencies()[self.region.index()]
+    /// Publication `publication` at `region` at `arrived_at`, served under
+    /// table `table`, an index [`DeliveryLog::push_table`] returned.
+    pub(crate) fn new(publication: u32, table: u32, region: RegionId, arrived_at: SimTime) -> Self {
+        Arrival { arrived_at, publication, table_region: table << 8 | u32::from(region.0) }
+    }
+
+    /// The index of the routing table the arrival was served under.
+    pub(crate) fn table(self) -> usize {
+        (self.table_region >> 8) as usize
+    }
+
+    /// The region the publication reached.
+    pub(crate) fn region(self) -> RegionId {
+        RegionId(self.table_region as u8)
     }
 }
 
 /// Everything one worker writes down about the deliveries of its topics,
 /// a contiguous range of the scenario's, topic by topic: the first topic's
-/// publications, tables and lines, then the second's, and so on.
+/// publications, tables and arrivals, then the second's, and so on.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct DeliveryLog {
     /// The first of the log's topics.
@@ -103,20 +107,18 @@ pub(crate) struct DeliveryLog {
     pub(crate) publications: Vec<Publication>,
     /// Every routing table its topics' runs built, in the order they were.
     pub(crate) tables: Vec<TopicRouting>,
-    /// The deliveries sent on their own, in the order the brokers sent them.
-    pub(crate) sent: Vec<Sent>,
-    /// The quiet arrivals, in the order the brokers received them.
+    /// Every arrival that sent copies, in the order it was received.
     pub(crate) arrivals: Vec<Arrival>,
     /// Where each topic's lines end, in topic order; they begin where the
     /// previous topic's end.
     pub(crate) stretches: Vec<Stretch>,
 }
 
-/// Where one topic's lines end in its log: its `Sent` entries end before
-/// index `sent`, its quiet arrivals before index `arrivals`.
+/// Where one topic's lines end in its log: its publications before index
+/// `publications`, its arrivals before index `arrivals`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Stretch {
-    pub(crate) sent: usize,
+    pub(crate) publications: usize,
     pub(crate) arrivals: usize,
 }
 
@@ -126,47 +128,31 @@ impl DeliveryLog {
         DeliveryLog { first_topic, ..DeliveryLog::default() }
     }
 
+    /// Keeps `table` for the report and returns its index, which an
+    /// arrival keeps in 24 bits: panics past 2^24 tables.
+    pub(crate) fn push_table(&mut self, table: TopicRouting) -> u32 {
+        let index = self.tables.len();
+        assert!(index < TABLES, "{index} routing tables fill an arrival's 24-bit table index");
+        self.tables.push(table);
+        index as u32
+    }
+
     /// Closes the stretch of the topic whose lines were written last.
     pub(crate) fn end_topic(&mut self) {
-        self.stretches.push(Stretch { sent: self.sent.len(), arrivals: self.arrivals.len() });
+        let (publications, arrivals) = (self.publications.len(), self.arrivals.len());
+        self.stretches.push(Stretch { publications, arrivals });
     }
 
-    /// The stretch of topic `topic`, if this log holds it: where its `Sent`
-    /// entries and its quiet arrivals begin and end.
-    fn stretch(&self, topic: usize) -> Option<(Stretch, Stretch)> {
-        let index = topic.checked_sub(self.first_topic)?;
-        let end = *self.stretches.get(index)?;
+    /// Where topic `topic` is among the log's topics, if the log holds it.
+    fn index_of(&self, topic: usize) -> Option<usize> {
+        topic.checked_sub(self.first_topic).filter(|&index| index < self.stretches.len())
+    }
+
+    /// Where the lines of the log's `index`-th topic begin and end.
+    fn stretch(&self, index: usize) -> (Stretch, Stretch) {
         let start =
             index.checked_sub(1).map_or(Stretch::default(), |before| self.stretches[before]);
-        Some((start, end))
-    }
-
-    /// Appends the end-to-end time of every delivery written between
-    /// `start` and `end` to `latencies`: the `Sent` entries', then each
-    /// quiet arrival's group's.
-    fn latencies_ms(
-        &self,
-        topics: &[TopicScenario],
-        (start, end): (Stretch, Stretch),
-        latencies: &mut Vec<f64>,
-    ) {
-        for sent in &self.sent[start.sent..end.sent] {
-            let publication = &self.publications[sent.publication as usize];
-            latencies.push(sent.delivered_at - publication.published_at);
-        }
-        for arrival in &self.arrivals[start.arrivals..end.arrivals] {
-            let publication = &self.publications[arrival.publication as usize];
-            let subscribers = topics[publication.topic as usize].subscribers();
-            let group = self.tables[arrival.table as usize].local_subscribers(arrival.region);
-            latencies.extend(group.iter().map(|&subscriber| {
-                arrival.landing(&subscribers[subscriber as usize]) - publication.published_at
-            }));
-        }
-    }
-
-    /// The stretch of every line of the log.
-    fn whole(&self) -> (Stretch, Stretch) {
-        (Stretch::default(), Stretch { sent: self.sent.len(), arrivals: self.arrivals.len() })
+        (start, self.stretches[index])
     }
 }
 
@@ -274,6 +260,10 @@ pub struct SimReport {
     pub(crate) logs: Vec<DeliveryLog>,
     totals: Totals,
     duration_ms: f64,
+    /// What decided every copy, and decides it again when a line is read.
+    plan: FaultPlan,
+    jitter: Jitter,
+    seed: u64,
 }
 
 impl PartialEq for SimReport {
@@ -291,8 +281,11 @@ impl SimReport {
         logs: Vec<DeliveryLog>,
         totals: Totals,
         duration_ms: f64,
+        plan: FaultPlan,
+        jitter: Jitter,
+        seed: u64,
     ) -> Self {
-        SimReport { topics, logs, totals, duration_ms }
+        SimReport { topics, logs, totals, duration_ms, plan, jitter, seed }
     }
 
     /// All delivery records, topic by topic in topic order, each topic's in
@@ -301,38 +294,48 @@ impl SimReport {
     /// delivery-time order, one topic's deliveries landing at the same
     /// instant still in send order.
     pub fn deliveries(&self) -> impl ExactSizeIterator<Item = DeliveryRecord> + '_ {
-        Deliveries {
-            report: self,
-            logs: self.logs.iter(),
-            log: None,
-            next_sent: 0,
-            arrivals: &[],
-            arrival: None,
-            group: [].iter(),
-            // A `u64` count of values held in memory fits a `usize`.
-            remaining: self.totals.delivered as usize,
-        }
+        let records = self.landed().map(|(publication, subscriber, delivered_at)| {
+            let topic = &self.topics[publication.topic as usize];
+            DeliveryRecord {
+                topic_index: publication.topic as usize,
+                publisher: topic.publishers()[publication.publisher as usize].client(),
+                subscriber: topic.subscribers()[subscriber as usize].client(),
+                published_at: publication.published_at,
+                delivered_at,
+            }
+        });
+        // A `u64` count of values held in memory fits a `usize`.
+        Deliveries { records, remaining: self.totals.delivered as usize }
     }
 
-    /// The record of a copy of `log`'s publication `publication` to
-    /// subscriber `subscriber` of its topic, landing when `landing` says.
-    fn record(
-        &self,
-        log: &DeliveryLog,
-        publication: u32,
-        subscriber: u32,
-        landing: impl FnOnce(&SimSubscriber) -> SimTime,
-    ) -> DeliveryRecord {
-        let publication = log.publications[publication as usize];
-        let topic = &self.topics[publication.topic as usize];
-        let subscriber = &topic.subscribers()[subscriber as usize];
-        DeliveryRecord {
-            topic_index: publication.topic as usize,
-            publisher: topic.publishers()[publication.publisher as usize].client(),
-            subscriber: subscriber.client(),
-            published_at: publication.published_at,
-            delivered_at: landing(subscriber),
-        }
+    /// Every copy that landed, topic by topic, each with its publication
+    /// and its subscriber's index in the topic.
+    fn landed(&self) -> impl Iterator<Item = (Publication, u32, SimTime)> + '_ {
+        self.logs.iter().flat_map(move |log| {
+            (0..log.stretches.len()).flat_map(move |index| self.topic_landed(log, index))
+        })
+    }
+
+    /// Every copy of `log`'s `index`-th topic that landed, in send order,
+    /// as the engine's copy function derives each arrival line's again.
+    fn topic_landed<'a>(
+        &'a self,
+        log: &'a DeliveryLog,
+        index: usize,
+    ) -> impl Iterator<Item = (Publication, u32, SimTime)> + 'a {
+        let (start, end) = log.stretch(index);
+        let topic = log.first_topic + index;
+        // The engine numbered the log's publications with `u32` indices.
+        let draws = Draws::new(self.seed, topic, start.publications as u32);
+        let subscribers = self.topics[topic].subscribers();
+        log.arrivals[start.arrivals..end.arrivals].iter().flat_map(move |&arrival| {
+            let publication = log.publications[arrival.publication as usize];
+            let group = log.tables[arrival.table()].local_subscribers(arrival.region());
+            let delivery = self.plan.deliveries_at(arrival.arrived_at);
+            let key = move || draws.at(arrival.publication, arrival.region());
+            landed_copies(arrival, group, subscribers, delivery, &self.plan, self.jitter, key)
+                .map(move |(subscriber, delivered_at)| (publication, subscriber, delivered_at))
+        })
     }
 
     /// Every delivery's end-to-end time, tallied as the brokers sent it —
@@ -371,9 +374,9 @@ impl SimReport {
     /// (Eq. 5), so jitter-free runs agree with it exactly.
     pub fn percentile_ms(&self, ratio_percent: f64) -> f64 {
         let mut latencies = Vec::with_capacity(self.deliveries().len());
-        for log in &self.logs {
-            log.latencies_ms(&self.topics, log.whole(), &mut latencies);
-        }
+        self.landed().for_each(|(publication, _, delivered_at)| {
+            latencies.push(delivered_at - publication.published_at);
+        });
         percentile_exact(&mut latencies, ratio_percent)
     }
 
@@ -391,10 +394,11 @@ impl SimReport {
             "topic index {topic_index} out of range for a report of {topics} topics"
         );
         let mut latencies = Vec::new();
-        for log in &self.logs {
-            if let Some(stretch) = log.stretch(topic_index) {
-                log.latencies_ms(&self.topics, stretch, &mut latencies);
-            }
+        let holder = self.logs.iter().find_map(|log| Some((log, log.index_of(topic_index)?)));
+        if let Some((log, index)) = holder {
+            self.topic_landed(log, index).for_each(|(publication, _, delivered_at)| {
+                latencies.push(delivered_at - publication.published_at);
+            });
         }
         percentile_exact(&mut latencies, ratio_percent)
     }
@@ -414,66 +418,17 @@ impl SimReport {
     }
 }
 
-/// A report's deliveries in send order, log by log: in each log, the `Sent`
-/// entries up to each quiet arrival's position, then that arrival's group,
-/// then the entries after the last arrival.
-struct Deliveries<'a> {
-    report: &'a SimReport,
-    /// The logs not yet started.
-    logs: std::slice::Iter<'a, DeliveryLog>,
-    /// The log being read.
-    log: Option<&'a DeliveryLog>,
-    /// The next `Sent` entry of `log` to read.
-    next_sent: usize,
-    /// The arrivals of `log` not yet expanded.
-    arrivals: &'a [Arrival],
-    /// The arrival being expanded, and what is left of its group.
-    arrival: Option<&'a Arrival>,
-    group: std::slice::Iter<'a, u32>,
+/// A report's deliveries, their count known before they are read.
+struct Deliveries<I> {
+    records: I,
     remaining: usize,
 }
 
-impl Iterator for Deliveries<'_> {
+impl<I: Iterator<Item = DeliveryRecord>> Iterator for Deliveries<I> {
     type Item = DeliveryRecord;
 
     fn next(&mut self) -> Option<DeliveryRecord> {
-        let report = self.report;
-        loop {
-            let Some(log) = self.log else {
-                let log = self.logs.next()?;
-                (self.log, self.next_sent, self.arrivals) = (Some(log), 0, &log.arrivals);
-                continue;
-            };
-            if let Some(arrival) = self.arrival {
-                if let Some(&subscriber) = self.group.next() {
-                    self.remaining -= 1;
-                    return Some(report.record(
-                        log,
-                        arrival.publication,
-                        subscriber,
-                        |subscriber| arrival.landing(subscriber),
-                    ));
-                }
-            }
-            let until = self.arrivals.first().map_or(log.sent.len(), |next| next.position as usize);
-            if self.next_sent < until {
-                let sent = log.sent[self.next_sent];
-                self.next_sent += 1;
-                self.remaining -= 1;
-                return Some(
-                    report.record(log, sent.publication, sent.subscriber, |_| sent.delivered_at),
-                );
-            }
-            match self.arrivals.split_first() {
-                Some((arrival, later)) => {
-                    self.arrivals = later;
-                    self.arrival = Some(arrival);
-                    self.group =
-                        log.tables[arrival.table as usize].local_subscribers(arrival.region).iter();
-                }
-                None => (self.log, self.arrival) = (None, None),
-            }
-        }
+        self.records.next().inspect(|_| self.remaining -= 1)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -481,7 +436,7 @@ impl Iterator for Deliveries<'_> {
     }
 }
 
-impl ExactSizeIterator for Deliveries<'_> {}
+impl<I: Iterator<Item = DeliveryRecord>> ExactSizeIterator for Deliveries<I> {}
 
 #[cfg(test)]
 mod tests {
@@ -497,10 +452,13 @@ mod tests {
     }
 
     /// A report over `topics` topics of one publisher (C0) and one
-    /// subscriber (C1) each, in one log. Every `(topic, latency)` delivery
-    /// is its own publication on that topic, emitted at 0 and landing
-    /// `latency` ms later; the deliveries come topic by topic.
+    /// subscriber (C1) each, in one log of one routing table a topic, under
+    /// the quiet plan. Every `(topic, latency)` delivery is its own
+    /// publication on that topic, emitted at 0, whose one arrival comes
+    /// `latency` ms later at the subscriber's region, 0 ms from it; the
+    /// deliveries come topic by topic.
     fn report(topics: usize, deliveries: &[(u32, f64)]) -> SimReport {
+        assert!(deliveries.is_sorted_by_key(|&(topic, _)| topic));
         let topic = |t: usize| {
             TopicScenario::new(
                 TopicId::new(format!("t{t}")),
@@ -509,46 +467,44 @@ mod tests {
                 vec![SimSubscriber::new(ClientId(1), vec![0.0])],
             )
         };
-        let publications = deliveries
-            .iter()
-            .map(|&(topic, _)| Publication { topic, publisher: 0, published_at: SimTime::ZERO })
-            .collect();
-        let sent = (0..)
-            .zip(deliveries)
-            .map(|(publication, &(_, latency))| Sent {
-                publication,
-                subscriber: 0,
-                delivered_at: SimTime::from_ms(latency),
-            })
-            .collect();
-        assert!(deliveries.is_sorted_by_key(|&(topic, _)| topic));
-        let stretches = (0..topics as u32)
-            .map(|t| {
-                let sent = deliveries.iter().filter(|&&(topic, _)| topic <= t).count();
-                Stretch { sent, arrivals: 0 }
-            })
-            .collect();
-        let log = DeliveryLog { publications, sent, stretches, ..DeliveryLog::default() };
+        let topics: Vec<TopicScenario> = (0..topics).map(topic).collect();
+        let mut log = DeliveryLog::starting_at(0);
+        for (t, scenario) in (0..).zip(&topics) {
+            let table = log.push_table(TopicRouting::new(scenario, scenario.configuration(), 1));
+            for &(_, latency) in deliveries.iter().filter(|&&(topic, _)| topic == t) {
+                let publication = log.publications.len() as u32;
+                log.publications.push(Publication {
+                    topic: t,
+                    publisher: 0,
+                    published_at: SimTime::ZERO,
+                });
+                let at = SimTime::from_ms(latency);
+                log.arrivals.push(Arrival::new(publication, table, RegionId(0), at));
+            }
+            log.end_topic();
+        }
         let totals = delivered(deliveries.len() as u64, 1);
-        SimReport::new((0..topics).map(topic).collect(), vec![log], totals, 1000.0)
+        SimReport::new(topics, vec![log], totals, 1000.0, FaultPlan::none(), Jitter::Disabled, 0)
     }
 
     #[test]
     fn a_log_entry_is_16_bytes() {
-        assert_eq!(std::mem::size_of::<Sent>(), 16);
         assert_eq!(std::mem::size_of::<Publication>(), 16);
     }
 
     #[test]
-    fn an_arrival_entry_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<Arrival>(), 24);
+    fn an_arrival_entry_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Arrival>(), 16);
+        let arrival = Arrival::new(7, (TABLES - 1) as u32, RegionId(u8::MAX), SimTime::ZERO);
+        assert_eq!((arrival.table(), arrival.region()), (TABLES - 1, RegionId(u8::MAX)));
     }
 
     #[test]
-    fn arrivals_merge_with_sent_entries_by_position() {
+    fn arrival_lines_expand_into_the_copies_that_landed() {
         // One topic of three subscribers, two homed at region 0 (latencies
         // 3 and 4) and one at region 1 (latency 5); publications 0 and 1
-        // emitted at 0 and 10.
+        // emitted at 0 and 10. A quarter of the copies are lost, and a
+        // duplicate window doubles what is sent over [12, 13).
         let topic = TopicScenario::new(
             TopicId::new("t"),
             Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct),
@@ -559,34 +515,37 @@ mod tests {
                 SimSubscriber::new(ClientId(3), vec![4.0, 9.0]),
             ],
         );
-        let table = TopicRouting::new(&topic, topic.configuration(), 2);
+        let plan = FaultPlan::none()
+            .with_loss_rate(0.25)
+            .with_duplicate(crate::faults::DuplicateDelivery::new(2, 12.0, 13.0));
         let at = SimTime::from_ms;
-        let publication = |published_at| Publication { topic: 0, publisher: 0, published_at };
-        let sent = |publication, subscriber, delivered_at| Sent {
-            publication,
-            subscriber,
-            delivered_at: at(delivered_at),
-        };
-        let arrival = |publication, position, region, arrived_at| Arrival {
-            publication,
-            table: 0,
-            position,
-            region: RegionId(region),
-            arrived_at: at(arrived_at),
-        };
-        let log = DeliveryLog {
-            publications: vec![publication(at(0.0)), publication(at(10.0))],
-            tables: vec![table],
-            // Sent first, an arrival at region 0, two more sent entries, an
-            // arrival at region 1, then one last sent entry.
-            sent: vec![sent(0, 1, 50.0), sent(1, 0, 60.0), sent(1, 2, 61.0), sent(0, 0, 70.0)],
-            arrivals: vec![arrival(0, 1, 0, 1.0), arrival(1, 3, 1, 11.0)],
-            stretches: vec![Stretch { sent: 4, arrivals: 2 }],
-            ..DeliveryLog::default()
-        };
-        let report = SimReport::new(vec![topic], vec![log], delivered(7, 2), 1000.0);
+        let mut log = DeliveryLog::starting_at(0);
+        let table = log.push_table(TopicRouting::new(&topic, topic.configuration(), 2));
+        log.publications = [0.0, 10.0]
+            .map(|ms| Publication { topic: 0, publisher: 0, published_at: at(ms) })
+            .to_vec();
+        // Region 0 has publication 0 at 1, region 1 publication 1 at 11,
+        // and region 0 publication 1 at 12, inside the duplicate window.
+        log.arrivals = vec![
+            Arrival::new(0, table, RegionId(0), at(1.0)),
+            Arrival::new(1, table, RegionId(1), at(11.0)),
+            Arrival::new(1, table, RegionId(0), at(12.0)),
+        ];
+        log.end_topic();
+        // Under seed SEED the first two arrivals lose nothing and the
+        // third loses one of its four copies, one of ClientId(3)'s two.
+        const SEED: u64 = 10;
+        let report = SimReport::new(
+            vec![topic],
+            vec![log],
+            delivered(6, 2),
+            1000.0,
+            plan,
+            Jitter::Disabled,
+            SEED,
+        );
         let deliveries = report.deliveries();
-        assert_eq!(deliveries.len(), 7);
+        assert_eq!(deliveries.len(), 6);
         let rows: Vec<(ClientId, f64, f64)> = deliveries
             .map(|d| (d.subscriber, d.published_at.as_ms(), d.delivered_at.as_ms()))
             .collect();
@@ -594,20 +553,20 @@ mod tests {
         assert_eq!(
             rows,
             [
-                (two, 0.0, 50.0),
                 (one, 0.0, 4.0), // region 0's group: subscribers 0 and 2
                 (three, 0.0, 5.0),
-                (one, 10.0, 60.0),
-                (three, 10.0, 61.0),
                 (two, 10.0, 16.0), // region 1's group: subscriber 1
-                (one, 0.0, 70.0),
+                (one, 10.0, 15.0), // two copies each, one lost
+                (one, 10.0, 15.0),
+                (three, 10.0, 16.0),
             ]
         );
-        // Percentiles read the arrivals' groups too: sorted latencies are
-        // 4 5 6 50 50 51 70.
-        assert_eq!(report.percentile_ms(50.0), 50.0);
-        assert_eq!(report.percentile_ms(30.0), 6.0);
-        assert_eq!(report.topic_percentile_ms(0, 100.0), 70.0);
+        // Percentiles read every arrival's copies: sorted latencies are
+        // 4 5 5 5 6 6.
+        assert_eq!(report.percentile_ms(50.0), 5.0);
+        assert_eq!(report.percentile_ms(20.0), 5.0);
+        assert_eq!(report.percentile_ms(10.0), 4.0);
+        assert_eq!(report.topic_percentile_ms(0, 100.0), 6.0);
     }
 
     #[test]
@@ -656,14 +615,30 @@ mod tests {
         let mut ledger = TrafficLedger::new(1);
         ledger.record_internet(RegionId(0), 1_000_000_000);
         let totals = Totals { ledger, ..Totals::new(1) };
-        let report = SimReport::new(vec![], vec![], totals, 60_000.0);
+        let report = SimReport::new(
+            vec![],
+            vec![],
+            totals,
+            60_000.0,
+            FaultPlan::none(),
+            Jitter::Disabled,
+            0,
+        );
         let per_day = report.cost_dollars_per(&regions, 86_400_000.0);
         assert!((per_day - 0.09 * 1440.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_report_defaults() {
-        let report = SimReport::new(vec![], vec![], Totals::new(1), 0.0);
+        let report = SimReport::new(
+            vec![],
+            vec![],
+            Totals::new(1),
+            0.0,
+            FaultPlan::none(),
+            Jitter::Disabled,
+            0,
+        );
         assert_eq!(report.percentile_ms(95.0), 0.0);
         let regions = RegionSet::new(vec![Region::new("a", "A", 0.02, 0.09)]).unwrap();
         assert_eq!(report.cost_dollars_per(&regions, 1000.0), 0.0);

@@ -3,9 +3,9 @@
 //!
 //! The engine builds one per topic when the run starts and one per
 //! reconfiguration that changes a topic's configuration, and never drops
-//! or rewrites one during the run: a quiet arrival in the delivery log
-//! names the table it was served under, and the report expands the
-//! arrival's deliveries from that table's group when they are read.
+//! or rewrites one during the run: an arrival in the delivery log names
+//! the table it was served under, and the report derives the arrival's
+//! deliveries from that table's group when they are read.
 
 // lint:allow-file(indexing) a table is laid out by `TopicRouting::new` for its own topic's client counts and region count: the offsets come first and bound every group, and the engine only asks for regions of the deployment and publishers of the topic the table was built for
 

@@ -13,9 +13,9 @@
 //! tests.
 //!
 //! A second test reruns each quiet scenario with a stall on a client it
-//! does not hold, which makes every broker send its copies one by one, and
-//! checks that both runs report the same deliveries in the same order.
-//! The others check what running topics apart and keying every draw by
+//! does not hold, which takes every arrival off the quiet loop and onto
+//! the general one, and checks that both runs report the same deliveries in
+//! the same order. The others check what running topics apart and keying every draw by
 //! its copy promise: a topic's percentile reads its own deliveries, a
 //! topic's draws and a copy's draws are their own, and loss hits every
 //! hop, and each copy of a duplicated delivery apart, at its rate.
@@ -82,10 +82,13 @@ fn reports_match_the_committed_digests() {
     );
 }
 
+/// A draw-free stall on an absent client changes nothing: it stalls no
+/// client of any scenario and draws nothing, but with a stall in the plan no
+/// arrival is quiet, so every copy takes the copy function's general
+/// expression instead of its quiet loop, in the engine's tally and in the
+/// report alike, and the two must agree bit for bit.
 #[test]
 fn quiet_arrivals_read_back_like_copies_sent_one_by_one() {
-    // Stalls no client of any scenario and draws nothing, but with a stall
-    // in the plan no arrival is quiet.
     let absent = ClientId(u64::MAX);
     let per_copy = FaultPlan::none().with_stall(SubscriberStall::new(absent, 0.0, DURATION_MS));
     for (name, scenario, seed) in [
