@@ -849,41 +849,31 @@ impl Controller {
     /// returning it plus the number of clients skipped for lack of latency
     /// data.
     fn build_workload(&self, report: &TopicReport) -> (TopicWorkload, usize) {
-        let mut workload = TopicWorkload::new(self.regions.len());
         let mut unknown = 0usize;
+        let mut publishers = Vec::with_capacity(report.publishers.len());
         for (&publisher_id, stats) in &report.publishers {
             match self.client_latencies.get(&publisher_id) {
-                Some(latencies) => {
-                    let publisher = Publisher::new(
-                        multipub_core::ids::ClientId(publisher_id),
-                        latencies.clone(),
-                        MessageBatch::uniform(stats.messages, average_size(stats)),
-                    )
-                    // lint:allow(panic) latency rows were length-checked against the region count when the client registered
-                    .expect("registered latencies are valid");
-                    // lint:allow(panic) publisher entries are keyed by client id in the report map, so duplicates cannot reach here
-                    workload.add_publisher(publisher).expect("publisher ids unique in report");
-                }
+                Some(latencies) => publishers.push(Publisher::new(
+                    multipub_core::ids::ClientId(publisher_id),
+                    latencies.clone(),
+                    MessageBatch::uniform(stats.messages, average_size(stats)),
+                )),
                 None => unknown += 1,
             }
         }
+        let mut subscribers = Vec::with_capacity(report.subscribers.len());
         for &subscriber_id in &report.subscribers {
             match self.client_latencies.get(&subscriber_id) {
-                Some(latencies) => {
-                    let subscriber = Subscriber::new(
-                        multipub_core::ids::ClientId(subscriber_id),
-                        latencies.clone(),
-                    )
-                    // lint:allow(panic) latency rows were length-checked against the region count when the client registered
-                    .expect("registered latencies are valid");
-                    workload
-                        .add_subscriber(subscriber)
-                        // lint:allow(panic) subscriber entries are keyed by client id in the report map, so duplicates cannot reach here
-                        .expect("subscriber ids deduplicated in report");
-                }
+                Some(latencies) => subscribers.push(Subscriber::new(
+                    multipub_core::ids::ClientId(subscriber_id),
+                    latencies.clone(),
+                )),
                 None => unknown += 1,
             }
         }
+        let workload = TopicWorkload::new(self.regions.len(), publishers, subscribers)
+            // lint:allow(panic) `register_client` checks each row's width and trusts its values; the merged report keys publishers by id and deduplicates subscribers
+            .expect("registered rows are valid and report ids are unique");
         (workload, unknown)
     }
 }

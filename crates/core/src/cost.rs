@@ -100,12 +100,14 @@ fn routed_forwarding_cost_dollars(
 ///     Region::new("a", "A", 0.02, 0.09),
 ///     Region::new("b", "B", 0.09, 0.14),
 /// ])?;
-/// let mut w = TopicWorkload::new(2);
-/// w.add_publisher(Publisher::new(
-///     ClientId(0), vec![5.0, 50.0], MessageBatch::uniform(1, 1_000_000_000),
-/// )?)?;
-/// w.add_subscriber(Subscriber::new(ClientId(1), vec![5.0, 50.0])?)?;
-/// w.add_subscriber(Subscriber::new(ClientId(2), vec![50.0, 5.0])?)?;
+/// let w = TopicWorkload::new(
+///     2,
+///     vec![Publisher::new(ClientId(0), vec![5.0, 50.0], MessageBatch::uniform(1, 1_000_000_000))],
+///     vec![
+///         Subscriber::new(ClientId(1), vec![5.0, 50.0]),
+///         Subscriber::new(ClientId(2), vec![50.0, 5.0]),
+///     ],
+/// )?;
 /// let both = AssignmentVector::all(2)?;
 /// // 1 GB × (0.09 + 0.14) to the two local subscribers...
 /// let direct = topic_cost_dollars(
@@ -153,18 +155,18 @@ mod tests {
     }
 
     fn workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(2);
-        // Publisher near region 0, 10 messages × 1 KB.
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![5.0, 80.0], MessageBatch::uniform(10, 1000)).unwrap(),
+        TopicWorkload::new(
+            2,
+            // Publisher near region 0, 10 messages × 1 KB.
+            vec![Publisher::new(ClientId(0), vec![5.0, 80.0], MessageBatch::uniform(10, 1000))],
+            // Two subscribers near region 0, one (weight 3) near region 1.
+            vec![
+                Subscriber::new(ClientId(1), vec![4.0, 70.0]),
+                Subscriber::new(ClientId(2), vec![6.0, 75.0]),
+                Subscriber::with_weight(ClientId(3), vec![90.0, 3.0], 3),
+            ],
         )
-        .unwrap();
-        // Two subscribers near region 0, one (weight 3) near region 1.
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![4.0, 70.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![6.0, 75.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::with_weight(ClientId(3), vec![90.0, 3.0], 3).unwrap())
-            .unwrap();
-        w
+        .unwrap()
     }
 
     #[test]
@@ -237,12 +239,12 @@ mod tests {
     #[test]
     fn no_messages_no_cost() {
         let r = regions();
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![1.0, 2.0], MessageBatch::default()).unwrap(),
+        let w = TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![1.0, 2.0], MessageBatch::default())],
+            vec![Subscriber::new(ClientId(1), vec![1.0, 2.0])],
         )
         .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![1.0, 2.0]).unwrap()).unwrap();
         let both = AssignmentVector::all(2).unwrap();
         assert_eq!(topic_cost_dollars(&r, &w, Configuration::new(both, DeliveryMode::Routed)), 0.0);
     }

@@ -70,7 +70,7 @@ pub enum Error {
         /// The offending rate (messages per second).
         value: f64,
     },
-    /// A client id was added twice to the same topic role.
+    /// A client id appears twice in the same role of one topic workload.
     DuplicateClient {
         /// The duplicated client id.
         id: u64,
@@ -127,7 +127,7 @@ impl fmt::Display for Error {
                  got {value}/s"
             ),
             Error::DuplicateClient { id } => {
-                write!(f, "client C{id} was added twice to the same role")
+                write!(f, "client C{id} appears twice in the same role")
             }
             Error::InvalidAssignment { mask, n_regions } => {
                 write!(

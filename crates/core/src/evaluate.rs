@@ -341,10 +341,11 @@ impl Columns {
 ///     Region::new("b", "B", 0.09, 0.14),
 /// ])?;
 /// let inter = InterRegionMatrix::from_rows(vec![vec![0.0, 40.0], vec![40.0, 0.0]])?;
-/// let mut w = TopicWorkload::new(2);
-/// w.add_publisher(Publisher::new(
-///     ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 1024))?)?;
-/// w.add_subscriber(Subscriber::new(ClientId(1), vec![60.0, 5.0])?)?;
+/// let w = TopicWorkload::new(
+///     2,
+///     vec![Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 1024))],
+///     vec![Subscriber::new(ClientId(1), vec![60.0, 5.0])],
+/// )?;
 /// let eval = TopicEvaluator::new(&regions, &inter, &w)?;
 /// let constraint = DeliveryConstraint::new(100.0, 200.0)?;
 /// let both = Configuration::new(AssignmentVector::all(2)?, DeliveryMode::Routed);
@@ -1054,22 +1055,23 @@ mod tests {
     }
 
     fn workload3() -> TopicWorkload {
-        let mut w = TopicWorkload::new(3);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![10.0, 60.0, 100.0], MessageBatch::uniform(5, 1000))
-                .unwrap(),
+        TopicWorkload::new(
+            3,
+            vec![
+                Publisher::new(
+                    ClientId(0),
+                    vec![10.0, 60.0, 100.0],
+                    MessageBatch::uniform(5, 1000),
+                ),
+                Publisher::new(ClientId(1), vec![95.0, 55.0, 12.0], MessageBatch::uniform(3, 2000)),
+            ],
+            vec![
+                Subscriber::new(ClientId(2), vec![8.0, 66.0, 99.0]),
+                Subscriber::new(ClientId(3), vec![70.0, 9.0, 80.0]),
+                Subscriber::with_weight(ClientId(4), vec![88.0, 77.0, 6.0], 2),
+            ],
         )
-        .unwrap();
-        w.add_publisher(
-            Publisher::new(ClientId(1), vec![95.0, 55.0, 12.0], MessageBatch::uniform(3, 2000))
-                .unwrap(),
-        )
-        .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![8.0, 66.0, 99.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(3), vec![70.0, 9.0, 80.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::with_weight(ClientId(4), vec![88.0, 77.0, 6.0], 2).unwrap())
-            .unwrap();
-        w
+        .unwrap()
     }
 
     #[test]
@@ -1078,7 +1080,7 @@ mod tests {
         let inter2 = InterRegionMatrix::from_rows(vec![vec![0.0; 2]; 2]).unwrap();
         let w = workload3();
         assert!(TopicEvaluator::new(&r, &inter2, &w).is_err());
-        let w2 = TopicWorkload::new(2);
+        let w2 = TopicWorkload::new(2, vec![], vec![]).unwrap();
         let inter = inter3();
         assert!(TopicEvaluator::new(&r, &inter, &w2).is_err());
     }
@@ -1212,12 +1214,12 @@ mod tests {
     fn empty_traffic_yields_zero_percentile_and_cost() {
         let r = regions3();
         let inter = inter3();
-        let mut w = TopicWorkload::new(3);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![1.0, 2.0, 3.0], MessageBatch::default()).unwrap(),
+        let w = TopicWorkload::new(
+            3,
+            vec![Publisher::new(ClientId(0), vec![1.0, 2.0, 3.0], MessageBatch::default())],
+            vec![Subscriber::new(ClientId(1), vec![1.0, 2.0, 3.0])],
         )
         .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![1.0, 2.0, 3.0]).unwrap()).unwrap();
         let eval = TopicEvaluator::new(&r, &inter, &w).unwrap();
         let constraint = DeliveryConstraint::new(95.0, 10.0).unwrap();
         let config = Configuration::new(AssignmentVector::all(3).unwrap(), DeliveryMode::Direct);
@@ -1395,18 +1397,20 @@ mod tests {
                 .unwrap();
         let rows = (0..n).map(|i| (0..n).map(|j| if i == j { 0.0 } else { gap }).collect());
         let inter = InterRegionMatrix::from_rows(rows.collect()).unwrap();
-        let mut workload = TopicWorkload::new(n);
-        let mut ids = 0..;
-        for (row, messages) in publishers {
-            let batch = MessageBatch::uniform(messages, 100);
-            let id = ClientId(ids.next().unwrap());
-            workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
-        }
-        for (row, weight) in subscribers {
-            let id = ClientId(ids.next().unwrap());
-            workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();
-        }
-        (regions, inter, workload)
+        let mut ids = (0..).map(ClientId);
+        let publishers: Vec<Publisher> = publishers
+            .into_iter()
+            .zip(&mut ids)
+            .map(|((row, messages), id)| {
+                Publisher::new(id, row, MessageBatch::uniform(messages, 100))
+            })
+            .collect();
+        let subscribers = subscribers
+            .into_iter()
+            .zip(&mut ids)
+            .map(|((row, weight), id)| Subscriber::with_weight(id, row, weight))
+            .collect();
+        (regions, inter, TopicWorkload::new(n, publishers, subscribers).unwrap())
     }
 
     /// Multisets chosen against the bisection: nothing to bisect, nothing but

@@ -155,16 +155,20 @@ mod tests {
     }
 
     fn workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(3);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![10.0, 55.0, 95.0], MessageBatch::uniform(10, 1000))
-                .unwrap(),
+        TopicWorkload::new(
+            3,
+            vec![Publisher::new(
+                ClientId(0),
+                vec![10.0, 55.0, 95.0],
+                MessageBatch::uniform(10, 1000),
+            )],
+            vec![
+                Subscriber::new(ClientId(1), vec![8.0, 60.0, 99.0]),
+                Subscriber::new(ClientId(2), vec![70.0, 9.0, 65.0]),
+                Subscriber::new(ClientId(3), vec![95.0, 62.0, 7.0]),
+            ],
         )
-        .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![8.0, 60.0, 99.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![70.0, 9.0, 65.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(3), vec![95.0, 62.0, 7.0]).unwrap()).unwrap();
-        w
+        .unwrap()
     }
 
     #[test]
@@ -233,7 +237,7 @@ mod tests {
     #[test]
     fn rejects_empty_workload() {
         let (regions, inter) = deployment();
-        let w = TopicWorkload::new(3);
+        let w = TopicWorkload::new(3, vec![], vec![]).unwrap();
         let constraint = DeliveryConstraint::new(90.0, 100.0).unwrap();
         assert!(solve_heuristic(&regions, &inter, &w, &constraint, &HeuristicOptions::default())
             .is_err());

@@ -9,8 +9,14 @@ use crate::error::Error;
 use crate::ids::RegionId;
 
 /// Validates that a slice of latencies has the expected width and that all
-/// entries are finite and non-negative.
-pub(crate) fn validate_latency_row(row: &[f64], expected: usize) -> Result<(), Error> {
+/// entries are finite and non-negative: the rule every client row of a
+/// [`TopicWorkload`](crate::workload::TopicWorkload) obeys.
+///
+/// # Errors
+///
+/// [`Error::LatencyDimension`] for a row of another width, else
+/// [`Error::InvalidLatency`] for the first negative, NaN or infinite entry.
+pub fn validate_latency_row(row: &[f64], expected: usize) -> Result<(), Error> {
     if row.len() != expected {
         return Err(Error::LatencyDimension { expected, got: row.len() });
     }

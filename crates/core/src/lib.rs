@@ -61,12 +61,15 @@
 //!
 //! // A publisher near us-east-1 that sent 60 messages of 1 KiB,
 //! // and one subscriber near each region.
-//! let mut topic = TopicWorkload::new(2);
-//! topic.add_publisher(Publisher::new(
-//!     ClientId(0), vec![10.0, 90.0], MessageBatch::uniform(60, 1024),
-//! )?)?;
-//! topic.add_subscriber(Subscriber::new(ClientId(1), vec![12.0, 95.0])?)?;
-//! topic.add_subscriber(Subscriber::new(ClientId(2), vec![92.0, 9.0])?)?;
+//! // `TopicWorkload::new` checks every row, weight and id at once.
+//! let topic = TopicWorkload::new(
+//!     2,
+//!     vec![Publisher::new(ClientId(0), vec![10.0, 90.0], MessageBatch::uniform(60, 1024))],
+//!     vec![
+//!         Subscriber::new(ClientId(1), vec![12.0, 95.0]),
+//!         Subscriber::new(ClientId(2), vec![92.0, 9.0]),
+//!     ],
+//! )?;
 //!
 //! // 95 % of messages within 120 ms.
 //! let constraint = DeliveryConstraint::new(95.0, 120.0)?;
@@ -190,7 +193,7 @@ pub(crate) mod testing {
             rows[j][i] = between;
         }
         let inter = InterRegionMatrix::from_rows(rows).unwrap();
-        let mut workload = TopicWorkload::new(n);
+        let (mut publishers, mut subscribers) = (Vec::new(), Vec::new());
         let mut next_id = 0u64;
         let mut client_row = |rng: &mut SplitMix64| -> (ClientId, Vec<f64>) {
             next_id += 1;
@@ -199,19 +202,17 @@ pub(crate) mod testing {
         for _ in 0..rng.range(shape.publishers.0, shape.publishers.1) {
             let (id, row) = client_row(rng);
             let batch = MessageBatch::uniform(rng.range(1, 5), rng.range(100, 2000));
-            workload.add_publisher(Publisher::new(id, row, batch).unwrap()).unwrap();
+            publishers.push(Publisher::new(id, row, batch));
         }
         if rng.range(0, 2) == 0 {
             let (id, row) = client_row(rng);
-            workload
-                .add_publisher(Publisher::new(id, row, MessageBatch::default()).unwrap())
-                .unwrap();
+            publishers.push(Publisher::new(id, row, MessageBatch::default()));
         }
         for _ in 0..rng.range(shape.subscribers.0, shape.subscribers.1) {
             let (id, row) = client_row(rng);
             let weight = rng.range(1, 3);
-            workload.add_subscriber(Subscriber::with_weight(id, row, weight).unwrap()).unwrap();
+            subscribers.push(Subscriber::with_weight(id, row, weight));
         }
-        (regions, inter, workload)
+        (regions, inter, TopicWorkload::new(n, publishers, subscribers).unwrap())
     }
 }

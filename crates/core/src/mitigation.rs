@@ -272,14 +272,15 @@ mod tests {
     /// One publisher near R0; one healthy subscriber near R0; one straggler
     /// near R1 (far from R0).
     fn straggler_workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 100)).unwrap(),
+        TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 100))],
+            vec![
+                Subscriber::new(ClientId(1), vec![5.0, 60.0]),
+                Subscriber::new(ClientId(2), vec![90.0, 4.0]),
+            ],
         )
-        .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![5.0, 60.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![90.0, 4.0]).unwrap()).unwrap();
-        w
+        .unwrap()
     }
 
     #[test]
@@ -319,10 +320,11 @@ mod tests {
     #[test]
     fn mitigation_reports_unhelpable_stragglers() {
         let (regions, inter) = regions2();
-        let mut w = straggler_workload();
+        let base = straggler_workload();
         // Replace the straggler with one that is far from everything.
-        let far = Subscriber::new(ClientId(9), vec![500.0, 500.0]).unwrap();
-        w.add_subscriber(far).unwrap();
+        let mut subscribers = base.subscribers().to_vec();
+        subscribers.push(Subscriber::new(ClientId(9), vec![500.0, 500.0]));
+        let w = TopicWorkload::new(2, base.publishers().to_vec(), subscribers).unwrap();
         let eval = TopicEvaluator::new(&regions, &inter, &w).unwrap();
         let config = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Direct);
         let constraint = DeliveryConstraint::new(75.0, 70.0).unwrap();
@@ -352,13 +354,15 @@ mod tests {
     fn retraction_drops_region_once_unneeded() {
         let (regions, inter) = regions2();
         // Straggler recovered: now close to R0 as well.
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 100)).unwrap(),
+        let w = TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 100))],
+            vec![
+                Subscriber::new(ClientId(1), vec![5.0, 60.0]),
+                Subscriber::new(ClientId(2), vec![8.0, 4.0]),
+            ],
         )
         .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![5.0, 60.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![8.0, 4.0]).unwrap()).unwrap();
         let eval = TopicEvaluator::new(&regions, &inter, &w).unwrap();
         let base = Configuration::new(
             AssignmentVector::single(RegionId(0), 2).unwrap(),
@@ -489,16 +493,16 @@ mod tests {
     fn coarsened(workload: &TopicWorkload) -> TopicWorkload {
         let coarse =
             |row: &[f64]| row.iter().map(|l| (l / 50.0).floor() * 50.0).collect::<Vec<_>>();
-        let mut out = TopicWorkload::new(workload.n_regions());
-        for p in workload.publishers() {
-            out.add_publisher(Publisher::new(p.id(), coarse(p.latencies()), p.batch()).unwrap())
-                .unwrap();
-        }
-        for s in workload.subscribers() {
-            let coarse = Subscriber::with_weight(s.id(), coarse(s.latencies()), s.weight());
-            out.add_subscriber(coarse.unwrap()).unwrap();
-        }
-        out
+        let publishers = workload.publishers().iter();
+        let subscribers = workload.subscribers().iter();
+        TopicWorkload::new(
+            workload.n_regions(),
+            publishers.map(|p| Publisher::new(p.id(), coarse(p.latencies()), p.batch())).collect(),
+            subscribers
+                .map(|s| Subscriber::with_weight(s.id(), coarse(s.latencies()), s.weight()))
+                .collect(),
+        )
+        .unwrap()
     }
 
     /// One table per configuration answers what the scan over every publisher
@@ -568,12 +572,12 @@ mod tests {
 
         // Nobody sent anything: no best delivery, no straggler.
         let (regions, inter) = regions2();
-        let mut silent = TopicWorkload::new(2);
-        let publisher = Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::default());
-        silent.add_publisher(publisher.unwrap()).unwrap();
-        for subscriber in straggler_workload().subscribers() {
-            silent.add_subscriber(subscriber.clone()).unwrap();
-        }
+        let silent = TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::default())],
+            straggler_workload().subscribers().to_vec(),
+        )
+        .unwrap();
         let evaluator = TopicEvaluator::new(&regions, &inter, &silent).unwrap();
         let config = Configuration::new(AssignmentVector::all(2).unwrap(), DeliveryMode::Routed);
         assert_eq!(Fastest::new(&evaluator, config).best_delivery_ms(1), None);

@@ -361,10 +361,11 @@ impl<'a> Optimizer<'a> {
 /// #     Region::new("b", "B", 0.09, 0.14),
 /// # ])?;
 /// # let inter = InterRegionMatrix::from_rows(vec![vec![0.0, 40.0], vec![40.0, 0.0]])?;
-/// # let mut workload = TopicWorkload::new(2);
-/// # workload.add_publisher(Publisher::new(
-/// #     ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 1024))?)?;
-/// # workload.add_subscriber(Subscriber::new(ClientId(1), vec![60.0, 5.0])?)?;
+/// # let workload = TopicWorkload::new(
+/// #     2,
+/// #     vec![Publisher::new(ClientId(0), vec![5.0, 60.0], MessageBatch::uniform(10, 1024))],
+/// #     vec![Subscriber::new(ClientId(1), vec![60.0, 5.0])],
+/// # )?;
 /// let sweep = SweepSolver::new(&regions, &inter, &workload, 75.0)?;
 /// for max_t in [100.0, 150.0, 200.0] {
 ///     let solution = sweep.solve_at(max_t)?;
@@ -502,15 +503,12 @@ mod tests {
     /// serving locally is fast (10 ms) but costly; serving from region 0 is
     /// slow (140 ms) but cheap.
     fn local_expensive_workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![70.0, 5.0], MessageBatch::uniform(10, 1000)).unwrap(),
+        TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![70.0, 5.0], MessageBatch::uniform(10, 1000))],
+            (1..=4).map(|i| Subscriber::new(ClientId(i), vec![70.0, 5.0])).collect(),
         )
-        .unwrap();
-        for i in 0..4u64 {
-            w.add_subscriber(Subscriber::new(ClientId(1 + i), vec![70.0, 5.0]).unwrap()).unwrap();
-        }
-        w
+        .unwrap()
     }
 
     #[test]
@@ -642,13 +640,15 @@ mod tests {
         ])
         .unwrap();
         let inter = InterRegionMatrix::from_rows(vec![vec![0.0, 50.0], vec![50.0, 0.0]]).unwrap();
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![10.0, 30.0], MessageBatch::uniform(10, 1000)).unwrap(),
+        let w = TopicWorkload::new(
+            2,
+            vec![Publisher::new(ClientId(0), vec![10.0, 30.0], MessageBatch::uniform(10, 1000))],
+            vec![
+                Subscriber::new(ClientId(1), vec![10.0, 60.0]),
+                Subscriber::new(ClientId(2), vec![60.0, 10.0]),
+            ],
         )
         .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![10.0, 60.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![60.0, 10.0]).unwrap()).unwrap();
         let constraint = DeliveryConstraint::new(100.0, 1000.0).unwrap();
 
         // Fewest regions wins the cost tie.
@@ -659,7 +659,7 @@ mod tests {
     #[test]
     fn empty_workload_rejected() {
         let (regions, inter) = setup();
-        let w = TopicWorkload::new(2);
+        let w = TopicWorkload::new(2, vec![], vec![]).unwrap();
         assert!(matches!(Optimizer::new(&regions, &inter, &w), Err(Error::EmptyWorkload)));
     }
 
@@ -984,17 +984,13 @@ mod tests {
             RegionSet::new((0..3).map(|i| Region::new(format!("r{i}"), "X", 0.0, 0.09)).collect())
                 .unwrap();
         let inter = InterRegionMatrix::from_rows(vec![vec![0.0; 3]; 3]).unwrap();
-        let mut w = TopicWorkload::new(3);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![1.0; 3], MessageBatch::uniform(4, 500)).unwrap(),
+        let rows = [[60.0, 40.0, 70.0], [30.0, 95.0, 50.0], [100.0, 80.0, 35.0]];
+        let w = TopicWorkload::new(
+            3,
+            vec![Publisher::new(ClientId(0), vec![1.0; 3], MessageBatch::uniform(4, 500))],
+            (1..).zip(rows).map(|(i, row)| Subscriber::new(ClientId(i), row)).collect(),
         )
         .unwrap();
-        for (i, row) in
-            [[60.0, 40.0, 70.0], [30.0, 95.0, 50.0], [100.0, 80.0, 35.0]].into_iter().enumerate()
-        {
-            w.add_subscriber(Subscriber::new(ClientId(1 + i as u64), row.to_vec()).unwrap())
-                .unwrap();
-        }
         (regions, inter, w)
     }
 
@@ -1110,7 +1106,8 @@ mod tests {
         assert!(SweepSolver::new(&regions, &inter, &w, 0.0).is_err());
         let sweep = SweepSolver::new(&regions, &inter, &w, 95.0).unwrap();
         assert!(sweep.solve_at(-1.0).is_err());
-        assert!(SweepSolver::new(&regions, &inter, &TopicWorkload::new(2), 95.0).is_err());
+        let empty = TopicWorkload::new(2, vec![], vec![]).unwrap();
+        assert!(SweepSolver::new(&regions, &inter, &empty, 95.0).is_err());
     }
 
     #[test]
@@ -1125,7 +1122,7 @@ mod tests {
     fn solve_topics_validates_everything_first() {
         let (regions, inter) = setup();
         let topics = vec![TopicProblem {
-            workload: TopicWorkload::new(2),
+            workload: TopicWorkload::new(2, vec![], vec![]).unwrap(),
             constraint: DeliveryConstraint::new(95.0, 100.0).unwrap(),
         }];
         assert!(solve_topics(&regions, &inter, &topics).is_err());

@@ -21,7 +21,7 @@ use crate::delivery::closest_region;
 use crate::error::Error;
 use crate::ids::RegionId;
 use crate::region::RegionSet;
-use crate::workload::{Subscriber, TopicWorkload};
+use crate::workload::{Publisher, Subscriber, TopicWorkload};
 
 /// Options for [`prune_regions`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,8 +119,6 @@ fn within_epsilon(a: &[f64], b: &[f64], epsilon: f64) -> bool {
 ///
 /// The representative keeps the first member's id and latency row.
 pub fn bundle_clients(workload: &TopicWorkload, options: &BundleOptions) -> TopicWorkload {
-    let mut bundled = TopicWorkload::new(workload.n_regions());
-
     // Subscribers: sum weights within a cluster.
     let mut sub_reps: Vec<Subscriber> = Vec::new();
     for sub in workload.subscribers() {
@@ -128,25 +126,13 @@ pub fn bundle_clients(workload: &TopicWorkload, options: &BundleOptions) -> Topi
             .iter_mut()
             .find(|rep| within_epsilon(rep.latencies(), sub.latencies(), options.epsilon_ms))
         {
-            Some(rep) => {
-                *rep = Subscriber::with_weight(
-                    rep.id(),
-                    rep.latencies().to_vec(),
-                    rep.weight() + sub.weight(),
-                )
-                // lint:allow(panic) both merged weights came from valid subscribers, so the sum is positive
-                .expect("non-zero weight");
-            }
+            Some(rep) => rep.set_weight(rep.weight() + sub.weight()),
             None => sub_reps.push(sub.clone()),
         }
     }
-    for rep in sub_reps {
-        // lint:allow(panic) representatives are clones/merges of entries the source workload already accepted
-        bundled.add_subscriber(rep).expect("validated by source workload");
-    }
 
     // Publishers: merge batches within a cluster.
-    let mut pub_reps: Vec<crate::workload::Publisher> = Vec::new();
+    let mut pub_reps: Vec<Publisher> = Vec::new();
     for publisher in workload.publishers() {
         match pub_reps
             .iter_mut()
@@ -160,12 +146,10 @@ pub fn bundle_clients(workload: &TopicWorkload, options: &BundleOptions) -> Topi
             None => pub_reps.push(publisher.clone()),
         }
     }
-    for rep in pub_reps {
-        // lint:allow(panic) representatives are clones/merges of entries the source workload already accepted
-        bundled.add_publisher(rep).expect("validated by source workload");
-    }
 
-    bundled
+    TopicWorkload::new(workload.n_regions(), pub_reps, sub_reps)
+        // lint:allow(panic) representatives are a subset of the source's accepted clients, with summed weights
+        .expect("representatives were accepted by the source workload")
 }
 
 #[cfg(test)]
@@ -174,7 +158,7 @@ mod tests {
     use crate::ids::ClientId;
     use crate::region::Region;
     use crate::testing::{random_instance, Shape, SplitMix64};
-    use crate::workload::{MessageBatch, Publisher};
+    use crate::workload::MessageBatch;
 
     fn regions3() -> RegionSet {
         RegionSet::new(vec![
@@ -186,27 +170,18 @@ mod tests {
     }
 
     fn clustered_workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(3);
         // Two publishers near region 0 with near-identical rows.
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(10, 100))
-                .unwrap(),
-        )
-        .unwrap();
-        w.add_publisher(
-            Publisher::new(ClientId(1), vec![6.0, 51.0, 91.0], MessageBatch::uniform(20, 100))
-                .unwrap(),
-        )
-        .unwrap();
+        let publishers = vec![
+            Publisher::new(ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(10, 100)),
+            Publisher::new(ClientId(1), vec![6.0, 51.0, 91.0], MessageBatch::uniform(20, 100)),
+        ];
         // Three subscribers near region 0, one near region 1.
-        for (i, base) in [(2u64, 4.0), (3, 5.5), (4, 6.5)] {
-            w.add_subscriber(
-                Subscriber::new(ClientId(i), vec![base, 48.0 + base, 88.0 + base]).unwrap(),
-            )
-            .unwrap();
-        }
-        w.add_subscriber(Subscriber::new(ClientId(5), vec![55.0, 4.0, 70.0]).unwrap()).unwrap();
-        w
+        let mut subscribers: Vec<Subscriber> = [(2, 4.0), (3, 5.5), (4, 6.5)]
+            .into_iter()
+            .map(|(i, base)| Subscriber::new(ClientId(i), vec![base, 48.0 + base, 88.0 + base]))
+            .collect();
+        subscribers.push(Subscriber::new(ClientId(5), vec![55.0, 4.0, 70.0]));
+        TopicWorkload::new(3, publishers, subscribers).unwrap()
     }
 
     #[test]
@@ -243,7 +218,7 @@ mod tests {
     #[test]
     fn prune_rejects_empty_workload() {
         let regions = regions3();
-        let w = TopicWorkload::new(3);
+        let w = TopicWorkload::new(3, vec![], vec![]).unwrap();
         assert!(prune_regions(&regions, &w, &PruneOptions::default()).is_err());
     }
 

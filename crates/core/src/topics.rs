@@ -98,15 +98,15 @@ mod tests {
     }
 
     fn workload() -> TopicWorkload {
-        let mut w = TopicWorkload::new(3);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(1, 1))
-                .unwrap(),
+        TopicWorkload::new(
+            3,
+            vec![Publisher::new(ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(1, 1))],
+            vec![
+                Subscriber::new(ClientId(1), vec![4.0, 60.0, 99.0]),
+                Subscriber::new(ClientId(2), vec![80.0, 6.0, 70.0]),
+            ],
         )
-        .unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(1), vec![4.0, 60.0, 99.0]).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(2), vec![80.0, 6.0, 70.0]).unwrap()).unwrap();
-        w
+        .unwrap()
     }
 
     #[test]

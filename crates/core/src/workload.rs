@@ -5,6 +5,10 @@
 //! many messages each publisher sent and how many bytes they amounted to,
 //! plus each client's latency row towards every region.
 //!
+//! A workload is built whole: [`TopicWorkload::new`] takes both client
+//! lists and checks every row, weight and id once. The client constructors
+//! check nothing, so a workload is the only place a client is vetted.
+//!
 //! A latency row is an `Arc<[f64]>`: it stays the same from one interval to
 //! the next, so a snapshot shares the rows its source holds instead of
 //! copying them.
@@ -67,21 +71,10 @@ pub struct Publisher {
 }
 
 impl Publisher {
-    /// Creates a publisher.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidLatency`] for negative/NaN/infinite entries.
-    /// The row length is validated against the workload's region count when
-    /// the publisher is added via [`TopicWorkload::add_publisher`].
-    pub fn new(
-        id: ClientId,
-        latencies: impl Into<Arc<[f64]>>,
-        batch: MessageBatch,
-    ) -> Result<Self, Error> {
-        let latencies = latencies.into();
-        validate_latency_row(&latencies, latencies.len())?;
-        Ok(Publisher { id, latencies, batch })
+    /// Creates a publisher. Its row is checked when the workload is built,
+    /// by [`TopicWorkload::new`].
+    pub fn new(id: ClientId, latencies: impl Into<Arc<[f64]>>, batch: MessageBatch) -> Self {
+        Publisher { id, latencies: latencies.into(), batch }
     }
 
     /// The publisher's client id.
@@ -118,33 +111,16 @@ pub struct Subscriber {
 }
 
 impl Subscriber {
-    /// Creates a subscriber with weight 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidLatency`] for negative/NaN/infinite entries.
-    pub fn new(id: ClientId, latencies: impl Into<Arc<[f64]>>) -> Result<Self, Error> {
+    /// Creates a subscriber with weight 1. Its row is checked when the
+    /// workload is built, by [`TopicWorkload::new`].
+    pub fn new(id: ClientId, latencies: impl Into<Arc<[f64]>>) -> Self {
         Self::with_weight(id, latencies, 1)
     }
 
     /// Creates a (possibly virtual) subscriber standing for `weight` real
-    /// subscribers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ZeroWeight`] when `weight == 0` and
-    /// [`Error::InvalidLatency`] for invalid latency entries.
-    pub(crate) fn with_weight(
-        id: ClientId,
-        latencies: impl Into<Arc<[f64]>>,
-        weight: u64,
-    ) -> Result<Self, Error> {
-        if weight == 0 {
-            return Err(Error::ZeroWeight);
-        }
-        let latencies = latencies.into();
-        validate_latency_row(&latencies, latencies.len())?;
-        Ok(Subscriber { id, latencies, weight })
+    /// subscribers. [`TopicWorkload::new`] rejects a zero weight.
+    pub(crate) fn with_weight(id: ClientId, latencies: impl Into<Arc<[f64]>>, weight: u64) -> Self {
+        Subscriber { id, latencies: latencies.into(), weight }
     }
 
     /// The subscriber's client id.
@@ -161,6 +137,11 @@ impl Subscriber {
     pub(crate) fn weight(&self) -> u64 {
         self.weight
     }
+
+    /// Replaces the weight (used when bundling merges subscribers).
+    pub(crate) fn set_weight(&mut self, weight: u64) {
+        self.weight = weight;
+    }
 }
 
 /// Everything the controller knows about one topic for one observation
@@ -170,11 +151,11 @@ impl Subscriber {
 /// use multipub_core::workload::{TopicWorkload, Publisher, Subscriber, MessageBatch};
 /// use multipub_core::ids::ClientId;
 /// # fn main() -> Result<(), multipub_core::Error> {
-/// let mut w = TopicWorkload::new(3);
-/// w.add_publisher(Publisher::new(
-///     ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(10, 512),
-/// )?)?;
-/// w.add_subscriber(Subscriber::new(ClientId(1), vec![80.0, 8.0, 60.0])?)?;
+/// let w = TopicWorkload::new(
+///     3,
+///     vec![Publisher::new(ClientId(0), vec![5.0, 50.0, 90.0], MessageBatch::uniform(10, 512))],
+///     vec![Subscriber::new(ClientId(1), vec![80.0, 8.0, 60.0])],
+/// )?;
 /// assert_eq!(w.total_messages(), 10);
 /// assert_eq!(w.subscriber_weight(), 1);
 /// # Ok(())
@@ -188,47 +169,38 @@ pub struct TopicWorkload {
 }
 
 impl TopicWorkload {
-    /// Creates an empty workload over `n_regions` regions. Latency rows of
-    /// all added clients must have exactly this many entries.
-    pub fn new(n_regions: usize) -> Self {
-        TopicWorkload { n_regions, publishers: Vec::new(), subscribers: Vec::new() }
+    /// Builds the workload of a topic over `n_regions` regions from its
+    /// publishers and subscribers. The same client may appear in both
+    /// lists.
+    ///
+    /// # Errors
+    ///
+    /// * [`Error::LatencyDimension`] if a latency row does not have exactly
+    ///   `n_regions` entries.
+    /// * [`Error::InvalidLatency`] for a negative, NaN or infinite entry.
+    /// * [`Error::ZeroWeight`] for a subscriber of weight 0.
+    /// * [`Error::DuplicateClient`] if an id appears twice among the
+    ///   publishers, or twice among the subscribers.
+    pub fn new(
+        n_regions: usize,
+        publishers: Vec<Publisher>,
+        subscribers: Vec<Subscriber>,
+    ) -> Result<Self, Error> {
+        let rows = publishers.iter().map(Publisher::latencies);
+        for row in rows.chain(subscribers.iter().map(Subscriber::latencies)) {
+            validate_latency_row(row, n_regions)?;
+        }
+        if subscribers.iter().any(|s| s.weight == 0) {
+            return Err(Error::ZeroWeight);
+        }
+        ensure_unique(publishers.iter().map(Publisher::id))?;
+        ensure_unique(subscribers.iter().map(Subscriber::id))?;
+        Ok(TopicWorkload { n_regions, publishers, subscribers })
     }
 
     /// Number of regions all latency rows are indexed by.
     pub(crate) fn n_regions(&self) -> usize {
         self.n_regions
-    }
-
-    /// Adds a publisher.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::LatencyDimension`] if the latency row width differs from
-    ///   the workload's region count.
-    /// * [`Error::DuplicateClient`] if the id is already a publisher.
-    pub fn add_publisher(&mut self, publisher: Publisher) -> Result<(), Error> {
-        validate_latency_row(publisher.latencies(), self.n_regions)?;
-        if self.publishers.iter().any(|p| p.id() == publisher.id()) {
-            return Err(Error::DuplicateClient { id: publisher.id().0 });
-        }
-        self.publishers.push(publisher);
-        Ok(())
-    }
-
-    /// Adds a subscriber.
-    ///
-    /// # Errors
-    ///
-    /// * [`Error::LatencyDimension`] if the latency row width differs from
-    ///   the workload's region count.
-    /// * [`Error::DuplicateClient`] if the id is already a subscriber.
-    pub fn add_subscriber(&mut self, subscriber: Subscriber) -> Result<(), Error> {
-        validate_latency_row(subscriber.latencies(), self.n_regions)?;
-        if self.subscribers.iter().any(|s| s.id() == subscriber.id()) {
-            return Err(Error::DuplicateClient { id: subscriber.id().0 });
-        }
-        self.subscribers.push(subscriber);
-        Ok(())
     }
 
     /// The topic's publishers (`ℙ`).
@@ -280,6 +252,17 @@ impl TopicWorkload {
     }
 }
 
+/// Fails with [`Error::DuplicateClient`] if an id appears twice among
+/// `ids`, found by one sort.
+fn ensure_unique(ids: impl Iterator<Item = ClientId>) -> Result<(), Error> {
+    let mut ids: Vec<ClientId> = ids.collect();
+    ids.sort_unstable();
+    match ids.iter().zip(ids.iter().skip(1)).find(|(a, b)| a == b) {
+        Some((id, _)) => Err(Error::DuplicateClient { id: id.0 }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,48 +284,111 @@ mod tests {
         assert_eq!(b.total_bytes(), 61_440);
     }
 
+    /// Every check `TopicWorkload::new` makes, one row each: the lists it
+    /// is given and the error it must return (`None`: accepted).
     #[test]
-    fn publisher_rejects_bad_latency() {
-        let err = Publisher::new(ClientId(0), vec![1.0, f64::NAN], MessageBatch::default());
-        assert!(matches!(err, Err(Error::InvalidLatency { .. })));
-    }
-
-    #[test]
-    fn subscriber_rejects_zero_weight() {
-        assert_eq!(Subscriber::with_weight(ClientId(0), vec![1.0], 0), Err(Error::ZeroWeight));
-    }
-
-    #[test]
-    fn workload_rejects_wrong_width() {
-        let mut w = TopicWorkload::new(3);
-        let p = Publisher::new(ClientId(0), vec![1.0, 2.0], MessageBatch::default()).unwrap();
-        assert_eq!(w.add_publisher(p), Err(Error::LatencyDimension { expected: 3, got: 2 }));
-    }
-
-    #[test]
-    fn workload_rejects_duplicate_ids_per_role() {
-        let mut w = TopicWorkload::new(1);
-        w.add_subscriber(Subscriber::new(ClientId(5), vec![1.0]).unwrap()).unwrap();
-        let dup = Subscriber::new(ClientId(5), vec![2.0]).unwrap();
-        assert_eq!(w.add_subscriber(dup), Err(Error::DuplicateClient { id: 5 }));
-        // The same id may be both publisher and subscriber, though.
-        let p = Publisher::new(ClientId(5), vec![1.0], MessageBatch::default()).unwrap();
-        assert!(w.add_publisher(p).is_ok());
+    fn new_checks_rows_weights_and_ids() {
+        let publisher =
+            |id, row: &[f64]| Publisher::new(ClientId(id), row, MessageBatch::default());
+        let subscriber = |id, row: &[f64]| Subscriber::new(ClientId(id), row);
+        let ok = [1.0, 2.0];
+        let cases = vec![
+            (
+                "NaN entry",
+                vec![publisher(0, &[1.0, f64::NAN])],
+                vec![],
+                Some(Error::InvalidLatency { value: f64::NAN }),
+            ),
+            (
+                "infinite entry",
+                vec![],
+                vec![subscriber(0, &[f64::INFINITY, 1.0])],
+                Some(Error::InvalidLatency { value: f64::INFINITY }),
+            ),
+            (
+                "negative entry",
+                vec![publisher(0, &[-1.0, 1.0])],
+                vec![],
+                Some(Error::InvalidLatency { value: -1.0 }),
+            ),
+            (
+                "short publisher row",
+                vec![publisher(0, &[1.0])],
+                vec![],
+                Some(Error::LatencyDimension { expected: 2, got: 1 }),
+            ),
+            (
+                "long publisher row",
+                vec![publisher(0, &[1.0, 2.0, 3.0])],
+                vec![],
+                Some(Error::LatencyDimension { expected: 2, got: 3 }),
+            ),
+            (
+                "short subscriber row",
+                vec![],
+                vec![subscriber(0, &[1.0])],
+                Some(Error::LatencyDimension { expected: 2, got: 1 }),
+            ),
+            (
+                "long subscriber row",
+                vec![],
+                vec![subscriber(0, &[1.0, 2.0, 3.0])],
+                Some(Error::LatencyDimension { expected: 2, got: 3 }),
+            ),
+            (
+                "duplicate publisher",
+                vec![publisher(5, &ok), publisher(5, &[3.0, 4.0])],
+                vec![],
+                Some(Error::DuplicateClient { id: 5 }),
+            ),
+            (
+                "duplicate subscriber, placed apart",
+                vec![],
+                vec![
+                    subscriber(7, &ok),
+                    subscriber(2, &ok),
+                    subscriber(9, &ok),
+                    subscriber(7, &ok),
+                ],
+                Some(Error::DuplicateClient { id: 7 }),
+            ),
+            (
+                "zero weight",
+                vec![],
+                vec![Subscriber::with_weight(ClientId(0), &ok[..], 0)],
+                Some(Error::ZeroWeight),
+            ),
+            ("publisher and subscriber", vec![publisher(5, &ok)], vec![subscriber(5, &ok)], None),
+            ("empty lists", vec![], vec![], None),
+        ];
+        for (name, publishers, subscribers, expected) in cases {
+            let built = TopicWorkload::new(2, publishers.clone(), subscribers.clone());
+            match expected {
+                // `Error` compares NaN values unequal, so compare the text.
+                Some(error) => {
+                    assert_eq!(built.map_err(|e| e.to_string()), Err(error.to_string()), "{name}")
+                }
+                None => {
+                    let built = built.unwrap_or_else(|e| panic!("{name}: {e}"));
+                    assert_eq!(built.publishers(), publishers, "{name}");
+                    assert_eq!(built.subscribers(), subscribers, "{name}");
+                }
+            }
+        }
     }
 
     #[test]
     fn totals_account_for_weights() {
-        let mut w = TopicWorkload::new(2);
-        w.add_publisher(
-            Publisher::new(ClientId(0), vec![1.0, 2.0], MessageBatch::uniform(4, 100)).unwrap(),
+        let row = [1.0, 2.0];
+        let w = TopicWorkload::new(
+            2,
+            vec![
+                Publisher::new(ClientId(0), row, MessageBatch::uniform(4, 100)),
+                Publisher::new(ClientId(1), row, MessageBatch::uniform(6, 100)),
+            ],
+            vec![Subscriber::with_weight(ClientId(2), row, 3), Subscriber::new(ClientId(3), row)],
         )
         .unwrap();
-        w.add_publisher(
-            Publisher::new(ClientId(1), vec![1.0, 2.0], MessageBatch::uniform(6, 100)).unwrap(),
-        )
-        .unwrap();
-        w.add_subscriber(Subscriber::with_weight(ClientId(2), vec![1.0, 2.0], 3).unwrap()).unwrap();
-        w.add_subscriber(Subscriber::new(ClientId(3), vec![1.0, 2.0]).unwrap()).unwrap();
         assert_eq!(w.total_messages(), 10);
         assert_eq!(w.subscriber_weight(), 4);
         assert_eq!(w.total_deliveries(), 40);
@@ -351,7 +397,7 @@ mod tests {
 
     #[test]
     fn empty_workload_detected() {
-        let w = TopicWorkload::new(2);
+        let w = TopicWorkload::new(2, vec![], vec![]).unwrap();
         assert_eq!(w.ensure_non_empty(), Err(Error::EmptyWorkload));
     }
 }

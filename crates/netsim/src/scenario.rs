@@ -4,11 +4,18 @@
 //! A topic's client lists and every client's latency row are shared by
 //! `Arc`: cloning a scenario for the next run, and taking the analytic
 //! [`TopicWorkload`] of a topic, bump reference counts and copy no row.
+//!
+//! Clients are checked as they are built: a latency value by the client
+//! constructors, under the row rule of `multipub_core`'s
+//! [`validate_latency_row`], and ids by [`TopicScenario::new`]. A topic's
+//! workload is then one [`TopicWorkload::new`], which checks them all
+//! again together with the row width.
 
 use crate::faults::FaultPlan;
 use multipub_core::assignment::Configuration;
+use multipub_core::error::Error;
 use multipub_core::ids::{ClientId, TopicId};
-use multipub_core::latency::InterRegionMatrix;
+use multipub_core::latency::{validate_latency_row, InterRegionMatrix};
 use multipub_core::region::RegionSet;
 use multipub_core::workload::{MessageBatch, Publisher, Subscriber, TopicWorkload};
 use std::sync::Arc;
@@ -97,13 +104,11 @@ impl SimPublisher {
 }
 
 /// Panics unless every entry of `client`'s latency row is finite and
-/// non-negative: the values the model's `Publisher` and `Subscriber` accept.
+/// non-negative: the values the model's [`TopicWorkload::new`] accepts.
 fn assert_latencies(role: &str, client: ClientId, latencies: &[f64]) {
-    for &value in latencies {
-        assert!(
-            value.is_finite() && value >= 0.0,
-            "{role} {client} latency {value} must be finite and non-negative"
-        );
+    if let Err(Error::InvalidLatency { value }) = validate_latency_row(latencies, latencies.len()) {
+        // lint:allow(panic) the documented panic of the client constructors
+        panic!("{role} {client} latency {value} must be finite and non-negative");
     }
 }
 
@@ -211,35 +216,23 @@ impl TopicScenario {
     /// # Panics
     ///
     /// Panics if a latency row's width differs from `n_regions`, which
-    /// `Scenario::new` rules out for its own region count. Latency values
-    /// and ids are checked by the client constructors and `TopicScenario::new`.
+    /// `Scenario::new` rules out for its own region count: the one check of
+    /// [`TopicWorkload::new`] that the client constructors and
+    /// [`TopicScenario::new`] do not make first.
     ///
     /// The workload's clients share this topic's latency rows.
     pub fn workload(&self, n_regions: usize, duration_ms: f64) -> TopicWorkload {
-        let mut workload = TopicWorkload::new(n_regions);
-        for publisher in self.publishers.iter() {
+        let publishers = self.publishers.iter().map(|publisher| {
             let count = publisher.publish_times_ms(duration_ms).count() as u64;
             let batch = MessageBatch::uniform(count, publisher.size_bytes());
-            workload
-                .add_publisher(
-                    Publisher::new(publisher.client(), Arc::clone(&publisher.latencies), batch)
-                        // lint:allow(panic) `SimPublisher::with_phase` checked every latency
-                        .expect("latencies checked by SimPublisher::with_phase"),
-                )
-                // lint:allow(panic) ids unique per `TopicScenario::new`; a wrong width is the documented panic
-                .expect("ids unique per TopicScenario::new; row width must be n_regions");
-        }
-        for subscriber in self.subscribers.iter() {
-            workload
-                .add_subscriber(
-                    Subscriber::new(subscriber.client(), Arc::clone(&subscriber.latencies))
-                        // lint:allow(panic) `SimSubscriber::new` checked every latency
-                        .expect("latencies checked by SimSubscriber::new"),
-                )
-                // lint:allow(panic) ids unique per `TopicScenario::new`; a wrong width is the documented panic
-                .expect("ids unique per TopicScenario::new; row width must be n_regions");
-        }
-        workload
+            Publisher::new(publisher.client(), Arc::clone(&publisher.latencies), batch)
+        });
+        let subscribers = self.subscribers.iter().map(|subscriber| {
+            Subscriber::new(subscriber.client(), Arc::clone(&subscriber.latencies))
+        });
+        TopicWorkload::new(n_regions, publishers.collect(), subscribers.collect())
+            // lint:allow(panic) values and ids were checked when the clients and topic were built; a wrong width is the documented panic
+            .expect("row width must be n_regions")
     }
 
     /// Panics, naming the topic and the client, unless every latency row has
@@ -277,8 +270,10 @@ impl Scenario {
     /// Panics if the inter-region matrix width differs from the region
     /// count or any client latency row has the wrong width — scenario
     /// construction bugs, not runtime conditions. Latency values and client
-    /// ids are checked where clients and topics are built, so they hold for
-    /// topics swapped in through [`Scenario::topics_mut`] too. `Engine::new`
+    /// ids are checked where clients and topics are built (and checked
+    /// again, with the widths, by each [`TopicWorkload::new`] of
+    /// [`TopicScenario::workload`]), so they hold for topics swapped in
+    /// through [`Scenario::topics_mut`] too. `Engine::new`
     /// checks every row width again, for those topics, and every
     /// configuration against the region count.
     pub fn new(regions: RegionSet, inter: InterRegionMatrix, topics: Vec<TopicScenario>) -> Self {

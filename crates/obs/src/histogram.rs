@@ -10,8 +10,7 @@
 //! one comparison to find the bucket, so histograms are safe on broker hot
 //! paths. A caller with many values to record fills a [`Tally`], which is
 //! the same bookkeeping without atomics, and adds it with
-//! [`Histogram::add`], paying the atomics once per batch;
-//! [`Histogram::record_all`] does both for an iterator.
+//! [`Histogram::add`], paying the atomics once per batch.
 //!
 //! The atomics come from `multipub_sync` so loom can model them; two
 //! things stay on `std` under loom too: the `OnceLock` around the
@@ -188,16 +187,6 @@ impl Histogram {
         self.count.fetch_add(tally.count, Ordering::Relaxed);
         self.sum_micros.fetch_add(tally.sum_micros, Ordering::Relaxed);
         self.max_micros.fetch_max(tally.max_micros, Ordering::Relaxed);
-    }
-
-    /// Records every observation of `values_ms` as [`Histogram::record`]
-    /// would one by one, by filling a [`Tally`] and adding it. For a
-    /// finished run's worth of latencies, where four atomics per value
-    /// would be most of the cost.
-    pub fn record_all(&self, values_ms: impl IntoIterator<Item = f64>) {
-        let mut tally = Tally::new();
-        values_ms.into_iter().for_each(|value_ms| tally.record(value_ms));
-        self.add(&tally);
     }
 
     /// Number of recorded observations.
@@ -500,48 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn record_all_snapshots_like_a_record_loop() {
-        let mut next = crate::xorshift(0x2545_F491_4F6C_DD1D);
-        let last_finite = bucket_upper_bound(FINITE_BUCKETS - 1);
-        let edge_cases = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -3.5,
-            -0.0,
-            0.0,
-            0.0004,         // sub-µs: rounds to 0 µs
-            0.0005,         // rounds to 1 µs
-            FIRST_BOUND_MS, // on the first bound
-            last_finite,
-            last_finite * 1.5, // overflow bucket
-            9.1e12,            // past 2^53 µs: clamped
-            1e300,
-        ];
-        for len in [0usize, 1, 7, 1000] {
-            let values: Vec<f64> = (0..len)
-                .map(|_| match next() % 4 {
-                    0 => edge_cases[(next() % edge_cases.len() as u64) as usize],
-                    // Log-uniform over every finite bucket and a little beyond.
-                    _ => 1e-4 * 2f64.powf((next() % 4000) as f64 / 100.0),
-                })
-                .collect();
-            let (one_by_one, batched) = (Histogram::new(), Histogram::new());
-            // Something recorded beforehand: the batch adds, it does not overwrite.
-            one_by_one.record(12.0);
-            batched.record(12.0);
-            values.iter().for_each(|&value| one_by_one.record(value));
-            batched.record_all(values.iter().copied());
-            assert_eq!(batched.snapshot(), one_by_one.snapshot(), "{len} values");
-        }
-        // Enough clamped observations to wrap the sum: both wrap alike.
-        let (one_by_one, batched) = (Histogram::new(), Histogram::new());
-        (0..2049).for_each(|_| one_by_one.record(1e300));
-        batched.record_all(std::iter::repeat_n(1e300, 2049));
-        assert_eq!(batched.snapshot(), one_by_one.snapshot());
-    }
-
-    #[test]
     fn to_micros_rounds_like_f64_round() {
         let reference = |value_ms: f64| {
             if value_ms <= 0.0 {
@@ -604,17 +551,55 @@ mod tests {
 
     #[test]
     fn an_added_tally_snapshots_like_a_record_loop() {
-        let values = [f64::NAN, -2.0, 0.0004, 0.0005, 1.0, 37.5, 9.1e12, f64::INFINITY];
-        let (one_by_one, added) = (Histogram::new(), Histogram::new());
-        let mut tally = Tally::new();
-        values.iter().for_each(|&value| {
-            one_by_one.record(value);
-            tally.record(value);
-        });
-        assert_eq!(tally.count(), 6);
-        added.add(&tally);
-        added.add(&Tally::new());
-        assert_eq!(added.snapshot(), one_by_one.snapshot());
+        // Fills one tally with `values` and adds it (and an empty one) to a
+        // histogram that already holds a value: the tally adds, it does not
+        // overwrite, and the snapshot is that of a record loop.
+        let check = |values: &[f64], context: &str| -> Tally {
+            let (one_by_one, added) = (Histogram::new(), Histogram::new());
+            one_by_one.record(12.0);
+            added.record(12.0);
+            let mut tally = Tally::new();
+            values.iter().for_each(|&value| {
+                one_by_one.record(value);
+                tally.record(value);
+            });
+            added.add(&tally);
+            added.add(&Tally::new());
+            assert_eq!(added.snapshot(), one_by_one.snapshot(), "{context}");
+            tally
+        };
+        let fixed = [f64::NAN, -2.0, 0.0004, 0.0005, 1.0, 37.5, 9.1e12, f64::INFINITY];
+        assert_eq!(check(&fixed, "fixed values").count(), 6);
+
+        let mut next = crate::xorshift(0x2545_F491_4F6C_DD1D);
+        let last_finite = bucket_upper_bound(FINITE_BUCKETS - 1);
+        let edge_cases = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            0.0004,         // sub-µs: rounds to 0 µs
+            0.0005,         // rounds to 1 µs
+            FIRST_BOUND_MS, // on the first bound
+            last_finite,
+            last_finite * 1.5, // overflow bucket
+            9.1e12,            // past 2^53 µs: clamped
+            1e300,
+        ];
+        for len in [0usize, 1, 7, 1000] {
+            let values: Vec<f64> = (0..len)
+                .map(|_| match next() % 4 {
+                    0 => edge_cases[(next() % edge_cases.len() as u64) as usize],
+                    // Log-uniform over every finite bucket and a little beyond.
+                    _ => 1e-4 * 2f64.powf((next() % 4000) as f64 / 100.0),
+                })
+                .collect();
+            check(&values, &format!("{len} seeded values"));
+        }
+        // Enough clamped observations to wrap the sum: both wrap alike.
+        check(&[1e300; 2049], "2 049 clamped values");
     }
 
     #[test]

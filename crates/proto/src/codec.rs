@@ -244,7 +244,7 @@ pub(crate) struct Payload;
 
 impl Put<String> for Short {
     fn put(value: &String, out: &mut Vec<u8>) {
-        debug_assert!(value.len() <= usize::from(u16::MAX), "topic names are short");
+        assert!(value.len() <= usize::from(u16::MAX), "topic names are short");
         u16::put(&(value.len() as u16), out);
         out.extend_from_slice(value.as_bytes());
     }
@@ -736,6 +736,23 @@ mod tests {
         assert_eq!(stamped.trace_id, 0xF00D);
         assert_eq!((stamped.admit_micros, stamped.match_micros), (10, 20));
         assert_eq!(payload, b"p");
+    }
+
+    /// The longest topic a `u16` length can state round-trips; one byte
+    /// more panics, in release builds too, rather than writing a length that
+    /// wrapped around and leaving `decode` to misread the rest of the frame.
+    #[test]
+    fn a_topic_fills_its_u16_length_and_no_more() {
+        let longest = Frame::Unsubscribe { topic: "t".repeat(usize::from(u16::MAX)) };
+        let mut buf = encode_vec(&longest);
+        assert_eq!(decode_front(&mut buf), Ok(Some(longest)));
+        assert!(buf.is_empty());
+
+        let too_long = Frame::Unsubscribe { topic: "t".repeat(usize::from(u16::MAX) + 1) };
+        let panic = std::panic::catch_unwind(|| encode_vec(&too_long)).unwrap_err();
+        let message = panic.downcast_ref::<&str>().copied();
+        let message = message.or_else(|| panic.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(message, Some("topic names are short"));
     }
 
     #[test]

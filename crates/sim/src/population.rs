@@ -118,32 +118,21 @@ impl Population {
     /// `interval_secs` seconds: each publisher contributes
     /// `rate × interval` messages of the configured size.
     pub fn workload(&self, interval_secs: f64) -> TopicWorkload {
-        let mut workload = TopicWorkload::new(self.n_regions);
-        let count = (self.rate_per_sec * interval_secs).round() as u64;
-        for (id, latencies) in &self.publishers {
-            workload
-                .add_publisher(
-                    Publisher::new(
-                        *id,
-                        latencies.clone(),
-                        MessageBatch::uniform(count, self.size_bytes),
-                    )
-                    // lint:allow(panic) the generator emits one finite latency per region, which `Publisher::new` accepts
-                    .expect("generated latencies are valid"),
-                )
-                // lint:allow(panic) client ids come from a strictly increasing counter, so duplicates are impossible
-                .expect("ids are unique by construction");
-        }
-        for (id, latencies) in &self.subscribers {
-            workload
-                .add_subscriber(
-                    // lint:allow(panic) the generator emits one finite latency per region, which `Subscriber::new` accepts
-                    Subscriber::new(*id, latencies.clone()).expect("generated latencies are valid"),
-                )
-                // lint:allow(panic) client ids come from a strictly increasing counter, so duplicates are impossible
-                .expect("ids are unique by construction");
-        }
-        workload
+        let batch = MessageBatch::uniform(
+            (self.rate_per_sec * interval_secs).round() as u64,
+            self.size_bytes,
+        );
+        let publishers = self.publishers.iter();
+        let subscribers = self.subscribers.iter();
+        TopicWorkload::new(
+            self.n_regions,
+            publishers
+                .map(|(id, latencies)| Publisher::new(*id, latencies.clone(), batch))
+                .collect(),
+            subscribers.map(|(id, latencies)| Subscriber::new(*id, latencies.clone())).collect(),
+        )
+        // lint:allow(panic) the generator emits one finite latency per region, and client ids come from a strictly increasing counter
+        .expect("generated rows are valid and ids unique")
     }
 
     /// The discrete-event counterpart of this population under a fixed

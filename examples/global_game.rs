@@ -92,21 +92,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // mitigation scan detects the straggler and force-adds a region.
     let model = ClientLatencyModel::new(&inter);
     let mut rng = StdRng::seed_from_u64(9);
-    let mut degraded = TopicWorkload::new(regions.len());
-    for publisher in problems[1].workload.publishers() {
-        degraded.add_publisher(Publisher::new(
-            publisher.id(),
-            publisher.latencies().to_vec(),
-            MessageBatch::uniform(publisher.batch().count(), 512),
-        )?)?;
-    }
-    for subscriber in problems[1].workload.subscribers() {
-        degraded
-            .add_subscriber(Subscriber::new(subscriber.id(), subscriber.latencies().to_vec())?)?;
-    }
+    let match_asia = &problems[1].workload;
+    let publishers = match_asia.publishers().iter().map(|publisher| {
+        let batch = MessageBatch::uniform(publisher.batch().count(), 512);
+        Publisher::new(publisher.id(), publisher.latencies(), batch)
+    });
     // The straggler: 8x the usual last-mile latency, homed at Seoul.
     let straggler_row = model.sample_straggler(ec2::regions::AP_NORTHEAST_2, 8.0, &mut rng);
-    degraded.add_subscriber(Subscriber::new(ClientId(900_000), straggler_row)?)?;
+    let mut subscribers = match_asia.subscribers().to_vec();
+    subscribers.push(Subscriber::new(ClientId(900_000), straggler_row));
+    let degraded = TopicWorkload::new(regions.len(), publishers.collect(), subscribers)?;
 
     let optimizer = Optimizer::new(&regions, &inter, &degraded)?;
     let constraint = problems[1].constraint;
