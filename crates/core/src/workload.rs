@@ -284,15 +284,41 @@ mod tests {
         assert_eq!(b.total_bytes(), 61_440);
     }
 
-    /// Every check `TopicWorkload::new` makes, one row each: the lists it
-    /// is given and the error it must return (`None`: accepted).
+    /// A named case for [`check_new`]: the lists `TopicWorkload::new` is
+    /// given and the error it must return (`None`: accepted).
+    type Case = (&'static str, Vec<Publisher>, Vec<Subscriber>, Option<Error>);
+
+    fn publisher(id: u64, row: &[f64]) -> Publisher {
+        Publisher::new(ClientId(id), row, MessageBatch::default())
+    }
+
+    fn subscriber(id: u64, row: &[f64]) -> Subscriber {
+        Subscriber::new(ClientId(id), row)
+    }
+
+    /// Builds each case over 2 regions and checks its outcome.
+    fn check_new(cases: Vec<Case>) {
+        for (name, publishers, subscribers, expected) in cases {
+            let built = TopicWorkload::new(2, publishers.clone(), subscribers.clone());
+            match expected {
+                // `Error` compares NaN values unequal, so compare the text.
+                Some(error) => {
+                    assert_eq!(built.map_err(|e| e.to_string()), Err(error.to_string()), "{name}")
+                }
+                None => {
+                    let built = built.unwrap_or_else(|e| panic!("{name}: {e}"));
+                    assert_eq!(built.publishers(), publishers, "{name}");
+                    assert_eq!(built.subscribers(), subscribers, "{name}");
+                }
+            }
+        }
+    }
+
+    /// Rows with a NaN, infinite or negative entry; a subscriber's row is
+    /// checked alike.
     #[test]
-    fn new_checks_rows_weights_and_ids() {
-        let publisher =
-            |id, row: &[f64]| Publisher::new(ClientId(id), row, MessageBatch::default());
-        let subscriber = |id, row: &[f64]| Subscriber::new(ClientId(id), row);
-        let ok = [1.0, 2.0];
-        let cases = vec![
+    fn publisher_rejects_bad_latency() {
+        check_new(vec![
             (
                 "NaN entry",
                 vec![publisher(0, &[1.0, f64::NAN])],
@@ -311,6 +337,22 @@ mod tests {
                 vec![],
                 Some(Error::InvalidLatency { value: -1.0 }),
             ),
+        ]);
+    }
+
+    #[test]
+    fn subscriber_rejects_zero_weight() {
+        check_new(vec![(
+            "zero weight",
+            vec![],
+            vec![Subscriber::with_weight(ClientId(0), &[1.0, 2.0][..], 0)],
+            Some(Error::ZeroWeight),
+        )]);
+    }
+
+    #[test]
+    fn workload_rejects_wrong_width() {
+        check_new(vec![
             (
                 "short publisher row",
                 vec![publisher(0, &[1.0])],
@@ -335,6 +377,14 @@ mod tests {
                 vec![subscriber(0, &[1.0, 2.0, 3.0])],
                 Some(Error::LatencyDimension { expected: 2, got: 3 }),
             ),
+            ("empty lists", vec![], vec![], None),
+        ]);
+    }
+
+    #[test]
+    fn workload_rejects_duplicate_ids_per_role() {
+        let ok = [1.0, 2.0];
+        check_new(vec![
             (
                 "duplicate publisher",
                 vec![publisher(5, &ok), publisher(5, &[3.0, 4.0])],
@@ -352,29 +402,9 @@ mod tests {
                 ],
                 Some(Error::DuplicateClient { id: 7 }),
             ),
-            (
-                "zero weight",
-                vec![],
-                vec![Subscriber::with_weight(ClientId(0), &ok[..], 0)],
-                Some(Error::ZeroWeight),
-            ),
+            // The same id may be both publisher and subscriber, though.
             ("publisher and subscriber", vec![publisher(5, &ok)], vec![subscriber(5, &ok)], None),
-            ("empty lists", vec![], vec![], None),
-        ];
-        for (name, publishers, subscribers, expected) in cases {
-            let built = TopicWorkload::new(2, publishers.clone(), subscribers.clone());
-            match expected {
-                // `Error` compares NaN values unequal, so compare the text.
-                Some(error) => {
-                    assert_eq!(built.map_err(|e| e.to_string()), Err(error.to_string()), "{name}")
-                }
-                None => {
-                    let built = built.unwrap_or_else(|e| panic!("{name}: {e}"));
-                    assert_eq!(built.publishers(), publishers, "{name}");
-                    assert_eq!(built.subscribers(), subscribers, "{name}");
-                }
-            }
-        }
+        ]);
     }
 
     #[test]

@@ -549,28 +549,33 @@ mod tests {
         }
     }
 
+    /// Fills one tally with `values` and adds it (and an empty one) to a
+    /// histogram that already holds a value: the tally adds, it does not
+    /// overwrite, and the snapshot is that of a record loop.
+    fn check_added_tally(values: &[f64], context: &str) -> Tally {
+        let (one_by_one, added) = (Histogram::new(), Histogram::new());
+        one_by_one.record(12.0);
+        added.record(12.0);
+        let mut tally = Tally::new();
+        values.iter().for_each(|&value| {
+            one_by_one.record(value);
+            tally.record(value);
+        });
+        added.add(&tally);
+        added.add(&Tally::new());
+        assert_eq!(added.snapshot(), one_by_one.snapshot(), "{context}");
+        tally
+    }
+
     #[test]
     fn an_added_tally_snapshots_like_a_record_loop() {
-        // Fills one tally with `values` and adds it (and an empty one) to a
-        // histogram that already holds a value: the tally adds, it does not
-        // overwrite, and the snapshot is that of a record loop.
-        let check = |values: &[f64], context: &str| -> Tally {
-            let (one_by_one, added) = (Histogram::new(), Histogram::new());
-            one_by_one.record(12.0);
-            added.record(12.0);
-            let mut tally = Tally::new();
-            values.iter().for_each(|&value| {
-                one_by_one.record(value);
-                tally.record(value);
-            });
-            added.add(&tally);
-            added.add(&Tally::new());
-            assert_eq!(added.snapshot(), one_by_one.snapshot(), "{context}");
-            tally
-        };
         let fixed = [f64::NAN, -2.0, 0.0004, 0.0005, 1.0, 37.5, 9.1e12, f64::INFINITY];
-        assert_eq!(check(&fixed, "fixed values").count(), 6);
+        assert_eq!(check_added_tally(&fixed, "fixed values").count(), 6);
+    }
 
+    /// A whole run's worth of values recorded at once, through one tally.
+    #[test]
+    fn record_all_snapshots_like_a_record_loop() {
         let mut next = crate::xorshift(0x2545_F491_4F6C_DD1D);
         let last_finite = bucket_upper_bound(FINITE_BUCKETS - 1);
         let edge_cases = [
@@ -596,10 +601,10 @@ mod tests {
                     _ => 1e-4 * 2f64.powf((next() % 4000) as f64 / 100.0),
                 })
                 .collect();
-            check(&values, &format!("{len} seeded values"));
+            check_added_tally(&values, &format!("{len} seeded values"));
         }
         // Enough clamped observations to wrap the sum: both wrap alike.
-        check(&[1e300; 2049], "2 049 clamped values");
+        check_added_tally(&[1e300; 2049], "2 049 clamped values");
     }
 
     #[test]
