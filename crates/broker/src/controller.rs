@@ -35,7 +35,7 @@ use bytes::BytesMut;
 use multipub_core::assignment::{AssignmentVector, Configuration};
 use multipub_core::constraint::DeliveryConstraint;
 use multipub_core::ids::RegionId;
-use multipub_core::latency::InterRegionMatrix;
+use multipub_core::latency::{validate_latency_row, InterRegionMatrix};
 use multipub_core::mitigation::{mitigate, retract_unneeded, MitigationPolicy};
 use multipub_core::optimizer::Optimizer;
 use multipub_core::region::RegionSet;
@@ -396,12 +396,20 @@ impl Controller {
     /// Registers (or refreshes) a client's one-way latency row towards
     /// every region — the controller's copy of matrix `L` (paper §III.C).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the row width differs from the region count.
-    pub fn register_client(&mut self, client_id: u64, latencies_ms: Vec<f64>) {
-        assert_eq!(latencies_ms.len(), self.regions.len(), "latency row must cover every region");
+    /// [`multipub_core::Error::LatencyDimension`] if the row's width
+    /// differs from the region count, [`multipub_core::Error::InvalidLatency`]
+    /// for its first negative, NaN or infinite entry. A rejected row is not
+    /// stored, and the client keeps the row it had.
+    pub fn register_client(
+        &mut self,
+        client_id: u64,
+        latencies_ms: Vec<f64>,
+    ) -> Result<(), multipub_core::Error> {
+        validate_latency_row(&latencies_ms, self.regions.len())?;
         self.client_latencies.insert(client_id, latencies_ms);
+        Ok(())
     }
 
     /// Sets a topic's delivery constraint `<ratio_T, max_T>`.
@@ -872,7 +880,7 @@ impl Controller {
             }
         }
         let workload = TopicWorkload::new(self.regions.len(), publishers, subscribers)
-            // lint:allow(panic) `register_client` checks each row's width and trusts its values; the merged report keys publishers by id and deduplicates subscribers
+            // lint:allow(panic) `register_client` stores only rows `validate_latency_row` accepts (width and finite non-negative values); the merged report keys publishers by id and deduplicates subscribers
             .expect("registered rows are valid and report ids are unique");
         (workload, unknown)
     }

@@ -257,8 +257,8 @@ async fn controller_optimizes_and_reconfigures_live_clients() {
     // bound the optimizer should pull the topic to cheap region 0.
     let pub_latencies = vec![70.0, 5.0];
     let sub_latencies = vec![75.0, 6.0];
-    controller.register_client(50, pub_latencies.clone());
-    controller.register_client(51, sub_latencies.clone());
+    controller.register_client(50, pub_latencies.clone()).unwrap();
+    controller.register_client(51, sub_latencies.clone()).unwrap();
 
     let mut subscriber = SubscriberClient::new(ClientConfig {
         client_id: 51,
@@ -333,11 +333,11 @@ async fn controller_mitigation_force_adds_a_region_for_stragglers() {
     // Publisher + two healthy subscribers near cheap region 0; one
     // straggler near region 1, hopeless via region 0 (its best delivery
     // 5 + 150 already blows the 100 ms bound) but fine via region 1.
-    controller.register_client(70, vec![5.0, 60.0]); // publisher
-    controller.register_client(71, vec![6.0, 70.0]); // healthy sub
-    controller.register_client(72, vec![7.0, 75.0]); // healthy sub
-    controller.register_client(74, vec![8.0, 72.0]); // healthy sub
-    controller.register_client(73, vec![150.0, 8.0]); // straggler
+    controller.register_client(70, vec![5.0, 60.0]).unwrap(); // publisher
+    controller.register_client(71, vec![6.0, 70.0]).unwrap(); // healthy sub
+    controller.register_client(72, vec![7.0, 75.0]).unwrap(); // healthy sub
+    controller.register_client(74, vec![8.0, 72.0]).unwrap(); // healthy sub
+    controller.register_client(73, vec![150.0, 8.0]).unwrap(); // straggler
 
     let mut subs = Vec::new();
     for (id, lat) in [

@@ -211,8 +211,8 @@ async fn controller_connects_partially_and_optimizes_over_survivors() {
     assert_eq!(controller.unreachable_regions(), vec![RegionId(0)]);
     controller.set_connect_timeout(Duration::from_millis(200));
     controller.set_report_timeout(Duration::from_millis(1000));
-    controller.register_client(60, vec![5.0, 70.0]); // publisher near dead region 0
-    controller.register_client(61, vec![75.0, 6.0]); // subscriber near region 1
+    controller.register_client(60, vec![5.0, 70.0]).unwrap(); // publisher near dead region 0
+    controller.register_client(61, vec![75.0, 6.0]).unwrap(); // subscriber near region 1
 
     let mut subscriber = SubscriberClient::new(ClientConfig {
         latencies_ms: vec![75.0, 6.0],
@@ -326,10 +326,10 @@ async fn region_outage_reconverges_end_to_end() {
     ));
     // Region-0 pair on topic "game"; region-1 pair keeps topic "side"
     // alive during the outage so degraded rounds have a workload.
-    controller.register_client(70, vec![5.0, 70.0]);
-    controller.register_client(71, vec![6.0, 75.0]);
-    controller.register_client(80, vec![70.0, 5.0]);
-    controller.register_client(81, vec![75.0, 6.0]);
+    controller.register_client(70, vec![5.0, 70.0]).unwrap();
+    controller.register_client(71, vec![6.0, 75.0]).unwrap();
+    controller.register_client(80, vec![70.0, 5.0]).unwrap();
+    controller.register_client(81, vec![75.0, 6.0]).unwrap();
 
     // The "game" stream runs at QoS 1: the outage must not lose a
     // single message.

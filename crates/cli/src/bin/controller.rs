@@ -136,7 +136,9 @@ async fn run() -> Result<(), String> {
     }
     for spec in args.get_all("client") {
         let (client, row) = parse_pair::<u64>(spec)?;
-        controller.register_client(client, parse_f64_list(row)?);
+        controller
+            .register_client(client, parse_f64_list(row)?)
+            .map_err(|e| format!("--client {spec:?}: {e}"))?;
     }
     if args.get_parsed_or("mitigate", false)? {
         controller.enable_mitigation(MitigationPolicy::default());

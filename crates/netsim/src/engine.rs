@@ -33,16 +33,17 @@
 //! reads no table, bills nothing, draws nothing and schedules nothing. An
 //! arrival that sends copies writes one 16-byte line (publication, arrival
 //! time, routing table and region, whose group names the subscribers), and
-//! tallies and counts its copies as it sends them. One function,
-//! `landed_copies`, decides which copies land and when; the report calls it
-//! again for each line it reads, so it lists the same deliveries in the
-//! order the brokers sent them. Most arrivals are **quiet** — no loss, no
-//! stall, no jitter, no reorder or duplicate window — and their copies land
-//! exactly their latency to the region after the arrival. Every
-//! measurement the report makes is order-free; a caller that wants
-//! delivery-time order sorts by `delivered_at` and then `topic_index` with
-//! a stable sort, which keeps one topic's deliveries landing together in
-//! send order.
+//! counts its copies as it sends them. One function, `landed_copies`,
+//! decides which copies land and when, every copy by one expression; the
+//! report calls it again for each line it reads, so it lists the same
+//! deliveries in the order the brokers sent them, and every delivery time
+//! is measured there, from the log. Most arrivals are **quiet** — no loss,
+//! no stall, no jitter, no reorder or duplicate window — and their copies
+//! draw nothing and land exactly their latency to the region after the
+//! arrival. Every measurement the report makes is order-free; a caller that
+//! wants delivery-time order sorts by `delivered_at` and then `topic_index`
+//! with a stable sort, which keeps one topic's deliveries landing together
+//! in send order.
 //!
 //! Each hop takes its base latency from the matrices plus an optional
 //! jitter sample, so a jitter-free run reproduces the analytic model
@@ -76,18 +77,18 @@
 //! the heap grow to the largest topic's and stay), one delivery log for its
 //! topics (the publication table, 16 bytes an arrival however many copies
 //! it sends, and 16 bytes a topic marking where its stretch ends), and one
-//! set of totals — the traffic ledger, the lost and delivered counts and
-//! the latency [`multipub_obs::Tally`] — summed after the join. Each topic
-//! adds one routing table when its run starts and one per `Reconfigure`
-//! event that changes its configuration, each a single `Vec<u32>` kept for
-//! the report. A topic's draw key is two words on the worker's stack. The
-//! scenario the engine takes shares its client lists and latency rows by
-//! `Arc`, so cloning one for the next run copies no row, and the finished
-//! run hands its topics, its fault plan, its jitter model and its seed to
-//! the report, which turns the logs' lines back into deliveries. Events,
-//! lost copies and deliveries are counted in the workers only;
-//! [`Engine::run`] adds them to the global `multipub_netsim_*` metrics
-//! once, after the join.
+//! set of totals — the traffic ledger and the lost and delivered counts —
+//! summed after the join. Each topic adds one routing table when its run
+//! starts and one per `Reconfigure` event that changes its configuration,
+//! each a single `Vec<u32>` kept for the report. A topic's draw key is two
+//! words on the worker's stack. The scenario the engine takes shares its
+//! client lists and latency rows by `Arc`, so cloning one for the next run
+//! copies no row, and the finished run hands its topics, its fault plan,
+//! its jitter model and its seed to the report, which turns the logs' lines
+//! back into deliveries. Events, lost copies and deliveries are counted in
+//! the workers only; [`Engine::run`] adds the counts to the global
+//! `multipub_netsim_*` counters once, after the join. Nothing records a
+//! delivery time as it is sent: the report measures them from the log.
 
 // lint:allow-file(indexing) discrete-event hot loop: every topic/publisher/subscriber/region index is minted from the validated `Scenario` at pre-schedule time and only round-trips through the event queue (a publication as its index in the worker's publication table, pushed before the message is sent), a topic's current table index is the index of a table already pushed to the same log, each routing table is laid out for its own topic's client counts and region count, every topic range comes from `map_chunks` over the topic count, and `Engine::new` checks every latency row's width and every configuration against the region count before a routing table is built, so all slice accesses are in bounds by construction
 
@@ -103,7 +104,7 @@ use multipub_core::draw::Key;
 use multipub_core::ids::RegionId;
 use multipub_core::latency::InterRegionMatrix;
 use multipub_core::parallel;
-use multipub_obs::metrics::{NETSIM_DELIVERY_MS, NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
+use multipub_obs::metrics::{NETSIM_EVENTS_TOTAL, NETSIM_LOST_TOTAL};
 use std::cell::LazyCell;
 use std::ops::Range;
 
@@ -199,20 +200,19 @@ impl Draws {
 /// The copies that `arrival` sends to `group` (indices into `subscribers`,
 /// the topic's) and that land, as (subscriber index, when it lands), in
 /// send order: each subscriber's copies one after the other. The one place
-/// a copy's fate is decided: the engine tallies what it yields as the
-/// broker sends, the report calls it again for every line it reads.
+/// a copy's fate is decided: the engine counts what it yields as the broker
+/// sends, the report calls it again for every line it reads.
 ///
-/// `delivery` is the plan's `deliveries_at(arrival.arrived_at)`, `key` gives
-/// the arrival's draw key ([`Draws::at`]). A copy is lost when its loss
-/// draw says so; one that survives takes its latency to the region, plus its
-/// jitter draw, plus its reorder draw, then waits out any stall.
-///
-/// A quiet arrival (no loss, no stall, jitter off, no reorder or duplicate
-/// window) takes no key and lands each copy at `arrived_at + latency` in a
-/// loop that tests nothing per copy. The general expression gives the same
-/// bits: `arrived_at + (latency + 0.0 + 0.0)` is `arrived_at + latency`,
-/// since `+ 0.0` changes no value but `−0.0`, into `+0.0`, which adds to a
-/// time as `−0.0` does, and a plan without stalls releases a copy at once.
+/// `delivery` is the plan's `deliveries_at(arrival.arrived_at)`, `key` is
+/// the arrival's draw key ([`Draws::at`]). Every copy takes one expression:
+/// it is lost when its loss draw says so; one that survives takes its
+/// latency to the region, plus its jitter draw, plus its reorder draw, then
+/// waits out any stall. A quiet copy (no loss, jitter off, no reorder
+/// window, no stall) draws nothing and lands at `arrived_at + latency`:
+/// `arrived_at + (latency + 0.0 + 0.0)` has the bits of `arrived_at +
+/// latency`, since `+ 0.0` changes no value but `−0.0`, into `+0.0`, which
+/// adds to a time as `−0.0` does, and a plan without stalls releases a copy
+/// at once.
 pub(crate) fn landed_copies<'a>(
     arrival: Arrival,
     group: &'a [u32],
@@ -220,19 +220,12 @@ pub(crate) fn landed_copies<'a>(
     delivery: DeliveryFaults,
     plan: &'a FaultPlan,
     jitter: Jitter,
-    key: impl FnOnce() -> Key,
+    key: Key,
 ) -> impl Iterator<Item = (u32, SimTime)> + 'a {
     let (now, region) = (arrival.arrived_at, arrival.region().index());
-    if jitter == Jitter::Disabled && delivery.leaves_deliveries_alone {
-        let lands = move |&subscriber: &u32| {
-            (subscriber, now + subscribers[subscriber as usize].latencies()[region])
-        };
-        return Either::Quiet(group.iter().map(lands));
-    }
-    let key = key();
     // `deliveries_at` checked that the copies are numbered by 29 bits.
     let copies = delivery.copies as u32;
-    Either::Drawn(group.iter().flat_map(move |&subscriber| {
+    group.iter().flat_map(move |&subscriber| {
         let client = &subscribers[subscriber as usize];
         (0..copies).filter_map(move |copy| {
             if plan.drops(|| key.draw(DELIVERY_LOSS, subscriber, copy)) {
@@ -249,31 +242,7 @@ pub(crate) fn landed_copies<'a>(
             debug_assert!(delivered_at >= now, "a delivery cannot land before it is sent");
             Some((subscriber, delivered_at))
         })
-    }))
-}
-
-/// A quiet arrival's copies, or those of one that may draw.
-enum Either<Q, D> {
-    Quiet(Q),
-    Drawn(D),
-}
-
-impl<Q: Iterator, D: Iterator<Item = Q::Item>> Iterator for Either<Q, D> {
-    type Item = Q::Item;
-
-    fn next(&mut self) -> Option<Q::Item> {
-        match self {
-            Either::Quiet(copies) => copies.next(),
-            Either::Drawn(copies) => copies.next(),
-        }
-    }
-
-    fn fold<B, F: FnMut(B, Q::Item) -> B>(self, init: B, f: F) -> B {
-        match self {
-            Either::Quiet(copies) => copies.fold(init, f),
-            Either::Drawn(copies) => copies.fold(init, f),
-        }
-    }
+    })
 }
 
 /// The simulation engine. Construct with a scenario, run once, read the
@@ -354,8 +323,9 @@ impl Engine {
     /// The topics run apart, fanned out over the available cores.
     ///
     /// The finished run is added to the global `multipub_netsim_*` metrics:
-    /// one event per publication, per broker arrival and per delivery, one
-    /// histogram sample per delivery (the crate-level example counts them).
+    /// one event per publication, per broker arrival and per delivery, and
+    /// one lost copy per copy a fault destroyed (the crate-level example
+    /// counts them). Delivery times are the report's to measure.
     ///
     /// # Panics
     ///
@@ -388,7 +358,6 @@ impl Engine {
         // it became a line of the log.
         multipub_obs::counter!(NETSIM_EVENTS_TOTAL).add(events + totals.delivered);
         multipub_obs::counter!(NETSIM_LOST_TOTAL).add(totals.lost);
-        multipub_obs::histogram!(NETSIM_DELIVERY_MS).add(&totals.latencies);
         SimReport::new(self.topics, logs, totals, duration_ms, self.plan, self.jitter, self.seed)
     }
 
@@ -547,8 +516,7 @@ impl TopicRun<'_> {
             totals.lost += 1;
             return;
         }
-        let Publication { publisher, published_at, .. } =
-            log.publications[message.publication as usize];
+        let publisher = log.publications[message.publication as usize].publisher;
         let routing = &log.tables[*current as usize];
         let size = scenario.publishers()[publisher as usize].size_bytes();
         // The key of this arrival's draws, folded once if anything draws.
@@ -577,8 +545,8 @@ impl TopicRun<'_> {
         // window fans each delivery into several copies — an
         // at-least-once redelivery storm — and each copy is billed,
         // lost and delayed independently. Every copy is billed whether or
-        // not it arrives, so the bill is one sum. Only the tally and the
-        // counts see each copy; the log keeps the arrival.
+        // not it arrives, so the bill is one sum. Only the counts see each
+        // copy; the log keeps the arrival.
         let group = routing.local_subscribers(region);
         if group.is_empty() {
             return;
@@ -588,11 +556,8 @@ impl TopicRun<'_> {
         totals.ledger.record_internet(region, size * sent);
         let arrival = Arrival::new(message.publication, *current, region, now);
         let subscribers = scenario.subscribers();
-        let copies = landed_copies(arrival, group, subscribers, delivery, plan, jitter, || *keyed);
-        let landed = copies.fold(0, |landed, (_, delivered_at)| {
-            totals.latencies.record(delivered_at - published_at);
-            landed + 1
-        });
+        let copies = landed_copies(arrival, group, subscribers, delivery, plan, jitter, *keyed);
+        let landed = copies.count() as u64;
         totals.delivered += landed;
         totals.lost += sent - landed;
         log.arrivals.push(arrival);
@@ -883,21 +848,22 @@ mod tests {
     }
 
     #[test]
-    fn the_latency_tally_is_the_read_back_deliveries() {
-        // The engine tallies each copy as the broker sends it; the report
-        // derives each copy again from its arrival line. Both call the one
-        // copy function, so on every scenario, whatever draws, the two agree
-        // bit for bit, however many workers ran.
+    fn the_delivered_count_is_the_read_back_deliveries() {
+        // The engine counts each copy that lands as the broker sends it; the
+        // report derives each copy again from its arrival line. Both call the
+        // one copy function, so on every scenario, whatever draws, the count
+        // is the number of deliveries read back, however many workers ran.
         use crate::digest_cases::{cases, DURATION_MS};
         for case in cases() {
             for workers in [1, 7] {
                 let report = case.engine().run_on(DURATION_MS, workers);
-                let mut read_back = multipub_obs::Tally::new();
-                report.deliveries().for_each(|d| read_back.record(d.latency_ms()));
-                let name = case.name;
-                assert_eq!(report.latency_tally(), &read_back, "{name} on {workers} workers");
-                assert_eq!(report.deliveries().count() as u64, report.delivery_count(), "{name}");
-                assert_eq!(report.deliveries().len() as u64, report.delivery_count(), "{name}");
+                let (name, count) = (case.name, report.delivery_count());
+                assert_eq!(
+                    report.deliveries().count() as u64,
+                    count,
+                    "{name} on {workers} workers"
+                );
+                assert_eq!(report.deliveries().len() as u64, count, "{name} on {workers} workers");
             }
         }
     }
@@ -1399,7 +1365,6 @@ mod tests {
                 assert_eq!(one.published_count(), many.published_count(), "{name}");
                 assert_eq!(one.lost_count(), many.lost_count(), "{name}");
                 assert_eq!(one.delivery_count(), many.delivery_count(), "{name}");
-                assert_eq!(one.latency_tally(), many.latency_tally(), "{name}");
                 for ratio in [50.0, 95.0, 100.0] {
                     assert_eq!(one.percentile_ms(ratio), many.percentile_ms(ratio), "{name}");
                 }

@@ -395,9 +395,7 @@ impl FaultPlan {
     pub(crate) fn deliveries_at(&self, at: SimTime) -> DeliveryFaults {
         let (copies, reorder_span_ms) = (self.duplicate_copies(at), self.reorder_span_ms(at));
         assert!(copies <= COPIES, "{copies} copies of one delivery");
-        let leaves_deliveries_alone =
-            self.loss_below == 0 && self.stalls.is_empty() && reorder_span_ms <= 0.0 && copies == 1;
-        DeliveryFaults { copies, reorder_span_ms, leaves_deliveries_alone }
+        DeliveryFaults { copies, reorder_span_ms }
     }
 
     /// The maximum extra reorder delay for a delivery scheduled at `at`:
@@ -415,11 +413,6 @@ pub(crate) struct DeliveryFaults {
     pub(crate) copies: u64,
     /// The active reorder-window total, 0 outside every window.
     pub(crate) reorder_span_ms: f64,
-    /// Whether the deliveries are left alone: no loss rate, no stall to
-    /// queue behind, no reorder window and no duplicate window active.
-    /// Sending such a delivery draws nothing, and it lands alone, exactly
-    /// its latency after it is sent.
-    pub(crate) leaves_deliveries_alone: bool,
 }
 
 impl DeliveryFaults {
@@ -637,29 +630,6 @@ mod tests {
     #[should_panic(expected = "duplicate copies must be at least 1")]
     fn zero_duplicate_copies_rejected() {
         let _ = DuplicateDelivery::new(0, 0.0, 100.0);
-    }
-
-    #[test]
-    fn only_a_plan_that_draws_stalls_and_copies_nothing_leaves_deliveries_alone() {
-        let at = SimTime::from_ms(200.0);
-        assert!(FaultPlan::none().deliveries_at(at).leaves_deliveries_alone);
-        // Shapes that act on hops or publications, not on deliveries.
-        let elsewhere = FaultPlan::none()
-            .with_outage(RegionOutage::new(RegionId(0), 0.0, 1000.0))
-            .with_degradation(LinkDegradation::new(RegionId(0), RegionId(1), 0.0, 1000.0, 5.0))
-            .with_burst(PublishBurst::new(3, 0.0, 1000.0))
-            .with_duplicate(DuplicateDelivery::new(1, 0.0, 1000.0))
-            .with_duplicate(DuplicateDelivery::new(2, 500.0, 1000.0))
-            .with_reorder(ReorderWindow::new(5.0, 500.0, 1000.0));
-        assert!(elsewhere.deliveries_at(at).leaves_deliveries_alone);
-        for touches in [
-            FaultPlan::none().with_loss_rate(0.01),
-            FaultPlan::none().with_stall(SubscriberStall::new(ClientId(9), 900.0, 1000.0)),
-            FaultPlan::none().with_duplicate(DuplicateDelivery::new(2, 100.0, 300.0)),
-            FaultPlan::none().with_reorder(ReorderWindow::new(5.0, 100.0, 300.0)),
-        ] {
-            assert!(!touches.deliveries_at(at).leaves_deliveries_alone, "{touches:?}");
-        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! range of topics topic by topic, and each log marks where each of its
 //! topics' publications and arrivals end: a topic's percentile reads its
 //! stretch alone, and its draw keys count publications from the stretch's
-//! start. What is counted as it goes — the ledger, the lost and delivered
-//! counts, the latency tally — is one `Totals` per worker, summed after the
-//! join.
+//! start. What is counted as it goes — the ledger and the lost and
+//! delivered counts — is one `Totals` per worker, summed after the join.
+//! Delivery times are not kept apart from the log: every measurement of
+//! them reads the log's lines, so counts stay exact and no time is sampled.
 
 // lint:allow-file(indexing) the ledger's per-region vectors are sized to the scenario's region count at construction, and every RegionId handed in was minted against that same count; every publication's topic and publisher index, every arrival's publication, table and region, every group's subscriber index and every stretch's bounds were taken by the engine from the tables and lines the report holds
 
@@ -30,7 +31,6 @@ use crate::scenario::TopicScenario;
 use crate::time::SimTime;
 use multipub_core::ids::{ClientId, RegionId};
 use multipub_core::region::RegionSet;
-use multipub_obs::histogram::Tally;
 use multipub_obs::quantile::percentile_exact;
 
 /// One completed delivery of a publication to a subscriber.
@@ -157,8 +157,8 @@ impl DeliveryLog {
 }
 
 /// What a run counts as it goes. Each worker keeps one for all its topics,
-/// and they are summed after the join: every field is an integer sum (or a
-/// maximum), so the total is the same however the topics were split.
+/// and they are summed after the join: every field is an integer sum, so
+/// the total is the same however the topics were split.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Totals {
     pub(crate) ledger: TrafficLedger,
@@ -166,19 +166,12 @@ pub(crate) struct Totals {
     pub(crate) lost: u64,
     /// Deliveries written to the log.
     pub(crate) delivered: u64,
-    /// Every delivery's end-to-end time, tallied as it was sent.
-    pub(crate) latencies: Tally,
 }
 
 impl Totals {
     /// Nothing counted yet, over `n_regions` regions.
     pub(crate) fn new(n_regions: usize) -> Self {
-        Totals {
-            ledger: TrafficLedger::new(n_regions),
-            lost: 0,
-            delivered: 0,
-            latencies: Tally::new(),
-        }
+        Totals { ledger: TrafficLedger::new(n_regions), lost: 0, delivered: 0 }
     }
 
     /// Adds what `other` counted.
@@ -186,7 +179,6 @@ impl Totals {
         self.ledger.add(&other.ledger);
         self.lost += other.lost;
         self.delivered += other.delivered;
-        self.latencies.merge(&other.latencies);
     }
 }
 
@@ -332,17 +324,10 @@ impl SimReport {
             let publication = log.publications[arrival.publication as usize];
             let group = log.tables[arrival.table()].local_subscribers(arrival.region());
             let delivery = self.plan.deliveries_at(arrival.arrived_at);
-            let key = move || draws.at(arrival.publication, arrival.region());
+            let key = draws.at(arrival.publication, arrival.region());
             landed_copies(arrival, group, subscribers, delivery, &self.plan, self.jitter, key)
                 .map(move |(subscriber, delivered_at)| (publication, subscriber, delivered_at))
         })
-    }
-
-    /// Every delivery's end-to-end time, tallied as the brokers sent it —
-    /// what [`crate::engine::Engine::run`] adds to the
-    /// `multipub_netsim_delivery_ms` histogram.
-    pub fn latency_tally(&self) -> &Tally {
-        &self.totals.latencies
     }
 
     /// Number of deliveries completed.

@@ -8,9 +8,8 @@
 //! overflow bucket whose representative is the observed maximum.
 //! Recording is a handful of relaxed atomic adds plus one table lookup and
 //! one comparison to find the bucket, so histograms are safe on broker hot
-//! paths. A caller with many values to record fills a [`Tally`], which is
-//! the same bookkeeping without atomics, and adds it with
-//! [`Histogram::add`], paying the atomics once per batch.
+//! paths: each call records one value, and there is no batched path beside
+//! it.
 //!
 //! The atomics come from `multipub_sync` so loom can model them; two
 //! things stay on `std` under loom too: the `OnceLock` around the
@@ -175,20 +174,6 @@ impl Histogram {
         self.max_micros.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Adds every observation of `tally`: one atomic add per touched bucket
-    /// and one each for count, sum and maximum. The snapshot is then what
-    /// [`Histogram::record`] would have made of the tally's values one by one.
-    pub fn add(&self, tally: &Tally) {
-        for (shared, &local) in self.buckets.iter().zip(&tally.buckets) {
-            if local > 0 {
-                shared.fetch_add(local, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(tally.count, Ordering::Relaxed);
-        self.sum_micros.fetch_add(tally.sum_micros, Ordering::Relaxed);
-        self.max_micros.fetch_max(tally.max_micros, Ordering::Relaxed);
-    }
-
     /// Number of recorded observations.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
@@ -212,63 +197,6 @@ impl Histogram {
 impl Default for Histogram {
     fn default() -> Self {
         Histogram::new()
-    }
-}
-
-/// Observations counted without atomics, for one owner to fill and then
-/// add to a shared [`Histogram`] at once ([`Histogram::add`]). A value
-/// lands as [`Histogram::record`] would land it: the same bucket, the same
-/// micro rounding, NaN and ±∞ ignored, the same 2^53 µs clamp, and a sum
-/// that wraps like the shared one.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tally {
-    buckets: [u64; BUCKET_COUNT],
-    count: u64,
-    sum_micros: u64,
-    max_micros: u64,
-}
-
-impl Tally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Tally { buckets: [0; BUCKET_COUNT], count: 0, sum_micros: 0, max_micros: 0 }
-    }
-
-    /// Counts one observation in milliseconds.
-    pub fn record(&mut self, value_ms: f64) {
-        if !value_ms.is_finite() {
-            return;
-        }
-        if let Some(bucket) = self.buckets.get_mut(bucket_index(value_ms)) {
-            *bucket += 1;
-        }
-        self.count += 1;
-        let micros = to_micros(value_ms);
-        // The shared sum wraps (`fetch_add`), so this one does too.
-        self.sum_micros = self.sum_micros.wrapping_add(micros);
-        self.max_micros = self.max_micros.max(micros);
-    }
-
-    /// Number of counted observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Counts every observation of `other` too: the tally is then what one
-    /// tally of both value sequences would be, in either order.
-    pub fn merge(&mut self, other: &Tally) {
-        for (bucket, &more) in self.buckets.iter_mut().zip(&other.buckets) {
-            *bucket += more;
-        }
-        self.count += other.count;
-        self.sum_micros = self.sum_micros.wrapping_add(other.sum_micros);
-        self.max_micros = self.max_micros.max(other.max_micros);
-    }
-}
-
-impl Default for Tally {
-    fn default() -> Self {
-        Tally::new()
     }
 }
 
@@ -549,76 +477,64 @@ mod tests {
         }
     }
 
-    /// Fills one tally with `values` and adds it (and an empty one) to a
-    /// histogram that already holds a value: the tally adds, it does not
-    /// overwrite, and the snapshot is that of a record loop.
-    fn check_added_tally(values: &[f64], context: &str) -> Tally {
-        let (one_by_one, added) = (Histogram::new(), Histogram::new());
-        one_by_one.record(12.0);
-        added.record(12.0);
-        let mut tally = Tally::new();
-        values.iter().for_each(|&value| {
-            one_by_one.record(value);
-            tally.record(value);
-        });
-        added.add(&tally);
-        added.add(&Tally::new());
-        assert_eq!(added.snapshot(), one_by_one.snapshot(), "{context}");
-        tally
-    }
-
     #[test]
-    fn an_added_tally_snapshots_like_a_record_loop() {
-        let fixed = [f64::NAN, -2.0, 0.0004, 0.0005, 1.0, 37.5, 9.1e12, f64::INFINITY];
-        assert_eq!(check_added_tally(&fixed, "fixed values").count(), 6);
-    }
-
-    /// A whole run's worth of values recorded at once, through one tally.
-    #[test]
-    fn record_all_snapshots_like_a_record_loop() {
-        let mut next = crate::xorshift(0x2545_F491_4F6C_DD1D);
+    fn record_lands_each_edge_case_in_its_bucket_sum_and_maximum() {
+        // (value, its bucket, the micros it adds to the sum and maximum);
+        // `None` for a value that is ignored.
         let last_finite = bucket_upper_bound(FINITE_BUCKETS - 1);
-        let edge_cases = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            -3.5,
-            -0.0,
-            0.0,
-            0.0004,         // sub-µs: rounds to 0 µs
-            0.0005,         // rounds to 1 µs
-            FIRST_BOUND_MS, // on the first bound
-            last_finite,
-            last_finite * 1.5, // overflow bucket
-            9.1e12,            // past 2^53 µs: clamped
-            1e300,
+        let clamp = MAX_OBSERVATION_MICROS;
+        let last_micros = (last_finite * 1000.0).round() as u64;
+        let overflow_micros = (last_finite * 1.5 * 1000.0).round() as u64;
+        let edge_cases: [(f64, Option<(usize, u64)>); 15] = [
+            (f64::NAN, None),
+            (f64::INFINITY, None),
+            (f64::NEG_INFINITY, None),
+            (-3.5, Some((0, 0))),
+            (-0.0, Some((0, 0))),
+            (0.0, Some((0, 0))),
+            (0.0004, Some((0, 0))),         // sub-µs: rounds to 0 µs
+            (0.0005, Some((0, 1))),         // rounds to 1 µs
+            (FIRST_BOUND_MS, Some((0, 1))), // on the first bound
+            (0.0011, Some((1, 1))),         // just past it
+            (last_finite, Some((FINITE_BUCKETS - 1, last_micros))),
+            (last_finite * 1.5, Some((FINITE_BUCKETS, overflow_micros))), // overflow bucket
+            (9.1e12, Some((FINITE_BUCKETS, clamp))),                      // past 2^53 µs: clamped
+            (1e300, Some((FINITE_BUCKETS, clamp))),
+            (f64::MAX, Some((FINITE_BUCKETS, clamp))),
         ];
-        for len in [0usize, 1, 7, 1000] {
-            let values: Vec<f64> = (0..len)
-                .map(|_| match next() % 4 {
-                    0 => edge_cases[(next() % edge_cases.len() as u64) as usize],
-                    // Log-uniform over every finite bucket and a little beyond.
-                    _ => 1e-4 * 2f64.powf((next() % 4000) as f64 / 100.0),
-                })
-                .collect();
-            check_added_tally(&values, &format!("{len} seeded values"));
+        let all = Histogram::new();
+        let (mut buckets, mut count, mut sum, mut max) = (vec![0; BUCKET_COUNT], 0, 0u64, 0);
+        for (value, lands) in edge_cases {
+            let one = Histogram::new();
+            one.record(value);
+            all.record(value);
+            let snapshot = one.snapshot();
+            let Some((bucket, micros)) = lands else {
+                assert_eq!(snapshot, Histogram::new().snapshot(), "{value:e}");
+                continue;
+            };
+            assert_eq!(snapshot.count(), 1, "{value:e}");
+            assert_eq!(snapshot.buckets()[bucket], 1, "{value:e}");
+            assert_eq!((snapshot.sum_micros, snapshot.max_micros), (micros, micros), "{value:e}");
+            buckets[bucket] += 1;
+            count += 1;
+            sum += micros;
+            max = max.max(micros);
         }
-        // Enough clamped observations to wrap the sum: both wrap alike.
-        check_added_tally(&[1e300; 2049], "2 049 clamped values");
-    }
-
-    #[test]
-    fn merged_tallies_equal_one_tally_of_both() {
-        let (first, second) = ([0.0004, 1.0, 37.5, f64::NAN], [9.1e12, 0.0005, 37.5]);
-        let (mut whole, mut left, mut right) = (Tally::new(), Tally::new(), Tally::new());
-        first.iter().chain(&second).for_each(|&value| whole.record(value));
-        first.iter().for_each(|&value| left.record(value));
-        second.iter().for_each(|&value| right.record(value));
-        let mut merged = right.clone();
-        merged.merge(&left);
-        left.merge(&right);
-        assert_eq!(left, whole);
-        assert_eq!(merged, whole);
+        // One histogram of every case is the sum of the one-value ones.
+        let snapshot = all.snapshot();
+        assert_eq!(
+            snapshot,
+            HistogramSnapshot { buckets, count, sum_micros: sum, max_micros: max }
+        );
+        // 2 049 clamped observations wrap the sum, as `fetch_add` does:
+        // 2 048 × 2^53 µs is 2^64.
+        let wrapped = Histogram::new();
+        (0..2049).for_each(|_| wrapped.record(1e300));
+        let snapshot = wrapped.snapshot();
+        assert_eq!(snapshot.count(), 2049);
+        assert_eq!(snapshot.buckets()[FINITE_BUCKETS], 2049);
+        assert_eq!((snapshot.sum_micros, snapshot.max_micros), (clamp, clamp));
     }
 
     #[test]

@@ -88,7 +88,7 @@ pub(crate) fn uniform(next: &mut impl FnMut() -> u64, lo: f64, hi: f64) -> f64 {
     lo + (hi - lo) * ((next() >> 11) as f64 / (1u64 << 53) as f64)
 }
 
-pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer, Tally};
+pub use histogram::{Histogram, HistogramSnapshot, HistogramTimer};
 pub use log::Level;
 #[cfg(not(loom))]
 pub use registry::registry;

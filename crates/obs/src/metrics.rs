@@ -223,7 +223,10 @@ pub const SIM_SPEC_MS: &str = "multipub_sim_spec_ms";
 pub const NETSIM_EVENTS_TOTAL: &str = "multipub_netsim_events_total";
 /// Messages dropped by injected faults.
 pub const NETSIM_LOST_TOTAL: &str = "multipub_netsim_lost_total";
-/// Simulated end-to-end delivery latency.
+/// Simulated end-to-end delivery latency. Nothing writes it: a simulation
+/// report measures delivery times exactly from its delivery log. The name
+/// stays while the benchmark harness still reads it (ROADMAP item 1 drops
+/// it).
 pub const NETSIM_DELIVERY_MS: &str = "multipub_netsim_delivery_ms";
 
 #[cfg(test)]

@@ -98,9 +98,9 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     let constraint = DeliveryConstraint::new(95.0, 160.0)?;
     let mut controller =
         Controller::connect(regions.clone(), inter.clone(), &addrs, constraint).await?;
-    controller.register_client(100, pub_virginia);
-    controller.register_client(200, sub_virginia);
-    controller.register_client(201, sub_frankfurt);
+    controller.register_client(100, pub_virginia)?;
+    controller.register_client(200, sub_virginia)?;
+    controller.register_client(201, sub_frankfurt)?;
 
     let decisions = controller.optimize_once().await;
     println!("\nController decisions:");

@@ -140,9 +140,9 @@ async fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The controller optimizes the topic placement underneath the filters.
     let mut controller =
         Controller::connect(regions, inter, &addrs, DeliveryConstraint::new(95.0, 250.0)?).await?;
-    controller.register_client(1, vec![5.0, 78.0]);
-    controller.register_client(2, vec![75.0, 8.0]);
-    controller.register_client(3, vec![6.0, 80.0]);
+    controller.register_client(1, vec![5.0, 78.0])?;
+    controller.register_client(2, vec![75.0, 8.0])?;
+    controller.register_client(3, vec![6.0, 80.0])?;
     let decisions = controller.optimize_once().await;
     println!("\nController decision:");
     for d in &decisions {
