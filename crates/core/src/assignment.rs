@@ -237,6 +237,14 @@ impl Iterator for Regions {
     }
 }
 
+impl DoubleEndedIterator for Regions {
+    fn next_back(&mut self) -> Option<RegionId> {
+        let bit = u32::BITS.checked_sub(self.remaining.leading_zeros())?.checked_sub(1)?;
+        self.remaining &= !(1 << bit);
+        Some(RegionId(bit as u8))
+    }
+}
+
 impl ExactSizeIterator for Regions {}
 
 /// A full configuration for a topic: serving regions plus delivery mode.
@@ -382,6 +390,14 @@ pub(crate) mod tests {
         let ids: Vec<_> = v.iter().collect();
         assert_eq!(ids, vec![RegionId(0), RegionId(1), RegionId(3)]);
         assert_eq!(v.iter().len(), 3);
+        let down: Vec<_> = AssignmentVector::all(32).unwrap().iter().rev().collect();
+        assert_eq!(down, (0..32).rev().map(RegionId).collect::<Vec<_>>());
+        let mut both_ends = v.iter();
+        assert_eq!(
+            (both_ends.next_back(), both_ends.next()),
+            (Some(RegionId(3)), Some(RegionId(0)))
+        );
+        assert_eq!((both_ends.next_back(), both_ends.next_back()), (Some(RegionId(1)), None));
     }
 
     #[test]

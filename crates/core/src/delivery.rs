@@ -42,7 +42,9 @@ use crate::latency::InterRegionMatrix;
 /// The closest (latency-wise) region to a client among the regions of an
 /// assignment; ties broken by lowest region id.
 ///
-/// This is `R^S` / `R^P` of the paper (§III.C).
+/// This is `R^S` / `R^P` of the paper (§III.C): [`nearer`] folded over the
+/// regions from the highest id down, so that of equally close regions the
+/// lowest id, tried last, wins.
 ///
 /// # Panics
 ///
@@ -61,16 +63,26 @@ use crate::latency::InterRegionMatrix;
 /// # }
 /// ```
 pub fn closest_region(latencies: &[f64], assignment: AssignmentVector) -> RegionId {
-    let mut best: Option<(f64, RegionId)> = None;
-    for region in assignment.iter() {
-        let lat = latencies[region.index()];
-        match best {
-            Some((b, _)) if b <= lat => {}
-            _ => best = Some((lat, region)),
-        }
+    let mut downwards = assignment.iter().rev();
+    // lint:allow(panic) AssignmentVector rejects empty masks at construction, so there is a highest region
+    let highest = downwards.next().expect("assignment vectors are non-empty by construction");
+    downwards.fold(highest, |best, region| nearer(latencies, best, region))
+}
+
+/// One step of [`closest_region`]: `region` if it is at least as close as
+/// `best`, else `best`.
+///
+/// `closest_region(A)` is this step applied to `closest_region` of `A`
+/// without its lowest region, that region being `region` — which is how
+/// the evaluator attributes the enumeration's region sets, one step per
+/// client and set.
+#[inline]
+pub(crate) fn nearer(latencies: &[f64], best: RegionId, region: RegionId) -> RegionId {
+    if latencies[region.index()] <= latencies[best.index()] {
+        region
+    } else {
+        best
     }
-    // lint:allow(panic) AssignmentVector rejects empty masks at construction, so the loop above always sets `best`
-    best.expect("assignment vectors are non-empty by construction").1
 }
 
 /// Direct delivery time (Eq. 1): publisher → subscriber's region →
@@ -206,6 +218,62 @@ mod tests {
     fn closest_region_breaks_ties_by_id() {
         let a = AssignmentVector::from_mask(0b111, 3).unwrap();
         assert_eq!(closest_region(&[5.0, 5.0, 5.0], a), RegionId(0));
+    }
+
+    /// `R^S` as §III.C words it: the first region, in id order, that no
+    /// later one is strictly closer than.
+    fn first_nearest(latencies: &[f64], assignment: AssignmentVector) -> RegionId {
+        let scan = assignment.iter().reduce(|best, region| {
+            if latencies[region.index()] < latencies[best.index()] {
+                region
+            } else {
+                best
+            }
+        });
+        scan.unwrap()
+    }
+
+    /// On 2–10 regions, every submask: the fold is the first nearest region,
+    /// and one [`nearer`] step from the set without its lowest region gets
+    /// there too. Whole-millisecond rows of few values tie often.
+    #[test]
+    fn closest_region_is_one_step_from_its_parent_set_on_every_submask() {
+        let mut rng = SplitMix64(0xC105_E575);
+        let rows = if cfg!(miri) { 1 } else { 8 };
+        let (mut ties, mut steps_taken) = (0, 0);
+        for n in 2..=10 {
+            for fractional in [false, true] {
+                for _ in 0..rows {
+                    let row: Vec<f64> = (0..n)
+                        .map(|_| {
+                            let whole = rng.range(1, 4) as f64;
+                            match fractional {
+                                true => whole + (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64,
+                                false => whole,
+                            }
+                        })
+                        .collect();
+                    for mask in 1u32..1 << n {
+                        let set = AssignmentVector::from_mask(mask, n).unwrap();
+                        let closest = closest_region(&row, set);
+                        assert_eq!(closest, first_nearest(&row, set), "{row:?}, {set}");
+                        let nearest = row[closest.index()];
+                        ties += usize::from(
+                            set.iter().filter(|r| row[r.index()] == nearest).count() > 1,
+                        );
+                        let Some(parent) = AssignmentVector::from_mask(mask & (mask - 1), n).ok()
+                        else {
+                            continue;
+                        };
+                        let lowest = set.iter().next().unwrap();
+                        let step = nearer(&row, closest_region(&row, parent), lowest);
+                        assert_eq!(step, closest, "{row:?}, {set}");
+                        steps_taken += usize::from(step == lowest);
+                    }
+                }
+            }
+        }
+        assert!(ties > 0 && steps_taken > 0);
     }
 
     #[test]

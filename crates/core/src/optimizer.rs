@@ -21,8 +21,11 @@
 //! is a count of deliveries within `max_T`, not a percentile; the exact
 //! percentile is computed only for a challenger that ties on every key ahead
 //! of it, and for each new incumbent. (How a count and a percentile are
-//! taken — streamed over all pairs, or swept over sorted columns on a large
-//! topic — is [`crate::evaluate`]'s business; the answers are the same bits.) [`Optimizer::solve`] feeds the scan
+//! taken — streamed over all pairs, swept over sorted columns on a large
+//! topic, or, for a count at `max_T` on such a topic, read from a table built
+//! once per solve — is [`crate::evaluate`]'s business; the answers are the
+//! same bits.) What a scan went through is reported as the solution's
+//! [`Effort`]. [`Optimizer::solve`] feeds the scan
 //! candidates staged on one scratch buffer, [`SweepSolver`] its cached
 //! evaluations, and [`crate::heuristic`] ranks its beam by the same pairwise
 //! preference. The pick is the one evaluating everything in full would make,
@@ -45,26 +48,57 @@ use std::cell::RefCell;
 use std::cmp::Ordering;
 
 /// The optimizer's answer for one topic.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Two solutions are equal when they pick the same evaluation with the same
+/// feasibility out of as many configurations: how many of those a solver
+/// had to examine ([`Effort::examined`]) is how it searched, not what it
+/// found.
+#[derive(Debug, Clone, Copy)]
 pub struct Solution {
     evaluation: ConfigEvaluation,
     feasible: bool,
-    configurations_considered: u64,
+    effort: Effort,
+}
+
+impl PartialEq for Solution {
+    fn eq(&self, other: &Self) -> bool {
+        (self.evaluation, self.feasible, self.effort.considered)
+            == (other.evaluation, other.feasible, other.effort.considered)
+    }
+}
+
+/// What a solver went through to find its pick: plain counts, the same on
+/// every host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Effort {
+    /// Configurations in the stream the solver scanned.
+    pub considered: u64,
+    /// Those whose delivery times were looked at; cost and region count
+    /// alone decided the rest.
+    pub examined: u64,
 }
 
 impl Solution {
-    /// The solution that picks `evaluation` under `constraint` — shared
-    /// with [`crate::heuristic`] so every solver returns the same shape.
+    /// The solution that picks `evaluation` under `constraint` out of
+    /// `configurations_considered`, each evaluated in full — shared with
+    /// [`crate::heuristic`] so every solver returns the same shape.
     pub(crate) fn new(
         evaluation: ConfigEvaluation,
         constraint: &DeliveryConstraint,
         configurations_considered: u64,
     ) -> Self {
-        Solution {
-            feasible: evaluation.is_feasible(constraint),
-            evaluation,
-            configurations_considered,
-        }
+        let effort =
+            Effort { considered: configurations_considered, examined: configurations_considered };
+        Self::found(evaluation, constraint, effort)
+    }
+
+    /// The solution that picks `evaluation` under `constraint` with `effort`.
+    fn found(
+        evaluation: ConfigEvaluation,
+        constraint: &DeliveryConstraint,
+        effort: Effort,
+    ) -> Self {
+        Solution { feasible: evaluation.is_feasible(constraint), evaluation, effort }
     }
 
     /// The selected configuration.
@@ -86,7 +120,12 @@ impl Solution {
 
     /// How many configurations the solver enumerated.
     pub fn configurations_considered(&self) -> u64 {
-        self.configurations_considered
+        self.effort.considered
+    }
+
+    /// What the solver went through to find this pick.
+    pub fn effort(&self) -> Effort {
+        self.effort
     }
 }
 
@@ -174,16 +213,6 @@ pub(crate) fn preferred(a: &impl Candidate, b: &impl Candidate, max_ms: f64) -> 
     } else {
         better_infeasible(a, b, max_ms)
     }
-}
-
-/// What a scan went through to find its pick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Effort {
-    /// Candidates in the stream.
-    considered: u64,
-    /// Those whose delivery times were looked at; cost and region count
-    /// alone decided the rest.
-    examined: u64,
 }
 
 /// The first candidate of the stream that `admits` lets in and no later one
@@ -287,14 +316,20 @@ impl<'a> Optimizer<'a> {
 
     /// [`select`] over `configurations`, each staged on one shared scratch
     /// buffer: attributed and costed up front, its delivery times looked at
-    /// only if the rule asks. `max_ms` is the bound to select under.
+    /// only if the rule asks. `max_ms` is the bound to select under; at the
+    /// constraint's own `max_T` the count tests read one table built for it
+    /// (on a topic large enough to sweep), other bounds keep the kernels.
     fn select_among(
         &self,
         configurations: impl Iterator<Item = Configuration> + Clone,
         constraint: &DeliveryConstraint,
         max_ms: f64,
     ) -> (ConfigEvaluation, Effort) {
-        let scratch = RefCell::new(EvalScratch::default());
+        let mut scratch = EvalScratch::default();
+        if max_ms == constraint.max_ms() && self.evaluator.sweeps_any() {
+            self.evaluator.tabulate(max_ms, &mut scratch);
+        }
+        let scratch = RefCell::new(scratch);
         let rank = constraint.rank(self.evaluator.total_deliveries());
         let staged = configurations.map(|config| self.evaluator.stage(config, rank, &scratch));
         select(staged, max_ms)
@@ -309,7 +344,7 @@ impl<'a> Optimizer<'a> {
         let (best, effort) = self.select_among(configurations, constraint, constraint.max_ms());
         multipub_obs::counter!(multipub_obs::metrics::CORE_CONFIGS_EVALUATED_TOTAL)
             .add(effort.examined);
-        Solution::new(best, constraint, effort.considered)
+        Solution::found(best, constraint, effort)
     }
 
     /// The *One Region* baseline (paper §II-B1): the cheapest single region
@@ -326,7 +361,7 @@ impl<'a> Optimizer<'a> {
             Configuration::new(assignment, DeliveryMode::Direct)
         });
         let (cheapest, effort) = self.select_among(singles, constraint, f64::INFINITY);
-        Solution::new(cheapest, constraint, effort.considered)
+        Solution::found(cheapest, constraint, effort)
     }
 
     /// The *All Regions* baseline (paper §II-B2): every allowed region
@@ -431,7 +466,7 @@ impl SweepSolver {
     pub fn solve_at(&self, max_t_ms: f64) -> Result<Solution, Error> {
         let constraint = DeliveryConstraint::new(self.ratio_percent, max_t_ms)?;
         let (best, effort) = select(self.evaluations.iter().copied(), max_t_ms);
-        Ok(Solution::new(best, &constraint, effort.considered))
+        Ok(Solution::found(best, &constraint, effort))
     }
 }
 
