@@ -132,7 +132,7 @@ use crate::delivery::{
 use crate::error::Error;
 use crate::ids::RegionId;
 use crate::latency::InterRegionMatrix;
-use crate::region::RegionSet;
+use crate::region::{RegionSet, MAX_REGIONS};
 use crate::workload::{Publisher, Subscriber, TopicWorkload};
 use std::cell::{Cell, RefCell, RefMut};
 use std::sync::OnceLock;
@@ -278,13 +278,14 @@ impl Walk {
     }
 
     /// The closest region of `assignment` for each client, whose latency
-    /// rows `latencies` lists: built on the deepest row of one of its
-    /// ancestors (or itself) still held, one depth at a time.
+    /// rows `latencies` lists: `closest_region`'s fold resumed, in one pass,
+    /// from the deepest of its ancestors still held — its parent, in the
+    /// enumeration's order, which leaves one step per client.
     fn attribute<'l>(
         &mut self,
         assignment: AssignmentVector,
         n_regions: usize,
-        latencies: impl ExactSizeIterator<Item = &'l [f64]> + Clone,
+        latencies: impl ExactSizeIterator<Item = &'l [f64]>,
     ) -> &[RegionId] {
         let clients = latencies.len();
         if self.sets.len() != n_regions || self.clients != clients {
@@ -294,28 +295,27 @@ impl Walk {
             self.clients = clients;
         }
         let depth = assignment.count() as usize;
-        let (mut held, mut set) = (depth, assignment.mask());
-        while held > 0 && self.sets[held - 1] != set {
-            set &= set - 1; // the parent: without the lowest region
+        let (mut held, mut ancestor) = (depth, assignment.mask());
+        while held > 0 && self.sets[held - 1] != ancestor {
+            ancestor &= ancestor - 1; // the parent: without the lowest region
             held -= 1;
         }
-        for region in assignment.iter().rev().skip(held) {
-            let (above, below) = self.rows.split_at_mut(held * clients);
-            let row = &mut below[..clients];
-            match held.checked_sub(1) {
-                None => row.fill(region),
-                Some(parent) => {
-                    let parent = &above[parent * clients..];
-                    for ((to, &best), latencies) in
-                        row.iter_mut().zip(parent).zip(latencies.clone())
-                    {
-                        *to = nearer(latencies, best, region);
-                    }
-                }
+        if held < depth {
+            // The regions the ancestor lacks, highest first.
+            let mut lacked = [RegionId(0); MAX_REGIONS];
+            lacked.iter_mut().zip(assignment.iter().rev().skip(held)).for_each(|(at, r)| *at = r);
+            let lacked = &lacked[..depth - held];
+            let (above, below) = self.rows.split_at_mut((depth - 1) * clients);
+            let ancestor = held.checked_sub(1).map(|row| &above[row * clients..][..clients]);
+            for (client, (to, latencies)) in below[..clients].iter_mut().zip(latencies).enumerate()
+            {
+                let (best, lacked) = match ancestor {
+                    Some(row) => (row[client], lacked),
+                    None => (lacked[0], &lacked[1..]),
+                };
+                *to = lacked.iter().fold(best, |best, &region| nearer(latencies, best, region));
             }
-            set |= 1 << region.0;
-            self.sets[held] = set;
-            held += 1;
+            self.sets[depth - 1] = assignment.mask();
         }
         self.row(depth)
     }
