@@ -1,7 +1,7 @@
-//! Reconnect-storm reconvergence (ROADMAP item 4 starter): when one
-//! region's whole client population mass-reconnects after an outage
-//! window, the session layer's decorrelated-jitter backoff must spread
-//! the herd enough to meet a reconvergence-time SLO.
+//! Reconnect-storm reconvergence (ROADMAP item 12, the session's
+//! backoff): when one region's whole client population mass-reconnects
+//! after an outage window, the session layer's decorrelated-jitter backoff
+//! must spread the herd enough to meet a reconvergence-time SLO.
 //!
 //! The deterministic test drives a fixed storm window against the
 //! **real** [`ReconnectPolicy`] jitter stream; the chaos test runs the

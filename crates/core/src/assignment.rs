@@ -239,7 +239,10 @@ impl Iterator for Regions {
 
 impl DoubleEndedIterator for Regions {
     fn next_back(&mut self) -> Option<RegionId> {
-        let bit = u32::BITS.checked_sub(self.remaining.leading_zeros())?.checked_sub(1)?;
+        if self.remaining == 0 {
+            return None;
+        }
+        let bit = u32::BITS - 1 - self.remaining.leading_zeros();
         self.remaining &= !(1 << bit);
         Some(RegionId(bit as u8))
     }

@@ -246,29 +246,22 @@ mod tests {
                 for _ in 0..rows {
                     let row: Vec<f64> = (0..n)
                         .map(|_| {
-                            let whole = rng.range(1, 4) as f64;
-                            match fractional {
-                                true => whole + (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64,
-                                false => whole,
-                            }
+                            let fraction = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                            rng.range(1, 4) as f64 + if fractional { fraction } else { 0.0 }
                         })
                         .collect();
                     for mask in 1u32..1 << n {
                         let set = AssignmentVector::from_mask(mask, n).unwrap();
                         let closest = closest_region(&row, set);
                         assert_eq!(closest, first_nearest(&row, set), "{row:?}, {set}");
-                        let nearest = row[closest.index()];
-                        ties += usize::from(
-                            set.iter().filter(|r| row[r.index()] == nearest).count() > 1,
-                        );
-                        let Some(parent) = AssignmentVector::from_mask(mask & (mask - 1), n).ok()
-                        else {
-                            continue;
-                        };
-                        let lowest = set.iter().next().unwrap();
-                        let step = nearer(&row, closest_region(&row, parent), lowest);
-                        assert_eq!(step, closest, "{row:?}, {set}");
-                        steps_taken += usize::from(step == lowest);
+                        let nearest = set.iter().filter(|r| row[r.index()] == row[closest.index()]);
+                        ties += usize::from(nearest.count() > 1);
+                        if let Ok(parent) = AssignmentVector::from_mask(mask & (mask - 1), n) {
+                            let lowest = set.iter().next().unwrap();
+                            let step = nearer(&row, closest_region(&row, parent), lowest);
+                            assert_eq!(step, closest, "{row:?}, {set}");
+                            steps_taken += usize::from(step == lowest);
+                        }
                     }
                 }
             }
